@@ -45,12 +45,15 @@ class MaterialSystem:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.energy <= 0:
-            raise DomainError(f"energy must be positive, got {self.energy}")
-        if self.radius <= 0:
-            raise DomainError(f"radius must be positive, got {self.radius}")
-        if self.entropy is not None and self.entropy < 0:
-            raise DomainError(f"entropy must be non-negative, got {self.entropy}")
+        if not 0 < self.energy < math.inf:
+            raise DomainError(
+                f"energy must be positive and finite, got {self.energy}")
+        if not 0 < self.radius < math.inf:
+            raise DomainError(
+                f"radius must be positive and finite, got {self.radius}")
+        if self.entropy is not None and not 0 <= self.entropy < math.inf:
+            raise DomainError(
+                f"entropy must be non-negative and finite, got {self.entropy}")
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,15 @@ class Channel:
     emission: EmissionParameters = DEFAULT_EMISSION
 
     def __post_init__(self) -> None:
-        if self.lambda_c <= 0:
-            raise DomainError(f"cutoff wavelength must be positive, got {self.lambda_c}")
-        if self.power < 0:
-            raise DomainError(f"power must be non-negative, got {self.power}")
-        if self.n_carriers < 1.0:
-            raise DomainError(f"n_carriers must be >= 1, got {self.n_carriers}")
+        if not 0 < self.lambda_c < math.inf:
+            raise DomainError("cutoff wavelength must be positive and finite, "
+                              f"got {self.lambda_c}")
+        if not 0 <= self.power < math.inf:
+            raise DomainError(
+                f"power must be non-negative and finite, got {self.power}")
+        if not 1.0 <= self.n_carriers < math.inf:
+            raise DomainError(
+                f"n_carriers must be >= 1 and finite, got {self.n_carriers}")
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .bounds import MaterialSystem, bound_report
 from .channel import Channel, capacity_bound
 from .constants import (
@@ -35,6 +33,7 @@ from .gedanken import (
     merger,
     susskind_collapse,
 )
+from .grids import geomspace, linspace
 from .kerr_newman import (
     entropy,
     h_factors,
@@ -188,17 +187,20 @@ JSON_INPUT_KEYS = {
 
 def load_input_file(path: str, command: str) -> dict[str, str]:
     """Read a flat key=value file, or the inputs of a previously emitted JSON."""
-    if path.endswith(".json"):
+    try:
+        if not path.endswith(".json"):
+            return _parse_kv_file(path)
         with open(path) as fh:
             obj = json.load(fh)
-        inputs = obj.get("inputs", obj)
-        mapping = JSON_INPUT_KEYS.get(command, {})
-        data = {}
-        for key, value in inputs.items():
-            dest = mapping.get(key, key)
-            data[dest] = str(value)
-        return data
-    return _parse_kv_file(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}")
+    inputs = obj.get("inputs", obj) if isinstance(obj, dict) else None
+    if not isinstance(inputs, dict):
+        raise ConfigError(f"{path} holds no JSON object of inputs")
+    mapping = JSON_INPUT_KEYS.get(command, {})
+    return {mapping.get(key, key): str(value) for key, value in inputs.items()}
 
 
 def merge_input(args: argparse.Namespace, command: str,
@@ -318,9 +320,8 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     t, m = mass_history(args.mass, params, points=args.points)
     doc = Document("evaporation")
     doc.add("inputs", "mass_g", args.mass, "g")
-    doc.add("results", "lifetime_s", float(t[-1]), "s")
-    doc.set_series(["t", "mass"], ["s", "g"],
-                   [[float(ti), float(mi)] for ti, mi in zip(t, m)])
+    doc.add("results", "lifetime_s", t[-1], "s")
+    doc.set_series(["t", "mass"], ["s", "g"], [[ti, mi] for ti, mi in zip(t, m)])
     return doc
 
 
@@ -485,16 +486,16 @@ BH_SWEEP_QUANTITIES = {
 }
 
 
-def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
+def _sweep_grid(args: argparse.Namespace) -> list[float]:
     if args.points < 1:
         raise ConfigError("sweep needs at least one point")
     if args.points == 1:
-        return np.array([args.start])
+        return [args.start]
     if args.spacing == "log":
         if args.start <= 0 or args.stop <= 0:
             raise ConfigError("log spacing needs positive start and stop")
-        return np.geomspace(args.start, args.stop, args.points)
-    return np.linspace(args.start, args.stop, args.points)
+        return geomspace(args.start, args.stop, args.points)
+    return linspace(args.start, args.stop, args.points)
 
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
@@ -511,7 +512,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             raise ConfigError(f"unknown quantity {args.quantity!r}; choose from "
                               + ", ".join(sorted(BH_SWEEP_QUANTITIES)))
         func, unit = BH_SWEEP_QUANTITIES[args.quantity]
-        rows = [[float(m), float(func(make_black_hole(m, args.charge, args.spin)))]
+        rows = [[m, func(make_black_hole(m, args.charge, args.spin))]
                 for m in grid]
         doc.set_series(["mass", args.quantity], ["g", unit], rows)
     else:
@@ -521,15 +522,15 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         emission = build_emission(args)
         rows = []
         for x in grid:
-            lam = args.lambda_c if args.param == "power" else float(x)
-            pw = float(x) if args.param == "power" else args.power
+            lam = args.lambda_c if args.param == "power" else x
+            pw = x if args.param == "power" else args.power
             if lam is None or pw is None:
                 raise ConfigError("channel sweep needs the non-swept parameter "
                                   "(lambda-c or power) fixed")
             rep = capacity_bound(Channel(lambda_c=lam, power=pw,
                                          n_carriers=args.n_carriers,
                                          emission=emission))
-            rows.append([float(x), rep.bound_bits_per_s, rep.regime])
+            rows.append([x, rep.bound_bits_per_s, rep.regime])
         doc.set_series([args.param, "bound", "regime"],
                        ["erg s^-1" if args.param == "power" else "cm",
                         "bit s^-1", ""], rows)

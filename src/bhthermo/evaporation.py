@@ -19,6 +19,10 @@ the square root of the power:
       Sdot = (pi nu^2 gamma_bar N P / 240 hbar)^(1/2)  =  nu P / T
 
 where nu > 1 measures the irreversibility of the emission.
+
+With dm/dt = -K/m^2 the hole shrinks from m0 to m in the closed-form time
+
+      t(m) = (m0^3 - m^3) / (3 K),    K = N hbar c^4 / (15360 pi G^2)
 """
 
 from __future__ import annotations
@@ -26,15 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.integrate import solve_ivp
-
 from .constants import CONSTANTS
 from .errors import DomainError, SubPlanckMassError
+from .grids import linspace
 from .kerr_newman import BlackHole, temperature
-
-#: Relative step tolerance of the lifetime integrator.
-LIFETIME_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -58,10 +57,12 @@ class EmissionParameters:
     def __post_init__(self) -> None:
         if not 1.0 <= self.nu <= 2.0:
             raise DomainError(f"nu must lie in [1, 2], got {self.nu}")
-        if self.gamma_bar <= 0:
-            raise DomainError(f"gamma_bar must be positive, got {self.gamma_bar}")
-        if self.n_species < 1.0:
-            raise DomainError(f"n_species must be >= 1, got {self.n_species}")
+        if not 0 < self.gamma_bar < math.inf:
+            raise DomainError(
+                f"gamma_bar must be positive and finite, got {self.gamma_bar}")
+        if not 1.0 <= self.n_species < math.inf:
+            raise DomainError(
+                f"n_species must be >= 1 and finite, got {self.n_species}")
 
 
 DEFAULT_EMISSION = EmissionParameters()
@@ -113,64 +114,62 @@ def mass_loss_rate(m: float) -> float:
 
 
 def _loss_constant(params: EmissionParameters) -> float:
-    """K in dm/dt = -K/m^2, summed over n_species per-species channels."""
-    m_ref = 1e15
-    return -mass_loss_rate(m_ref) * m_ref**2 * params.n_species
+    """K in dm/dt = -K/m^2: N hbar c^4 / (15360 pi G^2) for N = n_species
+    per-species channels of ``mass_loss_rate``."""
+    return (params.n_species * CONSTANTS.hbar * CONSTANTS.c**4
+            / (15360.0 * math.pi * CONSTANTS.G**2))
 
 
-def lifetime_analytic(m0: float,
-                      params: EmissionParameters = DEFAULT_EMISSION) -> float:
-    """Closed form (m0^3 - m_P^3) / (3 K) of the evaporation time [s]."""
-    if m0 <= CONSTANTS.planck_mass:
-        raise SubPlanckMassError(
-            f"initial mass {m0} g is not above the Planck mass")
-    return (m0**3 - CONSTANTS.planck_mass**3) / (3.0 * _loss_constant(params))
+def _evaporation_times(m0: float, masses: list[float], K: float) -> list[float]:
+    """Times [s] for the mass to fall from m0 to each of masses:
+    (m0^3 - m^3) / (3 K).
+
+    Factored as (m0 - m)(m0^2 + m0 m + m^2) / (3 K), so no intermediate
+    overflows before the result does, and m0 - m is exact for m near m0.
+    """
+    m0_sq, three_k = m0 * m0, 3.0 * K
+    return [(m0 - m) * ((m0_sq + m0 * m + m * m) / three_k) for m in masses]
 
 
 def lifetime(m0: float, params: EmissionParameters = DEFAULT_EMISSION) -> float:
     """Time [s] for the hole to evaporate from m0 down to the Planck mass.
 
-    Integrates dm/dt = -K/m^2 with an adaptive Runge-Kutta scheme at
-    relative tolerance 1e-8, ending at the Planck mass (evaporation below
-    that scale is uncontrolled quantum gravity, not modelled).  Mass is
-    the integration variable: the hole spends essentially all its life
-    near m0, so the Planck-mass endpoint is separated from complete
-    evaporation by only ~(m_P/m0)^3 of the total time, far below float
-    resolution in forward time.
+    The exact solution (m0^3 - m_P^3) / (3 K) of dm/dt = -K/m^2, ending at
+    the Planck mass (evaporation below that scale is uncontrolled quantum
+    gravity, not modelled).
+
+    Raises
+    ------
+    SubPlanckMassError
+        If m0 is not above the Planck mass.
+    DomainError
+        If m0 is not finite, or the lifetime exceeds the float range
+        (m0 above ~1e111 g).
     """
-    sol = _integrate_clock(m0, params)
-    return float(sol.y[0][-1])
-
-
-def mass_history(m0: float, params: EmissionParameters = DEFAULT_EMISSION,
-                 points: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled evaporation trajectory (t [s], m(t) [g]), time ascending."""
-    if points < 2:
-        raise DomainError(f"need at least 2 sample points, got {points}")
-    sol = _integrate_clock(m0, params)
-    m = np.linspace(m0, CONSTANTS.planck_mass, points)
-    t = sol.sol(m)[0]
-    t[0] = 0.0
-    return t, m
-
-
-def _integrate_clock(m0: float, params: EmissionParameters):
-    """Integrate the elapsed time t(m) = int dm / (dm/dt) from m0 down."""
+    if not math.isfinite(m0):
+        raise DomainError(f"initial mass must be finite, got {m0}")
     if m0 <= CONSTANTS.planck_mass:
         raise SubPlanckMassError(
             f"initial mass {m0} g is not above the Planck mass")
-    K = _loss_constant(params)
+    [t] = _evaporation_times(m0, [CONSTANTS.planck_mass], _loss_constant(params))
+    if math.isinf(t):
+        raise DomainError(
+            f"the lifetime of a {m0:g} g hole exceeds the float range")
+    return t
 
-    def dt_dm(m, y):
-        return (-(m * m) / K,)
 
-    # atol only sets the error scale near t = 0; the answer is ~m0^3/(3K).
-    atol = 1e-20 * m0**3 / (3.0 * K)
-    sol = solve_ivp(dt_dm, (m0, CONSTANTS.planck_mass), (0.0,), method="RK45",
-                    rtol=LIFETIME_RTOL, atol=atol, dense_output=True)
-    if not sol.success:
-        raise RuntimeError(f"lifetime integration failed: {sol.message}")
-    return sol
+def mass_history(m0: float, params: EmissionParameters = DEFAULT_EMISSION,
+                 points: int = 200) -> tuple[list[float], list[float]]:
+    """Sampled evaporation trajectory (t [s], m(t) [g]), time ascending.
+
+    The masses run evenly from m0 down to the Planck mass; t[0] is 0 and
+    t[-1] is ``lifetime(m0, params)``.
+    """
+    if points < 2:
+        raise DomainError(f"need at least 2 sample points, got {points}")
+    lifetime(m0, params)  # validates m0; t[-1] is the largest time
+    m = linspace(m0, CONSTANTS.planck_mass, points)
+    return _evaporation_times(m0, m, _loss_constant(params)), m
 
 
 def entropy_emission_rate(P: float,

@@ -108,11 +108,16 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
 
     Raises
     ------
+    DomainError
+        If m, q or j is NaN or infinite.
     SubPlanckMassError
         If m is below the Planck mass.
     NakedSingularityError
         If Q^2 + a^2 exceeds M^2 (beyond a 1e-12 relative slack).
     """
+    if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
+        raise DomainError(
+            f"mass, charge and spin must be finite, got {m}, {q}, {j}")
     if m < CONSTANTS.planck_mass:
         raise SubPlanckMassError(
             f"mass {m} g is below the Planck mass {CONSTANTS.planck_mass:.6e} g")

@@ -22,7 +22,7 @@ from bhthermo.channel import (
     optimal_xi,
 )
 from bhthermo.constants import CONSTANTS, nats_to_bits
-from bhthermo.evaporation import EmissionParameters, lifetime, lifetime_analytic
+from bhthermo.evaporation import EmissionParameters, lifetime
 from bhthermo.gedanken import merger
 from bhthermo.kerr_newman import (
     entropy,
@@ -81,17 +81,18 @@ def test_criterion_05_mass_loss_anchor():
           f"criterion 5: |dm/dt|(1e15 g) = {rate:.4e} g/s vs 4.02e-6 ({err:.2%})")
 
 
-def test_criterion_06_lifetime():
+def test_criterion_06_lifetime(rk_evaporation_time):
     t0 = time.time()
-    t_num = lifetime(1e15, PHOTON)
+    t = lifetime(1e15, PHOTON)
     runtime = time.time() - t0
-    t_ana = lifetime_analytic(1e15, PHOTON)
-    err_ana = rel_err(t_num, t_ana)
-    err_anchor = rel_err(t_num, 8.3e19)
-    check(err_ana < 1e-6 and err_anchor < 2e-2 and runtime < 1.0,
-          f"criterion 6: lifetime(1e15 g) = {t_num:.4e} s "
-          f"(vs analytic {err_ana:.1e}, vs 8.3e19 {err_anchor:.2%}, "
-          f"{runtime * 1e3:.0f} ms)")
+    err_rk = rel_err(t, rk_evaporation_time(1e15, PHOTON))
+    err_anchor = rel_err(t, 8.3e19)
+    err_frozen = rel_err(t, 8.4114779049e19)
+    check(err_rk < 1e-6 and err_anchor < 2e-2 and err_frozen < 1e-6
+          and runtime < 1.0,
+          f"criterion 6: lifetime(1e15 g) = {t:.4e} s "
+          f"(vs RK45 {err_rk:.1e}, vs 8.3e19 {err_anchor:.2%}, "
+          f"{runtime * 1e3:.2f} ms)")
 
 
 def test_criterion_07_saturation_identity():

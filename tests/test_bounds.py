@@ -40,6 +40,9 @@ class TestMaterialSystem:
         {"energy": 0.0, "radius": 1.0},
         {"energy": 1.0, "radius": -1.0},
         {"energy": 1.0, "radius": 1.0, "entropy": -1.0},
+        {"energy": math.inf, "radius": 1.0},
+        {"energy": 1.0, "radius": math.nan},
+        {"energy": 1.0, "radius": 1.0, "entropy": math.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bhthermo
 from bhthermo.cli import main
 
 
@@ -109,6 +113,19 @@ class TestEvaporate:
         lines = out.strip().splitlines()
         assert lines[0] == "t,mass"
         assert len(lines) == 5
+
+    def test_lifetime_beyond_m0_cubed_overflow(self, capsys):
+        doc = run_json(capsys, "evaporate", "--mass", "1e100", "--points", "3")
+        assert doc["results"]["lifetime_s"] == pytest.approx(8.4114779e274,
+                                                              rel=1e-8)
+        assert all(math.isfinite(t) for t, _ in doc["rows"])
+
+    @pytest.mark.parametrize("mass", ["1e200", "1e300"])
+    def test_lifetime_beyond_float_range_exits_1(self, capsys, mass):
+        code, out, err = run(capsys, "evaporate", "--mass", mass)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
 
 
 class TestBounds:
@@ -216,3 +233,58 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "bh", "--param", "mass",
                            "--start", "1e15", "--stop", "1e18", "--points", "0")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["bh", "--mass", "nan"],
+    ["bh", "--mass", "inf"],
+    ["bh", "--mass", "1e15", "--charge", "nan"],
+    ["bh", "--mass", "1e15", "--spin=-inf"],
+    ["channel", "--lambda-c", "5e-5", "--power", "nan"],
+    ["channel", "--lambda-c", "inf", "--power", "1e-3"],
+    ["channel", "--lambda-c", "5e-5", "--power", "1e-3", "--gamma-bar", "nan"],
+    ["bounds", "--mass", "1", "--radius", "nan"],
+    ["bounds", "--energy", "inf", "--radius", "1"],
+    ["bounds", "--mass", "16", "--radius", "6", "--entropy", "inf"],
+    ["evaporate", "--mass", "nan"],
+    ["evaporate", "--mass", "1e15", "--n-species", "inf"],
+])
+def test_non_finite_input_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "finite" in err
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize("name, content", [
+        ("absent.json", None),
+        ("absent.cfg", None),
+        ("truncated.json", '{"inputs": {"mass_g": 1e15'),
+        ("not_an_object.json", "[1e15]"),
+        ("binary.cfg", b"mass=\xff\xfe"),
+    ])
+    def test_unreadable_input_exits_2(self, capsys, tmp_path, name, content):
+        path = tmp_path / name
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        code, out, err = run(capsys, "bh", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert str(path) in err
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    src = os.path.dirname(os.path.dirname(bhthermo.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, bhthermo.cli; "
+             "print(sorted({'numpy', 'scipy'} & sys.modules.keys()))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

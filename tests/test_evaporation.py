@@ -21,7 +21,6 @@ from bhthermo.evaporation import (
     hawking_flux,
     hawking_power,
     lifetime,
-    lifetime_analytic,
     mass_history,
     mass_loss_rate,
 )
@@ -37,6 +36,8 @@ class TestEmissionParameters:
 
     @pytest.mark.parametrize("kwargs", [
         {"nu": 0.9}, {"nu": 2.5}, {"gamma_bar": 0.0}, {"n_species": 0.5},
+        {"nu": math.nan}, {"gamma_bar": math.nan}, {"gamma_bar": math.inf},
+        {"n_species": math.nan}, {"n_species": math.inf},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
@@ -122,16 +123,17 @@ class TestMassLossRate:
 
 
 class TestLifetime:
-    def test_mountain_anchor(self):
+    def test_mountain_anchor(self, rk_evaporation_time):
         t = lifetime(1e15, PHOTON)
-        assert t == pytest.approx(lifetime_analytic(1e15, PHOTON), rel=1e-6)
+        assert t == pytest.approx(rk_evaporation_time(1e15, PHOTON), rel=1e-6)
         assert t == pytest.approx(8.4114779049e19, rel=1e-6)
         assert t == pytest.approx(8.3e19, rel=2e-2)
 
-    def test_integrator_matches_analytic_across_decades(self):
+    def test_integrator_matches_analytic_across_decades(self, rk_evaporation_time):
+        # the closed form against the adaptive RK reference
         for m0 in np.geomspace(1e6, 1e16, 11):
             assert lifetime(m0, PHOTON) == pytest.approx(
-                lifetime_analytic(m0, PHOTON), rel=1e-6)
+                rk_evaporation_time(m0, PHOTON), rel=1e-6)
 
     def test_cubic_scaling(self):
         assert lifetime(2e15, PHOTON) == pytest.approx(
@@ -142,23 +144,42 @@ class TestLifetime:
         assert lifetime(1e15, many) == pytest.approx(
             lifetime(1e15, PHOTON) / 4.0, rel=1e-9)
 
-    def test_nearly_planck_mass_evaporates_immediately(self):
+    def test_nearly_planck_mass_evaporates_immediately(self, rk_evaporation_time):
         m0 = CONSTANTS.planck_mass * (1 + 1e-9)
         t = lifetime(m0, PHOTON)
-        assert t == pytest.approx(lifetime_analytic(m0, PHOTON), rel=1e-4)
+        assert t == pytest.approx(rk_evaporation_time(m0, PHOTON), rel=1e-4)
         assert t < 1e-40  # vs 8.4e19 s for a mountain-mass hole
 
     def test_at_planck_mass_rejected(self):
         with pytest.raises(SubPlanckMassError):
             lifetime(CONSTANTS.planck_mass, PHOTON)
 
+    def test_finite_wherever_the_lifetime_fits_a_float(self):
+        # m0**3 alone overflows; the lifetime itself is ~8.4e274 s
+        assert lifetime(1e100, PHOTON) == pytest.approx(
+            8.4114779049e19 * 1e255, rel=1e-9)
+
+    @pytest.mark.parametrize("m0", [1e200, 1e300, math.inf, math.nan])
+    def test_unrepresentable_lifetime_rejected(self, m0):
+        with pytest.raises(DomainError):
+            lifetime(m0, PHOTON)
+
     def test_mass_history_shape(self):
         t, m = mass_history(1e15, PHOTON, points=50)
+        assert isinstance(t, list) and isinstance(m, list)
+        assert all(type(x) is float for x in t + m)
         assert len(t) == len(m) == 50
         assert t[0] == 0.0 and m[0] == 1e15
+        assert t[-1] == lifetime(1e15, PHOTON)
         assert m[-1] == CONSTANTS.planck_mass
         assert np.all(np.diff(t) > 0)
         assert np.all(np.diff(m) < 0)
+
+    def test_mass_history_follows_the_reference(self, rk_evaporation_time):
+        t, m = mass_history(1e15, PHOTON, points=7)
+        for ti, mi in zip(t[1:], m[1:]):
+            assert ti == pytest.approx(
+                rk_evaporation_time(1e15, PHOTON, mi), rel=1e-6)
 
 
 class TestEntropyEmission:
