@@ -27,6 +27,9 @@ from .errors import DomainError
 COMPOSITE_THRESHOLD = 10.0
 #: Weak self-gravity requires G E / (c^4 R) at or below this value.
 WEAK_GRAVITY_THRESHOLD = 1e-2
+#: G E / (c^4 R) of a Schwarzschild hole; a weak-gravity threshold must
+#: stay below it, which keeps the universal bound below the holographic one.
+BLACK_HOLE_GRAVITY_RATIO = 0.5
 #: Default irreversibility factor / hole-to-system size ratio for the weak bound.
 DEFAULT_NU = 1.5
 DEFAULT_ZETA = 10.0
@@ -101,6 +104,15 @@ def is_weakly_gravitating(sys: MaterialSystem,
     return weak_gravity_ratio(sys) <= threshold
 
 
+def sphere_area(radius: float) -> float:
+    """Area 4 pi R^2 [cm^2] of the sphere of radius R [cm]."""
+    try:
+        return 4.0 * math.pi * radius**2
+    except OverflowError:
+        raise DomainError(f"radius {radius:g} cm puts its sphere's area "
+                          "beyond the float range") from None
+
+
 def holographic_bound(area: float) -> float:
     """Entropy ceiling area / (4 l_P^2) [nats] inside a closed surface."""
     if area <= 0:
@@ -143,8 +155,20 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
 
     enclosing_area defaults to the minimal sphere 4 pi R^2 and must not
     be smaller than the system.
+
+    Raises
+    ------
+    DomainError
+        If the area is smaller than the system's sphere, if
+        weak_gravity_threshold is not below 1/2, or if the universal bound
+        of a system counted as weakly gravitating still exceeds the
+        holographic one.
     """
-    min_area = 4.0 * math.pi * sys.radius**2
+    if not weak_gravity_threshold < BLACK_HOLE_GRAVITY_RATIO:
+        raise DomainError(
+            f"weak-gravity threshold must be below {BLACK_HOLE_GRAVITY_RATIO}, "
+            f"the G E/(c^4 R) of a black hole, got {weak_gravity_threshold}")
+    min_area = sphere_area(sys.radius)
     if enclosing_area is None:
         enclosing_area = min_area
     elif enclosing_area < min_area * (1.0 - 1e-12):
@@ -184,10 +208,14 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
 
     applicable = [e for e in entries if e.applicable]
     tightest = min(applicable, key=lambda e: e.limit_nats).name
-    if weak:
-        # Guaranteed by geometry: the ratio is 2 G E/(c^4 R) times
-        # (4 pi R^2 / area) <= 2 * weak_gravity_ratio < 1.
-        assert uni <= holo
+    # Geometry makes uni/holo = 2 G E/(c^4 R) * (4 pi R^2 / area), below
+    # 2 * weak_gravity_threshold < 1 for a weak system; only the area
+    # slack above can break it, for a threshold within ~1e-12 of 1/2.
+    if weak and uni > holo:
+        raise DomainError(
+            f"universal bound {uni:.6e} nat exceeds the holographic bound "
+            f"{holo:.6e} nat of a system counted as weakly gravitating "
+            f"(G E/(c^4 R) = {grav:.6e}); lower the weak-gravity threshold")
 
     violations = tuple(
         e.name for e in applicable

@@ -102,17 +102,32 @@ class CapacityReport:
 
 
 def characteristic_power(ch: Channel) -> float:
-    """Exact characteristic power [erg s^-1] of the absorbing hole."""
+    """Exact characteristic power [erg s^-1] of the absorbing hole.
+
+    Raises DomainError when lambda_c^2 leaves the float range.
+    """
     p = ch.emission
-    return (CONSTANTS.c**2 * p.gamma_bar * p.n_species * CONSTANTS.hbar
-            / (15360.0 * math.pi * ch.lambda_c**2))
+    try:
+        return (CONSTANTS.c**2 * p.gamma_bar * p.n_species * CONSTANTS.hbar
+                / (15360.0 * math.pi * ch.lambda_c**2))
+    except (OverflowError, ZeroDivisionError):
+        raise _cutoff_out_of_range(ch.lambda_c) from None
 
 
 def approx_characteristic_power(lambda_c: float) -> float:
     """The round-number form 1e-4 c^2 hbar / lambda_c^2 [erg s^-1]."""
     if lambda_c <= 0:
         raise DomainError(f"cutoff wavelength must be positive, got {lambda_c}")
-    return 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
+    try:
+        return 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
+    except (OverflowError, ZeroDivisionError):
+        raise _cutoff_out_of_range(lambda_c) from None
+
+
+def _cutoff_out_of_range(lambda_c: float) -> DomainError:
+    # lambda_c^2 overflows above ~1e154 cm and vanishes below ~1e-162 cm
+    return DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
+                       "characteristic power beyond the float range")
 
 
 def gsl_bound(ch: Channel, xi: float) -> float:
@@ -189,6 +204,30 @@ def consistency_check(ch: Channel) -> ConsistencyReport:
                              pendry_crossover_power=crossover)
 
 
+def regime_bound(ch: Channel, p_c: float,
+                 xi_floor: float = XI_FLOOR) -> tuple[str, float | None, float]:
+    """Dispatch the power regime: (regime, xi used, rate bound [bits s^-1])
+    of a channel whose characteristic power is p_c.
+
+    The regime logic of :func:`capacity_bound`, without the report's
+    other fields, for callers that evaluate many channels.
+    """
+    P = ch.power
+    if P == 0.0:
+        return "low", None, 0.0
+    if P <= p_c / LOW_POWER_DIVISOR:
+        xi_used = optimal_xi(P, p_c, ch.emission.nu)
+        if xi_used >= XI_MIN and ch.emission.nu > 1.0:
+            return "low", xi_used, low_power_bound(ch)
+        # nu at or near 1: the unconstrained optimum sits below the
+        # admissible xi range, so the bound is taken at xi = 1.
+        return "low", XI_MIN, gsl_bound(ch, XI_MIN)
+    if P >= p_c / HIGH_POWER_DIVISOR:
+        return "high", xi_floor, high_power_bound(ch, xi_floor)
+    xi_used = max(optimal_xi(P, p_c, ch.emission.nu), xi_floor)
+    return "intermediate", xi_used, gsl_bound(ch, xi_used)
+
+
 def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:
     """Dispatch the power regime and return the applicable rate bound.
 
@@ -197,29 +236,9 @@ def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:
     factor at the edges.
     """
     p_c = characteristic_power(ch)
-    P = ch.power
-    if P == 0.0:
-        regime, xi_used, bound = "low", None, 0.0
-    elif P <= p_c / LOW_POWER_DIVISOR:
-        regime = "low"
-        xi_used = optimal_xi(P, p_c, ch.emission.nu)
-        if xi_used >= XI_MIN and ch.emission.nu > 1.0:
-            bound = low_power_bound(ch)
-        else:
-            # nu at or near 1: the unconstrained optimum sits below the
-            # admissible xi range, so the bound is taken at xi = 1.
-            xi_used = XI_MIN
-            bound = gsl_bound(ch, XI_MIN)
-    elif P >= p_c / HIGH_POWER_DIVISOR:
-        regime = "high"
-        xi_used = xi_floor
-        bound = high_power_bound(ch, xi_floor)
-    else:
-        regime = "intermediate"
-        xi_used = max(optimal_xi(P, p_c, ch.emission.nu), xi_floor)
-        bound = gsl_bound(ch, xi_used)
+    regime, xi_used, bound = regime_bound(ch, p_c, xi_floor)
     return CapacityReport(
         p_c=p_c, p_c_approx=approx_characteristic_power(ch.lambda_c),
         regime=regime, xi_used=xi_used, bound_bits_per_s=bound,
-        pendry_bits_per_s=pendry_capacity(P, ch.n_carriers),
+        pendry_bits_per_s=pendry_capacity(ch.power, ch.n_carriers),
         consistency=consistency_check(ch))

@@ -14,9 +14,16 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 
-from .bounds import MaterialSystem, bound_report
-from .channel import Channel, capacity_bound
+from .bounds import MaterialSystem, bound_report, sphere_area
+from .channel import (
+    Channel,
+    capacity_bound,
+    characteristic_power,
+    regime_bound,
+)
 from .constants import (
     CONSTANTS,
     constants_table,
@@ -50,6 +57,10 @@ FORMATS = ("table", "json", "csv")
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
+
+#: Most points a sweep or an evaporation series may have; above it the
+#: rows would take gigabytes, so the request is refused (exit 2).
+MAX_POINTS = 10_000_000
 
 
 class ConfigError(Exception):
@@ -93,33 +104,37 @@ class Document:
 
     # -- rendering ---------------------------------------------------------
 
-    def _display(self, value: object, exact: bool = False) -> object:
+    def _display(self, value: object, where: str, exact: bool = False) -> object:
         if isinstance(value, bool) or value is None or isinstance(value, str):
             return value
-        return float(value) if exact else round9(float(value))
+        x = _finite(float(value), where)
+        return x if exact else round9(x)
 
     def to_json(self) -> str:
+        """Strict JSON, byte for byte ``json.dumps(obj, indent=2)`` of the
+        document; the series rows skip that pure-Python encoder."""
         obj: dict[str, object] = {"kind": self.kind}
         for section, items in self.sections.items():
             exact = section in FULL_PRECISION_SECTIONS
-            obj[section] = {k: self._display(v, exact) for k, v in items.items()}
+            obj[section] = {k: self._display(v, f"{section}.{k}", exact)
+                            for k, v in items.items()}
         if self.columns is not None:
             obj["columns"] = self.columns
-            obj["rows"] = [[self._display(v) for v in row] for row in self.rows]
+            obj["rows"] = []
         obj["units"] = {k: u for k, u in self.units.items() if u}
         if self.column_units is not None:
             obj["units"].update(
                 {c: u for c, u in zip(self.columns, self.column_units) if u})
-        return json.dumps(obj, indent=2)
-
-    def _cell(self, value: object, exact: bool = False) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, str):
-            return value
-        return f"{float(value):.16e}" if exact else fmt9(float(value))
+        text = json.dumps(obj, indent=2, allow_nan=False)
+        if not self.rows:
+            return text
+        # Strings hold no raw newline, so only the top-level key "rows" can
+        # start a line with two spaces and '"rows": '.
+        head, tail = text.split('\n  "rows": []', 1)
+        rows = ",\n    ".join(
+            "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
+            for row in self._series_cells(_json_cell))
+        return f'{head}\n  "rows": [\n    {rows}\n  ]{tail}'
 
     def _scalar_rows(self) -> list[tuple[str, str, str]]:
         rows = []
@@ -127,9 +142,24 @@ class Document:
             exact = section in FULL_PRECISION_SECTIONS
             for name, value in items.items():
                 key = f"{section}.{name}"
-                rows.append((key, self._cell(value, exact),
+                rows.append((key, _text_cell(value, key, exact),
                              self.units.get(key, "")))
         return rows
+
+    def _series_cells(self, cell: Callable[[object], str]) -> list[list[str]]:
+        """The series rows with every cell through ``cell``.
+
+        A cell function refuses a NaN or an infinity without knowing where
+        it sits; the error is raised again naming its column and row.
+        """
+        try:
+            return [[cell(v) for v in row] for row in self.rows]
+        except DomainError:
+            for row in self.rows:
+                for column, value in zip(self.columns, row):
+                    if isinstance(value, float):
+                        _finite(value, f"{column} at {self.columns[0]} = {row[0]}")
+            raise
 
     def to_table(self) -> str:
         lines = [f"# {self.kind}"]
@@ -141,26 +171,66 @@ class Document:
         if self.columns is not None:
             header = [f"{c} [{u}]" if u else c
                       for c, u in zip(self.columns, self.column_units)]
-            cells = [[self._cell(v) for v in row] for row in self.rows]
+            cells = self._series_cells(_text_cell)
             widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
                       for i, h in enumerate(header)]
             lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-            lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths))
-                      for row in cells]
+            row_format = "  ".join(f"{{:>{w}}}" for w in widths)
+            lines += [row_format.format(*row) for row in cells]
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         if self.columns is not None:
             lines = [",".join(self.columns)]
-            lines += [",".join(self._cell(v) for v in row) for row in self.rows]
+            lines += [",".join(row) for row in self._series_cells(_text_cell)]
             return "\n".join(lines)
         lines = ["quantity,value,unit"]
         lines += [f"{k},{v},{u}" for k, v, u in self._scalar_rows()]
         return "\n".join(lines)
 
     def render(self, fmt: str) -> str:
-        return {"table": self.to_table(), "json": self.to_json(),
-                "csv": self.to_csv()}[fmt]
+        """The document in ``fmt``, one of FORMATS; only that format is built."""
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+        return getattr(self, f"to_{fmt}")()
+
+
+def _finite(x: float, where: str = "a computed value") -> float:
+    """x itself; no output format may carry a NaN or an infinity."""
+    if math.isfinite(x):
+        return x
+    raise DomainError(f"{where} is " + ("undefined (nan)" if math.isnan(x)
+                                        else f"{x}, beyond the float range"))
+
+
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _json_cell(value: object) -> str:
+    """A series cell as ``json.dumps`` writes ``Document._display`` of it."""
+    if value.__class__ is not float:        # floats, the common cells, skip these
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None or isinstance(value, bool):
+            return _JSON_LITERALS[value]
+        value = float(value)
+    return repr(float(f"{_finite(value):.8e}"))     # round9, inlined: runs per cell
+
+
+def _text_cell(value: object, where: str = "a computed value",
+               exact: bool = False) -> str:
+    """A table or CSV cell: numbers in scientific notation with nine
+    significant digits, or 17 when ``exact``."""
+    if value.__class__ is not float:        # floats, the common cells, skip these
+        if isinstance(value, str):
+            return value
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        value = float(value)
+    value = _finite(value, where)
+    return f"{value:.16e}" if exact else f"{value:.8e}"     # fmt9, inlined: runs per cell
 
 
 # -- input files -----------------------------------------------------------
@@ -224,6 +294,12 @@ def _fill_defaults(args: argparse.Namespace, defaults: dict[str, object]) -> Non
     for dest, value in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
+
+
+def _check_points(args: argparse.Namespace) -> None:
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"{args.points} points is above the limit of "
+                          f"{MAX_POINTS}")
 
 
 def _require(args: argparse.Namespace, *dests: str) -> None:
@@ -316,6 +392,7 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     merge_input(args, "evaporate", EVAPORATE_SCHEMA)
     _require(args, "mass")
     _fill_defaults(args, {"points": 200})
+    _check_points(args)
     params = build_emission(args)
     t, m = mass_history(args.mass, params, points=args.points)
     doc = Document("evaporation")
@@ -347,7 +424,7 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     doc = Document("bound_report")
     doc.add("inputs", "energy", energy, "erg")
     doc.add("inputs", "radius", args.radius, "cm")
-    area = args.area if args.area is not None else 4.0 * math.pi * args.radius**2
+    area = args.area if args.area is not None else sphere_area(args.radius)
     doc.add("inputs", "enclosing_area", area, "cm^2")
     if args.entropy is not None:
         doc.add("inputs", "entropy", args.entropy, "nat")
@@ -386,8 +463,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
     scenario = args.scenario
     if scenario == "susskind":
         sys_ = _system_from_args(args)
-        area = args.area if args.area is not None \
-            else 4.0 * math.pi * sys_.radius**2
+        area = args.area if args.area is not None else sphere_area(sys_.radius)
         report = susskind_collapse(sys_, area)
     elif scenario == "capsule":
         _require(args, "bh_mass", "mu", "b", "s_cap")
@@ -489,6 +565,7 @@ BH_SWEEP_QUANTITIES = {
 def _sweep_grid(args: argparse.Namespace) -> list[float]:
     if args.points < 1:
         raise ConfigError("sweep needs at least one point")
+    _check_points(args)
     if args.points == 1:
         return [args.start]
     if args.spacing == "log":
@@ -520,17 +597,16 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
         _fill_defaults(args, {"n_carriers": 1.0})
         emission = build_emission(args)
+        if (args.lambda_c if args.param == "power" else args.power) is None:
+            raise ConfigError("channel sweep needs the non-swept parameter "
+                              "(lambda-c or power) fixed")
         rows = []
         for x in grid:
-            lam = args.lambda_c if args.param == "power" else x
-            pw = x if args.param == "power" else args.power
-            if lam is None or pw is None:
-                raise ConfigError("channel sweep needs the non-swept parameter "
-                                  "(lambda-c or power) fixed")
-            rep = capacity_bound(Channel(lambda_c=lam, power=pw,
-                                         n_carriers=args.n_carriers,
-                                         emission=emission))
-            rows.append([x, rep.bound_bits_per_s, rep.regime])
+            ch = Channel(lambda_c=args.lambda_c if args.param == "power" else x,
+                         power=x if args.param == "power" else args.power,
+                         n_carriers=args.n_carriers, emission=emission)
+            regime, _, bound = regime_bound(ch, characteristic_power(ch))
+            rows.append([x, bound, regime])
         doc.set_series([args.param, "bound", "regime"],
                        ["erg s^-1" if args.param == "power" else "cm",
                         "bit s^-1", ""], rows)
@@ -570,7 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaporate", parents=[common], help="Hawking evaporation trajectory")
     p.add_argument("--mass", type=float, help="initial mass [g]")
-    p.add_argument("--points", type=int, help="number of samples (default 200)")
+    p.add_argument("--points", type=int,
+                   help=f"number of samples (default 200, at most {MAX_POINTS})")
     _add_emission_flags(p)
     p.add_argument("--input", help="key=value input file")
 
@@ -624,7 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", help="swept parameter (mass | power | lambda_c)")
     p.add_argument("--start", type=float)
     p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int, help="number of points (default 50)")
+    p.add_argument("--points", type=int,
+                   help=f"number of points (default 50, at most {MAX_POINTS})")
     p.add_argument("--spacing", choices=("log", "linear"),
                    help="grid spacing (default log)")
     p.add_argument("--quantity", help="bh output quantity (default entropy)")
@@ -657,14 +735,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        doc = COMMANDS[args.command](args)
+        text = COMMANDS[args.command](args).render(args.format)
     except ConfigError as exc:
         print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(doc.render(args.format))
+    print(text)
     return EXIT_OK
 
 

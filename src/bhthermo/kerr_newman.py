@@ -229,7 +229,17 @@ def mean_density(m: float) -> float:
     The mass inside its own horizon sphere of radius 2 G m / c^2; scales
     as m^-2, so small holes are dense and giant ones can be thinner
     than water.
+
+    Raises
+    ------
+    DomainError
+        If m is not positive, or m^2 overflows (m above ~1.3e154 g).
     """
     if m <= 0:
         raise DomainError(f"mass must be positive, got {m}")
-    return 3.0 * CONSTANTS.c**6 / (32.0 * math.pi * CONSTANTS.G**3 * m**2)
+    try:
+        return 3.0 * CONSTANTS.c**6 / (32.0 * math.pi * CONSTANTS.G**3 * m**2)
+    except OverflowError:
+        raise DomainError(
+            f"mass {m:g} g is beyond the float range of the mean density "
+            "(m^2 overflows)") from None

@@ -156,6 +156,11 @@ class TestGourBound:
 
 
 class TestBoundReport:
+    @pytest.mark.parametrize("threshold", [0.5, 0.75, 100.0, math.nan])
+    def test_weak_gravity_threshold_must_stay_below_one_half(self, threshold):
+        with pytest.raises(DomainError, match="weak-gravity threshold"):
+            bound_report(DISK, weak_gravity_threshold=threshold)
+
     def test_disk_ordering(self):
         report = bound_report(DISK)
         limits = {e.name: e.limit_nats for e in report.entries}

@@ -19,6 +19,7 @@ from bhthermo.channel import (
     low_power_bound,
     optimal_xi,
     pendry_capacity,
+    regime_bound,
 )
 from bhthermo.constants import CONSTANTS, LOG2E
 from bhthermo.errors import DomainError
@@ -113,6 +114,44 @@ class TestOptimalXi:
 
         numeric = brentq(slope, 1.1, 1e6, xtol=1e-13, rtol=1e-14)
         assert numeric == pytest.approx(closed, rel=1e-8)
+
+
+def _reference_dispatch(ch, xi_floor=10.0):
+    """The regime dispatch as capacity_bound wrote it inline before
+    regime_bound existed: (regime, xi_used, bound)."""
+    p_c = characteristic_power(ch)
+    P = ch.power
+    if P == 0.0:
+        return "low", None, 0.0
+    if P <= p_c / 200.0:
+        xi_used = optimal_xi(P, p_c, ch.emission.nu)
+        if xi_used >= 1.0 and ch.emission.nu > 1.0:
+            return "low", xi_used, low_power_bound(ch)
+        return "low", 1.0, gsl_bound(ch, 1.0)
+    if P >= p_c / 10.0:
+        return "high", xi_floor, high_power_bound(ch, xi_floor)
+    xi_used = max(optimal_xi(P, p_c, ch.emission.nu), xi_floor)
+    return "intermediate", xi_used, gsl_bound(ch, xi_used)
+
+
+class TestRegimeBound:
+    P_C = characteristic_power(channel(0.0))
+
+    @pytest.mark.parametrize("power", [
+        0.0, P_C * 1e-9, P_C / 1000, P_C / 200, P_C / 200 * (1 + 1e-15),
+        P_C / 50, P_C / 10 * (1 - 1e-15), P_C / 10, P_C, P_C * 1e9])
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("xi_floor", [10.0, 3.0])
+    def test_matches_capacity_bound_bit_for_bit(self, power, nu, xi_floor):
+        ch = channel(power, nu=nu)
+        got = regime_bound(ch, characteristic_power(ch), xi_floor)
+        report = capacity_bound(ch, xi_floor)
+        assert got == _reference_dispatch(ch, xi_floor)
+        assert got == (report.regime, report.xi_used, report.bound_bits_per_s)
+
+    def test_edges_belong_to_the_outer_regimes(self):
+        assert regime_bound(channel(self.P_C / 200), self.P_C)[0] == "low"
+        assert regime_bound(channel(self.P_C / 10), self.P_C)[0] == "high"
 
 
 class TestCapacityBound:

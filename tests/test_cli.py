@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, config files, round trips."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import bhthermo
+from bhthermo import cli
 from bhthermo.cli import main
 
 
@@ -288,3 +290,143 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _subprocess_env():
+    src = os.path.dirname(os.path.dirname(bhthermo.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+
+
+#: sha256 of stdout for fixed 20k-point series, taken from the eager
+#: renderer (json.dumps(indent=2) over every row) before the fast writers.
+GOLDEN_SERIES = {
+    ("sweep bh --param mass --start 1e15 --stop 1e25 --points 20000 "
+     "--quantity entropy"): {
+        "table": "45ea5e4cb4e7f8a4bb4b72a2e27a3aa4062abb74eec9504078df4705ce59e69c",
+        "json": "770eb50a2a98895df41e6ea72b2d1c6b745ac4ba980d730117bdb1ac0a295402",
+        "csv": "f6374686e86d162721df0af3cae42eeae60b1244b51c653c508e680c6d1feeb1",
+    },
+    ("sweep channel --param power --start 1e-6 --stop 1e-1 --points 20000 "
+     "--lambda-c 5e-5"): {
+        "table": "407279741c6cffa4326436508e9bfba51dde36691e753461562b1c6f33427729",
+        "json": "35d9fae5ffdc61ec23a1b19cfa83421a7c59bbb010468c2099733fa4649ce74f",
+        "csv": "f3d7e9ae0b4b377dc207f2bc3aca74290bb6b504e57496ebf21986a369df726f",
+    },
+    "evaporate --mass 1e15 --points 20000": {
+        "table": "dc4846424f6ef9ee87e2c1199b0297bbe4921bc58c79733783df562b6febf108",
+        "json": "d22c767168a6c5ed538b38fe08f763ffc3f95363e072f6ef9c4c06675ef54eca",
+        "csv": "f4c554dc1f17b45645ba29c2d3a729fadb171cd0d276e6132bebeaf4ef00e225",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_SERIES))
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_series_output_is_byte_identical(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SERIES[command][fmt]
+
+
+class TestOverflow:
+    """Finite inputs whose results leave the float range exit 1 with one
+    stderr line, in every format: no traceback, no inf or nan printed."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("argv, where", [
+        (["bh", "--mass", "1e200"], "mean density"),
+        (["bh", "--mass", "1e150"], "results.entropy"),
+        (["channel", "--power", "1e300", "--lambda-c", "1e300"], "cutoff"),
+        (["channel", "--power", "1", "--lambda-c", "1e-300"], "cutoff"),
+        (["channel", "--power", "1e300", "--lambda-c", "1"], "results.bound"),
+        (["bounds", "--energy", "1", "--radius", "1e200"], "radius"),
+        (["sweep", "bh", "--param", "mass", "--start", "1e150",
+          "--stop", "1e160", "--points", "3", "--quantity", "entropy"],
+         "entropy at mass = 1e+150"),
+    ])
+    def test_exits_1(self, capsys, argv, where, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert where in err
+        assert "float range" in err
+
+
+class TestPointsCap:
+    """Above MAX_POINTS a series is refused before any grid is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_grids(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a grid was built")
+        for name in ("linspace", "geomspace", "mass_history"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18"],
+        ["sweep", "channel", "--param", "power", "--start", "1e-6",
+         "--stop", "1e-1", "--lambda-c", "5e-5", "--spacing", "linear"],
+        ["evaporate", "--mass", "1e15"],
+    ])
+    @pytest.mark.parametrize("points", [cli.MAX_POINTS + 1, 10**11])
+    def test_above_the_cap_exits_2(self, capsys, argv, points):
+        code, out, err = run(capsys, *argv, "--points", str(points))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"bhthermo {argv[0]}: {points} points is above the limit of "
+            f"{cli.MAX_POINTS}"]
+
+    def test_cap_applies_to_input_files(self, capsys, tmp_path):
+        path = tmp_path / "evap.cfg"
+        path.write_text(f"mass=1e15\npoints={cli.MAX_POINTS + 1}\n")
+        code, _, err = run(capsys, "evaporate", "--input", str(path))
+        assert code == 2
+        assert "above the limit" in err
+
+    def test_the_cap_itself_is_allowed(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "geomspace", lambda start, stop, n: [start, stop])
+        code, _, err = run(capsys, "sweep", "bh", "--param", "mass",
+                           "--start", "1e15", "--stop", "1e18",
+                           "--points", str(cli.MAX_POINTS))
+        assert code == 0, err
+
+
+class TestWeakGravityThreshold:
+    """The universal-below-holographic guarantee is a check that still
+    runs under python -O, not an assert."""
+
+    def run_optimized(self, *argv):
+        return subprocess.run([sys.executable, "-O", *argv],
+                              env=_subprocess_env(), capture_output=True,
+                              text=True, timeout=60)
+
+    def test_threshold_of_one_half_or_more_exits_1(self):
+        result = self.run_optimized(
+            "-m", "bhthermo.cli", "bounds", "--mass", "1e28", "--radius", "1",
+            "--weak-gravity-threshold", "100")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "bhthermo bounds: weak-gravity threshold must be below 0.5, the "
+            "G E/(c^4 R) of a black hole, got 100.0"]
+
+    def test_universal_above_holographic_fails_the_check(self):
+        # G E/(c^4 R) just under 1/2 and an area inside the 1e-12 slack:
+        # uni/holo = 2 * 0.4999999999999 / (1 - 5e-13) > 1
+        probe = (
+            "import math\n"
+            "from bhthermo import CONSTANTS, MaterialSystem, bound_report\n"
+            "from bhthermo.errors import DomainError\n"
+            "sys_ = MaterialSystem(radius=1.0, energy=0.4999999999999\n"
+            "                      * CONSTANTS.c**4 / CONSTANTS.G)\n"
+            "try:\n"
+            "    bound_report(sys_, enclosing_area=4 * math.pi * (1 - 5e-13),\n"
+            "                 weak_gravity_threshold=0.49999999999995)\n"
+            "except DomainError as exc:\n"
+            "    print(exc)\n")
+        result = self.run_optimized("-c", probe)
+        assert result.returncode == 0, result.stderr
+        assert "exceeds the holographic bound" in result.stdout

@@ -1,0 +1,177 @@
+"""Document rendering: the fast writers against the eager reference renderer."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from bhthermo.cli import FORMATS, FULL_PRECISION_SECTIONS, Document
+from bhthermo.errors import DomainError
+
+# -- the reference: the eager renderer the writers replaced ------------------
+
+
+def _ref_round9(x):
+    return float(f"{x:.8e}")
+
+
+def _ref_display(value, exact=False):
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    return float(value) if exact else _ref_round9(float(value))
+
+
+def _ref_cell(value, exact=False):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    return f"{float(value):.16e}" if exact else f"{float(value):.8e}"
+
+
+def _ref_scalar_rows(doc):
+    rows = []
+    for section, items in doc.sections.items():
+        exact = section in FULL_PRECISION_SECTIONS
+        for name, value in items.items():
+            key = f"{section}.{name}"
+            rows.append((key, _ref_cell(value, exact), doc.units.get(key, "")))
+    return rows
+
+
+def reference_json(doc):
+    obj = {"kind": doc.kind}
+    for section, items in doc.sections.items():
+        exact = section in FULL_PRECISION_SECTIONS
+        obj[section] = {k: _ref_display(v, exact) for k, v in items.items()}
+    if doc.columns is not None:
+        obj["columns"] = doc.columns
+        obj["rows"] = [[_ref_display(v) for v in row] for row in doc.rows]
+    obj["units"] = {k: u for k, u in doc.units.items() if u}
+    if doc.column_units is not None:
+        obj["units"].update(
+            {c: u for c, u in zip(doc.columns, doc.column_units) if u})
+    return json.dumps(obj, indent=2)
+
+
+def reference_table(doc):
+    lines = [f"# {doc.kind}"]
+    rows = _ref_scalar_rows(doc)
+    if rows:
+        w0 = max(len(r[0]) for r in rows)
+        w1 = max(len(r[1]) for r in rows)
+        lines += [f"{k:<{w0}}  {v:>{w1}}  {u}".rstrip() for k, v, u in rows]
+    if doc.columns is not None:
+        header = [f"{c} [{u}]" if u else c
+                  for c, u in zip(doc.columns, doc.column_units)]
+        cells = [[_ref_cell(v) for v in row] for row in doc.rows]
+        widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
+                  for i, h in enumerate(header)]
+        lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
+        lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths))
+                  for row in cells]
+    return "\n".join(lines)
+
+
+def reference_csv(doc):
+    if doc.columns is not None:
+        lines = [",".join(doc.columns)]
+        lines += [",".join(_ref_cell(v) for v in row) for row in doc.rows]
+        return "\n".join(lines)
+    lines = ["quantity,value,unit"]
+    lines += [f"{k},{v},{u}" for k, v, u in _ref_scalar_rows(doc)]
+    return "\n".join(lines)
+
+
+REFERENCE = {"table": reference_table, "json": reference_json,
+             "csv": reference_csv}
+
+# -- generated documents -----------------------------------------------------
+
+_TRICKY = '"\\/\n\r\t\b\f\x00\x1f\x7f,;# é€ \U0001F600'
+texts = st.one_of(st.text(max_size=12),
+                  st.text(alphabet=st.sampled_from(_TRICKY + "ab"), max_size=12))
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 9.999999995e15,
+                     1e16, 123456789.5]))
+cells = st.one_of(st.none(), st.booleans(), st.integers(-10**300, 10**300),
+                  floats, texts)
+section_names = st.one_of(
+    st.sampled_from(["inputs", "results", "rows", "columns", "units", "kind"]),
+    texts)
+
+
+@st.composite
+def documents(draw):
+    doc = Document(draw(texts))
+    for section in draw(st.lists(section_names, max_size=3)):
+        for name in draw(st.lists(texts, max_size=4)):
+            doc.add(section, name, draw(cells), draw(texts))
+    if draw(st.booleans()):
+        ncols = draw(st.integers(0, 4))
+        columns = draw(st.lists(texts, min_size=ncols, max_size=ncols))
+        units = draw(st.lists(texts, min_size=ncols, max_size=ncols))
+        row = st.lists(cells, min_size=ncols, max_size=ncols)
+        rows = draw(st.one_of(st.just([]), st.lists(row, min_size=1, max_size=1),
+                              st.lists(row, min_size=2, max_size=60)))
+        doc.set_series(columns, units, rows)
+    return doc
+
+
+@given(documents())
+def test_writers_match_the_reference_byte_for_byte(doc):
+    for fmt in FORMATS:
+        assert doc.render(fmt) == REFERENCE[fmt](doc), fmt
+
+
+def test_many_rows_match_the_reference():
+    doc = Document("sweep")
+    doc.add("inputs", "start", 1e-3, "g")
+    doc.set_series(["x", "y", "label"], ["g", "", ""],
+                   [[i * 1.000000007, -1.0 / (i + 1), f"r{i % 3}"]
+                    for i in range(3000)])
+    for fmt in FORMATS:
+        assert doc.render(fmt) == REFERENCE[fmt](doc), fmt
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_render_builds_only_the_requested_format(monkeypatch, fmt):
+    called = []
+    for name in FORMATS:
+        monkeypatch.setattr(Document, f"to_{name}",
+                            lambda self, name=name: called.append(name) or name)
+    assert Document("x").render(fmt) == fmt
+    assert called == [fmt]
+
+
+def test_render_rejects_an_unknown_format():
+    with pytest.raises(ValueError):
+        Document("x").render("yaml")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_scalar_is_refused(fmt, bad):
+    doc = Document("x")
+    doc.add("results", "entropy", bad, "nat")
+    with pytest.raises(DomainError, match="results.entropy"):
+        doc.render(fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_series_cell_is_refused(fmt, bad):
+    doc = Document("sweep")
+    doc.set_series(["mass", "entropy"], ["g", "nat"],
+                   [[1e15, 2.0], [1e16, bad], [1e17, 3.0]])
+    with pytest.raises(DomainError, match="entropy at mass = 1e\\+16"):
+        doc.render(fmt)
+    # the public writers refuse it too, with or without the location
+    with pytest.raises(DomainError):
+        getattr(doc, f"to_{fmt}")()
