@@ -159,11 +159,18 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     Raises
     ------
     DomainError
-        If the area is smaller than the system's sphere, if
+        If the area, nu, zeta or a threshold is NaN or infinite, if the
+        area is smaller than the system's sphere, if
         weak_gravity_threshold is not below 1/2, or if the universal bound
         of a system counted as weakly gravitating still exceeds the
         holographic one.
     """
+    for name, value in (("enclosing area", enclosing_area), ("nu", nu),
+                        ("zeta", zeta),
+                        ("composite threshold", composite_threshold),
+                        ("weak-gravity threshold", weak_gravity_threshold)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not weak_gravity_threshold < BLACK_HOLE_GRAVITY_RATIO:
         raise DomainError(
             f"weak-gravity threshold must be below {BLACK_HOLE_GRAVITY_RATIO}, "

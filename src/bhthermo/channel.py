@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .constants import CONSTANTS, LOG2E
 from .errors import DomainError
-from .evaporation import DEFAULT_EMISSION, EmissionParameters
+from .evaporation import DEFAULT_EMISSION, EmissionParameters, power_at_length
 
 #: Smallest hole-to-cutoff size ratio with near-total absorption.
 XI_MIN = 1.0
@@ -60,15 +60,21 @@ class Channel:
     emission: EmissionParameters = DEFAULT_EMISSION
 
     def __post_init__(self) -> None:
-        if not 0 < self.lambda_c < math.inf:
-            raise DomainError("cutoff wavelength must be positive and finite, "
-                              f"got {self.lambda_c}")
-        if not 0 <= self.power < math.inf:
-            raise DomainError(
-                f"power must be non-negative and finite, got {self.power}")
-        if not 1.0 <= self.n_carriers < math.inf:
-            raise DomainError(
-                f"n_carriers must be >= 1 and finite, got {self.n_carriers}")
+        check_channel(self.lambda_c, self.power, self.n_carriers)
+
+
+def check_channel(lambda_c: float, power: float, n_carriers: float) -> None:
+    """The checks of a :class:`Channel`'s fields, in that order, for
+    callers that evaluate many channels without building one."""
+    if not 0 < lambda_c < math.inf:
+        raise DomainError("cutoff wavelength must be positive and finite, "
+                          f"got {lambda_c}")
+    if not 0 <= power < math.inf:
+        raise DomainError(
+            f"power must be non-negative and finite, got {power}")
+    if not 1.0 <= n_carriers < math.inf:
+        raise DomainError(
+            f"n_carriers must be >= 1 and finite, got {n_carriers}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +112,15 @@ def characteristic_power(ch: Channel) -> float:
 
     Raises DomainError when lambda_c^2 leaves the float range.
     """
-    p = ch.emission
+    return cutoff_power(ch.lambda_c, ch.emission)
+
+
+def cutoff_power(lambda_c: float, params: EmissionParameters) -> float:
+    """:func:`characteristic_power` of a cutoff lambda_c [cm], on floats."""
     try:
-        return (CONSTANTS.c**2 * p.gamma_bar * p.n_species * CONSTANTS.hbar
-                / (15360.0 * math.pi * ch.lambda_c**2))
+        return power_at_length(lambda_c, params)
     except (OverflowError, ZeroDivisionError):
-        raise _cutoff_out_of_range(ch.lambda_c) from None
+        raise _cutoff_out_of_range(lambda_c) from None
 
 
 def approx_characteristic_power(lambda_c: float) -> float:
@@ -132,13 +141,18 @@ def _cutoff_out_of_range(lambda_c: float) -> DomainError:
 
 def gsl_bound(ch: Channel, xi: float) -> float:
     """Two-term information-rate bound [bits s^-1] at size ratio xi >= 1."""
+    return gsl_rate(ch.lambda_c, ch.power, characteristic_power(ch),
+                    ch.emission, xi)
+
+
+def gsl_rate(lambda_c: float, P: float, p_c: float,
+             params: EmissionParameters, xi: float) -> float:
+    """:func:`gsl_bound` on floats, given the characteristic power p_c."""
     if xi < XI_MIN:
         raise DomainError(
             f"xi must be >= {XI_MIN} for near-total absorption, got {xi}")
-    p_c = characteristic_power(ch)
-    nu = ch.emission.nu
-    return (8.0 * math.pi * ch.lambda_c / (CONSTANTS.hbar * CONSTANTS.c)
-            * (xi * ch.power + (nu - 1.0) / xi * p_c) * LOG2E)
+    return (8.0 * math.pi * lambda_c / (CONSTANTS.hbar * CONSTANTS.c)
+            * (xi * P + (params.nu - 1.0) / xi * p_c) * LOG2E)
 
 
 def optimal_xi(P: float, p_c: float, nu: float) -> float:
@@ -156,14 +170,23 @@ def optimal_xi(P: float, p_c: float, nu: float) -> float:
 
 def low_power_bound(ch: Channel) -> float:
     """Sqrt-law bound [bits s^-1], the two-term bound at its optimum."""
-    p = ch.emission
-    return math.sqrt(math.pi * (p.nu - 1.0) * p.gamma_bar * p.n_species
-                     * ch.power / (60.0 * CONSTANTS.hbar)) * LOG2E
+    return low_power_rate(ch.power, ch.emission)
+
+
+def low_power_rate(P: float, params: EmissionParameters) -> float:
+    """:func:`low_power_bound` on floats."""
+    return math.sqrt(math.pi * (params.nu - 1.0) * params.gamma_bar
+                     * params.n_species * P / (60.0 * CONSTANTS.hbar)) * LOG2E
 
 
 def high_power_bound(ch: Channel, xi: float = XI_FLOOR) -> float:
     """Linear bound [bits s^-1] at a fixed safe size ratio."""
-    return (8.0 * math.pi * xi * ch.lambda_c * ch.power
+    return high_power_rate(ch.lambda_c, ch.power, xi)
+
+
+def high_power_rate(lambda_c: float, P: float, xi: float) -> float:
+    """:func:`high_power_bound` on floats."""
+    return (8.0 * math.pi * xi * lambda_c * P
             / (CONSTANTS.hbar * CONSTANTS.c) * LOG2E)
 
 
@@ -210,22 +233,30 @@ def regime_bound(ch: Channel, p_c: float,
     of a channel whose characteristic power is p_c.
 
     The regime logic of :func:`capacity_bound`, without the report's
-    other fields, for callers that evaluate many channels.
+    other fields.
     """
-    P = ch.power
+    return regime_rate(ch.lambda_c, ch.power, p_c, ch.emission, xi_floor)
+
+
+def regime_rate(lambda_c: float, P: float, p_c: float,
+                params: EmissionParameters,
+                xi_floor: float = XI_FLOOR) -> tuple[str, float | None, float]:
+    """:func:`regime_bound` on floats, for callers that evaluate many
+    channels: the inputs must pass :func:`check_channel`."""
     if P == 0.0:
         return "low", None, 0.0
+    nu = params.nu
     if P <= p_c / LOW_POWER_DIVISOR:
-        xi_used = optimal_xi(P, p_c, ch.emission.nu)
-        if xi_used >= XI_MIN and ch.emission.nu > 1.0:
-            return "low", xi_used, low_power_bound(ch)
+        xi_used = optimal_xi(P, p_c, nu)
+        if xi_used >= XI_MIN and nu > 1.0:
+            return "low", xi_used, low_power_rate(P, params)
         # nu at or near 1: the unconstrained optimum sits below the
         # admissible xi range, so the bound is taken at xi = 1.
-        return "low", XI_MIN, gsl_bound(ch, XI_MIN)
+        return "low", XI_MIN, gsl_rate(lambda_c, P, p_c, params, XI_MIN)
     if P >= p_c / HIGH_POWER_DIVISOR:
-        return "high", xi_floor, high_power_bound(ch, xi_floor)
-    xi_used = max(optimal_xi(P, p_c, ch.emission.nu), xi_floor)
-    return "intermediate", xi_used, gsl_bound(ch, xi_used)
+        return "high", xi_floor, high_power_rate(lambda_c, P, xi_floor)
+    xi_used = max(optimal_xi(P, p_c, nu), xi_floor)
+    return "intermediate", xi_used, gsl_rate(lambda_c, P, p_c, params, xi_used)
 
 
 def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:

@@ -14,15 +14,16 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from json.encoder import encode_basestring_ascii
 
 from .bounds import MaterialSystem, bound_report, sphere_area
 from .channel import (
     Channel,
     capacity_bound,
-    characteristic_power,
-    regime_bound,
+    check_channel,
+    cutoff_power,
+    regime_rate,
 )
 from .constants import (
     CONSTANTS,
@@ -42,13 +43,17 @@ from .gedanken import (
 )
 from .grids import geomspace, linspace
 from .kerr_newman import (
+    area_from,
     entropy,
+    entropy_from,
     h_factors,
     horizon_area,
+    horizon_lengths,
     make_black_hole,
     mean_density,
     potentials,
     temperature,
+    temperature_from,
 )
 
 FORMAT_ENV = "BHTHERMO_FORMAT"
@@ -131,9 +136,11 @@ class Document:
         # Strings hold no raw newline, so only the top-level key "rows" can
         # start a line with two spaces and '"rows": '.
         head, tail = text.split('\n  "rows": []', 1)
-        rows = ",\n    ".join(
-            "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]"
-            for row in self._series_cells(_json_cell))
+        columns = self._series_columns(_json_floats, encode_basestring_ascii,
+                                       _json_cell)
+        row_format = ("[\n      " + ",\n      ".join(["{}"] * len(columns))
+                      + "\n    ]" if columns else "[]")
+        rows = ",\n    ".join(self._format_rows(row_format, columns))
         return f'{head}\n  "rows": [\n    {rows}\n  ]{tail}'
 
     def _scalar_rows(self) -> list[tuple[str, str, str]]:
@@ -146,20 +153,51 @@ class Document:
                              self.units.get(key, "")))
         return rows
 
-    def _series_cells(self, cell: Callable[[object], str]) -> list[list[str]]:
-        """The series rows with every cell through ``cell``.
+    def _series_columns(self, floats: Callable[[tuple], list[str]],
+                        strs: Callable[[str], str] | None,
+                        cell: Callable[[object], str]) -> list[Sequence[str]]:
+        """The series as columns of written cells.
 
-        A cell function refuses a NaN or an infinity without knowing where
-        it sits; the error is raised again naming its column and row.
+        A column of floats only is written by ``floats`` after one
+        finiteness pass, a column of strs only by ``strs`` mapped over it
+        (None keeps them), any other column cell by cell through ``cell``.
+        A NaN or an infinity is refused naming the first such cell in row
+        order.
         """
-        try:
-            return [[cell(v) for v in row] for row in self.rows]
-        except DomainError:
-            for row in self.rows:
-                for column, value in zip(self.columns, row):
-                    if isinstance(value, float):
-                        _finite(value, f"{column} at {self.columns[0]} = {row[0]}")
-            raise
+        if not self.rows:
+            return [[] for _ in self.columns]
+        written = []
+        for column in zip(*self.rows, strict=True):
+            kinds = set(map(type, column))
+            if kinds == {float}:
+                if not all(map(math.isfinite, column)):
+                    self._refuse_non_finite()
+                written.append(floats(column))
+            elif kinds == {str}:
+                written.append(column if strs is None else list(map(strs, column)))
+            else:
+                try:
+                    written.append(list(map(cell, column)))
+                except DomainError:
+                    self._refuse_non_finite()
+                    raise
+        return written
+
+    def _refuse_non_finite(self) -> None:
+        """Raise DomainError naming the first NaN or infinite float of the
+        series in row order, with its column and the row's first cell."""
+        for row in self.rows:
+            for column, value in zip(self.columns, row):
+                if isinstance(value, float):
+                    _finite(value, f"{column} at {self.columns[0]} = {row[0]}")
+
+    def _format_rows(self, row_format: str,
+                     columns: list[Sequence[str]]) -> Iterable[str]:
+        """Each series row through ``row_format``, which has one field per
+        column."""
+        if columns:
+            return map(row_format.format, *columns)
+        return [row_format] * len(self.rows)
 
     def to_table(self) -> str:
         lines = [f"# {self.kind}"]
@@ -171,18 +209,19 @@ class Document:
         if self.columns is not None:
             header = [f"{c} [{u}]" if u else c
                       for c, u in zip(self.columns, self.column_units)]
-            cells = self._series_cells(_text_cell)
-            widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-                      for i, h in enumerate(header)]
+            columns = self._series_columns(_text_floats, None, _text_cell)
+            widths = [max(len(h), max(map(len, column), default=0))
+                      for h, column in zip(header, columns)]
             lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
             row_format = "  ".join(f"{{:>{w}}}" for w in widths)
-            lines += [row_format.format(*row) for row in cells]
+            lines += self._format_rows(row_format, columns)
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         if self.columns is not None:
+            columns = self._series_columns(_text_floats, None, _text_cell)
             lines = [",".join(self.columns)]
-            lines += [",".join(row) for row in self._series_cells(_text_cell)]
+            lines += self._format_rows(",".join(["{}"] * len(columns)), columns)
             return "\n".join(lines)
         lines = ["quantity,value,unit"]
         lines += [f"{k},{v},{u}" for k, v, u in self._scalar_rows()]
@@ -204,6 +243,16 @@ def _finite(x: float, where: str = "a computed value") -> float:
 
 
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _text_floats(column: tuple[float, ...]) -> list[str]:
+    """A finite float column as ``_text_cell`` writes each of its cells."""
+    return list(map("{:.8e}".format, column))
+
+
+def _json_floats(column: tuple[float, ...]) -> list[str]:
+    """A finite float column as ``_json_cell`` writes each of its cells."""
+    return list(map(float.__repr__, map(float, map("{:.8e}".format, column))))
 
 
 def _json_cell(value: object) -> str:
@@ -392,6 +441,8 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     merge_input(args, "evaporate", EVAPORATE_SCHEMA)
     _require(args, "mass")
     _fill_defaults(args, {"points": 200})
+    if args.points < 2:
+        raise ConfigError("evaporate needs at least two points")
     _check_points(args)
     params = build_emission(args)
     t, m = mass_history(args.mass, params, points=args.points)
@@ -550,15 +601,19 @@ SWEEP_SCHEMA = {"param": str, "start": float, "stop": float, "points": int,
                 "lambda_c": float, "power": float, "n_carriers": float,
                 "nu": float, "gamma_bar": float, "n_species": float}
 
+#: Each bh sweep quantity, with its unit, as a function of the mass m and
+#: the hole's ``horizon_lengths`` (M, Q, a, r = r_plus).
 BH_SWEEP_QUANTITIES = {
-    "r_plus": (lambda bh: bh.r_plus, "cm"),
-    "area": (horizon_area, "cm^2"),
-    "entropy": (entropy, "nat"),
-    "entropy_bits": (lambda bh: nats_to_bits(entropy(bh)), "bit"),
-    "temperature": (temperature, "erg"),
-    "temperature_kelvin":
-        (lambda bh: energy_temperature_to_kelvin(temperature(bh)), "K"),
-    "mean_density": (lambda bh: mean_density(bh.m), "g cm^-3"),
+    "r_plus": (lambda m, M, Q, a, r: r, "cm"),
+    "area": (lambda m, M, Q, a, r: area_from(r, a), "cm^2"),
+    "entropy": (lambda m, M, Q, a, r: entropy_from(area_from(r, a)), "nat"),
+    "entropy_bits":
+        (lambda m, M, Q, a, r: nats_to_bits(entropy_from(area_from(r, a))), "bit"),
+    "temperature":
+        (lambda m, M, Q, a, r: temperature_from(M, r, area_from(r, a)), "erg"),
+    "temperature_kelvin": (lambda m, M, Q, a, r: energy_temperature_to_kelvin(
+        temperature_from(M, r, area_from(r, a))), "K"),
+    "mean_density": (lambda m, M, Q, a, r: mean_density(m), "g cm^-3"),
 }
 
 
@@ -589,8 +644,8 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             raise ConfigError(f"unknown quantity {args.quantity!r}; choose from "
                               + ", ".join(sorted(BH_SWEEP_QUANTITIES)))
         func, unit = BH_SWEEP_QUANTITIES[args.quantity]
-        rows = [[m, func(make_black_hole(m, args.charge, args.spin))]
-                for m in grid]
+        q, j = args.charge, args.spin
+        rows = [[m, func(m, *horizon_lengths(m, q, j))] for m in grid]
         doc.set_series(["mass", args.quantity], ["g", unit], rows)
     else:
         if args.param not in ("power", "lambda_c"):
@@ -600,13 +655,24 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         if (args.lambda_c if args.param == "power" else args.power) is None:
             raise ConfigError("channel sweep needs the non-swept parameter "
                               "(lambda-c or power) fixed")
+        n = args.n_carriers
         rows = []
-        for x in grid:
-            ch = Channel(lambda_c=args.lambda_c if args.param == "power" else x,
-                         power=x if args.param == "power" else args.power,
-                         n_carriers=args.n_carriers, emission=emission)
-            regime, _, bound = regime_bound(ch, characteristic_power(ch))
-            rows.append([x, bound, regime])
+        if args.param == "power":
+            lambda_c = args.lambda_c
+            # The first point's checks come before the cutoff's power.
+            check_channel(lambda_c, grid[0], n)
+            p_c = cutoff_power(lambda_c, emission)
+            for P in grid:
+                check_channel(lambda_c, P, n)
+                regime, _, bound = regime_rate(lambda_c, P, p_c, emission)
+                rows.append([P, bound, regime])
+        else:
+            P = args.power
+            for lambda_c in grid:
+                check_channel(lambda_c, P, n)
+                regime, _, bound = regime_rate(
+                    lambda_c, P, cutoff_power(lambda_c, emission), emission)
+                rows.append([lambda_c, bound, regime])
         doc.set_series([args.param, "bound", "regime"],
                        ["erg s^-1" if args.param == "power" else "cm",
                         "bit s^-1", ""], rows)

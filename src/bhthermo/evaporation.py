@@ -87,12 +87,30 @@ def hawking_flux(bh: BlackHole, r: float,
             / (61440.0 * (math.pi * bh.M * r)**2))
 
 
+def power_at_length(length: float, params: EmissionParameters) -> float:
+    """c^2 gamma_bar N hbar / (15360 pi L^2) [erg s^-1] at the length L [cm].
+
+    The Hawking power of a hole of gravitational length L, and the
+    characteristic power of a channel whose cutoff wavelength is L.
+    Raises OverflowError or ZeroDivisionError when L^2 leaves the float
+    range; each caller names its own length in the DomainError.
+    """
+    return (CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
+            / (15360.0 * math.pi * length**2))
+
+
 def hawking_power(bh: BlackHole,
                   params: EmissionParameters = DEFAULT_EMISSION) -> float:
-    """Total radiated power [erg s^-1]; equals 4 pi r_g^2 * flux(r_g)."""
+    """Total radiated power [erg s^-1]; equals 4 pi r_g^2 * flux(r_g).
+
+    Raises DomainError when M^2 overflows (m above ~1.8e182 g).
+    """
     _require_schwarzschild(bh)
-    return (CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
-            / (15360.0 * math.pi * bh.M**2))
+    try:
+        return power_at_length(bh.M, params)
+    except OverflowError:
+        raise DomainError(f"mass {bh.m:g} g puts the Hawking power beyond "
+                          "the float range (M^2 overflows)") from None
 
 
 def mass_loss_rate(m: float) -> float:

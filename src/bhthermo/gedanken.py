@@ -151,6 +151,10 @@ def capsule_lowering(bh: BlackHole, mu: float, b: float,
     hole is charged or spinning, so the capsule entropy is GSL-capped at
     2 pi mu b c / hbar.
     """
+    for name, value in (("mass mu", mu), ("radius b", b),
+                        ("entropy S_cap", S_cap)):
+        if not math.isfinite(value):
+            raise DomainError(f"capsule {name} must be finite, got {value}")
     if mu <= 0 or b <= 0:
         raise DomainError("capsule mass and radius must be positive")
     if S_cap < 0:
@@ -219,6 +223,8 @@ def infall_experiment(sys: MaterialSystem, bh_or_zeta: BlackHole | float,
         zeta = hole.M / sys.radius
     else:
         zeta = float(bh_or_zeta)
+        if not math.isfinite(zeta):
+            raise DomainError(f"zeta must be finite, got {zeta}")
         if zeta < 1.0:
             raise DomainError(f"zeta must be >= 1, got {zeta}")
         hole = make_black_hole(zeta * sys.radius * CONSTANTS.c**2 / CONSTANTS.G)
@@ -231,7 +237,11 @@ def infall_experiment(sys: MaterialSystem, bh_or_zeta: BlackHole | float,
         LedgerEntry("black hole", S_hole, S_hole),
     ))
 
-    pressure_bound = params.gamma_bar / (7680.0 * zeta**2)
+    try:
+        pressure_bound = params.gamma_bar / (7680.0 * zeta**2)
+    except OverflowError:
+        raise DomainError(f"hole-to-system size ratio zeta = {zeta:g} puts "
+                          "zeta^2 beyond the float range") from None
     drop = drop_distance(sys, zeta, params)
     mass_ratio = hole.m / (sys.energy / CONSTANTS.c**2)
     checks = (

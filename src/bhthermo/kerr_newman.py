@@ -93,6 +93,36 @@ class FirstLawPotentials:
     omega: float
 
 
+def horizon_lengths(m: float, q: float = 0.0,
+                    j: float = 0.0) -> tuple[float, float, float, float]:
+    """The length scales (M, Q, a, r_plus) [cm] of the hole (m, q, j).
+
+    Runs every check of :func:`make_black_hole` and raises as it does, on
+    plain floats, for callers that evaluate many holes.
+    """
+    if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
+        raise DomainError(
+            f"mass, charge and spin must be finite, got {m}, {q}, {j}")
+    if m < CONSTANTS.planck_mass:
+        raise SubPlanckMassError(
+            f"mass {m} g is below the Planck mass {CONSTANTS.planck_mass:.6e} g")
+    M = geometrized_mass(m)
+    Q = geometrized_charge(q)
+    a = spin_length(j, m)
+    s2 = Q * Q + a * a
+    if s2 > M * M * (1.0 + EPS_EXTREMAL):
+        raise NakedSingularityError(
+            f"no horizon: Q^2 + a^2 = {s2:.6e} cm^2 exceeds M^2 = {M*M:.6e} cm^2")
+    # (M - s)(M + s) instead of M^2 - s^2: avoids cancellation near extremality.
+    s = math.sqrt(s2)
+    disc = (M - s) * (M + s)
+    # Within the existence slack the hole is extremal; clamping keeps the
+    # square root from amplifying last-digit noise into a fake temperature.
+    if disc < EPS_EXTREMAL * M * M:
+        disc = 0.0
+    return M, Q, a, M + math.sqrt(disc)
+
+
 def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
     """Construct and validate a black hole from (mass, charge, spin).
 
@@ -115,38 +145,34 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
     NakedSingularityError
         If Q^2 + a^2 exceeds M^2 (beyond a 1e-12 relative slack).
     """
-    if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
-        raise DomainError(
-            f"mass, charge and spin must be finite, got {m}, {q}, {j}")
-    if m < CONSTANTS.planck_mass:
-        raise SubPlanckMassError(
-            f"mass {m} g is below the Planck mass {CONSTANTS.planck_mass:.6e} g")
-    M = geometrized_mass(m)
-    Q = geometrized_charge(q)
-    a = spin_length(j, m)
-    s2 = Q * Q + a * a
-    if s2 > M * M * (1.0 + EPS_EXTREMAL):
-        raise NakedSingularityError(
-            f"no horizon: Q^2 + a^2 = {s2:.6e} cm^2 exceeds M^2 = {M*M:.6e} cm^2")
-    # (M - s)(M + s) instead of M^2 - s^2: avoids cancellation near extremality.
-    s = math.sqrt(s2)
-    disc = (M - s) * (M + s)
-    # Within the existence slack the hole is extremal; clamping keeps the
-    # square root from amplifying last-digit noise into a fake temperature.
-    if disc < EPS_EXTREMAL * M * M:
-        disc = 0.0
-    r_plus = M + math.sqrt(disc)
-    return BlackHole(m=m, q=q, j=j, M=M, Q=Q, a=a, r_plus=r_plus)
+    return BlackHole(m, q, j, *horizon_lengths(m, q, j))
+
+
+def area_from(r_plus: float, a: float) -> float:
+    """Horizon area 4 pi (r_plus^2 + a^2) [cm^2] from the horizon radius
+    and the spin length [cm]."""
+    return 4.0 * math.pi * (r_plus**2 + a**2)
+
+
+def entropy_from(area: float) -> float:
+    """Entropy A / (4 l_P^2) [nats] of a horizon of area A [cm^2]."""
+    return area / (4.0 * CONSTANTS.planck_length**2)
+
+
+def temperature_from(M: float, r_plus: float, area: float) -> float:
+    """Temperature (2 c hbar / A)(r_plus - M) [erg] from the gravitational
+    length, the horizon radius [cm] and the horizon area [cm^2]."""
+    return 2.0 * CONSTANTS.c * CONSTANTS.hbar * (r_plus - M) / area
 
 
 def horizon_area(bh: BlackHole) -> float:
     """Event horizon area A = 4 pi (r_plus^2 + a^2) [cm^2]."""
-    return 4.0 * math.pi * (bh.r_plus**2 + bh.a**2)
+    return area_from(bh.r_plus, bh.a)
 
 
 def entropy(bh: BlackHole) -> float:
     """Black hole entropy A / (4 l_P^2) [nats]."""
-    return horizon_area(bh) / (4.0 * CONSTANTS.planck_length**2)
+    return entropy_from(horizon_area(bh))
 
 
 def temperature(bh: BlackHole) -> float:
@@ -155,7 +181,7 @@ def temperature(bh: BlackHole) -> float:
     Zero exactly for extremal holes; reduces to hbar c / (8 pi M) in the
     Schwarzschild case.
     """
-    return 2.0 * CONSTANTS.c * CONSTANTS.hbar * (bh.r_plus - bh.M) / horizon_area(bh)
+    return temperature_from(bh.M, bh.r_plus, horizon_area(bh))
 
 
 def potentials(bh: BlackHole) -> FirstLawPotentials:

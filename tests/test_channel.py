@@ -13,6 +13,7 @@ from bhthermo.channel import (
     bremermann_rate,
     capacity_bound,
     characteristic_power,
+    check_channel,
     consistency_check,
     gsl_bound,
     high_power_bound,
@@ -132,6 +133,60 @@ def _reference_dispatch(ch, xi_floor=10.0):
         return "high", xi_floor, high_power_bound(ch, xi_floor)
     xi_used = max(optimal_xi(P, p_c, ch.emission.nu), xi_floor)
     return "intermediate", xi_used, gsl_bound(ch, xi_used)
+
+
+class TestFloatKernels:
+    """The bounds run on float kernels now; each must give, bit for bit,
+    what its own code gave."""
+
+    @staticmethod
+    def old_gsl_bound(ch, xi):
+        p = ch.emission
+        p_c = (CONSTANTS.c**2 * p.gamma_bar * p.n_species * CONSTANTS.hbar
+               / (15360.0 * math.pi * ch.lambda_c**2))
+        return (8.0 * math.pi * ch.lambda_c / (CONSTANTS.hbar * CONSTANTS.c)
+                * (xi * ch.power + (p.nu - 1.0) / xi * p_c) * LOG2E)
+
+    @staticmethod
+    def old_low_power_bound(ch):
+        p = ch.emission
+        return math.sqrt(math.pi * (p.nu - 1.0) * p.gamma_bar * p.n_species
+                         * ch.power / (60.0 * CONSTANTS.hbar)) * LOG2E
+
+    @staticmethod
+    def old_high_power_bound(ch, xi):
+        return (8.0 * math.pi * xi * ch.lambda_c * ch.power
+                / (CONSTANTS.hbar * CONSTANTS.c) * LOG2E)
+
+    channels = st.builds(
+        channel, power=st.floats(min_value=0.0, max_value=1e30),
+        lambda_c=st.floats(min_value=1e-20, max_value=1e20),
+        nu=st.floats(min_value=1.0, max_value=2.0),
+        gamma_bar=st.floats(min_value=1e-3, max_value=1e3),
+        n_species=st.floats(min_value=1.0, max_value=1e3))
+
+    @given(channels, st.floats(min_value=1.0, max_value=1e6))
+    def test_bounds_are_unchanged(self, ch, xi):
+        assert gsl_bound(ch, xi) == self.old_gsl_bound(ch, xi)
+        assert low_power_bound(ch) == self.old_low_power_bound(ch)
+        assert high_power_bound(ch, xi) == self.old_high_power_bound(ch, xi)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0.0, -1.0, 0.5), "cutoff wavelength"),
+        ((math.nan, 1.0, 1.0), "cutoff wavelength"),
+        ((1.0, -1.0, 0.5), "power"),
+        ((1.0, math.inf, 1.0), "power"),
+        ((1.0, 1.0, 0.5), "n_carriers"),
+        ((1.0, 1.0, math.nan), "n_carriers"),
+    ])
+    def test_checks_fire_in_field_order(self, args, message):
+        with pytest.raises(DomainError) as kernel:
+            check_channel(*args)
+        with pytest.raises(DomainError) as full:
+            Channel(*args)
+        assert str(kernel.value).startswith(message)
+        assert str(kernel.value) == str(full.value)
+        assert check_channel(1.0, 0.0, 1.0) is None
 
 
 class TestRegimeBound:

@@ -116,6 +116,18 @@ class TestEvaporate:
         assert lines[0] == "t,mass"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("points", ["1", "0", "-3"])
+    def test_fewer_than_two_points_is_a_usage_error(self, capsys, monkeypatch,
+                                                     points):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mass_history ran")
+        monkeypatch.setattr(cli, "mass_history", refuse)
+        code, out, err = run(capsys, "evaporate", "--mass", "1e15",
+                             "--points", points)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "bhthermo evaporate: evaporate needs at least two points"]
+
     def test_lifetime_beyond_m0_cubed_overflow(self, capsys):
         doc = run_json(capsys, "evaporate", "--mass", "1e100", "--points", "3")
         assert doc["results"]["lifetime_s"] == pytest.approx(8.4114779e274,
@@ -259,6 +271,33 @@ def test_non_finite_input_exits_1(capsys, argv):
     assert "finite" in err
 
 
+CAPSULE = ["gedanken", "--scenario", "capsule", "--bh-mass", "1e30",
+           "--mu", "1", "--b", "1", "--s-cap", "1e30"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag, name", [
+    (["bounds", "--mass", "16", "--radius", "6"], "--nu", "nu"),
+    (["bounds", "--mass", "16", "--radius", "6"], "--zeta", "zeta"),
+    (["bounds", "--mass", "16", "--radius", "6"], "--composite-threshold",
+     "composite threshold"),
+    (["bounds", "--mass", "16", "--radius", "6"], "--weak-gravity-threshold",
+     "weak-gravity threshold"),
+    (["bounds", "--mass", "16", "--radius", "6"], "--area", "enclosing area"),
+    (CAPSULE, "--mu", "capsule mass mu"),
+    (CAPSULE, "--b", "capsule radius b"),
+    (CAPSULE, "--s-cap", "capsule entropy S_cap"),
+    (["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius", "1",
+      "--entropy", "1"], "--zeta", "zeta"),
+])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_non_finite_parameter_is_named(capsys, argv, flag, name, value, fmt):
+    code, out, err = run(capsys, *argv, f"{flag}={value}", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"bhthermo {argv[0]}: {name} must be finite, got {float(value)}"]
+
+
 class TestInputFileErrors:
     @pytest.mark.parametrize("name, content", [
         ("absent.json", None),
@@ -344,6 +383,12 @@ class TestOverflow:
         (["sweep", "bh", "--param", "mass", "--start", "1e150",
           "--stop", "1e160", "--points", "3", "--quantity", "entropy"],
          "entropy at mass = 1e+150"),
+        (["gedanken", "--scenario", "infall", "--zeta", "1e200",
+          "--energy", "1e10", "--radius", "1", "--entropy", "1"],
+         "zeta = 1e+200"),
+        (["gedanken", "--scenario", "infall", "--bh-mass", "1e200",
+          "--energy", "1e10", "--radius", "1", "--entropy", "1"],
+         "zeta = 7.42616e+171"),
     ])
     def test_exits_1(self, capsys, argv, where, fmt):
         code, out, err = run(capsys, *argv, "--format", fmt)

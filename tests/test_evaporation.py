@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bhthermo.channel import Channel, characteristic_power
 from bhthermo.constants import CONSTANTS
 from bhthermo.errors import DomainError, SubPlanckMassError
 from bhthermo.evaporation import (
@@ -94,6 +95,41 @@ class TestPower:
         p1 = hawking_power(make_black_hole(1e15), PHOTON)
         p2 = hawking_power(make_black_hole(k * 1e15), PHOTON)
         assert p2 == pytest.approx(p1 / k**2, rel=1e-12)
+
+
+class TestPowerAtLength:
+    """hawking_power and characteristic_power share one formula; both
+    must give, bit for bit, what their own expressions gave."""
+
+    @staticmethod
+    def old_hawking_power(bh, params):
+        return (CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
+                / (15360.0 * math.pi * bh.M**2))
+
+    @staticmethod
+    def old_characteristic_power(ch):
+        p = ch.emission
+        return (CONSTANTS.c**2 * p.gamma_bar * p.n_species * CONSTANTS.hbar
+                / (15360.0 * math.pi * ch.lambda_c**2))
+
+    emissions = st.builds(EmissionParameters,
+                          nu=st.floats(min_value=1.0, max_value=2.0),
+                          gamma_bar=st.floats(min_value=1e-3, max_value=1e3),
+                          n_species=st.floats(min_value=1.0, max_value=1e3))
+
+    @given(st.floats(min_value=-4.5, max_value=150.0), emissions)
+    def test_hawking_power_is_unchanged(self, log_m, params):
+        bh = make_black_hole(10.0**log_m)
+        assert hawking_power(bh, params) == self.old_hawking_power(bh, params)
+
+    @given(st.floats(min_value=-150.0, max_value=150.0), emissions)
+    def test_characteristic_power_is_unchanged(self, log_lambda, params):
+        ch = Channel(lambda_c=10.0**log_lambda, power=1.0, emission=params)
+        assert characteristic_power(ch) == self.old_characteristic_power(ch)
+
+    def test_hawking_power_beyond_the_float_range(self):
+        with pytest.raises(DomainError, match="float range"):
+            hawking_power(make_black_hole(1e200))
 
 
 class TestMassLossRate:
@@ -180,6 +216,11 @@ class TestLifetime:
         for ti, mi in zip(t[1:], m[1:]):
             assert ti == pytest.approx(
                 rk_evaporation_time(1e15, PHOTON, mi), rel=1e-6)
+
+
+def test_mass_history_needs_two_points():
+    with pytest.raises(DomainError, match="at least 2"):
+        mass_history(1e15, points=1)
 
 
 class TestEntropyEmission:

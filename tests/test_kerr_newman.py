@@ -18,6 +18,7 @@ from bhthermo.kerr_newman import (
     first_law_residual,
     h_factors,
     horizon_area,
+    horizon_lengths,
     make_black_hole,
     mean_density,
     potentials,
@@ -79,6 +80,52 @@ class TestConstruction:
     def test_schwarzschild_flag(self):
         assert make_black_hole(1e15).is_schwarzschild
         assert not make_black_hole(1e15, 1e5).is_schwarzschild
+
+
+class TestFloatKernels:
+    """make_black_hole, horizon_area, entropy and temperature run on float
+    kernels now; each must give, bit for bit, what its own code gave."""
+
+    @staticmethod
+    def old_make(m, q, j):
+        M = CONSTANTS.G * m / CONSTANTS.c**2
+        Q = math.sqrt(CONSTANTS.G) * q / CONSTANTS.c**2
+        a = j / (m * CONSTANTS.c)
+        s = math.sqrt(Q * Q + a * a)
+        disc = (M - s) * (M + s)
+        if disc < 1e-12 * M * M:
+            disc = 0.0
+        return M, Q, a, M + math.sqrt(disc)
+
+    @given(hole_strategy)
+    def test_state_and_quantities_are_unchanged(self, params):
+        bh = build(*params)
+        M, Q, a, r_plus = self.old_make(bh.m, bh.q, bh.j)
+        assert (bh.M, bh.Q, bh.a, bh.r_plus) == (M, Q, a, r_plus)
+        area = 4.0 * math.pi * (r_plus**2 + a**2)
+        assert horizon_area(bh) == area
+        assert entropy(bh) == area / (4.0 * CONSTANTS.planck_length**2)
+        assert temperature(bh) == \
+            2.0 * CONSTANTS.c * CONSTANTS.hbar * (r_plus - M) / area
+
+    def test_extremal_holes_are_unchanged(self):
+        for m in (1e-4, 1e15, 1e40):
+            for q, j in ((extremal_charge(m), 0.0), (0.0, extremal_spin(m)),
+                         (0.6 * extremal_charge(m), 0.8 * extremal_spin(m))):
+                assert horizon_lengths(m, q, j) == self.old_make(m, q, j)
+
+    @pytest.mark.parametrize("args, error", [
+        ((math.nan, 0.0, 0.0), DomainError),
+        ((1e15, math.inf, 0.0), DomainError),
+        ((1e-6, 0.0, 0.0), SubPlanckMassError),
+        ((1e15, 2 * extremal_charge(1e15), 0.0), NakedSingularityError),
+    ])
+    def test_lengths_raise_as_make_black_hole(self, args, error):
+        with pytest.raises(error) as kernel:
+            horizon_lengths(*args)
+        with pytest.raises(error) as full:
+            make_black_hole(*args)
+        assert str(kernel.value) == str(full.value)
 
 
 class TestArea:

@@ -107,19 +107,44 @@ section_names = st.one_of(
     texts)
 
 
+class FloatSubclass(float):
+    """Not exactly a float: its column takes the cell-by-cell path."""
+
+
+#: One cell that moves a column of floats off the all-float path.
+odd_cells = st.one_of(st.booleans(), st.integers(-10**300, 10**300), st.none(),
+                      floats.map(FloatSubclass))
+
+
 @st.composite
-def documents(draw):
+def column(draw, nrows):
+    """One series column: all floats, all strs, floats with one odd cell,
+    or any cells."""
+    kind = draw(st.sampled_from(["float", "str", "float+odd", "any"]))
+    if kind == "str":
+        return draw(st.lists(texts, min_size=nrows, max_size=nrows))
+    cells_of_kind = cells if kind == "any" else floats
+    values = draw(st.lists(cells_of_kind, min_size=nrows, max_size=nrows))
+    if kind == "float+odd" and nrows:
+        values[draw(st.integers(0, nrows - 1))] = draw(odd_cells)
+    return values
+
+
+@st.composite
+def documents(draw, series=None):
     doc = Document(draw(texts))
     for section in draw(st.lists(section_names, max_size=3)):
         for name in draw(st.lists(texts, max_size=4)):
             doc.add(section, name, draw(cells), draw(texts))
-    if draw(st.booleans()):
-        ncols = draw(st.integers(0, 4))
+    if series or (series is None and draw(st.booleans())):
+        ncols = draw(st.integers(1 if series else 0, 4))
+        nrows = draw(st.sampled_from([1, draw(st.integers(2, 60))]) if series
+                     else st.sampled_from([0, 1, draw(st.integers(2, 60))]))
         columns = draw(st.lists(texts, min_size=ncols, max_size=ncols))
         units = draw(st.lists(texts, min_size=ncols, max_size=ncols))
-        row = st.lists(cells, min_size=ncols, max_size=ncols)
-        rows = draw(st.one_of(st.just([]), st.lists(row, min_size=1, max_size=1),
-                              st.lists(row, min_size=2, max_size=60)))
+        by_column = [draw(column(nrows)) for _ in range(ncols)]
+        rows = ([list(row) for row in zip(*by_column)] if ncols
+                else [[] for _ in range(nrows)])
         doc.set_series(columns, units, rows)
     return doc
 
@@ -128,6 +153,34 @@ def documents(draw):
 def test_writers_match_the_reference_byte_for_byte(doc):
     for fmt in FORMATS:
         assert doc.render(fmt) == REFERENCE[fmt](doc), fmt
+
+
+def reference_refusal(doc):
+    """The message naming the first non-finite float cell in row order."""
+    for row in doc.rows:
+        for name, value in zip(doc.columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                what = ("undefined (nan)" if math.isnan(value)
+                        else f"{value}, beyond the float range")
+                return f"{name} at {doc.columns[0]} = {row[0]} is {what}"
+    return None
+
+
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).flatmap(
+    lambda x: st.sampled_from([x, FloatSubclass(x)]))
+
+
+@given(documents(series=True), st.data())
+def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, data):
+    nrows, ncols = len(doc.rows), len(doc.columns)
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    for i, j in data.draw(st.lists(cells, min_size=1, max_size=3)):
+        doc.rows[i][j] = data.draw(non_finite)
+    expected = reference_refusal(doc)
+    for fmt in FORMATS:
+        with pytest.raises(DomainError) as info:
+            doc.render(fmt)
+        assert str(info.value) == expected, fmt
 
 
 def test_many_rows_match_the_reference():

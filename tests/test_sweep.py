@@ -1,0 +1,244 @@
+"""Sweeps on float kernels against the per-point object loops they replaced.
+
+The references below are the sweep loops as ``cmd_sweep`` wrote them when
+each point built a ``BlackHole`` or a ``Channel``; every emitted cell must
+match them bit for bit, and every error must be the same error.
+"""
+
+import math
+
+import pytest
+
+from bhthermo.channel import (
+    Channel,
+    characteristic_power,
+    regime_bound,
+)
+from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
+from bhthermo.constants import (
+    CONSTANTS,
+    energy_temperature_to_kelvin,
+    geometrized_mass,
+    nats_to_bits,
+)
+from bhthermo.errors import DomainError
+from bhthermo.evaporation import EmissionParameters
+from bhthermo.grids import geomspace, linspace
+from bhthermo.kerr_newman import (
+    entropy,
+    horizon_area,
+    make_black_hole,
+    mean_density,
+    temperature,
+)
+
+# -- the references: one object per point ------------------------------------
+
+REFERENCE_QUANTITIES = {
+    "r_plus": lambda bh: bh.r_plus,
+    "area": horizon_area,
+    "entropy": entropy,
+    "entropy_bits": lambda bh: nats_to_bits(entropy(bh)),
+    "temperature": temperature,
+    "temperature_kelvin": lambda bh: energy_temperature_to_kelvin(temperature(bh)),
+    "mean_density": lambda bh: mean_density(bh.m),
+}
+
+
+def reference_bh_rows(grid, quantity, q, j):
+    func = REFERENCE_QUANTITIES[quantity]
+    return [[m, func(make_black_hole(m, q, j))] for m in grid]
+
+
+def reference_channel_rows(grid, param, fixed, n_carriers, emission):
+    rows = []
+    for x in grid:
+        ch = Channel(lambda_c=fixed if param == "power" else x,
+                     power=x if param == "power" else fixed,
+                     n_carriers=n_carriers, emission=emission)
+        regime, _, bound = regime_bound(ch, characteristic_power(ch))
+        rows.append([x, bound, regime])
+    return rows
+
+
+# -- helpers -----------------------------------------------------------------
+
+def grid(start, stop, points, spacing):
+    return (geomspace if spacing == "log" else linspace)(start, stop, points)
+
+
+def sweep_rows(argv):
+    return cmd_sweep(build_parser().parse_args(["sweep", *argv])).rows
+
+
+def bits(rows):
+    """Rows with every float as its exact hex form, so -0.0 != 0.0."""
+    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+
+def charge_spin(m, q_over_m, a_over_m):
+    M = geometrized_mass(m)
+    return (q_over_m * M * CONSTANTS.c**2 / math.sqrt(CONSTANTS.G),
+            a_over_m * M * m * CONSTANTS.c)
+
+
+# -- bh sweeps ---------------------------------------------------------------
+
+def test_every_quantity_has_a_reference():
+    assert set(BH_SWEEP_QUANTITIES) == set(REFERENCE_QUANTITIES)
+
+
+# (Q/M, a/M) at the start mass; the sweep runs up in mass from there, so
+# the first hole is the most extremal one.
+HOLES = {
+    "schwarzschild": (0.0, 0.0),
+    "charged": (0.7, 0.0),
+    "spinning": (0.0, 0.9),
+    "kerr_newman": (0.6, 0.6),
+    "near_extremal": (0.6, 0.8 * (1 - 1e-13)),
+    "extremal_within_slack": (0.6, 0.8 * (1 + 1e-13)),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(REFERENCE_QUANTITIES))
+@pytest.mark.parametrize("hole", sorted(HOLES))
+@pytest.mark.parametrize("spacing, start, stop", [
+    ("log", 1e15, 1e25), ("linear", 1e15, 3e15), ("log", 1e-4, 1e40)])
+def test_bh_sweep_matches_the_object_loop(quantity, hole, spacing, start, stop):
+    q, j = charge_spin(start, *HOLES[hole])
+    expected = reference_bh_rows(grid(start, stop, 300, spacing), quantity, q, j)
+    got = sweep_rows(["bh", "--param", "mass", "--start", repr(start),
+                      "--stop", repr(stop), "--points", "300",
+                      "--spacing", spacing, "--quantity", quantity,
+                      "--charge", repr(q), "--spin", repr(j)])
+    assert bits(got) == bits(expected)
+
+
+# -- channel sweeps ----------------------------------------------------------
+
+EMISSIONS = {
+    "default": {},
+    "reversible": {"nu": 1.0},
+    "many_species": {"nu": 1.64, "gamma_bar": 3.0, "n_species": 7.0},
+}
+
+
+def emission_flags(name):
+    return [x for k, v in EMISSIONS[name].items()
+            for x in (f"--{k.replace('_', '-')}", repr(v))]
+
+
+@pytest.mark.parametrize("emission", sorted(EMISSIONS))
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+@pytest.mark.parametrize("n_carriers", [1.0, 4.0])
+def test_power_sweep_matches_the_object_loop(emission, spacing, n_carriers):
+    params = EmissionParameters(**EMISSIONS[emission])
+    lambda_c = 5e-5
+    p_c = characteristic_power(Channel(lambda_c, 0.0, emission=params))
+    # across both regime edges, p_c/200 and p_c/10, from P = 0 (linear)
+    start, stop = (p_c / 1e4, p_c * 10) if spacing == "log" else (0.0, p_c / 5)
+    expected = reference_channel_rows(grid(start, stop, 401, spacing), "power",
+                                      lambda_c, n_carriers, params)
+    assert {row[2] for row in expected} == {"low", "intermediate", "high"}
+    got = sweep_rows(["channel", "--param", "power", "--start", repr(start),
+                      "--stop", repr(stop), "--points", "401",
+                      "--spacing", spacing, "--lambda-c", repr(lambda_c),
+                      "--n-carriers", repr(n_carriers),
+                      *emission_flags(emission)])
+    assert bits(got) == bits(expected)
+
+
+@pytest.mark.parametrize("emission", sorted(EMISSIONS))
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_lambda_c_sweep_matches_the_object_loop(emission, spacing):
+    params = EmissionParameters(**EMISSIONS[emission])
+    power = 1e-3
+    # p_c falls as lambda_c^-2, so P crosses p_c/200, then p_c/10; at
+    # lambda_c = unit, p_c = P
+    unit = math.sqrt(characteristic_power(Channel(1.0, 0.0, emission=params))
+                     / power)
+    start, stop = unit * 0.01, unit * 100
+    expected = reference_channel_rows(grid(start, stop, 401, spacing),
+                                      "lambda_c", power, 1.0, params)
+    assert {row[2] for row in expected} == {"low", "intermediate", "high"}
+    got = sweep_rows(["channel", "--param", "lambda_c", "--start", repr(start),
+                      "--stop", repr(stop), "--points", "401",
+                      "--spacing", spacing, "--power", repr(power),
+                      *emission_flags(emission)])
+    assert bits(got) == bits(expected)
+
+
+def test_power_sweep_hits_both_edges_exactly():
+    lambda_c = 5e-5
+    p_c = characteristic_power(Channel(lambda_c, 0.0))
+    edges = [p_c / 200, p_c / 10]
+    points = [math.nextafter(e, 0.0) for e in edges] + edges + [
+        math.nextafter(e, math.inf) for e in edges]
+    params = EmissionParameters()
+    expected = reference_channel_rows(sorted(points), "power", lambda_c, 1.0,
+                                      params)
+    got = [sweep_rows(["channel", "--param", "power", "--start", repr(P),
+                       "--stop", repr(P), "--points", "1",
+                       "--lambda-c", repr(lambda_c)])[0]
+           for P in sorted(points)]
+    assert bits(got) == bits(expected)
+    assert [row[2] for row in got] == ["low", "low", "intermediate",
+                                       "intermediate", "high", "high"]
+
+
+# -- errors ------------------------------------------------------------------
+
+def reference_error(reference):
+    """The stderr line of the error the reference loop raises."""
+    with pytest.raises(DomainError) as info:
+        reference()
+    return f"bhthermo sweep: {info.value}\n"
+
+
+@pytest.mark.parametrize("argv, reference", [
+    # a sub-Planck start
+    (["bh", "--param", "mass", "--start", "1e-6", "--stop", "1e15"],
+     lambda: reference_bh_rows(grid(1e-6, 1e15, 50, "log"), "entropy", 0.0, 0.0)),
+    # a naked singularity mid-sweep: the fixed charge outgrows M
+    (["bh", "--param", "mass", "--start", "1e20", "--stop", "1e10",
+      "--charge", "2.6e14", "--quantity", "temperature"],
+     lambda: reference_bh_rows(grid(1e20, 1e10, 50, "log"), "temperature",
+                               2.6e14, 0.0)),
+    # lambda_c^2 leaves the float range mid-sweep
+    (["channel", "--param", "lambda_c", "--start", "1", "--stop", "1e200",
+      "--power", "1e-3"],
+     lambda: reference_channel_rows(grid(1.0, 1e200, 50, "log"), "lambda_c",
+                                    1e-3, 1.0, EmissionParameters())),
+    (["channel", "--param", "lambda_c", "--start", "1e-100", "--stop", "1e-200",
+      "--power", "1e-3"],
+     lambda: reference_channel_rows(grid(1e-100, 1e-200, 50, "log"),
+                                    "lambda_c", 1e-3, 1.0, EmissionParameters())),
+    # a negative start reports the power before a bad carrier count ...
+    (["channel", "--param", "power", "--start", "-1", "--stop", "1",
+      "--spacing", "linear", "--lambda-c", "5e-5", "--n-carriers", "0.5"],
+     lambda: reference_channel_rows(linspace(-1.0, 1.0, 50), "power", 5e-5,
+                                    0.5, EmissionParameters())),
+    # ... and before a cutoff whose characteristic power overflows
+    (["channel", "--param", "power", "--start", "-1", "--stop", "1",
+      "--spacing", "linear", "--lambda-c", "1e-300"],
+     lambda: reference_channel_rows(linspace(-1.0, 1.0, 50), "power", 1e-300,
+                                    1.0, EmissionParameters())),
+    (["channel", "--param", "power", "--start", "1", "--stop", "2",
+      "--lambda-c", "1e-300"],
+     lambda: reference_channel_rows(geomspace(1.0, 2.0, 50), "power", 1e-300,
+                                    1.0, EmissionParameters())),
+    (["channel", "--param", "power", "--start", "1", "--stop", "2",
+      "--lambda-c", "5e-5", "--n-carriers", "0.5"],
+     lambda: reference_channel_rows(geomspace(1.0, 2.0, 50), "power", 5e-5,
+                                    0.5, EmissionParameters())),
+    (["channel", "--param", "lambda_c", "--start", "-1", "--stop", "1",
+      "--spacing", "linear", "--power", "-1"],
+     lambda: reference_channel_rows(linspace(-1.0, 1.0, 50), "lambda_c", -1.0,
+                                    1.0, EmissionParameters())),
+])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_errors_match_the_object_loop(capsys, argv, reference, fmt):
+    code = main(["sweep", *argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == reference_error(reference)
