@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Smoke test of the command line with only the runtime installed (no test
+# extras): every subcommand in every format exits 0, two rejected requests
+# exit 1 and 2, and a 100k-point series whose reader stops after one line
+# (`| head -1`) exits 2.  No run may write a Python traceback to stderr.
+#
+#   bash scripts/runtime_smoke.sh                  # the installed package
+#   PYTHONPATH=src bash scripts/runtime_smoke.sh   # a source checkout
+set -u
+
+err=$(mktemp)
+trap 'rm -f "$err"' EXIT
+failures=0
+
+report() {  # expected exit code, actual exit code, the arguments of the run
+    local expected=$1 code=$2
+    shift 2
+    if [ "$code" -ne "$expected" ] || grep -q "Traceback" "$err"; then
+        echo "FAIL (exit $code, expected $expected): bhthermo $*"
+        sed 's/^/    /' "$err"
+        failures=$((failures + 1))
+    fi
+}
+
+run() {  # expected exit code, then the arguments of one run
+    local expected=$1
+    shift
+    python -m bhthermo.cli "$@" > /dev/null 2> "$err"
+    report "$expected" $? "$@"
+}
+
+for fmt in table json csv; do
+    run 0 constants --format "$fmt"
+    run 0 bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4 --format "$fmt"
+    run 0 evaporate --mass 1e12 --points 100 --format "$fmt"
+    run 0 bounds --mass 16 --radius 6 --entropy 1e3 --format "$fmt"
+    run 0 gedanken --scenario susskind --energy 1e30 --radius 1 --entropy 1 \
+        --format "$fmt"
+    run 0 gedanken --scenario capsule --bh-mass 1e30 --mu 1 --b 1 \
+        --s-cap 1e30 --format "$fmt"
+    run 0 gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1 \
+        --zeta 10 --format "$fmt"
+    run 0 gedanken --scenario merger --m1 1e15 --m2 1e15 --format "$fmt"
+    run 0 channel --lambda-c 5e-5 --power 1e-3 --format "$fmt"
+    run 0 sweep bh --param mass --start 1e15 --stop 1e18 --points 50 \
+        --quantity temperature --format "$fmt"
+    run 0 sweep channel --param power --start 1e-6 --stop 1e-1 --points 200 \
+        --lambda-c 5e-5 --format "$fmt"
+    run 1 bh --mass 1e-10 --format "$fmt"
+    run 2 bh --format "$fmt"
+
+    python -m bhthermo.cli evaporate --mass 1e15 --points 100000 \
+        --format "$fmt" 2> "$err" | head -1 > /dev/null
+    report 2 "${PIPESTATUS[0]}" evaporate --points 100000 --format "$fmt" "| head -1"
+done
+
+if [ "$failures" -ne 0 ]; then
+    echo "$failures run(s) failed"
+    exit 1
+fi
+echo "all runs passed"

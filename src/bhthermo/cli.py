@@ -14,8 +14,10 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from .bounds import MaterialSystem, bound_report, sphere_area
 from .channel import (
@@ -48,7 +50,7 @@ from .kerr_newman import (
     entropy_from,
     h_factors,
     horizon_area,
-    horizon_lengths,
+    horizon_columns,
     make_black_hole,
     mean_density,
     potentials,
@@ -87,7 +89,8 @@ FULL_PRECISION_SECTIONS = frozenset({"inputs"})
 
 
 class Document:
-    """Uniform output container: named scalar sections plus an optional series."""
+    """Uniform output container: named scalar sections plus an optional
+    series, stored as columns."""
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -95,17 +98,25 @@ class Document:
         self.units: dict[str, str] = {}
         self.columns: list[str] | None = None
         self.column_units: list[str] | None = None
-        self.rows: list[list[object]] | None = None
+        self.series: list[Sequence[object]] | None = None
 
     def add(self, section: str, name: str, value: object, unit: str = "") -> None:
         self.sections.setdefault(section, {})[name] = value
         self.units[f"{section}.{name}"] = unit
 
-    def set_series(self, columns: list[str], units: list[str],
-                   rows: list[list[object]]) -> None:
-        self.columns = columns
+    def set_columns(self, names: list[str], units: list[str],
+                    columns: list[Sequence[object]]) -> None:
+        """The series: one name, one unit and one sequence of cells per
+        column, all columns of one length (with no column, no rows)."""
+        if len({len(names), len(units), len(columns)}) != 1:
+            raise ValueError(f"{len(columns)} columns, {len(names)} names "
+                             f"and {len(units)} units")
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("series columns differ in length: "
+                             + ", ".join(str(len(c)) for c in columns))
+        self.columns = names
         self.column_units = units
-        self.rows = rows
+        self.series = columns
 
     # -- rendering ---------------------------------------------------------
 
@@ -131,16 +142,15 @@ class Document:
             obj["units"].update(
                 {c: u for c, u in zip(self.columns, self.column_units) if u})
         text = json.dumps(obj, indent=2, allow_nan=False)
-        if not self.rows:
+        if not self._series_length():
             return text
         # Strings hold no raw newline, so only the top-level key "rows" can
         # start a line with two spaces and '"rows": '.
         head, tail = text.split('\n  "rows": []', 1)
-        columns = self._series_columns(_json_floats, encode_basestring_ascii,
-                                       _json_cell)
-        row_format = ("[\n      " + ",\n      ".join(["{}"] * len(columns))
-                      + "\n    ]" if columns else "[]")
-        rows = ",\n    ".join(self._format_rows(row_format, columns))
+        specs, columns = self._series_columns(_json_floats,
+                                              encode_basestring_ascii, _json_cell)
+        rows = self._series_body(
+            "[\n      " + ",\n      ".join(specs) + "\n    ]", ",\n    ", columns)
         return f'{head}\n  "rows": [\n    {rows}\n  ]{tail}'
 
     def _scalar_rows(self) -> list[tuple[str, str, str]]:
@@ -153,51 +163,57 @@ class Document:
                              self.units.get(key, "")))
         return rows
 
-    def _series_columns(self, floats: Callable[[tuple], list[str]],
+    def _series_length(self) -> int:
+        return len(self.series[0]) if self.series else 0
+
+    def _series_columns(self, floats: Callable[[Sequence[float]],
+                                               tuple[str, Sequence[object]]],
                         strs: Callable[[str], str] | None,
-                        cell: Callable[[object], str]) -> list[Sequence[str]]:
-        """The series as columns of written cells.
+                        cell: Callable[[object], str]
+                        ) -> tuple[list[str], list[Sequence[object]]]:
+        """The series as one ``%`` conversion and one column of values to
+        convert per column.
 
         A column of floats only is written by ``floats`` after one
         finiteness pass, a column of strs only by ``strs`` mapped over it
-        (None keeps them), any other column cell by cell through ``cell``.
-        A NaN or an infinity is refused naming the first such cell in row
-        order.
+        (None keeps them), any other column cell by cell through ``cell``;
+        the last two convert with ``%s``.  A NaN or an infinity is refused
+        naming the first such cell in row order.
         """
-        if not self.rows:
-            return [[] for _ in self.columns]
-        written = []
-        for column in zip(*self.rows, strict=True):
+        specs, written = [], []
+        for column in self.series:
             kinds = set(map(type, column))
             if kinds == {float}:
                 if not all(map(math.isfinite, column)):
                     self._refuse_non_finite()
-                written.append(floats(column))
+                spec, values = floats(column)
             elif kinds == {str}:
-                written.append(column if strs is None else list(map(strs, column)))
+                spec, values = "%s", column if strs is None else list(map(strs, column))
             else:
                 try:
-                    written.append(list(map(cell, column)))
+                    spec, values = "%s", list(map(cell, column))
                 except DomainError:
                     self._refuse_non_finite()
                     raise
-        return written
+            specs.append(spec)
+            written.append(values)
+        return specs, written
 
     def _refuse_non_finite(self) -> None:
         """Raise DomainError naming the first NaN or infinite float of the
         series in row order, with its column and the row's first cell."""
-        for row in self.rows:
+        for row in zip(*self.series):
             for column, value in zip(self.columns, row):
                 if isinstance(value, float):
                     _finite(value, f"{column} at {self.columns[0]} = {row[0]}")
 
-    def _format_rows(self, row_format: str,
-                     columns: list[Sequence[str]]) -> Iterable[str]:
-        """Each series row through ``row_format``, which has one field per
-        column."""
-        if columns:
-            return map(row_format.format, *columns)
-        return [row_format] * len(self.rows)
+    def _series_body(self, row_spec: str, sep: str,
+                     columns: list[Sequence[object]]) -> str:
+        """Every series row through ``row_spec``, a ``%`` template with one
+        conversion per column, joined by ``sep``: one formatting call over
+        the cells in row order, so a cell is data, never a template."""
+        template = sep.join([row_spec] * self._series_length())
+        return template % tuple(chain.from_iterable(zip(*columns)))
 
     def to_table(self) -> str:
         lines = [f"# {self.kind}"]
@@ -209,19 +225,21 @@ class Document:
         if self.columns is not None:
             header = [f"{c} [{u}]" if u else c
                       for c, u in zip(self.columns, self.column_units)]
-            columns = self._series_columns(_text_floats, None, _text_cell)
+            _, columns = self._series_columns(_table_floats, None, _text_cell)
             widths = [max(len(h), max(map(len, column), default=0))
                       for h, column in zip(header, columns)]
             lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-            row_format = "  ".join(f"{{:>{w}}}" for w in widths)
-            lines += self._format_rows(row_format, columns)
+            if self._series_length():
+                lines.append(self._series_body(
+                    "  ".join(f"%{w}s" for w in widths), "\n", columns))
         return "\n".join(lines)
 
     def to_csv(self) -> str:
         if self.columns is not None:
-            columns = self._series_columns(_text_floats, None, _text_cell)
             lines = [",".join(self.columns)]
-            lines += self._format_rows(",".join(["{}"] * len(columns)), columns)
+            if self._series_length():
+                specs, columns = self._series_columns(_csv_floats, None, _text_cell)
+                lines.append(self._series_body(",".join(specs), "\n", columns))
             return "\n".join(lines)
         lines = ["quantity,value,unit"]
         lines += [f"{k},{v},{u}" for k, v, u in self._scalar_rows()]
@@ -245,14 +263,19 @@ def _finite(x: float, where: str = "a computed value") -> float:
 _JSON_LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _text_floats(column: tuple[float, ...]) -> list[str]:
-    """A finite float column as ``_text_cell`` writes each of its cells."""
-    return list(map("{:.8e}".format, column))
+# A finite float column as _text_cell (CSV, table) or _json_cell (JSON)
+# writes each of its cells: (its % conversion, the values it converts).
+def _csv_floats(column: Sequence[float]) -> tuple[str, Sequence[float]]:
+    return "%.8e", column
 
 
-def _json_floats(column: tuple[float, ...]) -> list[str]:
-    """A finite float column as ``_json_cell`` writes each of its cells."""
-    return list(map(float.__repr__, map(float, map("{:.8e}".format, column))))
+def _table_floats(column: Sequence[float]) -> tuple[str, list[str]]:
+    # the table needs the written cells to size its columns
+    return "%s", list(map("%.8e".__mod__, column))
+
+
+def _json_floats(column: Sequence[float]) -> tuple[str, list[float]]:
+    return "%r", list(map(float, map("%.8e".__mod__, column)))
 
 
 def _json_cell(value: object) -> str:
@@ -449,7 +472,7 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     doc = Document("evaporation")
     doc.add("inputs", "mass_g", args.mass, "g")
     doc.add("results", "lifetime_s", t[-1], "s")
-    doc.set_series(["t", "mass"], ["s", "g"], [[ti, mi] for ti, mi in zip(t, m)])
+    doc.set_columns(["t", "mass"], ["s", "g"], [t, m])
     return doc
 
 
@@ -570,6 +593,9 @@ def cmd_channel(args: argparse.Namespace) -> Document:
     _require(args, "power")
     if (args.lambda_c is None) == (args.frequency is None):
         raise ConfigError("give exactly one of lambda-c or frequency")
+    if args.frequency is not None and not 0 < args.frequency < math.inf:
+        raise DomainError(
+            f"frequency must be positive and finite, got {args.frequency}")
     lambda_c = args.lambda_c if args.lambda_c is not None \
         else CONSTANTS.c / args.frequency
     _fill_defaults(args, {"n_carriers": 1.0})
@@ -601,19 +627,21 @@ SWEEP_SCHEMA = {"param": str, "start": float, "stop": float, "points": int,
                 "lambda_c": float, "power": float, "n_carriers": float,
                 "nu": float, "gamma_bar": float, "n_species": float}
 
-#: Each bh sweep quantity, with its unit, as a function of the mass m and
-#: the hole's ``horizon_lengths`` (M, Q, a, r = r_plus).
+#: Each bh sweep quantity, with its unit, as a column computed from the
+#: mass column m and the holes' ``horizon_columns`` (M, Q, a, r = r_plus).
 BH_SWEEP_QUANTITIES = {
     "r_plus": (lambda m, M, Q, a, r: r, "cm"),
-    "area": (lambda m, M, Q, a, r: area_from(r, a), "cm^2"),
-    "entropy": (lambda m, M, Q, a, r: entropy_from(area_from(r, a)), "nat"),
-    "entropy_bits":
-        (lambda m, M, Q, a, r: nats_to_bits(entropy_from(area_from(r, a))), "bit"),
-    "temperature":
-        (lambda m, M, Q, a, r: temperature_from(M, r, area_from(r, a)), "erg"),
-    "temperature_kelvin": (lambda m, M, Q, a, r: energy_temperature_to_kelvin(
-        temperature_from(M, r, area_from(r, a))), "K"),
-    "mean_density": (lambda m, M, Q, a, r: mean_density(m), "g cm^-3"),
+    "area": (lambda m, M, Q, a, r: list(map(area_from, r, a)), "cm^2"),
+    "entropy": (lambda m, M, Q, a, r:
+                list(map(entropy_from, map(area_from, r, a))), "nat"),
+    "entropy_bits": (lambda m, M, Q, a, r: list(map(
+        nats_to_bits, map(entropy_from, map(area_from, r, a)))), "bit"),
+    "temperature": (lambda m, M, Q, a, r:
+                    list(map(temperature_from, M, r, map(area_from, r, a))), "erg"),
+    "temperature_kelvin": (lambda m, M, Q, a, r: list(map(
+        energy_temperature_to_kelvin,
+        map(temperature_from, M, r, map(area_from, r, a)))), "K"),
+    "mean_density": (lambda m, M, Q, a, r: list(map(mean_density, m)), "g cm^-3"),
 }
 
 
@@ -645,8 +673,15 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                               + ", ".join(sorted(BH_SWEEP_QUANTITIES)))
         func, unit = BH_SWEEP_QUANTITIES[args.quantity]
         q, j = args.charge, args.spin
-        rows = [[m, func(m, *horizon_lengths(m, q, j))] for m in grid]
-        doc.set_series(["mass", args.quantity], ["g", unit], rows)
+        try:
+            values = func(grid, *horizon_columns(grid, q, j))
+        except DomainError:
+            # Each column raises for its own first bad point; the sweep's
+            # first bad point is found point by point.
+            for m in grid:
+                func([m], *horizon_columns([m], q, j))
+            raise
+        doc.set_columns(["mass", args.quantity], ["g", unit], [grid, values])
     else:
         if args.param not in ("power", "lambda_c"):
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
@@ -656,33 +691,47 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             raise ConfigError("channel sweep needs the non-swept parameter "
                               "(lambda-c or power) fixed")
         n = args.n_carriers
-        rows = []
+        # Every point is checked in one pass over the grid; only if one
+        # fails does the per-point loop run, to raise for the first.
         if args.param == "power":
             lambda_c = args.lambda_c
             # The first point's checks come before the cutoff's power.
             check_channel(lambda_c, grid[0], n)
-            p_c = cutoff_power(lambda_c, emission)
-            for P in grid:
-                check_channel(lambda_c, P, n)
-                regime, _, bound = regime_rate(lambda_c, P, p_c, emission)
-                rows.append([P, bound, regime])
+            p_c = repeat(cutoff_power(lambda_c, emission))
+            if not (all(map(math.isfinite, grid)) and min(grid) >= 0.0):
+                for P in grid:
+                    check_channel(lambda_c, P, n)
+            lambdas, powers = repeat(lambda_c), grid
         else:
             P = args.power
-            for lambda_c in grid:
-                check_channel(lambda_c, P, n)
-                regime, _, bound = regime_rate(
-                    lambda_c, P, cutoff_power(lambda_c, emission), emission)
-                rows.append([lambda_c, bound, regime])
-        doc.set_series([args.param, "bound", "regime"],
-                       ["erg s^-1" if args.param == "power" else "cm",
-                        "bit s^-1", ""], rows)
+            # The fixed power and carrier count are checked with the first point.
+            check_channel(grid[0], P, n)
+            if not (all(map(math.isfinite, grid)) and min(grid) > 0.0):
+                for lambda_c in grid:
+                    check_channel(lambda_c, P, n)
+                    cutoff_power(lambda_c, emission)
+            p_c = map(cutoff_power, grid, repeat(emission))
+            lambdas, powers = grid, repeat(P)
+        rates = list(map(regime_rate, lambdas, powers, p_c, repeat(emission)))
+        regimes = [rate[0] for rate in rates]
+        bounds = [rate[2] for rate in rates]
+        doc.set_columns([args.param, "bound", "regime"],
+                        ["erg s^-1" if args.param == "power" else "cm",
+                         "bit s^-1", ""], [grid, bounds, regimes])
     return doc
 
 
 # -- parser and dispatch ---------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one stderr line (exit 2)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bhthermo",
         description="Black hole thermodynamics, entropy bounds and "
                     "channel-capacity limits (CGS units).")
@@ -802,13 +851,22 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         text = COMMANDS[args.command](args).render(args.format)
+        print(text, flush=True)
     except ConfigError as exc:
         print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as exc:
         print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(text)
+    except BrokenPipeError:
+        # The reader closed stdout early.  What is left in its buffer goes
+        # to devnull, so that the flush at exit raises nothing either.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"bhthermo {args.command}: standard output closed before the "
+              "output was complete", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

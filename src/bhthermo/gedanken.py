@@ -118,6 +118,9 @@ def susskind_collapse(sys: MaterialSystem, enclosing_area: float) -> GedankenRep
     """
     if sys.entropy is None:
         raise DomainError("the collapsing system needs a stored entropy")
+    if not 0 < enclosing_area < math.inf:
+        raise DomainError("enclosing area must be positive and finite, "
+                          f"got {enclosing_area}")
     sphere_radius = math.sqrt(enclosing_area / (4.0 * math.pi))
     if sphere_radius < sys.radius * (1.0 - 1e-12):
         raise DomainError(

@@ -31,7 +31,9 @@ angular frequency Omega = j / (m (r_plus^2 + a^2)) [s^-1].
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from .constants import (
     CONSTANTS,
@@ -93,22 +95,10 @@ class FirstLawPotentials:
     omega: float
 
 
-def horizon_lengths(m: float, q: float = 0.0,
-                    j: float = 0.0) -> tuple[float, float, float, float]:
-    """The length scales (M, Q, a, r_plus) [cm] of the hole (m, q, j).
-
-    Runs every check of :func:`make_black_hole` and raises as it does, on
-    plain floats, for callers that evaluate many holes.
-    """
-    if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
-        raise DomainError(
-            f"mass, charge and spin must be finite, got {m}, {q}, {j}")
-    if m < CONSTANTS.planck_mass:
-        raise SubPlanckMassError(
-            f"mass {m} g is below the Planck mass {CONSTANTS.planck_mass:.6e} g")
-    M = geometrized_mass(m)
-    Q = geometrized_charge(q)
-    a = spin_length(j, m)
+def _outer_radius(M: float, Q: float, a: float) -> float:
+    """Outer horizon radius M + sqrt(M^2 - Q^2 - a^2) [cm] from the length
+    scales [cm]; raises NakedSingularityError if Q^2 + a^2 exceeds M^2
+    beyond the EPS_EXTREMAL slack."""
     s2 = Q * Q + a * a
     if s2 > M * M * (1.0 + EPS_EXTREMAL):
         raise NakedSingularityError(
@@ -120,7 +110,48 @@ def horizon_lengths(m: float, q: float = 0.0,
     # square root from amplifying last-digit noise into a fake temperature.
     if disc < EPS_EXTREMAL * M * M:
         disc = 0.0
-    return M, Q, a, M + math.sqrt(disc)
+    return M + math.sqrt(disc)
+
+
+def horizon_lengths(m: float, q: float = 0.0,
+                    j: float = 0.0) -> tuple[float, float, float, float]:
+    """The length scales (M, Q, a, r_plus) [cm] of the hole (m, q, j).
+
+    Runs every check of :func:`make_black_hole` and raises as it does, on
+    plain floats.
+    """
+    if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
+        raise DomainError(
+            f"mass, charge and spin must be finite, got {m}, {q}, {j}")
+    if m < CONSTANTS.planck_mass:
+        raise SubPlanckMassError(
+            f"mass {m} g is below the Planck mass {CONSTANTS.planck_mass:.6e} g")
+    M = geometrized_mass(m)
+    Q = geometrized_charge(q)
+    a = spin_length(j, m)
+    return M, Q, a, _outer_radius(M, Q, a)
+
+
+def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
+                    ) -> tuple[list[float], list[float], list[float], list[float]]:
+    """:func:`horizon_lengths` of the holes (m, q, j), m in ``masses``, as
+    the four columns M, Q, a and r_plus [cm].
+
+    The checks that do not depend on m run once.  An invalid hole raises
+    what :func:`make_black_hole` raises for the first one in ``masses``.
+    """
+    if not (math.isfinite(q) and math.isfinite(j)
+            and all(map(math.isfinite, masses))
+            and min(masses, default=math.inf) >= CONSTANTS.planck_mass):
+        for m in masses:            # raises for the first invalid hole
+            horizon_lengths(m, q, j)
+    Q = geometrized_charge(q)
+    M = list(map(geometrized_mass, masses))
+    a = list(map(spin_length, repeat(j), masses))
+    # The holes that passed the checks above can fail only this one, so
+    # the first to fail it is the first invalid hole.
+    r_plus = list(map(_outer_radius, M, repeat(Q), a))
+    return M, [Q] * len(M), a, r_plus
 
 
 def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
@@ -150,8 +181,16 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
 
 def area_from(r_plus: float, a: float) -> float:
     """Horizon area 4 pi (r_plus^2 + a^2) [cm^2] from the horizon radius
-    and the spin length [cm]."""
-    return 4.0 * math.pi * (r_plus**2 + a**2)
+    and the spin length [cm].
+
+    Raises DomainError when r_plus^2 or a^2 overflows (r_plus above
+    ~1.3e154 cm, m above ~9e181 g).
+    """
+    try:
+        return 4.0 * math.pi * (r_plus**2 + a**2)
+    except OverflowError:
+        raise DomainError(f"horizon radius {r_plus:g} cm puts the horizon "
+                          "area beyond the float range") from None
 
 
 def entropy_from(area: float) -> float:

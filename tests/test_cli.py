@@ -213,6 +213,17 @@ class TestChannel:
         code, _, err = run(capsys, "channel", "--power", "1e-3")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("frequency", ["0", "-0.0", "-1", "nan", "inf"])
+    def test_frequency_must_be_positive_and_finite(self, capsys, frequency, fmt):
+        # zero used to divide by zero (a traceback)
+        code, out, err = run(capsys, "channel", f"--frequency={frequency}",
+                             "--power", "1e-3", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "bhthermo channel: frequency must be positive and finite, got "
+            f"{float(frequency)}"]
+
 
 class TestSweep:
     def test_mass_sweep_scales_as_m_squared(self, capsys):
@@ -376,6 +387,10 @@ class TestOverflow:
     @pytest.mark.parametrize("argv, where", [
         (["bh", "--mass", "1e200"], "mean density"),
         (["bh", "--mass", "1e150"], "results.entropy"),
+        (["bh", "--mass", "1.5e182"], "horizon radius 2.22785e+154 cm"),
+        (["sweep", "bh", "--param", "mass", "--start", "1e181",
+          "--stop", "1e183", "--points", "5", "--quantity", "area"],
+         "horizon radius 1.48523e+154 cm"),
         (["channel", "--power", "1e300", "--lambda-c", "1e300"], "cutoff"),
         (["channel", "--power", "1", "--lambda-c", "1e-300"], "cutoff"),
         (["channel", "--power", "1e300", "--lambda-c", "1"], "results.bound"),
@@ -397,6 +412,42 @@ class TestOverflow:
         assert len(err.splitlines()) == 1
         assert where in err
         assert "float range" in err
+
+
+class TestSusskindArea:
+    """The enclosing area of the collapse scenario must be positive and
+    finite; it is rejected by name, not through the output."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("area", ["inf", "nan", "-5", "0"])
+    def test_exits_1(self, capsys, area, fmt):
+        code, out, err = run(capsys, "gedanken", "--scenario", "susskind",
+                             f"--area={area}", "--energy", "1e30",
+                             "--radius", "1", "--entropy", "1", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "bhthermo gedanken: enclosing area must be positive and finite, "
+            f"got {float(area)}"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_reader_closing_early_exits_2(fmt):
+    """A reader that stops after one line (``| head -1``) gets exit 2 and
+    one stderr line: no traceback, no 'Exception ignored' at shutdown."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bhthermo.cli", "evaporate", "--mass", "1e15",
+         "--points", "100000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env())
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2, err
+    assert first.strip()
+    assert err.splitlines() == [
+        "bhthermo evaporate: standard output closed before the output was "
+        "complete"]
 
 
 class TestPointsCap:

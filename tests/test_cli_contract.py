@@ -1,0 +1,127 @@
+"""The failure-mode contract of ``cli.main``, driven by random arguments.
+
+Every run ends one of two ways: exit 0 with finite output (strict JSON,
+no nan or inf token in a table or CSV), or exit 1 or 2 with one stderr
+line and nothing on stdout.  An exception escaping ``main`` is a
+traceback and fails the test.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+import re
+
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from bhthermo.cli import BH_SWEEP_QUANTITIES, FORMATS, build_parser, main
+
+NON_FINITE = re.compile(r"(?i)(?<![a-z_])(nan|inf|infinity)(?![a-z_])")
+
+
+def _subcommands():
+    """Subcommand -> its parser, read from the parser itself."""
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    raise AssertionError("no subcommands")
+
+
+SUBCOMMANDS = _subcommands()
+
+#: A valid request of each kind, which the strategy below perturbs: each
+#: flag is kept, dropped or given a random value, and other flags of the
+#: subcommand are added with random values.
+VALID = [
+    ["constants"],
+    ["bh", "--mass", "1e15", "--charge-over-m", "0.5", "--spin-over-m", "0.5"],
+    ["evaporate", "--mass", "1e15", "--points", "50"],
+    ["bounds", "--mass", "16", "--radius", "6", "--entropy", "1e3"],
+    ["gedanken", "--scenario", "susskind", "--energy", "1e30", "--radius", "1",
+     "--entropy", "1"],
+    ["gedanken", "--scenario", "capsule", "--bh-mass", "1e30", "--mu", "1",
+     "--b", "1", "--s-cap", "1e30"],
+    ["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius", "1",
+     "--entropy", "1", "--zeta", "10"],
+    ["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "1e15"],
+    ["channel", "--lambda-c", "5e-5", "--power", "1e-3"],
+    ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18",
+     "--points", "50", "--quantity", "entropy"],
+    ["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop", "1e-1",
+     "--points", "50", "--lambda-c", "5e-5"],
+]
+
+#: Values near the physical scales of the subcommands next to every float
+#: hypothesis draws, NaN and the infinities among them.
+TYPICAL = [0.0, 0.5, 1.0, 1.5, 2.0, 10.0, 1e-3, 5e-5, 1e-6, 1e5, 1e15, 1e20,
+           1e30, 2e33, 1e-300, 1e300]
+floats = st.one_of(st.sampled_from(TYPICAL),
+                   st.sampled_from(TYPICAL).map(lambda x: -x),
+                   st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                   st.floats())
+STR_VALUES = {
+    "param": st.sampled_from(["mass", "power", "lambda_c", "charge"]),
+    "quantity": st.sampled_from(sorted(BH_SWEEP_QUANTITIES) + ["volume"]),
+}
+
+
+def values(action):
+    """Strategy for the text of one option's value."""
+    if action.choices is not None:
+        return st.sampled_from(sorted(action.choices))
+    if action.type is int:
+        return st.integers(-2, 1000).map(str)
+    if action.type is float:
+        return floats.map(repr)
+    return STR_VALUES[action.dest]
+
+
+@st.composite
+def argvs(draw):
+    valid = draw(st.sampled_from(VALID))
+    words = 2 if valid[0] == "sweep" else 1     # the subcommand and its target
+    argv = valid[:words]
+    given_values = dict(zip(valid[words::2], valid[words + 1::2]))
+    for action in SUBCOMMANDS[valid[0]]._actions:
+        flag = action.option_strings[-1] if action.option_strings else None
+        if flag in (None, "--help", "--input", "--format"):
+            continue
+        if flag in given_values:
+            how = draw(st.sampled_from(["keep"] * 4 + ["drop", "random"]))
+        else:
+            how = draw(st.sampled_from(["drop"] * 4 + ["random"]))
+        if how == "drop":
+            continue
+        value = given_values[flag] if how == "keep" else draw(values(action))
+        # "--flag -1e5" is a usage error (the value looks like an option),
+        # "--flag=-1e5" is a value
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    return argv + ["--format", draw(st.sampled_from(FORMATS))]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_every_run_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    event(f"{argv[0]} exits {code}")
+    if code == 0:
+        assert err == ""
+        assert out.endswith("\n")
+        if argv[-1] == "json":
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert not NON_FINITE.search(out), out
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert err.startswith("bhthermo")

@@ -96,6 +96,12 @@ class TestSusskindCollapse:
         with pytest.raises(DomainError):
             susskind_collapse(sys_, 4 * math.pi)
 
+    @pytest.mark.parametrize("area", [math.inf, math.nan, -5.0, 0.0])
+    def test_area_must_be_positive_and_finite(self, area):
+        sys_ = MaterialSystem(energy=1e30, radius=1.0, entropy=1.0)
+        with pytest.raises(DomainError, match="enclosing area must be positive"):
+            susskind_collapse(sys_, area)
+
 
 class TestCapsuleLowering:
     def test_boundary_capsule(self):

@@ -17,7 +17,9 @@ from bhthermo.kerr_newman import (
     entropy,
     first_law_residual,
     h_factors,
+    area_from,
     horizon_area,
+    horizon_columns,
     horizon_lengths,
     make_black_hole,
     mean_density,
@@ -126,6 +128,37 @@ class TestFloatKernels:
         with pytest.raises(error) as full:
             make_black_hole(*args)
         assert str(kernel.value) == str(full.value)
+
+    @pytest.mark.parametrize("masses, q, j", [
+        ([1e15, math.nan, 1e-6], 0.0, 0.0),
+        ([1e15, 1e16], math.inf, 0.0),
+        ([1e15, 1e16], 0.0, math.nan),
+        ([1e15, 1e-6, math.inf], 0.0, 0.0),
+        # a naked hole before a sub-Planck mass: the naked one is named
+        ([1e20, 1e17, 1e-6], 2.6e14, 0.0),
+        ([1e20, 1e16, 1e15], 2.6e14, 0.0),
+    ])
+    def test_columns_raise_as_make_black_hole_for_the_first_bad_hole(
+            self, masses, q, j):
+        with pytest.raises(DomainError) as columns:
+            horizon_columns(masses, q, j)
+        for m in masses:
+            try:
+                make_black_hole(m, q, j)
+            except DomainError as first:
+                assert type(columns.value) is type(first)
+                assert str(columns.value) == str(first)
+                break
+        else:
+            raise AssertionError("no hole is invalid")
+
+    def test_area_beyond_the_float_range_is_a_domain_error(self):
+        # r_plus^2 overflows while the hole itself is valid (M^2 does not)
+        bh = make_black_hole(1.5e182)
+        with pytest.raises(DomainError, match="horizon area beyond the float"):
+            horizon_area(bh)
+        with pytest.raises(DomainError, match="horizon area beyond the float"):
+            area_from(1e155, 0.0)
 
 
 class TestArea:

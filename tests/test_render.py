@@ -1,4 +1,8 @@
-"""Document rendering: the fast writers against the eager reference renderer."""
+"""Document rendering: the fast writers against the eager reference renderer.
+
+A ``Document`` stores its series by column; the reference renders it the
+old way, row by row and cell by cell.
+"""
 
 import json
 import math
@@ -33,6 +37,11 @@ def _ref_cell(value, exact=False):
     return f"{float(value):.16e}" if exact else f"{float(value):.8e}"
 
 
+def _ref_rows(doc):
+    """The series as rows; a series with no column has no rows."""
+    return [list(row) for row in zip(*doc.series)]
+
+
 def _ref_scalar_rows(doc):
     rows = []
     for section, items in doc.sections.items():
@@ -50,7 +59,7 @@ def reference_json(doc):
         obj[section] = {k: _ref_display(v, exact) for k, v in items.items()}
     if doc.columns is not None:
         obj["columns"] = doc.columns
-        obj["rows"] = [[_ref_display(v) for v in row] for row in doc.rows]
+        obj["rows"] = [[_ref_display(v) for v in row] for row in _ref_rows(doc)]
     obj["units"] = {k: u for k, u in doc.units.items() if u}
     if doc.column_units is not None:
         obj["units"].update(
@@ -68,7 +77,7 @@ def reference_table(doc):
     if doc.columns is not None:
         header = [f"{c} [{u}]" if u else c
                   for c, u in zip(doc.columns, doc.column_units)]
-        cells = [[_ref_cell(v) for v in row] for row in doc.rows]
+        cells = [[_ref_cell(v) for v in row] for row in _ref_rows(doc)]
         widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
                   for i, h in enumerate(header)]
         lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -80,7 +89,7 @@ def reference_table(doc):
 def reference_csv(doc):
     if doc.columns is not None:
         lines = [",".join(doc.columns)]
-        lines += [",".join(_ref_cell(v) for v in row) for row in doc.rows]
+        lines += [",".join(_ref_cell(v) for v in row) for row in _ref_rows(doc)]
         return "\n".join(lines)
     lines = ["quantity,value,unit"]
     lines += [f"{k},{v},{u}" for k, v, u in _ref_scalar_rows(doc)]
@@ -93,8 +102,12 @@ REFERENCE = {"table": reference_table, "json": reference_json,
 # -- generated documents -----------------------------------------------------
 
 _TRICKY = '"\\/\n\r\t\b\f\x00\x1f\x7f,;# é€ \U0001F600'
+#: Template syntax of ``%`` and ``str.format``: a cell is data, never a template.
+_TEMPLATE = ["%", "%s", "%r", "%%", "%(x)s", "%.8e", "{}", "{0}", "{x}", "{", "}"]
 texts = st.one_of(st.text(max_size=12),
-                  st.text(alphabet=st.sampled_from(_TRICKY + "ab"), max_size=12))
+                  st.text(alphabet=st.sampled_from(_TRICKY + "ab"), max_size=12),
+                  st.lists(st.sampled_from(_TEMPLATE + ["a", " "]),
+                           max_size=5).map("".join))
 floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -131,21 +144,30 @@ def column(draw, nrows):
 
 
 @st.composite
-def documents(draw, series=None):
+def series(draw, nonempty=False, ragged=False):
+    """(names, units, columns) of a series; ``nonempty`` draws at least one
+    column and one row, ``ragged`` columns of at least two lengths."""
+    ncols = draw(st.integers(2 if ragged else 1 if nonempty else 0, 4))
+    lengths = st.sampled_from([0, 1, draw(st.integers(2, 60))])
+    nrows = draw(st.integers(1, 60) if nonempty else lengths)
+    names = draw(st.lists(texts, min_size=ncols, max_size=ncols))
+    units = draw(st.lists(texts, min_size=ncols, max_size=ncols))
+    if ragged:
+        sizes = draw(st.lists(lengths, min_size=ncols, max_size=ncols)
+                     .filter(lambda sizes: len(set(sizes)) > 1))
+    else:
+        sizes = [nrows] * ncols
+    return names, units, [draw(column(n)) for n in sizes]
+
+
+@st.composite
+def documents(draw, with_series=None):
     doc = Document(draw(texts))
     for section in draw(st.lists(section_names, max_size=3)):
         for name in draw(st.lists(texts, max_size=4)):
             doc.add(section, name, draw(cells), draw(texts))
-    if series or (series is None and draw(st.booleans())):
-        ncols = draw(st.integers(1 if series else 0, 4))
-        nrows = draw(st.sampled_from([1, draw(st.integers(2, 60))]) if series
-                     else st.sampled_from([0, 1, draw(st.integers(2, 60))]))
-        columns = draw(st.lists(texts, min_size=ncols, max_size=ncols))
-        units = draw(st.lists(texts, min_size=ncols, max_size=ncols))
-        by_column = [draw(column(nrows)) for _ in range(ncols)]
-        rows = ([list(row) for row in zip(*by_column)] if ncols
-                else [[] for _ in range(nrows)])
-        doc.set_series(columns, units, rows)
+    if with_series or (with_series is None and draw(st.booleans())):
+        doc.set_columns(*draw(series(nonempty=bool(with_series))))
     return doc
 
 
@@ -157,7 +179,7 @@ def test_writers_match_the_reference_byte_for_byte(doc):
 
 def reference_refusal(doc):
     """The message naming the first non-finite float cell in row order."""
-    for row in doc.rows:
+    for row in _ref_rows(doc):
         for name, value in zip(doc.columns, row):
             if isinstance(value, float) and not math.isfinite(value):
                 what = ("undefined (nan)" if math.isnan(value)
@@ -170,12 +192,12 @@ non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).flatmap(
     lambda x: st.sampled_from([x, FloatSubclass(x)]))
 
 
-@given(documents(series=True), st.data())
+@given(documents(with_series=True), st.data())
 def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, data):
-    nrows, ncols = len(doc.rows), len(doc.columns)
+    nrows, ncols = len(doc.series[0]), len(doc.columns)
     cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
     for i, j in data.draw(st.lists(cells, min_size=1, max_size=3)):
-        doc.rows[i][j] = data.draw(non_finite)
+        doc.series[j][i] = data.draw(non_finite)
     expected = reference_refusal(doc)
     for fmt in FORMATS:
         with pytest.raises(DomainError) as info:
@@ -186,11 +208,40 @@ def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, data):
 def test_many_rows_match_the_reference():
     doc = Document("sweep")
     doc.add("inputs", "start", 1e-3, "g")
-    doc.set_series(["x", "y", "label"], ["g", "", ""],
-                   [[i * 1.000000007, -1.0 / (i + 1), f"r{i % 3}"]
-                    for i in range(3000)])
+    doc.set_columns(["x", "y", "label"], ["g", "", ""],
+                    [[i * 1.000000007 for i in range(3000)],
+                     [-1.0 / (i + 1) for i in range(3000)],
+                     [f"r{i % 3}" for i in range(3000)]])
     for fmt in FORMATS:
         assert doc.render(fmt) == REFERENCE[fmt](doc), fmt
+
+
+@given(series(ragged=True))
+def test_columns_of_unequal_length_are_refused(args):
+    with pytest.raises(ValueError, match="differ in length"):
+        Document("x").set_columns(*args)
+
+
+@pytest.mark.parametrize("names, units", [(["x"], ["", ""]), (["x", "y"], [""])])
+def test_a_name_and_a_unit_per_column(names, units):
+    with pytest.raises(ValueError, match="2 columns"):
+        Document("x").set_columns(names, units, [[1.0], [2.0]])
+
+
+def test_a_rows_form_caller_fails_loudly():
+    """The series setter takes columns under a new name, so a caller still
+    passing rows to the old one raises instead of printing a transposed
+    table."""
+    with pytest.raises(AttributeError):
+        Document("x").set_series(["x", "y"], ["", ""], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_a_series_without_columns_has_no_rows():
+    doc = Document("x")
+    doc.set_columns([], [], [])
+    assert doc.render("csv") == ""
+    assert doc.render("table") == "# x\n"
+    assert json.loads(doc.render("json"))["rows"] == []
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -221,8 +272,8 @@ def test_non_finite_scalar_is_refused(fmt, bad):
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_series_cell_is_refused(fmt, bad):
     doc = Document("sweep")
-    doc.set_series(["mass", "entropy"], ["g", "nat"],
-                   [[1e15, 2.0], [1e16, bad], [1e17, 3.0]])
+    doc.set_columns(["mass", "entropy"], ["g", "nat"],
+                    [[1e15, 1e16, 1e17], [2.0, bad, 3.0]])
     with pytest.raises(DomainError, match="entropy at mass = 1e\\+16"):
         doc.render(fmt)
     # the public writers refuse it too, with or without the location

@@ -1,8 +1,9 @@
-"""Sweeps on float kernels against the per-point object loops they replaced.
+"""Sweeps on column kernels against the per-point object loops they replaced.
 
 The references below are the sweep loops as ``cmd_sweep`` wrote them when
-each point built a ``BlackHole`` or a ``Channel``; every emitted cell must
-match them bit for bit, and every error must be the same error.
+each point built a ``BlackHole`` or a ``Channel``, one row per point; every
+cell of the columns ``cmd_sweep`` now fills must match them bit for bit,
+and every error must be the same error.
 """
 
 import math
@@ -27,6 +28,7 @@ from bhthermo.grids import geomspace, linspace
 from bhthermo.kerr_newman import (
     entropy,
     horizon_area,
+    horizon_columns,
     make_black_hole,
     mean_density,
     temperature,
@@ -67,13 +69,18 @@ def grid(start, stop, points, spacing):
     return (geomspace if spacing == "log" else linspace)(start, stop, points)
 
 
-def sweep_rows(argv):
-    return cmd_sweep(build_parser().parse_args(["sweep", *argv])).rows
+def sweep_columns(argv):
+    return cmd_sweep(build_parser().parse_args(["sweep", *argv])).series
 
 
-def bits(rows):
-    """Rows with every float as its exact hex form, so -0.0 != 0.0."""
-    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+def columns_of(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+def bits(columns):
+    """Columns with every float as its exact hex form, so -0.0 != 0.0."""
+    return [[v.hex() if isinstance(v, float) else v for v in column]
+            for column in columns]
 
 
 def charge_spin(m, q_over_m, a_over_m):
@@ -96,22 +103,35 @@ HOLES = {
     "spinning": (0.0, 0.9),
     "kerr_newman": (0.6, 0.6),
     "near_extremal": (0.6, 0.8 * (1 - 1e-13)),
+    "near_extremal_charge": (1 - 1e-13, 0.0),
+    "near_extremal_spin": (0.0, 1 - 1e-13),
     "extremal_within_slack": (0.6, 0.8 * (1 + 1e-13)),
 }
+GRIDS = [("log", 1e15, 1e25), ("linear", 1e15, 3e15), ("log", 1e-4, 1e40)]
 
 
 @pytest.mark.parametrize("quantity", sorted(REFERENCE_QUANTITIES))
 @pytest.mark.parametrize("hole", sorted(HOLES))
-@pytest.mark.parametrize("spacing, start, stop", [
-    ("log", 1e15, 1e25), ("linear", 1e15, 3e15), ("log", 1e-4, 1e40)])
+@pytest.mark.parametrize("spacing, start, stop", GRIDS)
 def test_bh_sweep_matches_the_object_loop(quantity, hole, spacing, start, stop):
     q, j = charge_spin(start, *HOLES[hole])
     expected = reference_bh_rows(grid(start, stop, 300, spacing), quantity, q, j)
-    got = sweep_rows(["bh", "--param", "mass", "--start", repr(start),
-                      "--stop", repr(stop), "--points", "300",
-                      "--spacing", spacing, "--quantity", quantity,
-                      "--charge", repr(q), "--spin", repr(j)])
-    assert bits(got) == bits(expected)
+    got = sweep_columns(["bh", "--param", "mass", "--start", repr(start),
+                         "--stop", repr(stop), "--points", "300",
+                         "--spacing", spacing, "--quantity", quantity,
+                         "--charge", repr(q), "--spin", repr(j)])
+    assert bits(got) == bits(columns_of(expected))
+
+
+@pytest.mark.parametrize("hole", sorted(HOLES))
+@pytest.mark.parametrize("spacing, start, stop", GRIDS)
+def test_column_kernel_matches_make_black_hole(hole, spacing, start, stop):
+    q, j = charge_spin(start, *HOLES[hole])
+    masses = grid(start, stop, 300, spacing)
+    holes = [make_black_hole(m, q, j) for m in masses]
+    expected = [[bh.M for bh in holes], [bh.Q for bh in holes],
+                [bh.a for bh in holes], [bh.r_plus for bh in holes]]
+    assert bits(horizon_columns(masses, q, j)) == bits(expected)
 
 
 # -- channel sweeps ----------------------------------------------------------
@@ -140,12 +160,12 @@ def test_power_sweep_matches_the_object_loop(emission, spacing, n_carriers):
     expected = reference_channel_rows(grid(start, stop, 401, spacing), "power",
                                       lambda_c, n_carriers, params)
     assert {row[2] for row in expected} == {"low", "intermediate", "high"}
-    got = sweep_rows(["channel", "--param", "power", "--start", repr(start),
-                      "--stop", repr(stop), "--points", "401",
-                      "--spacing", spacing, "--lambda-c", repr(lambda_c),
-                      "--n-carriers", repr(n_carriers),
-                      *emission_flags(emission)])
-    assert bits(got) == bits(expected)
+    got = sweep_columns(["channel", "--param", "power", "--start", repr(start),
+                         "--stop", repr(stop), "--points", "401",
+                         "--spacing", spacing, "--lambda-c", repr(lambda_c),
+                         "--n-carriers", repr(n_carriers),
+                         *emission_flags(emission)])
+    assert bits(got) == bits(columns_of(expected))
 
 
 @pytest.mark.parametrize("emission", sorted(EMISSIONS))
@@ -161,11 +181,11 @@ def test_lambda_c_sweep_matches_the_object_loop(emission, spacing):
     expected = reference_channel_rows(grid(start, stop, 401, spacing),
                                       "lambda_c", power, 1.0, params)
     assert {row[2] for row in expected} == {"low", "intermediate", "high"}
-    got = sweep_rows(["channel", "--param", "lambda_c", "--start", repr(start),
-                      "--stop", repr(stop), "--points", "401",
-                      "--spacing", spacing, "--power", repr(power),
-                      *emission_flags(emission)])
-    assert bits(got) == bits(expected)
+    got = sweep_columns(["channel", "--param", "lambda_c", "--start", repr(start),
+                         "--stop", repr(stop), "--points", "401",
+                         "--spacing", spacing, "--power", repr(power),
+                         *emission_flags(emission)])
+    assert bits(got) == bits(columns_of(expected))
 
 
 def test_power_sweep_hits_both_edges_exactly():
@@ -177,11 +197,11 @@ def test_power_sweep_hits_both_edges_exactly():
     params = EmissionParameters()
     expected = reference_channel_rows(sorted(points), "power", lambda_c, 1.0,
                                       params)
-    got = [sweep_rows(["channel", "--param", "power", "--start", repr(P),
-                       "--stop", repr(P), "--points", "1",
-                       "--lambda-c", repr(lambda_c)])[0]
-           for P in sorted(points)]
-    assert bits(got) == bits(expected)
+    got = [[column[0] for column in sweep_columns(
+        ["channel", "--param", "power", "--start", repr(P), "--stop", repr(P),
+         "--points", "1", "--lambda-c", repr(lambda_c)])]
+        for P in sorted(points)]
+    assert bits(columns_of(got)) == bits(columns_of(expected))
     assert [row[2] for row in got] == ["low", "low", "intermediate",
                                        "intermediate", "high", "high"]
 
@@ -204,6 +224,31 @@ def reference_error(reference):
       "--charge", "2.6e14", "--quantity", "temperature"],
      lambda: reference_bh_rows(grid(1e20, 1e10, 50, "log"), "temperature",
                                2.6e14, 0.0)),
+    # a bad point mid-column behind an earlier point that fails another
+    # check: a naked singularity before sub-Planck masses ...
+    (["bh", "--param", "mass", "--start", "1e20", "--stop", "1e-10",
+      "--charge", "2.6e14"],
+     lambda: reference_bh_rows(grid(1e20, 1e-10, 50, "log"), "entropy",
+                               2.6e14, 0.0)),
+    # ... a mean density beyond the float range before naked singularities
+    (["bh", "--param", "mass", "--start", "1e200", "--stop", "1e-3",
+      "--charge", "1e20", "--quantity", "mean_density"],
+     lambda: reference_bh_rows(grid(1e200, 1e-3, 50, "log"), "mean_density",
+                               1e20, 0.0)),
+    # ... and a cutoff beyond the float range before a zero cutoff
+    (["channel", "--param", "lambda_c", "--start", "1e200", "--stop=-1e200",
+      "--points", "5", "--spacing", "linear", "--power", "1e-3"],
+     lambda: reference_channel_rows(linspace(1e200, -1e200, 5), "lambda_c",
+                                    1e-3, 1.0, EmissionParameters())),
+    # the first bad point of a swept power or cutoff, mid-column
+    (["channel", "--param", "power", "--start", "1", "--stop", "-1",
+      "--spacing", "linear", "--lambda-c", "5e-5"],
+     lambda: reference_channel_rows(linspace(1.0, -1.0, 50), "power", 5e-5,
+                                    1.0, EmissionParameters())),
+    (["channel", "--param", "lambda_c", "--start", "1", "--stop", "-1",
+      "--spacing", "linear", "--power", "1e-3"],
+     lambda: reference_channel_rows(linspace(1.0, -1.0, 50), "lambda_c", 1e-3,
+                                    1.0, EmissionParameters())),
     # lambda_c^2 leaves the float range mid-sweep
     (["channel", "--param", "lambda_c", "--start", "1", "--stop", "1e200",
       "--power", "1e-3"],
@@ -230,6 +275,15 @@ def reference_error(reference):
     (["channel", "--param", "power", "--start", "1", "--stop", "2",
       "--lambda-c", "5e-5", "--n-carriers", "0.5"],
      lambda: reference_channel_rows(geomspace(1.0, 2.0, 50), "power", 5e-5,
+                                    0.5, EmissionParameters())),
+    # a bad fixed power or carrier count under a valid swept cutoff
+    (["channel", "--param", "lambda_c", "--start", "1e-3", "--stop", "1",
+      "--power", "-1"],
+     lambda: reference_channel_rows(geomspace(1e-3, 1.0, 50), "lambda_c", -1.0,
+                                    1.0, EmissionParameters())),
+    (["channel", "--param", "lambda_c", "--start", "1e-3", "--stop", "1",
+      "--power", "1e-3", "--n-carriers", "0.5"],
+     lambda: reference_channel_rows(geomspace(1e-3, 1.0, 50), "lambda_c", 1e-3,
                                     0.5, EmissionParameters())),
     (["channel", "--param", "lambda_c", "--start", "-1", "--stop", "1",
       "--spacing", "linear", "--power", "-1"],
