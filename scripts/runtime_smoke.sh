@@ -1,22 +1,36 @@
 #!/usr/bin/env bash
 # Smoke test of the command line with only the runtime installed (no test
-# extras): every subcommand in every format exits 0, two rejected requests
-# exit 1 and 2, and a 100k-point series whose reader stops after one line
-# (`| head -1`) exits 2.  No run may write a Python traceback to stderr.
+# extras): every subcommand in every format exits 0, every `--help` exits 0,
+# rejected requests exit 1 and 2, and a 100k-point series whose reader stops
+# after one line (`| head -1`) exits 2.  No run may write a Python traceback
+# to stderr.  Every case runs twice: through `python -m bhthermo.cli` and
+# through the `bhthermo` console script, whose import path differs (it
+# imports the package, then `bhthermo.cli`, then calls `entrypoint`).
 #
 #   bash scripts/runtime_smoke.sh                  # the installed package
 #   PYTHONPATH=src bash scripts/runtime_smoke.sh   # a source checkout
+#
+# Without a `bhthermo` script on PATH (a source checkout) the console-script
+# runs call the same entry point through `python -c`.
 set -u
 
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
 failures=0
 
+if command -v bhthermo > /dev/null; then
+    console=(bhthermo)
+else
+    echo "no bhthermo on PATH: calling bhthermo.cli:entrypoint through python -c"
+    console=(python -c 'import sys; from bhthermo.cli import entrypoint
+sys.argv[0] = "bhthermo"; sys.exit(entrypoint())')
+fi
+
 report() {  # expected exit code, actual exit code, the arguments of the run
     local expected=$1 code=$2
     shift 2
     if [ "$code" -ne "$expected" ] || grep -q "Traceback" "$err"; then
-        echo "FAIL (exit $code, expected $expected): bhthermo $*"
+        echo "FAIL (exit $code, expected $expected): $*"
         sed 's/^/    /' "$err"
         failures=$((failures + 1))
     fi
@@ -26,8 +40,15 @@ run() {  # expected exit code, then the arguments of one run
     local expected=$1
     shift
     python -m bhthermo.cli "$@" > /dev/null 2> "$err"
-    report "$expected" $? "$@"
+    report "$expected" $? python -m bhthermo.cli "$@"
+    "${console[@]}" "$@" > /dev/null 2> "$err"
+    report "$expected" $? bhthermo "$@"
 }
+
+run 0 --help
+for sub in constants bh evaporate bounds gedanken channel sweep; do
+    run 0 "$sub" --help
+done
 
 for fmt in table json csv; do
     run 0 constants --format "$fmt"
@@ -48,10 +69,19 @@ for fmt in table json csv; do
         --lambda-c 5e-5 --format "$fmt"
     run 1 bh --mass 1e-10 --format "$fmt"
     run 2 bh --format "$fmt"
+    # a bare negative number in scientific notation is a value (a domain
+    # error here, exit 1), not a flag the parser rejects (exit 2)
+    run 1 sweep channel --param lambda_c --start 1e-3 --stop -1e-1 --power 1 \
+        --spacing linear --format "$fmt"
 
     python -m bhthermo.cli evaporate --mass 1e15 --points 100000 \
         --format "$fmt" 2> "$err" | head -1 > /dev/null
-    report 2 "${PIPESTATUS[0]}" evaporate --points 100000 --format "$fmt" "| head -1"
+    report 2 "${PIPESTATUS[0]}" python -m bhthermo.cli evaporate --points 100000 \
+        --format "$fmt" "| head -1"
+    "${console[@]}" evaporate --mass 1e15 --points 100000 \
+        --format "$fmt" 2> "$err" | head -1 > /dev/null
+    report 2 "${PIPESTATUS[0]}" bhthermo evaporate --points 100000 \
+        --format "$fmt" "| head -1"
 done
 
 if [ "$failures" -ne 0 ]; then

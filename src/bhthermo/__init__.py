@@ -1,69 +1,68 @@
 """Black hole thermodynamics, Hawking evaporation, entropy bounds and
-GSL channel-capacity limits, all in Gaussian CGS units."""
+GSL channel-capacity limits, all in Gaussian CGS units.
 
-from .bounds import (
-    BoundEntry,
-    BoundReport,
-    MaterialSystem,
-    bound_report,
-    compositeness,
-    gour_bound,
-    holographic_bound,
-    universal_bound,
-    weak_gravity_ratio,
-    weak_universal_bound,
-)
-from .channel import (
-    CapacityReport,
-    Channel,
-    ConsistencyReport,
-    bremermann_rate,
-    capacity_bound,
-    characteristic_power,
-    consistency_check,
-    gsl_bound,
-    optimal_xi,
-    pendry_capacity,
-)
-from .constants import (
-    CODATA2018,
-    CONSTANTS,
-    PhysicalConstants,
-    energy_temperature_to_kelvin,
-    geometrized_charge,
-    geometrized_mass,
-    nats_to_bits,
-    spin_length,
-)
-from .errors import DomainError, NakedSingularityError, SubPlanckMassError
-from .evaporation import (
-    EmissionParameters,
-    entropy_emission_rate,
-    hawking_flux,
-    hawking_power,
-    lifetime,
-    mass_loss_rate,
-)
-from .gedanken import (
-    EntropyLedger,
-    GedankenReport,
-    capsule_lowering,
-    drop_distance,
-    infall_experiment,
-    merger,
-    susskind_collapse,
-)
-from .kerr_newman import (
-    BlackHole,
-    FirstLawPotentials,
-    entropy,
-    first_law_residual,
-    h_factors,
-    horizon_area,
-    make_black_hole,
-    mean_density,
-    potentials,
-    temperature,
-)
+Every public name is an attribute of the package, but its formula module
+is imported on first use (PEP 562): ``import bhthermo`` itself loads none.
+"""
+
+import sys as _sys
 
 __version__ = "0.1.0"
+
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "bounds": (
+        "BoundEntry", "BoundReport", "MaterialSystem", "bound_report",
+        "compositeness", "gour_bound", "holographic_bound", "universal_bound",
+        "weak_gravity_ratio", "weak_universal_bound",
+    ),
+    "channel": (
+        "CapacityReport", "Channel", "ConsistencyReport", "bremermann_rate",
+        "capacity_bound", "characteristic_power", "consistency_check",
+        "gsl_bound", "optimal_xi", "pendry_capacity",
+    ),
+    "constants": (
+        "CODATA2018", "CONSTANTS", "PhysicalConstants",
+        "energy_temperature_to_kelvin", "geometrized_charge", "geometrized_mass",
+        "nats_to_bits", "spin_length",
+    ),
+    "errors": ("DomainError", "NakedSingularityError", "SubPlanckMassError"),
+    "evaporation": (
+        "EmissionParameters", "entropy_emission_rate", "hawking_flux",
+        "hawking_power", "lifetime", "mass_loss_rate",
+    ),
+    "gedanken": (
+        "EntropyLedger", "GedankenReport", "capsule_lowering", "drop_distance",
+        "infall_experiment", "merger", "susskind_collapse",
+    ),
+    "kerr_newman": (
+        "BlackHole", "FirstLawPotentials", "entropy", "first_law_residual",
+        "h_factors", "horizon_area", "make_black_hole", "mean_density",
+        "potentials", "temperature",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+#: The formula submodules, which are attributes of the package too.
+_SUBMODULES = (*_EXPORTS, "grids")
+
+__all__ = [*_HOME, *_SUBMODULES]
+
+
+def _submodule(name: str) -> object:
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)           # -X importtime omits importlib.import_module
+    return _sys.modules[qualified]
+
+
+def __getattr__(name: str) -> object:
+    if name in _SUBMODULES:
+        return _submodule(name)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_submodule(_HOME[name]), name)
+    globals()[name] = value         # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

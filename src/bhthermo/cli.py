@@ -10,23 +10,14 @@ records re-feed exactly); units travel in a parallel metadata field.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
+import re
 import sys
 from collections.abc import Callable, Sequence
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
-from .bounds import MaterialSystem, bound_report, sphere_area
-from .channel import (
-    Channel,
-    capacity_bound,
-    check_channel,
-    cutoff_power,
-    regime_rate,
-)
 from .constants import (
     CONSTANTS,
     constants_table,
@@ -35,28 +26,52 @@ from .constants import (
     nats_to_bits,
 )
 from .errors import DomainError
-from .evaporation import EmissionParameters, mass_history
-from .gedanken import (
-    GedankenReport,
-    capsule_lowering,
-    infall_experiment,
-    merger,
-    susskind_collapse,
-)
-from .grids import geomspace, linspace
-from .kerr_newman import (
-    area_from,
-    entropy,
-    entropy_from,
-    h_factors,
-    horizon_area,
-    horizon_columns,
-    make_black_hole,
-    mean_density,
-    potentials,
-    temperature,
-    temperature_from,
-)
+
+#: The names this module takes from the formula modules, by module.  Each
+#: subcommand imports only the modules it runs: it calls ``_load`` for
+#: them, which binds their names here.  A name already set on this module
+#: (a test double, a tracing wrapper) is left as set, and every call goes
+#: through the module global, so the name set is the one that runs.
+_LAZY_IMPORTS = {
+    "bounds": ("COMPOSITE_THRESHOLD", "DEFAULT_NU", "DEFAULT_ZETA",
+               "MaterialSystem", "WEAK_GRAVITY_THRESHOLD", "bound_report",
+               "sphere_area"),
+    "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
+                "regime_rate"),
+    "evaporation": ("EmissionParameters", "mass_history"),
+    "gedanken": ("GedankenReport", "capsule_lowering", "infall_experiment",
+                 "merger", "susskind_collapse"),
+    "grids": ("geomspace", "linspace"),
+    "kerr_newman": ("area_from", "entropy", "entropy_from", "h_factors",
+                    "horizon_area", "horizon_columns", "make_black_hole",
+                    "mean_density", "potentials", "temperature",
+                    "temperature_from"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY_IMPORTS.items()
+              for name in names}
+
+
+def _load(*modules: str) -> None:
+    """Import the formula modules and bind each of their names in
+    _LAZY_IMPORTS that this module does not hold yet."""
+    namespace = globals()
+    for module in modules:
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)       # -X importtime omits importlib.import_module
+        loaded = sys.modules[qualified]
+        for name in _LAZY_IMPORTS[module]:
+            if name not in namespace:
+                namespace[name] = getattr(loaded, name)
+
+
+def __getattr__(name: str) -> object:
+    """A formula name read before any subcommand bound it: its module is
+    loaded then (PEP 562), so it can be read, wrapped or replaced."""
+    if name not in _LAZY_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_LAZY_HOME[name])
+    return globals()[name]
+
 
 FORMAT_ENV = "BHTHERMO_FORMAT"
 FORMATS = ("table", "json", "csv")
@@ -129,6 +144,9 @@ class Document:
     def to_json(self) -> str:
         """Strict JSON, byte for byte ``json.dumps(obj, indent=2)`` of the
         document; the series rows skip that pure-Python encoder."""
+        import json
+        from json.encoder import encode_basestring_ascii
+
         obj: dict[str, object] = {"kind": self.kind}
         for section, items in self.sections.items():
             exact = section in FULL_PRECISION_SECTIONS
@@ -282,6 +300,7 @@ def _json_cell(value: object) -> str:
     """A series cell as ``json.dumps`` writes ``Document._display`` of it."""
     if value.__class__ is not float:        # floats, the common cells, skip these
         if isinstance(value, str):
+            from json.encoder import encode_basestring_ascii
             return encode_basestring_ascii(value)
         if value is None or isinstance(value, bool):
             return _JSON_LITERALS[value]
@@ -332,11 +351,12 @@ def load_input_file(path: str, command: str) -> dict[str, str]:
     try:
         if not path.endswith(".json"):
             return _parse_kv_file(path)
+        import json
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:       # json.JSONDecodeError, UnicodeDecodeError
         raise ConfigError(f"cannot parse {path}: {exc}")
     inputs = obj.get("inputs", obj) if isinstance(obj, dict) else None
     if not isinstance(inputs, dict):
@@ -428,6 +448,7 @@ BH_SCHEMA = {"mass": float, "charge": float, "spin": float,
 
 
 def cmd_bh(args: argparse.Namespace) -> Document:
+    _load("kerr_newman")
     merge_input(args, "bh", BH_SCHEMA)
     _require(args, "mass")
     q, j = _resolve_charge_spin(args)
@@ -461,6 +482,7 @@ EVAPORATE_SCHEMA = {"mass": float, "points": int, "nu": float,
 
 
 def cmd_evaporate(args: argparse.Namespace) -> Document:
+    _load("evaporation")
     merge_input(args, "evaporate", EVAPORATE_SCHEMA)
     _require(args, "mass")
     _fill_defaults(args, {"points": 200})
@@ -482,14 +504,15 @@ BOUNDS_SCHEMA = {"energy": float, "mass": float, "radius": float,
 
 
 def cmd_bounds(args: argparse.Namespace) -> Document:
+    _load("bounds")
     merge_input(args, "bounds", BOUNDS_SCHEMA)
     _require(args, "radius")
     if (args.energy is None) == (args.mass is None):
         raise ConfigError("give exactly one of energy or mass")
     energy = args.energy if args.energy is not None else args.mass * CONSTANTS.c**2
-    _fill_defaults(args, {"nu": 1.5, "zeta": 10.0,
-                          "composite_threshold": 10.0,
-                          "weak_gravity_threshold": 1e-2})
+    _fill_defaults(args, {"nu": DEFAULT_NU, "zeta": DEFAULT_ZETA,
+                          "composite_threshold": COMPOSITE_THRESHOLD,
+                          "weak_gravity_threshold": WEAK_GRAVITY_THRESHOLD})
     sys_ = MaterialSystem(energy=energy, radius=args.radius, entropy=args.entropy)
     report = bound_report(sys_, enclosing_area=args.area,
                           nu=args.nu, zeta=args.zeta,
@@ -532,6 +555,7 @@ def _system_from_args(args: argparse.Namespace) -> MaterialSystem:
 
 
 def cmd_gedanken(args: argparse.Namespace) -> Document:
+    _load("bounds", "evaporation", "gedanken", "kerr_newman")
     merge_input(args, "gedanken", GEDANKEN_SCHEMA)
     _require(args, "scenario")
     scenario = args.scenario
@@ -550,7 +574,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
         if args.bh_mass is not None:
             report = infall_experiment(sys_, make_black_hole(args.bh_mass), params)
         else:
-            _fill_defaults(args, {"zeta": 10.0})
+            _fill_defaults(args, {"zeta": DEFAULT_ZETA})
             report = infall_experiment(sys_, args.zeta, params)
     elif scenario == "merger":
         _require(args, "m1", "m2")
@@ -589,6 +613,7 @@ CHANNEL_SCHEMA = {"lambda_c": float, "frequency": float, "power": float,
 
 
 def cmd_channel(args: argparse.Namespace) -> Document:
+    _load("channel", "evaporation")
     merge_input(args, "channel", CHANNEL_SCHEMA)
     _require(args, "power")
     if (args.lambda_c is None) == (args.frequency is None):
@@ -659,12 +684,14 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
+    _load("grids")
     merge_input(args, "sweep", SWEEP_SCHEMA)
     _require(args, "param", "start", "stop")
     _fill_defaults(args, {"points": 50, "spacing": "log"})
     grid = _sweep_grid(args)
     doc = Document("sweep")
     if args.target == "bh":
+        _load("kerr_newman")
         if args.param != "mass":
             raise ConfigError("bh sweeps support param=mass")
         _fill_defaults(args, {"quantity": "entropy", "charge": 0.0, "spin": 0.0})
@@ -683,6 +710,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             raise
         doc.set_columns(["mass", args.quantity], ["g", unit], [grid, values])
     else:
+        _load("channel", "evaporation")
         if args.param not in ("power", "lambda_c"):
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
         _fill_defaults(args, {"n_carriers": 1.0})
@@ -723,8 +751,18 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
 
 # -- parser and dispatch ---------------------------------------------------
 
+#: A negative number, also in scientific notation (-1e5, -1.5E-3, -.5e+2):
+#: a value, not an option.  argparse's own pattern has no exponent.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line (exit 2)."""
+    """An argument parser whose usage errors are one stderr line (exit 2),
+    and which reads a word such as ``-1e5`` as a negative number."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str) -> NoReturn:
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -1,0 +1,195 @@
+"""Cold start: the package and the command line load a formula module only
+when a request needs it, and the lazily loaded names behave as the eagerly
+imported ones did.
+
+Which modules a request loads can only be seen in a fresh interpreter, so
+these tests run their probes in subprocesses.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+import bhthermo
+from bhthermo import cli
+
+SRC = os.path.dirname(os.path.dirname(bhthermo.__file__))
+PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
+
+
+def _probe(code: str, *argv: str) -> object:
+    """Run ``code`` in a fresh interpreter with ``argv`` as sys.argv[1:];
+    its last stdout line is a Python literal, returned evaluated."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("BHTHERMO_FORMAT", None)
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+#: Runs cli.main on sys.argv[1:] with its output discarded, then prints the
+#: exit code and which modules the run loaded.
+FOOTPRINT = """
+import io, sys
+from bhthermo import cli
+sys.stdout = io.StringIO()
+code = cli.main(sys.argv[1:])
+sys.stdout = sys.__stdout__
+print((code, sorted(m for m in sys.modules if m.split(".")[0] == "bhthermo"),
+       sorted({"json", "numpy", "scipy"} & sys.modules.keys())))
+"""
+
+BASE = ["bhthermo", "bhthermo.cli", "bhthermo.constants", "bhthermo.errors"]
+#: bhthermo.X for each formula module a request loads beyond BASE.
+HOLE = ["kerr_newman"]
+EVAPORATION = ["evaporation", "grids", "kerr_newman"]
+CHANNEL = ["channel", *EVAPORATION]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["constants"], []),
+    (["--help"], []),
+    (["bh", "--help"], []),
+    (["bh", "--mass", "1e15"], HOLE),
+    (["bh", "--mass", "1e-10"], HOLE),
+    (["evaporate", "--mass", "1e12", "--points", "10"], EVAPORATION),
+    (["bounds", "--mass", "16", "--radius", "6"], ["bounds"]),
+    (["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "1e15"],
+     ["bounds", "gedanken", *EVAPORATION]),
+    (["channel", "--lambda-c", "5e-5", "--power", "1e-3"], CHANNEL),
+    (["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18"],
+     ["grids", *HOLE]),
+    (["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop",
+      "1e-1", "--lambda-c", "5e-5"], CHANNEL),
+])
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_request_loads_only_its_modules(argv, modules, fmt):
+    code, loaded, others = _probe(FOOTPRINT, *argv, "--format", fmt)
+    assert code == (1 if "1e-10" in argv else 0)
+    assert loaded == sorted({*BASE, *(f"bhthermo.{m}" for m in modules)})
+    # json only for JSON output, and never numpy or scipy
+    writes_json = fmt == "json" and "--help" not in argv and code == 0
+    assert others == (["json"] if writes_json else [])
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, bhthermo; "
+            "print(sorted(m for m in sys.modules if m.startswith('bhthermo')))")
+    assert _probe(code) == ["bhthermo"]
+
+
+#: Wraps every formula name the cli module calls by name, plus the grids,
+#: on the cli module before any request used it; runs one request per
+#: subcommand; prints the names whose wrapper ran and those no longer set.
+#: With "read" each wrapper wraps the value read from cli (perfbench's
+#: traced replay); with "set" it wraps the defining module's own function,
+#: so cli has bound nothing when the wrapper is set (a test double).
+CONTRACT = """
+import io, sys
+sys.path.insert(0, sys.argv[2])
+from workloads import CLI_IMPORTS
+from bhthermo import cli
+names = sorted({*CLI_IMPORTS, "linspace", "geomspace", "mass_history"})
+called = set()
+
+def wrap(name, func):
+    def wrapper(*args, **kwargs):
+        called.add(name)
+        return func(*args, **kwargs)
+    return wrapper
+
+wrappers = {}
+for name in names:
+    if sys.argv[1] == "read":
+        func = getattr(cli, name)
+    else:
+        home = "bhthermo." + cli._LAZY_HOME[name]
+        __import__(home)
+        func = getattr(sys.modules[home], name)
+    wrappers[name] = wrap(name, func)
+    setattr(cli, name, wrappers[name])
+codes = []
+sys.stdout = io.StringIO()
+for argv in [
+        ["constants"],
+        ["bh", "--mass", "1e15", "--charge-over-m", "0.3"],
+        ["evaporate", "--mass", "1e12", "--points", "10"],
+        ["bounds", "--mass", "16", "--radius", "6"],
+        ["gedanken", "--scenario", "susskind", "--energy", "1e30",
+         "--radius", "1", "--entropy", "1"],
+        ["gedanken", "--scenario", "capsule", "--bh-mass", "1e30", "--mu", "1",
+         "--b", "1", "--s-cap", "1e30"],
+        ["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius",
+         "1", "--entropy", "1"],
+        ["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "1e15"],
+        ["channel", "--lambda-c", "5e-5", "--power", "1e-3"],
+        ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18"],
+        ["sweep", "channel", "--param", "power", "--start", "1e-6",
+         "--stop", "1e-1", "--lambda-c", "5e-5", "--spacing", "linear"]]:
+    codes.append(cli.main(argv))
+sys.stdout = sys.__stdout__
+print((codes, sorted(set(names) - called),
+       sorted(n for n in names if getattr(cli, n) is not wrappers[n])))
+"""
+
+
+@pytest.mark.parametrize("how", ["read", "set"])
+def test_names_set_before_first_use_are_the_ones_called(how):
+    codes, never_called, replaced = _probe(CONTRACT, how, PERFBENCH)
+    assert codes == [0] * 11
+    assert never_called == []
+    assert replaced == []
+
+
+def test_every_public_name_is_its_submodules_object():
+    submodules = [getattr(bhthermo, m) for m in
+                  ("bounds", "channel", "constants", "errors", "evaporation",
+                   "gedanken", "grids", "kerr_newman")]
+    for name in bhthermo.__all__:
+        value = getattr(bhthermo, name)
+        assert (value in submodules
+                or any(getattr(m, name, None) is value for m in submodules)), name
+
+
+def test_star_import_and_dir_give_the_eager_packages_names():
+    # The names an eager `from .x import ...` of every formula module bound:
+    # the 54 public names and the eight formula submodules.
+    expected = {
+        "BlackHole", "BoundEntry", "BoundReport", "CODATA2018", "CONSTANTS",
+        "CapacityReport", "Channel", "ConsistencyReport", "DomainError",
+        "EmissionParameters", "EntropyLedger", "FirstLawPotentials",
+        "GedankenReport", "MaterialSystem", "NakedSingularityError",
+        "PhysicalConstants", "SubPlanckMassError", "bound_report",
+        "bremermann_rate", "capacity_bound", "capsule_lowering",
+        "characteristic_power", "compositeness", "consistency_check",
+        "drop_distance", "energy_temperature_to_kelvin", "entropy",
+        "entropy_emission_rate", "first_law_residual", "geometrized_charge",
+        "geometrized_mass", "gour_bound", "gsl_bound", "h_factors",
+        "hawking_flux", "hawking_power", "holographic_bound", "horizon_area",
+        "infall_experiment", "lifetime", "make_black_hole", "mass_loss_rate",
+        "mean_density", "merger", "nats_to_bits", "optimal_xi",
+        "pendry_capacity", "potentials", "spin_length", "susskind_collapse",
+        "temperature", "universal_bound", "weak_gravity_ratio",
+        "weak_universal_bound",
+        "bounds", "channel", "constants", "errors", "evaporation", "gedanken",
+        "grids", "kerr_newman",
+    }
+    namespace: dict = {}
+    exec("from bhthermo import *", namespace)
+    assert set(namespace) - {"__builtins__"} == expected
+    # `cli` is public only once imported, as it was with the eager package
+    public = {n for n in dir(bhthermo) if not n.startswith("_")} - {"cli"}
+    assert public == expected
+    assert bhthermo.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", [bhthermo, cli])
+def test_unknown_attribute_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    assert not hasattr(module, "no_such_name")
