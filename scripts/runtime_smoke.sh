@@ -3,7 +3,8 @@
 # extras): every subcommand in every format exits 0, every `--help` exits 0,
 # rejected requests exit 1 and 2, and a 100k-point series whose reader stops
 # after one line (`| head -1`) exits 2.  No run may write a Python traceback
-# to stderr.  Every case runs twice: through `python -m bhthermo.cli` and
+# to stderr, and every JSON series must load as strict JSON (no NaN or
+# Infinity).  Every case runs twice: through `python -m bhthermo.cli` and
 # through the `bhthermo` console script, whose import path differs (it
 # imports the package, then `bhthermo.cli`, then calls `entrypoint`).
 #
@@ -15,8 +16,10 @@
 set -u
 
 err=$(mktemp)
-trap 'rm -f "$err"' EXIT
+out=$(mktemp)
+trap 'rm -f "$err" "$out"' EXIT
 failures=0
+strict=0
 
 if command -v bhthermo > /dev/null; then
     console=(bhthermo)
@@ -36,13 +39,33 @@ report() {  # expected exit code, actual exit code, the arguments of the run
     fi
 }
 
+strict_json() {  # the arguments of the run whose stdout is in $out
+    case " $* " in
+        *" --format json "*) ;;
+        *) return ;;
+    esac
+    python -c 'import json, sys
+def refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+json.load(sys.stdin, parse_constant=refuse)' < "$out" 2> "$err"
+    report 0 $? "$@" "(strict JSON)"
+}
+
 run() {  # expected exit code, then the arguments of one run
     local expected=$1
     shift
-    python -m bhthermo.cli "$@" > /dev/null 2> "$err"
+    python -m bhthermo.cli "$@" > "$out" 2> "$err"
     report "$expected" $? python -m bhthermo.cli "$@"
-    "${console[@]}" "$@" > /dev/null 2> "$err"
+    [ "$strict" -eq 1 ] && strict_json python -m bhthermo.cli "$@"
+    "${console[@]}" "$@" > "$out" 2> "$err"
     report "$expected" $? bhthermo "$@"
+    [ "$strict" -eq 1 ] && strict_json bhthermo "$@"
+}
+
+series() {  # the arguments of one series run: exit 0, and strict JSON
+    strict=1
+    run 0 "$@"
+    strict=0
 }
 
 run 0 --help
@@ -53,7 +76,7 @@ done
 for fmt in table json csv; do
     run 0 constants --format "$fmt"
     run 0 bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4 --format "$fmt"
-    run 0 evaporate --mass 1e12 --points 100 --format "$fmt"
+    series evaporate --mass 1e12 --points 100 --format "$fmt"
     run 0 bounds --mass 16 --radius 6 --entropy 1e3 --format "$fmt"
     run 0 gedanken --scenario susskind --energy 1e30 --radius 1 --entropy 1 \
         --format "$fmt"
@@ -63,10 +86,18 @@ for fmt in table json csv; do
         --zeta 10 --format "$fmt"
     run 0 gedanken --scenario merger --m1 1e15 --m2 1e15 --format "$fmt"
     run 0 channel --lambda-c 5e-5 --power 1e-3 --format "$fmt"
-    run 0 sweep bh --param mass --start 1e15 --stop 1e18 --points 50 \
+    series sweep bh --param mass --start 1e15 --stop 1e18 --points 50 \
         --quantity temperature --format "$fmt"
-    run 0 sweep channel --param power --start 1e-6 --stop 1e-1 --points 200 \
+    # a Kerr-Newman hole whose mass column crosses 1e8
+    series sweep bh --param mass --start 1e7 --stop 1e9 --points 200 \
+        --spacing linear --charge 1e3 --spin 1e-4 --format "$fmt"
+    series sweep channel --param power --start 1e-6 --stop 1e-1 --points 200 \
         --lambda-c 5e-5 --format "$fmt"
+    # a descending power sweep through all three regimes down to P = 0
+    series sweep channel --param power --start 2e-3 --stop 0 --points 200 \
+        --spacing linear --lambda-c 5e-5 --format "$fmt"
+    series sweep channel --param lambda_c --start 1e-5 --stop 1e-3 \
+        --points 200 --power 1e-3 --format "$fmt"
     run 1 bh --mass 1e-10 --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain

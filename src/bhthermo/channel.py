@@ -28,7 +28,11 @@ the dimensional-analysis capacity (P/hbar)^(1/2) f(lambda_c^2 P / c^2 hbar).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import le
 
 from .constants import CONSTANTS, LOG2E
 from .errors import DomainError
@@ -257,6 +261,66 @@ def regime_rate(lambda_c: float, P: float, p_c: float,
         return "high", xi_floor, high_power_rate(lambda_c, P, xi_floor)
     xi_used = max(optimal_xi(P, p_c, nu), xi_floor)
     return "intermediate", xi_used, gsl_rate(lambda_c, P, p_c, params, xi_used)
+
+
+def regime_columns(lambdas: Iterable[float], powers: Iterable[float],
+                   p_cs: Iterable[float], params: EmissionParameters,
+                   xi_floor: float = XI_FLOOR
+                   ) -> tuple[list[str], list[float | None], list[float]]:
+    """:func:`regime_rate` of each channel (lambda_c, P, p_c) point by
+    point, as the three columns regime, xi used and bound."""
+    rates = list(map(regime_rate, lambdas, powers, p_cs, repeat(params),
+                     repeat(xi_floor)))
+    return ([rate[0] for rate in rates], [rate[1] for rate in rates],
+            [rate[2] for rate in rates])
+
+
+def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
+                      params: EmissionParameters, xi_floor: float = XI_FLOOR
+                      ) -> tuple[list[str], list[float | None], list[float]]:
+    """:func:`regime_columns` of the channels of one cutoff lambda_c, and
+    so one characteristic power p_c, at each power P in ``powers``.
+
+    On a monotone column each regime is one run of points: the zero
+    powers, the low run up to p_c/200, the high run from p_c/10 and the
+    intermediate run between, found by bisection.  Each run maps its
+    regime's kernel; the low run's sqrt law needs optimal_xi >= XI_MIN
+    at every point, or that run goes point by point.  So does the whole
+    column if it is not monotone, if nu <= 1 or if xi_floor < XI_MIN.
+    """
+    nu = params.nu
+    if nu <= 1.0 or xi_floor < XI_MIN:
+        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params,
+                              xi_floor)
+    if len(powers) > 1 and powers[0] > powers[-1]:
+        regimes, xis, bounds = power_sweep_rates(lambda_c, powers[::-1], p_c,
+                                                 params, xi_floor)
+        return regimes[::-1], xis[::-1], bounds[::-1]
+    if not all(map(le, powers, islice(powers, 1, None))):
+        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params,
+                              xi_floor)
+    zero = bisect_right(powers, 0.0)
+    low = max(zero, bisect_right(powers, p_c / LOW_POWER_DIVISOR))
+    high = max(low, bisect_left(powers, p_c / HIGH_POWER_DIVISOR))
+    run = powers[zero:low]
+    low_xis = list(map(optimal_xi, run, repeat(p_c), repeat(nu)))
+    if min(low_xis, default=XI_MIN) >= XI_MIN:
+        low_bounds = list(map(low_power_rate, run, repeat(params)))
+    else:
+        _, low_xis, low_bounds = regime_columns(repeat(lambda_c), run,
+                                                repeat(p_c), params, xi_floor)
+    run = powers[low:high]
+    mid_xis = [xi_floor if xi_floor > xi else xi        # max(xi, xi_floor)
+               for xi in map(optimal_xi, run, repeat(p_c), repeat(nu))]
+    mid_bounds = list(map(gsl_rate, repeat(lambda_c), run, repeat(p_c),
+                          repeat(params), mid_xis))
+    high_bounds = list(map(high_power_rate, repeat(lambda_c), powers[high:],
+                           repeat(xi_floor)))
+    n = len(powers)
+    return (["low"] * low + ["intermediate"] * (high - low)
+            + ["high"] * (n - high),
+            [None] * zero + low_xis + mid_xis + [xi_floor] * (n - high),
+            [0.0] * zero + low_bounds + mid_bounds + high_bounds)
 
 
 def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:

@@ -2,9 +2,9 @@
 
 Results go to stdout as a table (default), JSON or CSV; diagnostics go to
 stderr.  Exit codes: 0 success, 1 physical-domain errors, 2 usage or
-config errors.  Computed numbers are emitted in scientific notation with
-nine significant digits (input echoes keep full precision so emitted
-records re-feed exactly); units travel in a parallel metadata field.
+config errors.  Computed numbers are rounded to nine significant digits
+(in shortest form in JSON, else in scientific notation); input echoes keep
+full precision so records re-feed exactly.  Units go in their own field.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _LAZY_IMPORTS = {
                "MaterialSystem", "WEAK_GRAVITY_THRESHOLD", "bound_report",
                "sphere_area"),
     "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
-                "regime_rate"),
+                "power_sweep_rates", "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
     "gedanken": ("GedankenReport", "capsule_lowering", "infall_experiment",
                  "merger", "susskind_collapse"),
@@ -89,12 +89,8 @@ class ConfigError(Exception):
     """Bad input/config file: unknown key, malformed line, missing value."""
 
 
-def fmt9(x: float) -> str:
-    return f"{x:.8e}"
-
-
 def round9(x: float) -> float:
-    return float(fmt9(x))
+    return float(f"{x:.8e}")
 
 
 #: Sections echoed at full precision so that re-feeding an emitted record
@@ -292,8 +288,19 @@ def _table_floats(column: Sequence[float]) -> tuple[str, list[str]]:
     return "%s", list(map("%.8e".__mod__, column))
 
 
-def _json_floats(column: Sequence[float]) -> tuple[str, list[float]]:
-    return "%r", list(map(float, map("%.8e".__mod__, column)))
+def _json_floats(column: Sequence[float]) -> tuple[str, list[object]]:
+    """The JSON float cell rule: ``%s`` of each value writes
+    repr(float("%.8e" % x)).  A value is format(x, ".9") if x is 0.0, or
+    normal with |x| < 99999999.0 or >= 1e16; else it is that rounding,
+    which repr writes in fixed notation or, if subnormal, shorter."""
+    tiny = sys.float_info.min
+    lo, hi = min(column, default=0.0), max(column, default=0.0)
+    if tiny <= lo and (hi < 99999999.0 or lo >= 1e16):
+        return "%s", list(map(format, column, repeat(".9")))
+    if 99999999.0 <= lo and hi < 1e16:
+        return "%s", list(map(float, map("%.8e".__mod__, column)))
+    return "%s", [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
+                  or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in column]
 
 
 def _json_cell(value: object) -> str:
@@ -305,7 +312,7 @@ def _json_cell(value: object) -> str:
         if value is None or isinstance(value, bool):
             return _JSON_LITERALS[value]
         value = float(value)
-    return repr(float(f"{_finite(value):.8e}"))     # round9, inlined: runs per cell
+    return "%s" % tuple(_json_floats([_finite(value)])[1])
 
 
 def _text_cell(value: object, where: str = "a computed value",
@@ -321,7 +328,7 @@ def _text_cell(value: object, where: str = "a computed value",
             return "true" if value else "false"
         value = float(value)
     value = _finite(value, where)
-    return f"{value:.16e}" if exact else f"{value:.8e}"     # fmt9, inlined: runs per cell
+    return f"{value:.16e}" if exact else f"{value:.8e}"
 
 
 # -- input files -----------------------------------------------------------
@@ -402,13 +409,9 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
 
 
 def build_emission(args: argparse.Namespace) -> EmissionParameters:
-    kwargs = {}
-    for dest, name in (("nu", "nu"), ("gamma_bar", "gamma_bar"),
-                       ("n_species", "n_species")):
-        value = getattr(args, dest, None)
-        if value is not None:
-            kwargs[name] = value
-    return EmissionParameters(**kwargs)
+    given = {name: getattr(args, name, None)
+             for name in ("nu", "gamma_bar", "n_species")}
+    return EmissionParameters(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_emission_flags(p: argparse.ArgumentParser) -> None:
@@ -725,11 +728,11 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             lambda_c = args.lambda_c
             # The first point's checks come before the cutoff's power.
             check_channel(lambda_c, grid[0], n)
-            p_c = repeat(cutoff_power(lambda_c, emission))
+            p_c = cutoff_power(lambda_c, emission)
             if not (all(map(math.isfinite, grid)) and min(grid) >= 0.0):
                 for P in grid:
                     check_channel(lambda_c, P, n)
-            lambdas, powers = repeat(lambda_c), grid
+            regimes, _, bounds = power_sweep_rates(lambda_c, grid, p_c, emission)
         else:
             P = args.power
             # The fixed power and carrier count are checked with the first point.
@@ -738,11 +741,8 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                 for lambda_c in grid:
                     check_channel(lambda_c, P, n)
                     cutoff_power(lambda_c, emission)
-            p_c = map(cutoff_power, grid, repeat(emission))
-            lambdas, powers = grid, repeat(P)
-        rates = list(map(regime_rate, lambdas, powers, p_c, repeat(emission)))
-        regimes = [rate[0] for rate in rates]
-        bounds = [rate[2] for rate in rates]
+            regimes, _, bounds = regime_columns(
+                grid, repeat(P), map(cutoff_power, grid, repeat(emission)), emission)
         doc.set_columns([args.param, "bound", "regime"],
                         ["erg s^-1" if args.param == "power" else "cm",
                          "bit s^-1", ""], [grid, bounds, regimes])

@@ -13,6 +13,7 @@ independently.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import DomainError
@@ -81,7 +82,14 @@ def geometrized_mass(m: float) -> float:
     """
     if m <= 0:
         raise DomainError(f"mass must be positive, got {m}")
-    return CONSTANTS.G * m / CONSTANTS.c**2
+    return geometrized_masses((m,))[0]
+
+
+def geometrized_masses(masses: Iterable[float]) -> list[float]:
+    """:func:`geometrized_mass` of each mass [g], for callers that have
+    checked the masses are positive."""
+    G, c2 = CONSTANTS.G, CONSTANTS.c**2
+    return [G * m / c2 for m in masses]
 
 
 def mass_from_geometrized(length: float) -> float:
@@ -100,7 +108,14 @@ def spin_length(j: float, m: float) -> float:
     """Spin length a = j / (m c) [cm] of angular momentum j [erg s] at mass m [g]."""
     if m <= 0:
         raise DomainError(f"mass must be positive, got {m}")
-    return j / (m * CONSTANTS.c)
+    return spin_lengths(j, (m,))[0]
+
+
+def spin_lengths(j: float, masses: Iterable[float]) -> list[float]:
+    """:func:`spin_length` of j at each mass [g], for callers that have
+    checked the masses are positive."""
+    c = CONSTANTS.c
+    return [j / (m * c) for m in masses]
 
 
 def energy_temperature_to_kelvin(T: float) -> float:

@@ -33,13 +33,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 from .constants import (
     CONSTANTS,
     geometrized_charge,
-    geometrized_mass,
-    spin_length,
+    geometrized_masses,
+    spin_lengths,
 )
 from .errors import DomainError, NakedSingularityError, SubPlanckMassError
 
@@ -95,24 +94,6 @@ class FirstLawPotentials:
     omega: float
 
 
-def _outer_radius(M: float, Q: float, a: float) -> float:
-    """Outer horizon radius M + sqrt(M^2 - Q^2 - a^2) [cm] from the length
-    scales [cm]; raises NakedSingularityError if Q^2 + a^2 exceeds M^2
-    beyond the EPS_EXTREMAL slack."""
-    s2 = Q * Q + a * a
-    if s2 > M * M * (1.0 + EPS_EXTREMAL):
-        raise NakedSingularityError(
-            f"no horizon: Q^2 + a^2 = {s2:.6e} cm^2 exceeds M^2 = {M*M:.6e} cm^2")
-    # (M - s)(M + s) instead of M^2 - s^2: avoids cancellation near extremality.
-    s = math.sqrt(s2)
-    disc = (M - s) * (M + s)
-    # Within the existence slack the hole is extremal; clamping keeps the
-    # square root from amplifying last-digit noise into a fake temperature.
-    if disc < EPS_EXTREMAL * M * M:
-        disc = 0.0
-    return M + math.sqrt(disc)
-
-
 def horizon_lengths(m: float, q: float = 0.0,
                     j: float = 0.0) -> tuple[float, float, float, float]:
     """The length scales (M, Q, a, r_plus) [cm] of the hole (m, q, j).
@@ -120,37 +101,51 @@ def horizon_lengths(m: float, q: float = 0.0,
     Runs every check of :func:`make_black_hole` and raises as it does, on
     plain floats.
     """
-    if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
-        raise DomainError(
-            f"mass, charge and spin must be finite, got {m}, {q}, {j}")
-    if m < CONSTANTS.planck_mass:
-        raise SubPlanckMassError(
-            f"mass {m} g is below the Planck mass {CONSTANTS.planck_mass:.6e} g")
-    M = geometrized_mass(m)
-    Q = geometrized_charge(q)
-    a = spin_length(j, m)
-    return M, Q, a, _outer_radius(M, Q, a)
+    (M,), (Q,), (a,), (r_plus,) = horizon_columns((m,), q, j)
+    return M, Q, a, r_plus
 
 
 def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
                     ) -> tuple[list[float], list[float], list[float], list[float]]:
     """:func:`horizon_lengths` of the holes (m, q, j), m in ``masses``, as
-    the four columns M, Q, a and r_plus [cm].
+    the four columns M, Q, a and r_plus [cm], with
+    r_plus = M + sqrt(M^2 - Q^2 - a^2).
 
     The checks that do not depend on m run once.  An invalid hole raises
-    what :func:`make_black_hole` raises for the first one in ``masses``.
+    what :func:`make_black_hole` raises for the first one in ``masses``:
+    a NaN or infinite input, a mass below the Planck mass, or Q^2 + a^2
+    above M^2 beyond the EPS_EXTREMAL slack (NakedSingularityError).
     """
     if not (math.isfinite(q) and math.isfinite(j)
             and all(map(math.isfinite, masses))
             and min(masses, default=math.inf) >= CONSTANTS.planck_mass):
         for m in masses:            # raises for the first invalid hole
-            horizon_lengths(m, q, j)
+            if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
+                raise DomainError(
+                    f"mass, charge and spin must be finite, got {m}, {q}, {j}")
+            if m < CONSTANTS.planck_mass:
+                raise SubPlanckMassError(f"mass {m} g is below the Planck "
+                                         f"mass {CONSTANTS.planck_mass:.6e} g")
+            horizon_columns((m,), q, j)
     Q = geometrized_charge(q)
-    M = list(map(geometrized_mass, masses))
-    a = list(map(spin_length, repeat(j), masses))
+    M = geometrized_masses(masses)
+    a = spin_lengths(j, masses)
+    Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
+    s2 = [Q2 + x * x for x in a]
     # The holes that passed the checks above can fail only this one, so
     # the first to fail it is the first invalid hole.
-    r_plus = list(map(_outer_radius, M, repeat(Q), a))
+    naked = [t > x * x * slack for t, x in zip(s2, M)]
+    if True in naked:
+        i = naked.index(True)
+        raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[i]:.6e} cm^2 "
+                                    f"exceeds M^2 = {M[i] * M[i]:.6e} cm^2")
+    # (M - s)(M + s) instead of M^2 - s^2 avoids cancellation near
+    # extremality.  Within the existence slack the hole is extremal:
+    # clamping keeps the square root from amplifying last-digit noise
+    # into a fake temperature.
+    r_plus = [x + math.sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x
+                            else d)
+              for x, s in zip(M, map(math.sqrt, s2))]
     return M, [Q] * len(M), a, r_plus
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
+from bhthermo import channel as channel_module
 from bhthermo.channel import (
+    XI_FLOOR,
     Channel,
     approx_characteristic_power,
     bremermann_rate,
@@ -15,12 +17,15 @@ from bhthermo.channel import (
     characteristic_power,
     check_channel,
     consistency_check,
+    cutoff_power,
     gsl_bound,
     high_power_bound,
     low_power_bound,
     optimal_xi,
     pendry_capacity,
+    power_sweep_rates,
     regime_bound,
+    regime_rate,
 )
 from bhthermo.constants import CONSTANTS, LOG2E
 from bhthermo.errors import DomainError
@@ -207,6 +212,100 @@ class TestRegimeBound:
     def test_edges_belong_to_the_outer_regimes(self):
         assert regime_bound(channel(self.P_C / 200), self.P_C)[0] == "low"
         assert regime_bound(channel(self.P_C / 10), self.P_C)[0] == "high"
+
+
+def _bits(columns):
+    """Columns with every float as its exact hex form, so -0.0 != 0.0."""
+    return [[v.hex() if isinstance(v, float) else v for v in column]
+            for column in columns]
+
+
+class TestPowerSweepRates:
+    """The regime runs of a power sweep against regime_rate point by
+    point, bit for bit, regime strings and ratios included."""
+
+    @staticmethod
+    def per_point(lambda_c, powers, p_c, params, xi_floor):
+        rates = [regime_rate(lambda_c, P, p_c, params, xi_floor) for P in powers]
+        return [list(column) for column in zip(*rates)] if rates else [[], [], []]
+
+    @staticmethod
+    def powers(p_c):
+        edges = [p_c / 200, p_c / 10]
+        return sorted({0.0, p_c * 1e-6, p_c / 1000, p_c / 50, p_c, p_c * 1e6,
+                       *edges, *(math.nextafter(e, 0.0) for e in edges),
+                       *(math.nextafter(e, math.inf) for e in edges)}) + [
+            p_c * 1e6]      # a repeated point keeps the column monotone
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("emission", [
+        {}, {"nu": 1.0}, {"nu": 1.0001}, {"nu": 1.003},
+        {"nu": 2.0, "gamma_bar": 3.0, "n_species": 7.0}])
+    @pytest.mark.parametrize("xi_floor", [10.0, 3.0, 0.5])
+    def test_runs_match_regime_rate(self, order, emission, xi_floor):
+        params = EmissionParameters(**emission)
+        lambda_c = OPTICAL
+        p_c = cutoff_power(lambda_c, params)
+        powers = [-0.0] + self.powers(p_c)
+        if order == "descending":
+            powers.reverse()
+        elif order == "shuffled":
+            powers = powers[3:] + powers[:3]
+        try:
+            expected = self.per_point(lambda_c, powers, p_c, params, xi_floor)
+        except DomainError as first:    # xi_floor < 1 under a small nu
+            with pytest.raises(DomainError) as info:
+                power_sweep_rates(lambda_c, powers, p_c, params, xi_floor)
+            assert str(info.value) == str(first)
+            return
+        got = power_sweep_rates(lambda_c, powers, p_c, params, xi_floor)
+        assert _bits(got) == _bits(expected)
+        assert set(got[0]) == {"low", "intermediate", "high"}
+
+    @pytest.mark.parametrize("powers", [[], [0.0], [-0.0], [-0.0, 0.0, -0.0],
+                                        [1.0], [2.0, 1.0]])
+    def test_short_columns(self, powers):
+        params = EmissionParameters()
+        p_c = cutoff_power(OPTICAL, params)
+        got = power_sweep_rates(OPTICAL, powers, p_c, params)
+        assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params,
+                                                  XI_FLOOR))
+
+    def test_zero_power_gives_a_zero_bound(self):
+        params = EmissionParameters()
+        regimes, xis, bounds = power_sweep_rates(
+            OPTICAL, [-0.0, 0.0, 1e-9], cutoff_power(OPTICAL, params), params)
+        assert regimes[:2] == ["low", "low"] and xis[:2] == [None, None]
+        assert [b.hex() for b in bounds[:2]] == [(0.0).hex()] * 2
+
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("nu, per_point", [(1.5, False), (1.0, True)])
+    def test_a_monotone_column_runs_without_regime_rate(self, monkeypatch, nu,
+                                                        per_point, descending):
+        params = EmissionParameters(nu=nu)
+        p_c = cutoff_power(OPTICAL, params)
+        powers = sorted(self.powers(p_c), reverse=descending)
+        expected = self.per_point(OPTICAL, powers, p_c, params, XI_FLOOR)
+        calls = []
+        monkeypatch.setattr(channel_module, "regime_rate",
+                            lambda *args: calls.append(args) or regime_rate(*args))
+        got = power_sweep_rates(OPTICAL, powers, p_c, params)
+        assert _bits(got) == _bits(expected)
+        assert len(calls) == (len(powers) if per_point else 0)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e30), max_size=40),
+           st.sampled_from(["sorted", "reversed", "as drawn"]),
+           st.floats(min_value=1.0, max_value=2.0),
+           st.floats(min_value=1e-6, max_value=1e6))
+    def test_any_column_matches_regime_rate(self, powers, order, nu, scale):
+        params = EmissionParameters(nu=nu)
+        p_c = cutoff_power(OPTICAL, params)
+        powers = [P * p_c * scale / 1e15 for P in powers]
+        if order != "as drawn":
+            powers.sort(reverse=order == "reversed")
+        got = power_sweep_rates(OPTICAL, powers, p_c, params)
+        assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params,
+                                                  XI_FLOOR))
 
 
 class TestCapacityBound:

@@ -432,6 +432,24 @@ GOLDEN_SERIES = {
         "json": "d22c767168a6c5ed538b38fe08f763ffc3f95363e072f6ef9c4c06675ef54eca",
         "csv": "f4c554dc1f17b45645ba29c2d3a729fadb171cd0d276e6132bebeaf4ef00e225",
     },
+    # The two below were taken from the per-point regime dispatch, the
+    # mapped horizon kernels and the three-conversion JSON cells, before
+    # the regime runs, the horizon comprehensions and the one-call cells.
+    # A descending power sweep through all three regimes down to P = 0:
+    ("sweep channel --param power --start 2e-3 --stop 0 --points 20000 "
+     "--spacing linear --lambda-c 5e-5"): {
+        "table": "3154341269b0c62fdd37815c607d1c96501dbf1a01461c271b9335d8d270df52",
+        "json": "38b722c4b68602c24fa55fd44cae27f1456504f9affc9c1f71d773132ea1c4d4",
+        "csv": "ed716167565dd7411750ee23305509447649a0d808cdd81dfd141baee00f65fb",
+    },
+    # A Kerr-Newman hole whose mass column crosses 1e8, where JSON's
+    # shortest form turns from one-call cells to fixed-notation ones:
+    ("sweep bh --param mass --start 1e7 --stop 1e9 --points 20000 "
+     "--spacing linear --charge 1e3 --spin 1e-4 --quantity temperature_kelvin"): {
+        "table": "7e1c1f422d0b533d7f88a7d640d29278eba26c36027ed66bc70eb6b1962af0be",
+        "json": "f4ba0928b89f0526a50ccf346579b830b6568ac6440922f905a76a05a75a0518",
+        "csv": "b39750a0de7066b9f7b1de6246a47ec41e53b36d7827742833ca7c676d216ad5",
+    },
 }
 
 

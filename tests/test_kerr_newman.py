@@ -110,6 +110,23 @@ class TestFloatKernels:
         assert temperature(bh) == \
             2.0 * CONSTANTS.c * CONSTANTS.hbar * (r_plus - M) / area
 
+    @given(st.lists(st.floats(min_value=0, max_value=35), min_size=1,
+                    max_size=30),
+           st.floats(min_value=0, max_value=1 - 1e-13),
+           st.floats(min_value=0, max_value=1),
+           st.sampled_from([1.0, -1.0]))
+    def test_columns_are_the_old_code_point_by_point(self, log_masses, e, angle,
+                                                     sign):
+        # a (Q/M, a/M) on or inside the extremal circle of the lightest hole
+        masses = [10.0 ** x for x in log_masses]
+        m0 = min(masses)
+        q = sign * e * math.cos(angle) * extremal_charge(m0)
+        j = sign * e * math.sin(angle) * extremal_spin(m0)
+        expected = zip(*[self.old_make(m, q, j) for m in masses])
+        assert [list(map(float.hex, column))
+                for column in horizon_columns(masses, q, j)] == [
+            list(map(float.hex, column)) for column in expected]
+
     def test_extremal_holes_are_unchanged(self):
         for m in (1e-4, 1e15, 1e40):
             for q, j in ((extremal_charge(m), 0.0), (0.0, extremal_spin(m)),

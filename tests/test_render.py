@@ -6,11 +6,15 @@ old way, row by row and cell by cell.
 
 import json
 import math
+import random
+import struct
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bhthermo import cli
 from bhthermo.cli import FORMATS, FULL_PRECISION_SECTIONS, Document
 from bhthermo.errors import DomainError
 
@@ -279,3 +283,75 @@ def test_non_finite_series_cell_is_refused(fmt, bad):
     # the public writers refuse it too, with or without the location
     with pytest.raises(DomainError):
         getattr(doc, f"to_{fmt}")()
+
+
+# -- the JSON float cell ------------------------------------------------------
+#
+# JSON writes a series float as repr of its 9-digit rounding; the writer
+# gets that text from format(x, ".9") in one call where it can, and keeps
+# the rounding where it cannot.  Every cell must come out as the old
+# three conversions wrote it.
+
+
+def _old_json_text(x):
+    return repr(float("%.8e" % x))
+
+
+def _json_texts(column):
+    spec, values = cli._json_floats(column)
+    return [spec % (v,) for v in values]
+
+
+_TINY = sys.float_info.min
+_EDGES = [
+    99999999.0, math.nextafter(99999999.0, 0.0),
+    math.nextafter(99999999.0, math.inf), 99999999.95, 9.999999995e15,
+    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+    9.999999995e-5, 5e-324, 7.651921e-317, _TINY, math.nextafter(_TINY, 0.0),
+    0.0, 1.7976931348623157e308]
+JSON_EDGE_CASES = _EDGES + [-x for x in _EDGES]
+
+
+@pytest.mark.parametrize("x", JSON_EDGE_CASES)
+def test_json_cell_rule_on_edge_cases(x):
+    expected = _old_json_text(x)
+    assert _json_texts([x]) == [expected]
+    assert cli._json_cell(x) == expected
+    assert cli._json_cell(FloatSubclass(x)) == expected
+
+
+def test_json_cell_rule_on_columns_of_edge_cases():
+    assert _json_texts(JSON_EDGE_CASES) == list(map(_old_json_text,
+                                                    JSON_EDGE_CASES))
+    # a column wholly in one-call cells, and one wholly in [99999999, 1e16)
+    for column in ([1e-3, 0.5, 99999998.9, 1.0000000001e-300],
+                   [1e16, 3e200, 1.7976931348623157e308],
+                   [99999999.0, 1.23456789123e12, 9.99999999e15]):
+        assert _json_texts(column) == list(map(_old_json_text, column))
+
+
+def _random_doubles(n, seed):
+    rng = random.Random(seed)
+    doubles = (struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0]
+               for _ in range(n))
+    return [x for x in doubles if math.isfinite(x)]
+
+
+def test_json_cell_rule_on_random_bit_patterns():
+    xs = _random_doubles(100_000, seed=20261018)
+    assert len(xs) > 99_000
+    assert _json_texts(xs) == list(map(_old_json_text, xs))
+    # each cell alone takes a branch of its own
+    assert [cli._json_cell(x) for x in xs[:5000]] == list(map(_old_json_text,
+                                                              xs[:5000]))
+
+
+def test_json_cells_go_through_the_column_rule(monkeypatch):
+    seen = []
+    rule = cli._json_floats
+    monkeypatch.setattr(cli, "_json_floats",
+                        lambda column: seen.append(list(column)) or rule(column))
+    doc = Document("sweep")
+    doc.set_columns(["x", "mixed"], ["", ""], [[1.5, 2e9], [2.5, None]])
+    assert json.loads(doc.render("json"))["rows"] == [[1.5, 2.5], [2e9, None]]
+    assert seen == [[1.5, 2e9], [2.5]]

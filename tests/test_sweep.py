@@ -170,6 +170,25 @@ def test_power_sweep_matches_the_object_loop(emission, spacing, n_carriers):
 
 @pytest.mark.parametrize("emission", sorted(EMISSIONS))
 @pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_descending_power_sweep_matches_the_object_loop(emission, spacing):
+    params = EmissionParameters(**EMISSIONS[emission])
+    lambda_c = 5e-5
+    p_c = characteristic_power(Channel(lambda_c, 0.0, emission=params))
+    # --start above --stop, across both edges; the linear one ends at P = 0
+    start, stop = (p_c * 10, p_c / 1e4) if spacing == "log" else (p_c / 5, 0.0)
+    expected = reference_channel_rows(grid(start, stop, 401, spacing), "power",
+                                      lambda_c, 1.0, params)
+    assert {row[2] for row in expected} == {"low", "intermediate", "high"}
+    got = sweep_columns(["channel", "--param", "power", "--start", repr(start),
+                         "--stop", repr(stop), "--points", "401",
+                         "--spacing", spacing, "--lambda-c", repr(lambda_c),
+                         *emission_flags(emission)])
+    assert got[0][0] > got[0][-1]
+    assert bits(got) == bits(columns_of(expected))
+
+
+@pytest.mark.parametrize("emission", sorted(EMISSIONS))
+@pytest.mark.parametrize("spacing", ["log", "linear"])
 def test_lambda_c_sweep_matches_the_object_loop(emission, spacing):
     params = EmissionParameters(**EMISSIONS[emission])
     power = 1e-3
