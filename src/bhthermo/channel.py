@@ -264,20 +264,17 @@ def regime_rate(lambda_c: float, P: float, p_c: float,
 
 
 def regime_columns(lambdas: Iterable[float], powers: Iterable[float],
-                   p_cs: Iterable[float], params: EmissionParameters,
-                   xi_floor: float = XI_FLOOR
-                   ) -> tuple[list[str], list[float | None], list[float]]:
+                   p_cs: Iterable[float], params: EmissionParameters
+                   ) -> tuple[list[str], list[float]]:
     """:func:`regime_rate` of each channel (lambda_c, P, p_c) point by
-    point, as the three columns regime, xi used and bound."""
-    rates = list(map(regime_rate, lambdas, powers, p_cs, repeat(params),
-                     repeat(xi_floor)))
-    return ([rate[0] for rate in rates], [rate[1] for rate in rates],
-            [rate[2] for rate in rates])
+    point, as the two columns regime and bound."""
+    rates = list(map(regime_rate, lambdas, powers, p_cs, repeat(params)))
+    return [rate[0] for rate in rates], [rate[2] for rate in rates]
 
 
 def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
-                      params: EmissionParameters, xi_floor: float = XI_FLOOR
-                      ) -> tuple[list[str], list[float | None], list[float]]:
+                      params: EmissionParameters
+                      ) -> tuple[list[str], list[float]]:
     """:func:`regime_columns` of the channels of one cutoff lambda_c, and
     so one characteristic power p_c, at each power P in ``powers``.
 
@@ -286,41 +283,35 @@ def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
     intermediate run between, found by bisection.  Each run maps its
     regime's kernel; the low run's sqrt law needs optimal_xi >= XI_MIN
     at every point, or that run goes point by point.  So does the whole
-    column if it is not monotone, if nu <= 1 or if xi_floor < XI_MIN.
+    column if it is not monotone or if nu <= 1.
     """
     nu = params.nu
-    if nu <= 1.0 or xi_floor < XI_MIN:
-        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params,
-                              xi_floor)
+    if nu <= 1.0:
+        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params)
     if len(powers) > 1 and powers[0] > powers[-1]:
-        regimes, xis, bounds = power_sweep_rates(lambda_c, powers[::-1], p_c,
-                                                 params, xi_floor)
-        return regimes[::-1], xis[::-1], bounds[::-1]
+        regimes, bounds = power_sweep_rates(lambda_c, powers[::-1], p_c, params)
+        return regimes[::-1], bounds[::-1]
     if not all(map(le, powers, islice(powers, 1, None))):
-        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params,
-                              xi_floor)
+        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params)
     zero = bisect_right(powers, 0.0)
     low = max(zero, bisect_right(powers, p_c / LOW_POWER_DIVISOR))
     high = max(low, bisect_left(powers, p_c / HIGH_POWER_DIVISOR))
+    bounds = [0.0] * zero
     run = powers[zero:low]
-    low_xis = list(map(optimal_xi, run, repeat(p_c), repeat(nu)))
-    if min(low_xis, default=XI_MIN) >= XI_MIN:
-        low_bounds = list(map(low_power_rate, run, repeat(params)))
+    if min(map(optimal_xi, run, repeat(p_c), repeat(nu)),
+           default=XI_MIN) >= XI_MIN:
+        bounds += map(low_power_rate, run, repeat(params))
     else:
-        _, low_xis, low_bounds = regime_columns(repeat(lambda_c), run,
-                                                repeat(p_c), params, xi_floor)
+        bounds += regime_columns(repeat(lambda_c), run, repeat(p_c), params)[1]
     run = powers[low:high]
-    mid_xis = [xi_floor if xi_floor > xi else xi        # max(xi, xi_floor)
-               for xi in map(optimal_xi, run, repeat(p_c), repeat(nu))]
-    mid_bounds = list(map(gsl_rate, repeat(lambda_c), run, repeat(p_c),
-                          repeat(params), mid_xis))
-    high_bounds = list(map(high_power_rate, repeat(lambda_c), powers[high:],
-                           repeat(xi_floor)))
+    bounds += map(gsl_rate, repeat(lambda_c), run, repeat(p_c), repeat(params),
+                  [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
+                   for xi in map(optimal_xi, run, repeat(p_c), repeat(nu))])
+    bounds += map(high_power_rate, repeat(lambda_c), powers[high:],
+                  repeat(XI_FLOOR))
     n = len(powers)
     return (["low"] * low + ["intermediate"] * (high - low)
-            + ["high"] * (n - high),
-            [None] * zero + low_xis + mid_xis + [xi_floor] * (n - high),
-            [0.0] * zero + low_bounds + mid_bounds + high_bounds)
+            + ["high"] * (n - high), bounds)
 
 
 def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:

@@ -293,12 +293,9 @@ def _json_floats(column: Sequence[float]) -> tuple[str, list[object]]:
     repr(float("%.8e" % x)).  A value is format(x, ".9") if x is 0.0, or
     normal with |x| < 99999999.0 or >= 1e16; else it is that rounding,
     which repr writes in fixed notation or, if subnormal, shorter."""
-    tiny = sys.float_info.min
-    lo, hi = min(column, default=0.0), max(column, default=0.0)
-    if tiny <= lo and (hi < 99999999.0 or lo >= 1e16):
-        return "%s", list(map(format, column, repeat(".9")))
-    if 99999999.0 <= lo and hi < 1e16:
+    if 99999999.0 <= min(column, default=0.0) and max(column) < 1e16:
         return "%s", list(map(float, map("%.8e".__mod__, column)))
+    tiny = sys.float_info.min
     return "%s", [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
                   or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in column]
 
@@ -409,9 +406,13 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
 
 
 def build_emission(args: argparse.Namespace) -> EmissionParameters:
-    given = {name: getattr(args, name, None)
-             for name in ("nu", "gamma_bar", "n_species")}
-    return EmissionParameters(**{k: v for k, v in given.items() if v is not None})
+    kwargs = {}
+    for dest, name in (("nu", "nu"), ("gamma_bar", "gamma_bar"),
+                       ("n_species", "n_species")):
+        value = getattr(args, dest, None)
+        if value is not None:
+            kwargs[name] = value
+    return EmissionParameters(**kwargs)
 
 
 def _add_emission_flags(p: argparse.ArgumentParser) -> None:
@@ -732,7 +733,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             if not (all(map(math.isfinite, grid)) and min(grid) >= 0.0):
                 for P in grid:
                     check_channel(lambda_c, P, n)
-            regimes, _, bounds = power_sweep_rates(lambda_c, grid, p_c, emission)
+            regimes, bounds = power_sweep_rates(lambda_c, grid, p_c, emission)
         else:
             P = args.power
             # The fixed power and carrier count are checked with the first point.
@@ -741,7 +742,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                 for lambda_c in grid:
                     check_channel(lambda_c, P, n)
                     cutoff_power(lambda_c, emission)
-            regimes, _, bounds = regime_columns(
+            regimes, bounds = regime_columns(
                 grid, repeat(P), map(cutoff_power, grid, repeat(emission)), emission)
         doc.set_columns([args.param, "bound", "regime"],
                         ["erg s^-1" if args.param == "power" else "cm",

@@ -9,7 +9,6 @@ from scipy.optimize import brentq
 
 from bhthermo import channel as channel_module
 from bhthermo.channel import (
-    XI_FLOOR,
     Channel,
     approx_characteristic_power,
     bremermann_rate,
@@ -222,12 +221,12 @@ def _bits(columns):
 
 class TestPowerSweepRates:
     """The regime runs of a power sweep against regime_rate point by
-    point, bit for bit, regime strings and ratios included."""
+    point, bit for bit, regime strings included."""
 
     @staticmethod
-    def per_point(lambda_c, powers, p_c, params, xi_floor):
-        rates = [regime_rate(lambda_c, P, p_c, params, xi_floor) for P in powers]
-        return [list(column) for column in zip(*rates)] if rates else [[], [], []]
+    def per_point(lambda_c, powers, p_c, params):
+        rates = [regime_rate(lambda_c, P, p_c, params) for P in powers]
+        return [[rate[0] for rate in rates], [rate[2] for rate in rates]]
 
     @staticmethod
     def powers(p_c):
@@ -241,8 +240,7 @@ class TestPowerSweepRates:
     @pytest.mark.parametrize("emission", [
         {}, {"nu": 1.0}, {"nu": 1.0001}, {"nu": 1.003},
         {"nu": 2.0, "gamma_bar": 3.0, "n_species": 7.0}])
-    @pytest.mark.parametrize("xi_floor", [10.0, 3.0, 0.5])
-    def test_runs_match_regime_rate(self, order, emission, xi_floor):
+    def test_runs_match_regime_rate(self, order, emission):
         params = EmissionParameters(**emission)
         lambda_c = OPTICAL
         p_c = cutoff_power(lambda_c, params)
@@ -251,15 +249,8 @@ class TestPowerSweepRates:
             powers.reverse()
         elif order == "shuffled":
             powers = powers[3:] + powers[:3]
-        try:
-            expected = self.per_point(lambda_c, powers, p_c, params, xi_floor)
-        except DomainError as first:    # xi_floor < 1 under a small nu
-            with pytest.raises(DomainError) as info:
-                power_sweep_rates(lambda_c, powers, p_c, params, xi_floor)
-            assert str(info.value) == str(first)
-            return
-        got = power_sweep_rates(lambda_c, powers, p_c, params, xi_floor)
-        assert _bits(got) == _bits(expected)
+        got = power_sweep_rates(lambda_c, powers, p_c, params)
+        assert _bits(got) == _bits(self.per_point(lambda_c, powers, p_c, params))
         assert set(got[0]) == {"low", "intermediate", "high"}
 
     @pytest.mark.parametrize("powers", [[], [0.0], [-0.0], [-0.0, 0.0, -0.0],
@@ -268,14 +259,13 @@ class TestPowerSweepRates:
         params = EmissionParameters()
         p_c = cutoff_power(OPTICAL, params)
         got = power_sweep_rates(OPTICAL, powers, p_c, params)
-        assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params,
-                                                  XI_FLOOR))
+        assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
 
     def test_zero_power_gives_a_zero_bound(self):
         params = EmissionParameters()
-        regimes, xis, bounds = power_sweep_rates(
+        regimes, bounds = power_sweep_rates(
             OPTICAL, [-0.0, 0.0, 1e-9], cutoff_power(OPTICAL, params), params)
-        assert regimes[:2] == ["low", "low"] and xis[:2] == [None, None]
+        assert regimes[:2] == ["low", "low"]
         assert [b.hex() for b in bounds[:2]] == [(0.0).hex()] * 2
 
     @pytest.mark.parametrize("descending", [False, True])
@@ -285,7 +275,7 @@ class TestPowerSweepRates:
         params = EmissionParameters(nu=nu)
         p_c = cutoff_power(OPTICAL, params)
         powers = sorted(self.powers(p_c), reverse=descending)
-        expected = self.per_point(OPTICAL, powers, p_c, params, XI_FLOOR)
+        expected = self.per_point(OPTICAL, powers, p_c, params)
         calls = []
         monkeypatch.setattr(channel_module, "regime_rate",
                             lambda *args: calls.append(args) or regime_rate(*args))
@@ -304,8 +294,7 @@ class TestPowerSweepRates:
         if order != "as drawn":
             powers.sort(reverse=order == "reversed")
         got = power_sweep_rates(OPTICAL, powers, p_c, params)
-        assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params,
-                                                  XI_FLOOR))
+        assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
 
 
 class TestCapacityBound:

@@ -323,7 +323,7 @@ def test_json_cell_rule_on_edge_cases(x):
 def test_json_cell_rule_on_columns_of_edge_cases():
     assert _json_texts(JSON_EDGE_CASES) == list(map(_old_json_text,
                                                     JSON_EDGE_CASES))
-    # a column wholly in one-call cells, and one wholly in [99999999, 1e16)
+    # columns of one-call cells only, and one wholly in [99999999, 1e16)
     for column in ([1e-3, 0.5, 99999998.9, 1.0000000001e-300],
                    [1e16, 3e200, 1.7976931348623157e308],
                    [99999999.0, 1.23456789123e12, 9.99999999e15]):
