@@ -4,7 +4,10 @@
 # rejected requests exit 1 and 2, and a 100k-point series whose reader stops
 # after one line (`| head -1`) exits 2.  No run may write a Python traceback
 # to stderr, and every JSON series must load as strict JSON (no NaN or
-# Infinity).  Every case runs twice: through `python -m bhthermo.cli` and
+# Infinity).  An emitted JSON record of bh, bounds, evaporate and channel,
+# fed back through `--input`, must print what the direct run prints in every
+# format, and a bad choice in an `--input` file exits 2 as the flag does.
+# Every case runs twice: through `python -m bhthermo.cli` and
 # through the `bhthermo` console script, whose import path differs (it
 # imports the package, then `bhthermo.cli`, then calls `entrypoint`).
 #
@@ -17,7 +20,10 @@ set -u
 
 err=$(mktemp)
 out=$(mktemp)
-trap 'rm -f "$err" "$out"' EXIT
+direct=$(mktemp)
+record=$(mktemp --suffix=.json)
+input=$(mktemp --suffix=.cfg)
+trap 'rm -f "$err" "$out" "$direct" "$record" "$input"' EXIT
 failures=0
 strict=0
 
@@ -68,6 +74,22 @@ series() {  # the arguments of one series run: exit 0, and strict JSON
     strict=0
 }
 
+refeed() {  # the arguments of one run whose JSON record must re-feed
+    local fmt
+    python -m bhthermo.cli "$@" --format json > "$record" 2> "$err"
+    report 0 $? python -m bhthermo.cli "$@" --format json
+    for fmt in table json csv; do
+        python -m bhthermo.cli "$@" --format "$fmt" > "$direct" 2> "$err"
+        report 0 $? python -m bhthermo.cli "$@" --format "$fmt"
+        "${console[@]}" "$1" --input "$record" --format "$fmt" > "$out" 2> "$err"
+        report 0 $? bhthermo "$1" --input "$record" --format "$fmt"
+        if ! cmp -s "$direct" "$out"; then
+            echo "FAIL (re-fed record prints otherwise): $* --format $fmt"
+            failures=$((failures + 1))
+        fi
+    done
+}
+
 run 0 --help
 for sub in constants bh evaporate bounds gedanken channel sweep; do
     run 0 "$sub" --help
@@ -114,6 +136,18 @@ for fmt in table json csv; do
     report 2 "${PIPESTATUS[0]}" bhthermo evaporate --points 100000 \
         --format "$fmt" "| head -1"
 done
+
+refeed bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4
+refeed bounds --mass 16 --radius 6 --entropy 1e3
+refeed bounds --mass 16 --radius 6 --nu 1.2 --zeta 20
+refeed evaporate --mass 1e12
+refeed channel --frequency 5.99584916e14 --power 1e-3
+refeed channel --lambda-c 1 --power 1e3 --nu 1.2
+
+# a choice in an --input file obeys the flag's choices
+echo "spacing=bogus" > "$input"
+run 2 sweep bh --param mass --start 1e10 --stop 1e12 --points 3 --input "$input"
+run 2 sweep bh --param mass --start 1e10 --stop 1e12 --points 3 --spacing bogus
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures run(s) failed"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS, nats_to_bits
+from .constants import CONSTANTS, DEFAULT_NU, nats_to_bits
 from .errors import DomainError
 
 #: A system counts as composite when E R / (c hbar) reaches this value.
@@ -30,8 +30,8 @@ WEAK_GRAVITY_THRESHOLD = 1e-2
 #: G E / (c^4 R) of a Schwarzschild hole; a weak-gravity threshold must
 #: stay below it, which keeps the universal bound below the holographic one.
 BLACK_HOLE_GRAVITY_RATIO = 0.5
-#: Default irreversibility factor / hole-to-system size ratio for the weak bound.
-DEFAULT_NU = 1.5
+#: Default hole-to-system size ratio for the weak bound (its nu defaults to
+#: constants.DEFAULT_NU).
 DEFAULT_ZETA = 10.0
 
 
@@ -185,8 +185,8 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
 
     comp = compositeness(sys)
     grav = weak_gravity_ratio(sys)
-    composite = comp >= composite_threshold
-    weak = grav <= weak_gravity_threshold
+    composite = is_composite(sys, composite_threshold)
+    weak = is_weakly_gravitating(sys, weak_gravity_threshold)
 
     reasons = []
     if not composite:

@@ -16,7 +16,7 @@ import re
 import sys
 from collections.abc import Callable, Sequence
 from itertools import chain, repeat
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .constants import (
     CONSTANTS,
@@ -344,14 +344,9 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return data
 
 
-#: Emitted-JSON input keys accepted back on the command line, per subcommand.
-JSON_INPUT_KEYS = {
-    "bh": {"mass_g": "mass", "charge_esu": "charge", "spin_erg_s": "spin"},
-}
-
-
-def load_input_file(path: str, command: str) -> dict[str, str]:
-    """Read a flat key=value file, or the inputs of a previously emitted JSON."""
+def load_input_file(path: str, keys: dict[str, str]) -> dict[str, str]:
+    """Read a flat key=value file, or the inputs of a previously emitted
+    JSON record, whose keys ``keys`` maps to parameter names."""
     try:
         if not path.endswith(".json"):
             return _parse_kv_file(path)
@@ -365,31 +360,40 @@ def load_input_file(path: str, command: str) -> dict[str, str]:
     inputs = obj.get("inputs", obj) if isinstance(obj, dict) else None
     if not isinstance(inputs, dict):
         raise ConfigError(f"{path} holds no JSON object of inputs")
-    mapping = JSON_INPUT_KEYS.get(command, {})
-    return {mapping.get(key, key): str(value) for key, value in inputs.items()}
+    return {keys.get(key, key): str(value) for key, value in inputs.items()}
 
 
-def merge_input(args: argparse.Namespace, command: str,
-                schema: dict[str, type]) -> None:
-    """Fill unset args from --input; CLI flags always win over file values."""
-    if getattr(args, "input", None) is None:
-        return
-    data = load_input_file(args.input, command)
-    for key, raw in data.items():
-        dest = key.replace("-", "_")
-        if dest not in schema:
-            raise ConfigError(f"unknown key {key!r} in {args.input}")
-        if getattr(args, dest, None) is None:
-            try:
-                setattr(args, dest, schema[dest](raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key!r} in {args.input}: {exc}")
-
-
-def _fill_defaults(args: argparse.Namespace, defaults: dict[str, object]) -> None:
-    for dest, value in defaults.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+def merge_input(args: argparse.Namespace,
+                defaults: Sequence[Param] | None = None) -> set[str]:
+    """Fill the subcommand's unset parameters from --input, then give each
+    of ``defaults`` (all its parameters if None) still unset its default.
+    CLI flags win over file values, and a file value must have its
+    parameter's type and choices.  Returns the dests that the command line
+    or the file set."""
+    parameters = SUBCOMMANDS[args.command][2]
+    path = getattr(args, "input", None)
+    if path is not None:
+        options = {p.dest: p for p in parameters if p.flag.startswith("-")}
+        keys = {p.key: p.dest for p in parameters if p.key}
+        for key, raw in load_input_file(path, keys).items():
+            dest = key.replace("-", "_")
+            if dest not in options:
+                raise ConfigError(f"unknown key {key!r} in {path}")
+            if getattr(args, dest) is None:
+                param = options[dest]
+                try:
+                    value = param.type(raw)
+                    if param.choices is not None and value not in param.choices:
+                        raise ValueError(f"invalid choice {raw!r}; choose from "
+                                         + ", ".join(param.choices))
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key!r} in {path}: {exc}")
+                setattr(args, dest, value)
+    given = {p.dest for p in parameters if getattr(args, p.dest) is not None}
+    for p in parameters if defaults is None else defaults:
+        if p.dest not in given and p.default is not None:
+            setattr(args, p.dest, p.default_value())
+    return given
 
 
 def _check_points(args: argparse.Namespace) -> None:
@@ -405,20 +409,143 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
                           + ", ".join(d.replace("_", "-") for d in missing))
 
 
+def _echo_given(doc: Document, args: argparse.Namespace, given: set[str],
+                *dests: str) -> None:
+    """Echo in ``inputs`` each of these optional parameters the request
+    set, so that its record re-feeds to the same numbers."""
+    for dest in dests:
+        if dest in given:
+            doc.add("inputs", dest, getattr(args, dest))
+
+
 def build_emission(args: argparse.Namespace) -> EmissionParameters:
-    kwargs = {}
-    for dest, name in (("nu", "nu"), ("gamma_bar", "gamma_bar"),
-                       ("n_species", "n_species")):
-        value = getattr(args, dest, None)
-        if value is not None:
-            kwargs[name] = value
-    return EmissionParameters(**kwargs)
+    return EmissionParameters(nu=args.nu, gamma_bar=args.gamma_bar,
+                              n_species=args.n_species)
 
 
-def _add_emission_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--nu", type=float, help="irreversibility factor (1..2)")
-    p.add_argument("--gamma-bar", type=float, help="relativistic emission factor")
-    p.add_argument("--n-species", type=float, help="effective massless species count")
+# -- parameters ------------------------------------------------------------
+
+class Param(NamedTuple):
+    """One parameter of a subcommand, declared once.
+
+    A parameter that neither the command line nor the --input file sets
+    takes ``default``: a literal only the command line uses, or a callable
+    reading a default the library holds, called only after the subcommand
+    has loaded its formula modules.  ``type`` and ``choices`` hold for flag
+    and file values alike.  ``key`` names the value in an emitted JSON
+    record's ``inputs`` where that name is not the dest.
+    """
+
+    flag: str                   # a bare name for a positional argument
+    help: str | None = None
+    default: object = None
+    type: Callable[[str], object] = float
+    choices: tuple[str, ...] | None = None
+    key: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag.lstrip("-").replace("-", "_")
+
+    def default_value(self) -> object:
+        return self.default() if callable(self.default) else self.default
+
+
+#: The emission factors of the radiating hole.
+EMISSION = (
+    Param("--nu", "irreversibility factor (1..2)", lambda: EmissionParameters.nu),
+    Param("--gamma-bar", "relativistic emission factor",
+          lambda: EmissionParameters.gamma_bar),
+    Param("--n-species", "effective massless species count",
+          lambda: EmissionParameters.n_species),
+)
+N_CARRIERS = Param("--n-carriers", "carrier species count", lambda: Channel.n_carriers)
+#: The sweep's grid, then the parameters of each target.
+SWEEP_GRID = (
+    Param("--param", "swept parameter (mass | power | lambda_c)", type=str),
+    Param("--start"),
+    Param("--stop"),
+    Param("--points", f"number of points (default 50, at most {MAX_POINTS})", 50, int),
+    Param("--spacing", "grid spacing (default log)", "log", str, ("log", "linear")),
+)
+SWEEP_BH = (
+    Param("--quantity", "bh output quantity (default entropy)", "entropy", str),
+    Param("--charge", "fixed charge [esu] (bh)", 0.0),
+    Param("--spin", "fixed spin [erg s] (bh)", 0.0),
+)
+SWEEP_CHANNEL = (
+    Param("--lambda-c", "fixed cutoff [cm] (channel)"),
+    Param("--power", "fixed power [erg s^-1] (channel)"),
+    N_CARRIERS,
+    *EMISSION,
+)
+INPUT_HELP = "key=value input file"
+
+#: Each subcommand's help, its --input help (None: it takes no --input) and
+#: its parameters, in the order its --help lists them.
+SUBCOMMANDS = {
+    "constants": ("dump the physical constants table", None, ()),
+    "bh": ("Kerr-Newman black hole state", "key=value or emitted-JSON input file", (
+        Param("--mass", "mass [g]", key="mass_g"),
+        Param("--charge", "charge [esu]", 0.0, key="charge_esu"),
+        Param("--spin", "angular momentum [erg s]", 0.0, key="spin_erg_s"),
+        Param("--charge-over-m", "charge as the dimensionless ratio Q/M"),
+        Param("--spin-over-m", "spin as the dimensionless ratio a/M"),
+    )),
+    "evaporate": ("Hawking evaporation trajectory", INPUT_HELP, (
+        Param("--mass", "initial mass [g]", key="mass_g"),
+        Param("--points", f"number of samples (default 200, at most {MAX_POINTS})",
+              200, int),
+        *EMISSION,
+    )),
+    "bounds": ("entropy bound report for a system", INPUT_HELP, (
+        Param("--energy", "rest energy [erg]"),
+        Param("--mass", "rest mass [g] (alternative to energy)"),
+        Param("--radius", "largest radius [cm]"),
+        Param("--entropy", "stored entropy [nat]"),
+        Param("--area", "enclosing area [cm^2] (default: sphere of the radius)",
+              key="enclosing_area"),
+        # bound_report's own defaults
+        Param("--nu", "irreversibility factor", lambda: DEFAULT_NU),
+        Param("--zeta", "hole-to-system size ratio", lambda: DEFAULT_ZETA),
+        Param("--composite-threshold",
+              "ER/(c hbar) needed to count as composite (default 10)",
+              lambda: COMPOSITE_THRESHOLD),
+        Param("--weak-gravity-threshold",
+              "largest GE/(c^4 R) counting as weak gravity (default 1e-2)",
+              lambda: WEAK_GRAVITY_THRESHOLD),
+    )),
+    "gedanken": ("entropy-ledger thought experiments", "key=value scenario file", (
+        Param("--scenario", type=str,
+              choices=("susskind", "capsule", "infall", "merger")),
+        Param("--energy", "system rest energy [erg]"),
+        Param("--mass", "system rest mass [g]"),
+        Param("--radius", "system radius [cm]"),
+        Param("--entropy", "system entropy [nat]"),
+        Param("--area", "enclosing area [cm^2] (susskind)"),
+        Param("--bh-mass", "host hole mass [g]"),
+        Param("--bh-charge", "host hole charge [esu]", 0.0),
+        Param("--bh-spin", "host hole spin [erg s]", 0.0),
+        Param("--mu", "capsule rest mass [g]"),
+        Param("--b", "capsule radius [cm]"),
+        Param("--s-cap", "capsule entropy [nat]"),
+        Param("--zeta", "hole-to-system size ratio (infall)", lambda: DEFAULT_ZETA),
+        Param("--m1", "first hole mass [g] (merger)"),
+        Param("--m2", "second hole mass [g] (merger)"),
+        *EMISSION,
+    )),
+    "channel": ("channel capacity bounds", INPUT_HELP, (
+        Param("--lambda-c", "long-wavelength cutoff [cm]"),
+        Param("--frequency", "cutoff as a frequency [Hz] (alternative to lambda-c)"),
+        Param("--power", "channel power [erg s^-1]"),
+        N_CARRIERS,
+        *EMISSION,
+    )),
+    "sweep": ("parameter sweeps as data series", INPUT_HELP, (
+        Param("target", type=str, choices=("bh", "channel")),
+        *SWEEP_GRID, *SWEEP_BH, *SWEEP_CHANNEL,
+    )),
+}
 
 
 # -- subcommands -----------------------------------------------------------
@@ -432,14 +559,14 @@ def cmd_constants(args: argparse.Namespace) -> Document:
     return doc
 
 
-def _resolve_charge_spin(args: argparse.Namespace) -> tuple[float, float]:
-    if args.charge is not None and args.charge_over_m is not None:
+def _resolve_charge_spin(args: argparse.Namespace,
+                         given: set[str]) -> tuple[float, float]:
+    if {"charge", "charge_over_m"} <= given:
         raise ConfigError("give either charge or charge-over-m, not both")
-    if args.spin is not None and args.spin_over_m is not None:
+    if {"spin", "spin_over_m"} <= given:
         raise ConfigError("give either spin or spin-over-m, not both")
     M = geometrized_mass(args.mass)
-    q = args.charge if args.charge is not None else 0.0
-    j = args.spin if args.spin is not None else 0.0
+    q, j = args.charge, args.spin
     if args.charge_over_m is not None:
         q = args.charge_over_m * M * CONSTANTS.c**2 / math.sqrt(CONSTANTS.G)
     if args.spin_over_m is not None:
@@ -447,15 +574,11 @@ def _resolve_charge_spin(args: argparse.Namespace) -> tuple[float, float]:
     return q, j
 
 
-BH_SCHEMA = {"mass": float, "charge": float, "spin": float,
-             "charge_over_m": float, "spin_over_m": float}
-
-
 def cmd_bh(args: argparse.Namespace) -> Document:
     _load("kerr_newman")
-    merge_input(args, "bh", BH_SCHEMA)
+    given = merge_input(args)
     _require(args, "mass")
-    q, j = _resolve_charge_spin(args)
+    q, j = _resolve_charge_spin(args, given)
     bh = make_black_hole(args.mass, q, j)
     pots = potentials(bh)
     h1, h2 = h_factors(bh)
@@ -481,20 +604,14 @@ def cmd_bh(args: argparse.Namespace) -> Document:
     return doc
 
 
-EVAPORATE_SCHEMA = {"mass": float, "points": int, "nu": float,
-                    "gamma_bar": float, "n_species": float}
-
-
 def cmd_evaporate(args: argparse.Namespace) -> Document:
     _load("evaporation")
-    merge_input(args, "evaporate", EVAPORATE_SCHEMA)
+    merge_input(args)
     _require(args, "mass")
-    _fill_defaults(args, {"points": 200})
     if args.points < 2:
         raise ConfigError("evaporate needs at least two points")
     _check_points(args)
-    params = build_emission(args)
-    t, m = mass_history(args.mass, params, points=args.points)
+    t, m = mass_history(args.mass, build_emission(args), points=args.points)
     doc = Document("evaporation")
     doc.add("inputs", "mass_g", args.mass, "g")
     doc.add("results", "lifetime_s", t[-1], "s")
@@ -502,33 +619,24 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     return doc
 
 
-BOUNDS_SCHEMA = {"energy": float, "mass": float, "radius": float,
-                 "entropy": float, "area": float, "nu": float, "zeta": float,
-                 "composite_threshold": float, "weak_gravity_threshold": float}
-
-
 def cmd_bounds(args: argparse.Namespace) -> Document:
     _load("bounds")
-    merge_input(args, "bounds", BOUNDS_SCHEMA)
+    given = merge_input(args)
     _require(args, "radius")
-    if (args.energy is None) == (args.mass is None):
-        raise ConfigError("give exactly one of energy or mass")
-    energy = args.energy if args.energy is not None else args.mass * CONSTANTS.c**2
-    _fill_defaults(args, {"nu": DEFAULT_NU, "zeta": DEFAULT_ZETA,
-                          "composite_threshold": COMPOSITE_THRESHOLD,
-                          "weak_gravity_threshold": WEAK_GRAVITY_THRESHOLD})
-    sys_ = MaterialSystem(energy=energy, radius=args.radius, entropy=args.entropy)
+    sys_ = _system_from_args(args)
     report = bound_report(sys_, enclosing_area=args.area,
                           nu=args.nu, zeta=args.zeta,
                           composite_threshold=args.composite_threshold,
                           weak_gravity_threshold=args.weak_gravity_threshold)
     doc = Document("bound_report")
-    doc.add("inputs", "energy", energy, "erg")
+    doc.add("inputs", "energy", sys_.energy, "erg")
     doc.add("inputs", "radius", args.radius, "cm")
     area = args.area if args.area is not None else sphere_area(args.radius)
     doc.add("inputs", "enclosing_area", area, "cm^2")
     if args.entropy is not None:
         doc.add("inputs", "entropy", args.entropy, "nat")
+    _echo_given(doc, args, given, "nu", "zeta", "composite_threshold",
+                "weak_gravity_threshold")
     doc.add("results", "compositeness", report.compositeness)
     doc.add("results", "weak_gravity_ratio", report.weak_gravity_ratio)
     doc.add("results", "tightest_applicable", report.tightest_applicable)
@@ -542,50 +650,35 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     return doc
 
 
-GEDANKEN_SCHEMA = {"scenario": str, "energy": float, "mass": float,
-                   "radius": float, "entropy": float, "area": float,
-                   "bh_mass": float, "bh_charge": float, "bh_spin": float,
-                   "mu": float, "b": float, "s_cap": float, "zeta": float,
-                   "m1": float, "m2": float, "nu": float, "gamma_bar": float,
-                   "n_species": float}
-
-
-def _system_from_args(args: argparse.Namespace) -> MaterialSystem:
+def _system_from_args(args: argparse.Namespace, *required: str) -> MaterialSystem:
     if (args.energy is None) == (args.mass is None):
         raise ConfigError("give exactly one of energy or mass")
     energy = args.energy if args.energy is not None else args.mass * CONSTANTS.c**2
-    _require(args, "radius", "entropy")
+    _require(args, *required)
     return MaterialSystem(energy=energy, radius=args.radius, entropy=args.entropy)
 
 
 def cmd_gedanken(args: argparse.Namespace) -> Document:
     _load("bounds", "evaporation", "gedanken", "kerr_newman")
-    merge_input(args, "gedanken", GEDANKEN_SCHEMA)
+    merge_input(args)
     _require(args, "scenario")
     scenario = args.scenario
     if scenario == "susskind":
-        sys_ = _system_from_args(args)
+        sys_ = _system_from_args(args, "radius", "entropy")
         area = args.area if args.area is not None else sphere_area(sys_.radius)
         report = susskind_collapse(sys_, area)
     elif scenario == "capsule":
         _require(args, "bh_mass", "mu", "b", "s_cap")
-        bh = make_black_hole(args.bh_mass, args.bh_charge or 0.0,
-                             args.bh_spin or 0.0)
+        bh = make_black_hole(args.bh_mass, args.bh_charge, args.bh_spin)
         report = capsule_lowering(bh, args.mu, args.b, args.s_cap)
     elif scenario == "infall":
-        sys_ = _system_from_args(args)
+        sys_ = _system_from_args(args, "radius", "entropy")
         params = build_emission(args)
-        if args.bh_mass is not None:
-            report = infall_experiment(sys_, make_black_hole(args.bh_mass), params)
-        else:
-            _fill_defaults(args, {"zeta": DEFAULT_ZETA})
-            report = infall_experiment(sys_, args.zeta, params)
-    elif scenario == "merger":
+        host = args.zeta if args.bh_mass is None else make_black_hole(args.bh_mass)
+        report = infall_experiment(sys_, host, params)
+    else:
         _require(args, "m1", "m2")
         report = merger(make_black_hole(args.m1), make_black_hole(args.m2))
-    else:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from "
-                          "susskind, capsule, infall, merger")
     return _gedanken_document(report)
 
 
@@ -611,14 +704,9 @@ def _gedanken_document(report: GedankenReport) -> Document:
     return doc
 
 
-CHANNEL_SCHEMA = {"lambda_c": float, "frequency": float, "power": float,
-                  "n_carriers": float, "nu": float, "gamma_bar": float,
-                  "n_species": float}
-
-
 def cmd_channel(args: argparse.Namespace) -> Document:
     _load("channel", "evaporation")
-    merge_input(args, "channel", CHANNEL_SCHEMA)
+    given = merge_input(args)
     _require(args, "power")
     if (args.lambda_c is None) == (args.frequency is None):
         raise ConfigError("give exactly one of lambda-c or frequency")
@@ -627,7 +715,6 @@ def cmd_channel(args: argparse.Namespace) -> Document:
             f"frequency must be positive and finite, got {args.frequency}")
     lambda_c = args.lambda_c if args.lambda_c is not None \
         else CONSTANTS.c / args.frequency
-    _fill_defaults(args, {"n_carriers": 1.0})
     ch = Channel(lambda_c=lambda_c, power=args.power,
                  n_carriers=args.n_carriers, emission=build_emission(args))
     report = capacity_bound(ch)
@@ -635,6 +722,7 @@ def cmd_channel(args: argparse.Namespace) -> Document:
     doc.add("inputs", "lambda_c", lambda_c, "cm")
     doc.add("inputs", "power", ch.power, "erg s^-1")
     doc.add("inputs", "n_carriers", ch.n_carriers)
+    _echo_given(doc, args, given, "nu", "gamma_bar", "n_species")
     doc.add("results", "p_c", report.p_c, "erg s^-1")
     doc.add("results", "p_c_approx", report.p_c_approx, "erg s^-1")
     doc.add("results", "regime", report.regime)
@@ -650,11 +738,6 @@ def cmd_channel(args: argparse.Namespace) -> Document:
             cons.pendry_crossover_power, "erg s^-1")
     return doc
 
-
-SWEEP_SCHEMA = {"param": str, "start": float, "stop": float, "points": int,
-                "spacing": str, "quantity": str, "charge": float, "spin": float,
-                "lambda_c": float, "power": float, "n_carriers": float,
-                "nu": float, "gamma_bar": float, "n_species": float}
 
 #: Each bh sweep quantity, with its unit, as a column computed from the
 #: mass column m and the holes' ``horizon_columns`` (M, Q, a, r = r_plus).
@@ -688,17 +771,16 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
-    _load("grids")
-    merge_input(args, "sweep", SWEEP_SCHEMA)
+    bh = args.target == "bh"
+    # Only the target's defaults are filled: the other's would load its modules.
+    _load("grids", *(["kerr_newman"] if bh else ["channel", "evaporation"]))
+    merge_input(args, SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL))
     _require(args, "param", "start", "stop")
-    _fill_defaults(args, {"points": 50, "spacing": "log"})
     grid = _sweep_grid(args)
     doc = Document("sweep")
-    if args.target == "bh":
-        _load("kerr_newman")
+    if bh:
         if args.param != "mass":
             raise ConfigError("bh sweeps support param=mass")
-        _fill_defaults(args, {"quantity": "entropy", "charge": 0.0, "spin": 0.0})
         if args.quantity not in BH_SWEEP_QUANTITIES:
             raise ConfigError(f"unknown quantity {args.quantity!r}; choose from "
                               + ", ".join(sorted(BH_SWEEP_QUANTITIES)))
@@ -714,10 +796,8 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             raise
         doc.set_columns(["mass", args.quantity], ["g", unit], [grid, values])
     else:
-        _load("channel", "evaporation")
         if args.param not in ("power", "lambda_c"):
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
-        _fill_defaults(args, {"n_carriers": 1.0})
         emission = build_emission(args)
         if (args.lambda_c if args.param == "power" else args.power) is None:
             raise ConfigError("channel sweep needs the non-swept parameter "
@@ -783,91 +863,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("constants", help="dump the physical constants table",
-                   parents=[common])
-
-    p = sub.add_parser("bh", help="Kerr-Newman black hole state",
-                       parents=[common])
-    p.add_argument("--mass", type=float, help="mass [g]")
-    p.add_argument("--charge", type=float, help="charge [esu]")
-    p.add_argument("--spin", type=float, help="angular momentum [erg s]")
-    p.add_argument("--charge-over-m", type=float,
-                   help="charge as the dimensionless ratio Q/M")
-    p.add_argument("--spin-over-m", type=float,
-                   help="spin as the dimensionless ratio a/M")
-    p.add_argument("--input", help="key=value or emitted-JSON input file")
-
-    p = sub.add_parser("evaporate", parents=[common], help="Hawking evaporation trajectory")
-    p.add_argument("--mass", type=float, help="initial mass [g]")
-    p.add_argument("--points", type=int,
-                   help=f"number of samples (default 200, at most {MAX_POINTS})")
-    _add_emission_flags(p)
-    p.add_argument("--input", help="key=value input file")
-
-    p = sub.add_parser("bounds", parents=[common], help="entropy bound report for a system")
-    p.add_argument("--energy", type=float, help="rest energy [erg]")
-    p.add_argument("--mass", type=float, help="rest mass [g] (alternative to energy)")
-    p.add_argument("--radius", type=float, help="largest radius [cm]")
-    p.add_argument("--entropy", type=float, help="stored entropy [nat]")
-    p.add_argument("--area", type=float,
-                   help="enclosing area [cm^2] (default: sphere of the radius)")
-    p.add_argument("--nu", type=float, help="irreversibility factor")
-    p.add_argument("--zeta", type=float, help="hole-to-system size ratio")
-    p.add_argument("--composite-threshold", type=float,
-                   help="ER/(c hbar) needed to count as composite (default 10)")
-    p.add_argument("--weak-gravity-threshold", type=float,
-                   help="largest GE/(c^4 R) counting as weak gravity (default 1e-2)")
-    p.add_argument("--input", help="key=value input file")
-
-    p = sub.add_parser("gedanken", parents=[common], help="entropy-ledger thought experiments")
-    p.add_argument("--scenario",
-                   choices=("susskind", "capsule", "infall", "merger"))
-    p.add_argument("--energy", type=float, help="system rest energy [erg]")
-    p.add_argument("--mass", type=float, help="system rest mass [g]")
-    p.add_argument("--radius", type=float, help="system radius [cm]")
-    p.add_argument("--entropy", type=float, help="system entropy [nat]")
-    p.add_argument("--area", type=float, help="enclosing area [cm^2] (susskind)")
-    p.add_argument("--bh-mass", type=float, help="host hole mass [g]")
-    p.add_argument("--bh-charge", type=float, help="host hole charge [esu]")
-    p.add_argument("--bh-spin", type=float, help="host hole spin [erg s]")
-    p.add_argument("--mu", type=float, help="capsule rest mass [g]")
-    p.add_argument("--b", type=float, help="capsule radius [cm]")
-    p.add_argument("--s-cap", type=float, help="capsule entropy [nat]")
-    p.add_argument("--zeta", type=float, help="hole-to-system size ratio (infall)")
-    p.add_argument("--m1", type=float, help="first hole mass [g] (merger)")
-    p.add_argument("--m2", type=float, help="second hole mass [g] (merger)")
-    _add_emission_flags(p)
-    p.add_argument("--input", help="key=value scenario file")
-
-    p = sub.add_parser("channel", parents=[common], help="channel capacity bounds")
-    p.add_argument("--lambda-c", type=float, help="long-wavelength cutoff [cm]")
-    p.add_argument("--frequency", type=float,
-                   help="cutoff as a frequency [Hz] (alternative to lambda-c)")
-    p.add_argument("--power", type=float, help="channel power [erg s^-1]")
-    p.add_argument("--n-carriers", type=float, help="carrier species count")
-    _add_emission_flags(p)
-    p.add_argument("--input", help="key=value input file")
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="parameter sweeps as data series")
-    p.add_argument("target", choices=("bh", "channel"))
-    p.add_argument("--param", help="swept parameter (mass | power | lambda_c)")
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--points", type=int,
-                   help=f"number of points (default 50, at most {MAX_POINTS})")
-    p.add_argument("--spacing", choices=("log", "linear"),
-                   help="grid spacing (default log)")
-    p.add_argument("--quantity", help="bh output quantity (default entropy)")
-    p.add_argument("--charge", type=float, help="fixed charge [esu] (bh)")
-    p.add_argument("--spin", type=float, help="fixed spin [erg s] (bh)")
-    p.add_argument("--lambda-c", type=float, help="fixed cutoff [cm] (channel)")
-    p.add_argument("--power", type=float, help="fixed power [erg s^-1] (channel)")
-    p.add_argument("--n-carriers", type=float, help="carrier species count")
-    _add_emission_flags(p)
-    p.add_argument("--input", help="key=value input file")
-
+    for name, (help_, input_help, parameters) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_, parents=[common])
+        # argparse's default stays None: a file value or the row's default
+        # fills an unset parameter later, in merge_input
+        for param in parameters:
+            p.add_argument(param.flag, type=param.type, choices=param.choices,
+                           help=param.help)
+        if input_help is not None:
+            p.add_argument("--input", help=input_help)
     return parser
 
 

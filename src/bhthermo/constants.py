@@ -1,4 +1,5 @@
-"""CGS physical constants and the unit conversions used by every other module.
+"""CGS physical constants and the unit conversions used by every other module,
+and the one model default they share (DEFAULT_NU).
 
 All internal computation runs in Gaussian CGS with temperature carried as an
 energy (erg); Kelvin appears only at display boundaries.  Entropy is
@@ -20,6 +21,10 @@ from .errors import DomainError
 
 #: log2(e), the nats -> bits conversion factor.
 LOG2E = math.log2(math.e)
+#: Default irreversibility factor nu by which the entropy a hole radiates
+#: exceeds E/T: 1.35-1.64 depending on species, and this is the midpoint.
+#: Both the emission parameters and the weak universal bound default to it.
+DEFAULT_NU = 1.5
 
 
 @dataclass(frozen=True)

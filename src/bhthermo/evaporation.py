@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CONSTANTS
+from .constants import CONSTANTS, DEFAULT_NU, geometrized_mass
 from .errors import DomainError, SubPlanckMassError
 from .grids import linspace
-from .kerr_newman import BlackHole, temperature
+from .kerr_newman import BlackHole, area_from, temperature, temperature_from
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class EmissionParameters:
     the gamma_bar * n_species product; the default keeps them as one.
     """
 
-    nu: float = 1.5
+    nu: float = DEFAULT_NU
     gamma_bar: float = 2.0
     n_species: float = 1.0
 
@@ -123,11 +123,11 @@ def mass_loss_rate(m: float) -> float:
     if m <= CONSTANTS.planck_mass:
         raise SubPlanckMassError(
             f"mass {m} g is not above the Planck mass {CONSTANTS.planck_mass:.6e} g")
-    M = CONSTANTS.G * m / CONSTANTS.c**2
+    M = geometrized_mass(m)
     r_g = 2.0 * M
-    T_erg = CONSTANTS.hbar * CONSTANTS.c / (8.0 * math.pi * M)
-    power = (4.0 * math.pi * r_g**2 * CONSTANTS.sigma_SB
-             * (T_erg / CONSTANTS.k_B)**4)
+    area = area_from(r_g, 0.0)
+    T_erg = temperature_from(M, r_g, area)
+    power = area * CONSTANTS.sigma_SB * (T_erg / CONSTANTS.k_B)**4
     return -power / CONSTANTS.c**2
 
 

@@ -30,6 +30,8 @@ from .bounds import (
     WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     compositeness,
+    is_composite,
+    is_weakly_gravitating,
     weak_gravity_ratio,
 )
 from .constants import CONSTANTS
@@ -249,10 +251,9 @@ def infall_experiment(sys: MaterialSystem, bh_or_zeta: BlackHole | float,
     mass_ratio = hole.m / (sys.energy / CONSTANTS.c**2)
     checks = (
         AssumptionCheck("composite", compositeness(sys), COMPOSITE_THRESHOLD,
-                        compositeness(sys) >= COMPOSITE_THRESHOLD),
+                        is_composite(sys)),
         AssumptionCheck("weak_gravity", weak_gravity_ratio(sys),
-                        WEAK_GRAVITY_THRESHOLD,
-                        weak_gravity_ratio(sys) <= WEAK_GRAVITY_THRESHOLD),
+                        WEAK_GRAVITY_THRESHOLD, is_weakly_gravitating(sys)),
         AssumptionCheck("hole_mass_dominates", mass_ratio, MASS_DOMINANCE,
                         mass_ratio >= MASS_DOMINANCE),
         AssumptionCheck("radiation_pressure_negligible", pressure_bound, 1e-2,
