@@ -328,101 +328,6 @@ def _text_cell(value: object, where: str = "a computed value",
     return f"{value:.16e}" if exact else f"{value:.8e}"
 
 
-# -- input files -----------------------------------------------------------
-
-def _parse_kv_file(path: str) -> dict[str, str]:
-    data: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            data[key.strip()] = value.strip()
-    return data
-
-
-def load_input_file(path: str, keys: dict[str, str]) -> dict[str, str]:
-    """Read a flat key=value file, or the inputs of a previously emitted
-    JSON record, whose keys ``keys`` maps to parameter names."""
-    try:
-        if not path.endswith(".json"):
-            return _parse_kv_file(path)
-        import json
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:       # json.JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"cannot parse {path}: {exc}")
-    inputs = obj.get("inputs", obj) if isinstance(obj, dict) else None
-    if not isinstance(inputs, dict):
-        raise ConfigError(f"{path} holds no JSON object of inputs")
-    return {keys.get(key, key): str(value) for key, value in inputs.items()}
-
-
-def merge_input(args: argparse.Namespace,
-                defaults: Sequence[Param] | None = None) -> set[str]:
-    """Fill the subcommand's unset parameters from --input, then give each
-    of ``defaults`` (all its parameters if None) still unset its default.
-    CLI flags win over file values, and a file value must have its
-    parameter's type and choices.  Returns the dests that the command line
-    or the file set."""
-    parameters = SUBCOMMANDS[args.command][2]
-    path = getattr(args, "input", None)
-    if path is not None:
-        options = {p.dest: p for p in parameters if p.flag.startswith("-")}
-        keys = {p.key: p.dest for p in parameters if p.key}
-        for key, raw in load_input_file(path, keys).items():
-            dest = key.replace("-", "_")
-            if dest not in options:
-                raise ConfigError(f"unknown key {key!r} in {path}")
-            if getattr(args, dest) is None:
-                param = options[dest]
-                try:
-                    value = param.type(raw)
-                    if param.choices is not None and value not in param.choices:
-                        raise ValueError(f"invalid choice {raw!r}; choose from "
-                                         + ", ".join(param.choices))
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key!r} in {path}: {exc}")
-                setattr(args, dest, value)
-    given = {p.dest for p in parameters if getattr(args, p.dest) is not None}
-    for p in parameters if defaults is None else defaults:
-        if p.dest not in given and p.default is not None:
-            setattr(args, p.dest, p.default_value())
-    return given
-
-
-def _check_points(args: argparse.Namespace) -> None:
-    if args.points > MAX_POINTS:
-        raise ConfigError(f"{args.points} points is above the limit of "
-                          f"{MAX_POINTS}")
-
-
-def _require(args: argparse.Namespace, *dests: str) -> None:
-    missing = [d for d in dests if getattr(args, d) is None]
-    if missing:
-        raise ConfigError("missing required parameter(s): "
-                          + ", ".join(d.replace("_", "-") for d in missing))
-
-
-def _echo_given(doc: Document, args: argparse.Namespace, given: set[str],
-                *dests: str) -> None:
-    """Echo in ``inputs`` each of these optional parameters the request
-    set, so that its record re-feeds to the same numbers."""
-    for dest in dests:
-        if dest in given:
-            doc.add("inputs", dest, getattr(args, dest))
-
-
-def build_emission(args: argparse.Namespace) -> EmissionParameters:
-    return EmissionParameters(nu=args.nu, gamma_bar=args.gamma_bar,
-                              n_species=args.n_species)
-
-
 # -- parameters ------------------------------------------------------------
 
 class Param(NamedTuple):
@@ -546,6 +451,101 @@ SUBCOMMANDS = {
         *SWEEP_GRID, *SWEEP_BH, *SWEEP_CHANNEL,
     )),
 }
+
+
+# -- input files -----------------------------------------------------------
+
+def _parse_kv_file(path: str) -> dict[str, str]:
+    data: dict[str, str] = {}
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            data[key.strip()] = value.strip()
+    return data
+
+
+def load_input_file(path: str, keys: dict[str, str]) -> dict[str, str]:
+    """Read a flat key=value file, or the inputs of a previously emitted
+    JSON record, whose keys ``keys`` maps to parameter names."""
+    try:
+        if not path.endswith(".json"):
+            return _parse_kv_file(path)
+        import json
+        with open(path) as fh:
+            obj = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:       # json.JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"cannot parse {path}: {exc}")
+    inputs = obj.get("inputs", obj) if isinstance(obj, dict) else None
+    if not isinstance(inputs, dict):
+        raise ConfigError(f"{path} holds no JSON object of inputs")
+    return {keys.get(key, key): str(value) for key, value in inputs.items()}
+
+
+def merge_input(args: argparse.Namespace,
+                defaults: Sequence[Param] | None = None) -> set[str]:
+    """Fill the subcommand's unset parameters from --input, then give each
+    of ``defaults`` (all its parameters if None) still unset its default.
+    CLI flags win over file values, and a file value must have its
+    parameter's type and choices.  Returns the dests that the command line
+    or the file set."""
+    parameters = SUBCOMMANDS[args.command][2]
+    path = getattr(args, "input", None)
+    if path is not None:
+        options = {p.dest: p for p in parameters if p.flag.startswith("-")}
+        keys = {p.key: p.dest for p in parameters if p.key}
+        for key, raw in load_input_file(path, keys).items():
+            dest = key.replace("-", "_")
+            if dest not in options:
+                raise ConfigError(f"unknown key {key!r} in {path}")
+            if getattr(args, dest) is None:
+                param = options[dest]
+                try:
+                    value = param.type(raw)
+                    if param.choices is not None and value not in param.choices:
+                        raise ValueError(f"invalid choice {raw!r}; choose from "
+                                         + ", ".join(param.choices))
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key!r} in {path}: {exc}")
+                setattr(args, dest, value)
+    given = {p.dest for p in parameters if getattr(args, p.dest) is not None}
+    for p in parameters if defaults is None else defaults:
+        if p.dest not in given and p.default is not None:
+            setattr(args, p.dest, p.default_value())
+    return given
+
+
+def _check_points(args: argparse.Namespace) -> None:
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"{args.points} points is above the limit of "
+                          f"{MAX_POINTS}")
+
+
+def _require(args: argparse.Namespace, *dests: str) -> None:
+    missing = [d for d in dests if getattr(args, d) is None]
+    if missing:
+        raise ConfigError("missing required parameter(s): "
+                          + ", ".join(d.replace("_", "-") for d in missing))
+
+
+def _echo_given(doc: Document, args: argparse.Namespace, given: set[str],
+                *dests: str) -> None:
+    """Echo in ``inputs`` each of these optional parameters the request
+    set, so that its record re-feeds to the same numbers."""
+    for dest in dests:
+        if dest in given:
+            doc.add("inputs", dest, getattr(args, dest))
+
+
+def build_emission(args: argparse.Namespace) -> EmissionParameters:
+    return EmissionParameters(nu=args.nu, gamma_bar=args.gamma_bar,
+                              n_species=args.n_species)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -772,7 +772,8 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
     bh = args.target == "bh"
-    # Only the target's defaults are filled: the other's would load its modules.
+    # Only the target's defaults are filled: the other target's are read
+    # from formula modules this request does not load.
     _load("grids", *(["kerr_newman"] if bh else ["channel", "evaporation"]))
     merge_input(args, SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL))
     _require(args, "param", "start", "stop")
