@@ -6,7 +6,10 @@
 # to stderr, and every JSON series must load as strict JSON (no NaN or
 # Infinity).  An emitted JSON record of bh, bounds, evaporate and channel,
 # fed back through `--input`, must print what the direct run prints in every
-# format, and a bad choice in an `--input` file exits 2 as the flag does.
+# format, and a bad choice in an `--input` file exits 2 as the flag does, as
+# does a parameter the request would not read.
+# Under `python -X importtime`, `--help` and one request per subcommand
+# must not import `dataclasses`.
 # Every case runs twice: through `python -m bhthermo.cli` and
 # through the `bhthermo` console script, whose import path differs (it
 # imports the package, then `bhthermo.cli`, then calls `entrypoint`).
@@ -90,6 +93,25 @@ refeed() {  # the arguments of one run whose JSON record must re-feed
     done
 }
 
+no_dataclasses() {  # the arguments of one run, which must not import dataclasses
+    python -X importtime -m bhthermo.cli "$@" > /dev/null 2> "$err"
+    report 0 $? python -X importtime -m bhthermo.cli "$@"
+    if grep -Eq '[|] +dataclasses$' "$err"; then
+        echo "FAIL (imports dataclasses): $*"
+        failures=$((failures + 1))
+    fi
+}
+
+no_dataclasses --help
+no_dataclasses constants
+no_dataclasses bh --mass 1e15 --charge-over-m 0.3
+no_dataclasses evaporate --mass 1e12 --points 10 --format json
+no_dataclasses bounds --mass 16 --radius 6
+no_dataclasses gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1
+no_dataclasses channel --lambda-c 5e-5 --power 1e-3
+no_dataclasses sweep channel --param power --start 1e-6 --stop 1e-1 \
+    --lambda-c 5e-5
+
 run 0 --help
 for sub in constants bh evaporate bounds gedanken channel sweep; do
     run 0 "$sub" --help
@@ -148,6 +170,11 @@ refeed channel --lambda-c 1 --power 1e3 --nu 1.2
 echo "spacing=bogus" > "$input"
 run 2 sweep bh --param mass --start 1e10 --stop 1e12 --points 3 --input "$input"
 run 2 sweep bh --param mass --start 1e10 --stop 1e12 --points 3 --spacing bogus
+
+# a parameter the request would not read exits 2
+run 2 evaporate --mass 1e12 --points 5 --nu 1.9
+run 2 sweep bh --param mass --start 1e15 --stop 1e18 --points 3 --lambda-c 5
+run 2 gedanken --scenario merger --m1 1e15 --m2 1e15 --mu 1
 
 if [ "$failures" -ne 0 ]; then
     echo "$failures run(s) failed"

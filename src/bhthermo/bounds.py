@@ -18,7 +18,7 @@ dropped.  A Schwarzschild hole saturates the universal bound exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_NU, nats_to_bits
 from .errors import DomainError
@@ -35,19 +35,23 @@ BLACK_HOLE_GRAVITY_RATIO = 0.5
 DEFAULT_ZETA = 10.0
 
 
-@dataclass(frozen=True)
-class MaterialSystem:
-    """A bounded physical system: rest energy, largest radius, optional entropy.
-
-    entropy may be None when only asking for capacity limits.
-    """
-
+class _SystemFields(NamedTuple):
     energy: float
     radius: float
     entropy: float | None = None
     label: str = ""
 
-    def __post_init__(self) -> None:
+
+class MaterialSystem(_SystemFields):
+    """A bounded physical system: rest energy, largest radius, optional entropy.
+
+    entropy may be None when only asking for capacity limits.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> MaterialSystem:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 < self.energy < math.inf:
             raise DomainError(
                 f"energy must be positive and finite, got {self.energy}")
@@ -57,10 +61,10 @@ class MaterialSystem:
         if self.entropy is not None and not 0 <= self.entropy < math.inf:
             raise DomainError(
                 f"entropy must be non-negative and finite, got {self.entropy}")
+        return self
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     limit_nats: float
     limit_bits: float
@@ -68,8 +72,7 @@ class BoundEntry:
     applicability_reason: str
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bounds evaluated for one system, ordered and applicability-flagged."""
 
     label: str

@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import le
+from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E
 from .errors import DomainError
@@ -49,8 +49,14 @@ HIGH_POWER_DIVISOR = 10.0
 CAVEAT_SPECIES_THRESHOLD = 20.0
 
 
-@dataclass(frozen=True)
-class Channel:
+class _ChannelFields(NamedTuple):
+    lambda_c: float
+    power: float
+    n_carriers: float = 1.0
+    emission: EmissionParameters = DEFAULT_EMISSION
+
+
+class Channel(_ChannelFields):
     """A communication channel and the hole that would absorb it.
 
     lambda_c: long-wavelength cutoff [cm]; power: carried power including
@@ -58,13 +64,12 @@ class Channel:
     channel; emission: species parameters of the absorbing hole.
     """
 
-    lambda_c: float
-    power: float
-    n_carriers: float = 1.0
-    emission: EmissionParameters = DEFAULT_EMISSION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> Channel:
+        self = super().__new__(cls, *args, **kwargs)
         check_channel(self.lambda_c, self.power, self.n_carriers)
+        return self
 
 
 def check_channel(lambda_c: float, power: float, n_carriers: float) -> None:
@@ -81,8 +86,7 @@ def check_channel(lambda_c: float, power: float, n_carriers: float) -> None:
             f"n_carriers must be >= 1 and finite, got {n_carriers}")
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Endpoint values of the dimensionless capacity function f(z).
 
     f0_limit bounds f(0) from the sqrt-law regime; f_inf is fixed by the
@@ -100,8 +104,7 @@ class ConsistencyReport:
     pendry_crossover_power: float
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     p_c: float
     p_c_approx: float
     regime: str

@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain, repeat
 from typing import NamedTuple, NoReturn
 
@@ -356,15 +356,19 @@ class Param(NamedTuple):
         return self.default() if callable(self.default) else self.default
 
 
+#: The one emission factor an evaporation reads.
+N_SPECIES = Param("--n-species", "effective massless species count",
+                  lambda: EmissionParameters._field_defaults["n_species"])
 #: The emission factors of the radiating hole.
 EMISSION = (
-    Param("--nu", "irreversibility factor (1..2)", lambda: EmissionParameters.nu),
+    Param("--nu", "irreversibility factor (1..2)",
+          lambda: EmissionParameters._field_defaults["nu"]),
     Param("--gamma-bar", "relativistic emission factor",
-          lambda: EmissionParameters.gamma_bar),
-    Param("--n-species", "effective massless species count",
-          lambda: EmissionParameters.n_species),
+          lambda: EmissionParameters._field_defaults["gamma_bar"]),
+    N_SPECIES,
 )
-N_CARRIERS = Param("--n-carriers", "carrier species count", lambda: Channel.n_carriers)
+N_CARRIERS = Param("--n-carriers", "carrier species count",
+                   lambda: Channel._field_defaults["n_carriers"])
 #: The sweep's grid, then the parameters of each target.
 SWEEP_GRID = (
     Param("--param", "swept parameter (mass | power | lambda_c)", type=str),
@@ -385,6 +389,14 @@ SWEEP_CHANNEL = (
     *EMISSION,
 )
 INPUT_HELP = "key=value input file"
+#: The parameters each gedanken scenario reads, by dest (besides scenario).
+GEDANKEN_SCENARIOS = {
+    "susskind": ("energy", "mass", "radius", "entropy", "area"),
+    "capsule": ("bh_mass", "bh_charge", "bh_spin", "mu", "b", "s_cap"),
+    "infall": ("energy", "mass", "radius", "entropy", "bh_mass", "zeta",
+               "nu", "gamma_bar", "n_species"),
+    "merger": ("m1", "m2"),
+}
 
 #: Each subcommand's help, its --input help (None: it takes no --input) and
 #: its parameters, in the order its --help lists them.
@@ -401,7 +413,7 @@ SUBCOMMANDS = {
         Param("--mass", "initial mass [g]", key="mass_g"),
         Param("--points", f"number of samples (default 200, at most {MAX_POINTS})",
               200, int),
-        *EMISSION,
+        N_SPECIES,
     )),
     "bounds": ("entropy bound report for a system", INPUT_HELP, (
         Param("--energy", "rest energy [erg]"),
@@ -421,8 +433,7 @@ SUBCOMMANDS = {
               lambda: WEAK_GRAVITY_THRESHOLD),
     )),
     "gedanken": ("entropy-ledger thought experiments", "key=value scenario file", (
-        Param("--scenario", type=str,
-              choices=("susskind", "capsule", "infall", "merger")),
+        Param("--scenario", type=str, choices=tuple(GEDANKEN_SCENARIOS)),
         Param("--energy", "system rest energy [erg]"),
         Param("--mass", "system rest mass [g]"),
         Param("--radius", "system radius [cm]"),
@@ -534,6 +545,16 @@ def _require(args: argparse.Namespace, *dests: str) -> None:
                           + ", ".join(d.replace("_", "-") for d in missing))
 
 
+def _refuse_unread(args: argparse.Namespace, given: set[str],
+                   read: Iterable[str], what: str) -> None:
+    """Refuse the parameters the request set (``given``) that ``what``, its
+    target or scenario, never reads: ``read`` holds the dests it reads."""
+    unread = given.difference(read)
+    if unread:
+        raise ConfigError(f"{what} does not read " + ", ".join(
+            p.flag for p in SUBCOMMANDS[args.command][2] if p.dest in unread))
+
+
 def _echo_given(doc: Document, args: argparse.Namespace, given: set[str],
                 *dests: str) -> None:
     """Echo in ``inputs`` each of these optional parameters the request
@@ -611,7 +632,8 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     if args.points < 2:
         raise ConfigError("evaporate needs at least two points")
     _check_points(args)
-    t, m = mass_history(args.mass, build_emission(args), points=args.points)
+    t, m = mass_history(args.mass, EmissionParameters(n_species=args.n_species),
+                        points=args.points)
     doc = Document("evaporation")
     doc.add("inputs", "mass_g", args.mass, "g")
     doc.add("results", "lifetime_s", t[-1], "s")
@@ -660,9 +682,11 @@ def _system_from_args(args: argparse.Namespace, *required: str) -> MaterialSyste
 
 def cmd_gedanken(args: argparse.Namespace) -> Document:
     _load("bounds", "evaporation", "gedanken", "kerr_newman")
-    merge_input(args)
+    given = merge_input(args)
     _require(args, "scenario")
     scenario = args.scenario
+    _refuse_unread(args, given, ("scenario", *GEDANKEN_SCENARIOS[scenario]),
+                   f"scenario {scenario}")
     if scenario == "susskind":
         sys_ = _system_from_args(args, "radius", "entropy")
         area = args.area if args.area is not None else sphere_area(sys_.radius)
@@ -672,6 +696,8 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
         bh = make_black_hole(args.bh_mass, args.bh_charge, args.bh_spin)
         report = capsule_lowering(bh, args.mu, args.b, args.s_cap)
     elif scenario == "infall":
+        if "bh_mass" in given:      # the host hole, not zeta, sizes the setup
+            _refuse_unread(args, given, given - {"zeta"}, "infall with --bh-mass")
         sys_ = _system_from_args(args, "radius", "entropy")
         params = build_emission(args)
         host = args.zeta if args.bh_mass is None else make_black_hole(args.bh_mass)
@@ -775,7 +801,10 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
     # Only the target's defaults are filled: the other target's are read
     # from formula modules this request does not load.
     _load("grids", *(["kerr_newman"] if bh else ["channel", "evaporation"]))
-    merge_input(args, SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL))
+    read = SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL)
+    given = merge_input(args, read)
+    _refuse_unread(args, given, ["target", *(p.dest for p in read)],
+                   f"target {args.target}")
     _require(args, "param", "start", "stop")
     grid = _sweep_grid(args)
     doc = Document("sweep")
@@ -799,6 +828,8 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
     else:
         if args.param not in ("power", "lambda_c"):
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
+        # the grid, not a fixed value, gives the swept parameter
+        _refuse_unread(args, given, given - {args.param}, f"a {args.param} sweep")
         emission = build_emission(args)
         if (args.lambda_c if args.param == "power" else args.power) is None:
             raise ConfigError("channel sweep needs the non-swept parameter "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -27,9 +27,21 @@ LOG2E = math.log2(math.e)
 DEFAULT_NU = 1.5
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class _ConstantsFields(NamedTuple):
+    G: float
+    c: float
+    hbar: float
+    k_B: float
+    sigma_SB: float
+    planck_length: float
+    planck_mass: float
+
+
+class PhysicalConstants(_ConstantsFields):
     """Fundamental constants in CGS plus the derived quantum-gravity scales.
+
+    Built from the base four (G, c, hbar, k_B); the derived three are
+    computed once, at construction.
 
     Attributes
     ----------
@@ -50,22 +62,18 @@ class PhysicalConstants:
         (hbar c / G)^(1/2) [g].  Derived.
     """
 
-    G: float
-    c: float
-    hbar: float
-    k_B: float
-    sigma_SB: float = field(init=False)
-    planck_length: float = field(init=False)
-    planck_mass: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "sigma_SB",
-            math.pi**2 * self.k_B**4 / (60.0 * self.hbar**3 * self.c**2))
-        object.__setattr__(
-            self, "planck_length", math.sqrt(self.G * self.hbar / self.c**3))
-        object.__setattr__(
-            self, "planck_mass", math.sqrt(self.hbar * self.c / self.G))
+    def __new__(cls, G: float, c: float, hbar: float,
+                k_B: float) -> PhysicalConstants:
+        return super().__new__(cls, G, c, hbar, k_B,
+                               math.pi**2 * k_B**4 / (60.0 * hbar**3 * c**2),
+                               math.sqrt(G * hbar / c**3),
+                               math.sqrt(hbar * c / G))
+
+    def __getnewargs__(self) -> tuple[float, ...]:
+        # copy and pickle rebuild from the base four
+        return self[:4]
 
 
 # CODATA 2018; c and k_B are exact by SI definition.

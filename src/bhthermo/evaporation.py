@@ -28,7 +28,7 @@ With dm/dt = -K/m^2 the hole shrinks from m0 to m in the closed-form time
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_NU, geometrized_mass
 from .errors import DomainError, SubPlanckMassError
@@ -36,8 +36,13 @@ from .grids import linspace
 from .kerr_newman import BlackHole, area_from, temperature, temperature_from
 
 
-@dataclass(frozen=True)
-class EmissionParameters:
+class _EmissionFields(NamedTuple):
+    nu: float = DEFAULT_NU
+    gamma_bar: float = 2.0
+    n_species: float = 1.0
+
+
+class EmissionParameters(_EmissionFields):
     """Species-dependent emission factors.
 
     nu is the irreversibility factor by which radiated entropy exceeds
@@ -50,11 +55,10 @@ class EmissionParameters:
     the gamma_bar * n_species product; the default keeps them as one.
     """
 
-    nu: float = DEFAULT_NU
-    gamma_bar: float = 2.0
-    n_species: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args: float, **kwargs: float) -> EmissionParameters:
+        self = super().__new__(cls, *args, **kwargs)
         if not 1.0 <= self.nu <= 2.0:
             raise DomainError(f"nu must lie in [1, 2], got {self.nu}")
         if not 0 < self.gamma_bar < math.inf:
@@ -63,6 +67,7 @@ class EmissionParameters:
         if not 1.0 <= self.n_species < math.inf:
             raise DomainError(
                 f"n_species must be >= 1 and finite, got {self.n_species}")
+        return self
 
 
 DEFAULT_EMISSION = EmissionParameters()

@@ -23,7 +23,7 @@ Scenarios:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bounds import (
     COMPOSITE_THRESHOLD,
@@ -47,15 +47,13 @@ MASS_DOMINANCE = 1e3
 SIZE_DOMINANCE = 10.0
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     label: str
     before: float
     after: float
 
 
-@dataclass(frozen=True)
-class EntropyLedger:
+class EntropyLedger(NamedTuple):
     """Before/after entropy bookkeeping [nats] for one experiment."""
 
     entries: tuple[LedgerEntry, ...]
@@ -72,22 +70,20 @@ class EntropyLedger:
         return bool(self.delta_total >= -EPS_LEDGER * scale)
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
+class AssumptionCheck(NamedTuple):
     name: str
     value: float
     threshold: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class GedankenReport:
+class GedankenReport(NamedTuple):
     """Ledger plus assumption checks; the GSL verdict is withheld unless
     every assumption holds."""
 
     scenario: str
     ledger: EntropyLedger
-    assumption_checks: tuple[AssumptionCheck, ...] = field(default_factory=tuple)
+    assumption_checks: tuple[AssumptionCheck, ...] = ()
     notes: str = ""
 
     @property
@@ -102,8 +98,7 @@ class GedankenReport:
         return self.ledger.gsl_satisfied
 
 
-@dataclass(frozen=True)
-class DropDistanceCheck:
+class DropDistanceCheck(NamedTuple):
     """Required release distance of the infall experiment and its margin."""
 
     distance: float        # cm

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constants import (
     CONSTANTS,
@@ -46,8 +46,7 @@ from .errors import DomainError, NakedSingularityError, SubPlanckMassError
 EPS_EXTREMAL = 1e-12
 
 
-@dataclass(frozen=True)
-class BlackHole:
+class BlackHole(NamedTuple):
     """A validated Kerr-Newman black hole.
 
     Build instances through :func:`make_black_hole`, which enforces the
@@ -80,8 +79,7 @@ class BlackHole:
         return self.q == 0.0 and self.j == 0.0
 
 
-@dataclass(frozen=True)
-class FirstLawPotentials:
+class FirstLawPotentials(NamedTuple):
     """Conjugate potentials of the black hole first law.
 
     theta [erg cm^-2] multiplies area changes, phi [statvolt] charge

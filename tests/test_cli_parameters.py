@@ -170,3 +170,135 @@ def test_unset_charge_and_spin_are_zero(capsys, monkeypatch):
     assert run(capsys, "gedanken", "--scenario", "capsule", "--bh-mass", "1e30",
                "--mu", "1", "--b", "1", "--s-cap", "1e30")[0] == 0
     assert calls == [("horizon_columns", 0.0, 0.0), ("make_black_hole", 0.0, 0.0)]
+
+
+#: A valid request of each gedanken scenario, and a value for each
+#: parameter any scenario reads (another one where the request sets it).
+SCENARIOS = {
+    "susskind": ["--energy", "1e30", "--radius", "1", "--entropy", "1"],
+    "capsule": ["--bh-mass", "1e30", "--mu", "1", "--b", "1", "--s-cap", "1e30"],
+    "infall": ["--energy", "1e10", "--radius", "1", "--entropy", "1"],
+    "merger": ["--m1", "1e15", "--m2", "1e15"],
+}
+OTHER_VALUES = {
+    "energy": "2e30", "mass": "1e9", "radius": "2", "entropy": "2",
+    "area": "100", "bh_mass": "2e30", "bh_charge": "1e25", "bh_spin": "1e42",
+    "mu": "2", "b": "2", "s_cap": "2e30", "zeta": "20", "m1": "2e15",
+    "m2": "3e15", "nu": "1.2", "gamma_bar": "3", "n_species": "2",
+}
+GEDANKEN_ROWS = {p.dest: p for p in cli.SUBCOMMANDS["gedanken"][2]}
+
+
+def _with(argv, flag, value):
+    """argv with ``flag`` set to ``value``, replaced if argv sets it."""
+    if flag in argv:
+        i = argv.index(flag)
+        return [*argv[:i + 1], value, *argv[i + 2:]]
+    return [*argv, flag, value]
+
+
+def test_the_scenario_table_names_every_scenario_and_parameter():
+    assert tuple(cli.GEDANKEN_SCENARIOS) == GEDANKEN_ROWS["scenario"].choices
+    read = {d for dests in cli.GEDANKEN_SCENARIOS.values() for d in dests}
+    assert read == set(GEDANKEN_ROWS) - {"scenario"} == set(OTHER_VALUES)
+
+
+@pytest.mark.parametrize("scenario, dest", [
+    (scenario, dest) for scenario, dests in cli.GEDANKEN_SCENARIOS.items()
+    for dest in dests])
+def test_a_scenario_reads_each_parameter_it_lists(capsys, scenario, dest):
+    argv = ["gedanken", "--scenario", scenario, *SCENARIOS[scenario],
+            "--format", "json"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    changed = run(capsys, *_with(argv, GEDANKEN_ROWS[dest].flag,
+                                 OTHER_VALUES[dest]))
+    assert "does not read" not in changed[2]
+    assert changed != expected
+
+
+@pytest.mark.parametrize("scenario, dest", [
+    (scenario, dest) for scenario, dests in cli.GEDANKEN_SCENARIOS.items()
+    for dest in OTHER_VALUES if dest not in dests])
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_a_parameter_the_scenario_never_reads_exits_2(capsys, tmp_path,
+                                                      scenario, dest, how):
+    flag = GEDANKEN_ROWS[dest].flag
+    argv = ["gedanken", "--scenario", scenario, *SCENARIOS[scenario]]
+    if how == "flag":
+        argv += [flag, OTHER_VALUES[dest]]
+    else:
+        path = tmp_path / "extra.cfg"
+        path.write_text(f"{dest}={OTHER_VALUES[dest]}\n")
+        argv += ["--input", str(path)]
+    assert run(capsys, *argv) == (
+        2, "", f"bhthermo gedanken: scenario {scenario} does not read {flag}\n")
+
+
+SWEEPS = {
+    "bh": ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop",
+           "1e18", "--points", "3"],
+    "channel": ["sweep", "channel", "--param", "power", "--start", "1e-6",
+                "--stop", "1e-1", "--points", "3", "--lambda-c", "5e-5"],
+}
+
+
+@pytest.mark.parametrize("target, param", [
+    ("bh", p) for p in cli.SWEEP_CHANNEL] + [("channel", p) for p in cli.SWEEP_BH],
+    ids=lambda x: getattr(x, "flag", x))
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_a_parameter_the_sweep_target_never_reads_exits_2(capsys, tmp_path,
+                                                          target, param, how):
+    value = "entropy" if param.type is str else "2"
+    argv = SWEEPS[target]
+    if how == "flag":
+        argv = [*argv, param.flag, value]
+    else:
+        path = tmp_path / "extra.cfg"
+        path.write_text(f"{param.dest}={value}\n")
+        argv = [*argv, "--input", str(path)]
+    assert run(capsys, *argv) == (
+        2, "", f"bhthermo sweep: target {target} does not read {param.flag}\n")
+
+
+def test_every_sweep_target_parameter_is_accepted(capsys):
+    for target, rows in (("bh", cli.SWEEP_BH), ("channel", cli.SWEEP_CHANNEL)):
+        for param in rows:
+            if param.dest == "power":       # the swept parameter, below
+                continue
+            value = "entropy" if param.type is str else "1.5"
+            code, out, err = run(capsys, *SWEEPS[target], param.flag, value)
+            assert (code, err) == (0, ""), (target, param.flag)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SWEEPS["channel"] + ["--power", "1"], "a power sweep does not read --power"),
+    (["sweep", "channel", "--param", "lambda_c", "--start", "1e-5", "--stop",
+      "1e-3", "--points", "3", "--power", "1e-3", "--lambda-c", "5e-5"],
+     "a lambda_c sweep does not read --lambda-c"),
+])
+def test_a_fixed_value_of_the_swept_parameter_exits_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"bhthermo sweep: {message}\n")
+
+
+def test_infall_with_a_host_hole_reads_no_zeta(capsys):
+    argv = ["gedanken", "--scenario", "infall", *SCENARIOS["infall"],
+            "--bh-mass", "1e30"]
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, "--zeta", "10") == (
+        2, "", "bhthermo gedanken: infall with --bh-mass does not read --zeta\n")
+
+
+@pytest.mark.parametrize("flag", ["--nu", "--gamma-bar"])
+def test_evaporate_takes_no_emission_factor_but_the_species(capsys, tmp_path,
+                                                            flag):
+    argv = ["evaporate", "--mass", "1e12", "--points", "5"]
+    code, out, err = run(capsys, *argv, flag, "1.9")
+    assert (code, out) == (2, "")
+    assert err == f"bhthermo: error: unrecognized arguments: {flag} 1.9\n"
+    path = tmp_path / "emission.cfg"
+    path.write_text(f"{flag[2:]}=1.9\n")
+    assert run(capsys, *argv, "--input", str(path)) == (
+        2, "", f"bhthermo evaporate: unknown key '{flag[2:]}' in {path}\n")
+    # the species count still reaches the mass loss
+    assert run(capsys, *argv, "--n-species", "2")[1] != run(capsys, *argv)[1]

@@ -41,7 +41,8 @@ sys.stdout = io.StringIO()
 code = cli.main(sys.argv[1:])
 sys.stdout = sys.__stdout__
 print((code, sorted(m for m in sys.modules if m.split(".")[0] == "bhthermo"),
-       sorted({"json", "numpy", "scipy"} & sys.modules.keys())))
+       sorted({"dataclasses", "inspect", "json", "numpy", "scipy"}
+              & sys.modules.keys())))
 """
 
 BASE = ["bhthermo", "bhthermo.cli", "bhthermo.constants", "bhthermo.errors"]
@@ -72,7 +73,8 @@ def test_request_loads_only_its_modules(argv, modules, fmt):
     code, loaded, others = _probe(FOOTPRINT, *argv, "--format", fmt)
     assert code == (1 if "1e-10" in argv else 0)
     assert loaded == sorted({*BASE, *(f"bhthermo.{m}" for m in modules)})
-    # json only for JSON output, and never numpy or scipy
+    # json only for JSON output; never numpy or scipy, nor dataclasses and
+    # the inspect module it loads
     writes_json = fmt == "json" and "--help" not in argv and code == 0
     assert others == (["json"] if writes_json else [])
 
