@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_NU, nats_to_bits
+from .constants import CONSTANTS, DEFAULT_NU, _checked_make, nats_to_bits
 from .errors import DomainError
 
 #: A system counts as composite when E R / (c hbar) reaches this value.
@@ -49,6 +49,7 @@ class MaterialSystem(_SystemFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args: object, **kwargs: object) -> MaterialSystem:
         self = super().__new__(cls, *args, **kwargs)
@@ -123,9 +124,9 @@ def holographic_bound(area: float) -> float:
     return area / (4.0 * CONSTANTS.planck_length**2)
 
 
-def universal_bound(sys: MaterialSystem, coefficient: float = 2.0 * math.pi) -> float:
-    """Energy-radius entropy ceiling, coefficient * R E / (hbar c) [nats]."""
-    return coefficient * sys.radius * sys.energy / (CONSTANTS.hbar * CONSTANTS.c)
+def universal_bound(sys: MaterialSystem) -> float:
+    """Energy-radius entropy ceiling 2 pi R E / (hbar c) [nats]."""
+    return 2.0 * math.pi * sys.radius * sys.energy / (CONSTANTS.hbar * CONSTANTS.c)
 
 
 def weak_universal_bound(sys: MaterialSystem, nu: float = DEFAULT_NU,
@@ -191,15 +192,14 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     composite = is_composite(sys, composite_threshold)
     weak = is_weakly_gravitating(sys, weak_gravity_threshold)
 
-    reasons = []
-    if not composite:
-        reasons.append(f"not composite (ER/c hbar = {comp:.3e} < {composite_threshold})")
+    not_composite = f"not composite (ER/c hbar = {comp:.3e} < {composite_threshold})"
+    reasons = [] if composite else [not_composite]
     if not weak:
         reasons.append(f"not weakly gravitating (GE/c^4R = {grav:.3e} > "
                        f"{weak_gravity_threshold})")
     matter_reason = "; ".join(reasons) if reasons else "composite and weakly gravitating"
-    gour_reason = ("extensivity assumed; " + matter_reason) if composite else \
-        f"not composite (ER/c hbar = {comp:.3e} < {composite_threshold})"
+    gour_reason = ("extensivity assumed; " + matter_reason if composite
+                   else not_composite)
 
     holo = holographic_bound(enclosing_area)
     uni = universal_bound(sys)

@@ -34,7 +34,7 @@ from itertools import islice, repeat
 from operator import le
 from typing import NamedTuple
 
-from .constants import CONSTANTS, LOG2E
+from .constants import CONSTANTS, LOG2E, _checked_make
 from .errors import DomainError
 from .evaporation import DEFAULT_EMISSION, EmissionParameters, power_at_length
 
@@ -65,6 +65,7 @@ class Channel(_ChannelFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args: object, **kwargs: object) -> Channel:
         self = super().__new__(cls, *args, **kwargs)
@@ -175,25 +176,16 @@ def optimal_xi(P: float, p_c: float, nu: float) -> float:
     return math.sqrt((nu - 1.0) * p_c / P)
 
 
-def low_power_bound(ch: Channel) -> float:
-    """Sqrt-law bound [bits s^-1], the two-term bound at its optimum."""
-    return low_power_rate(ch.power, ch.emission)
-
-
 def low_power_rate(P: float, params: EmissionParameters) -> float:
-    """:func:`low_power_bound` on floats."""
+    """Sqrt-law bound [bits s^-1] at power P, the two-term bound at its
+    optimum."""
     return math.sqrt(math.pi * (params.nu - 1.0) * params.gamma_bar
                      * params.n_species * P / (60.0 * CONSTANTS.hbar)) * LOG2E
 
 
-def high_power_bound(ch: Channel, xi: float = XI_FLOOR) -> float:
-    """Linear bound [bits s^-1] at a fixed safe size ratio."""
-    return high_power_rate(ch.lambda_c, ch.power, xi)
-
-
-def high_power_rate(lambda_c: float, P: float, xi: float) -> float:
-    """:func:`high_power_bound` on floats."""
-    return (8.0 * math.pi * xi * lambda_c * P
+def high_power_rate(lambda_c: float, P: float) -> float:
+    """Linear bound [bits s^-1] at power P and the safe size ratio XI_FLOOR."""
+    return (8.0 * math.pi * XI_FLOOR * lambda_c * P
             / (CONSTANTS.hbar * CONSTANTS.c) * LOG2E)
 
 
@@ -234,22 +226,14 @@ def consistency_check(ch: Channel) -> ConsistencyReport:
                              pendry_crossover_power=crossover)
 
 
-def regime_bound(ch: Channel, p_c: float,
-                 xi_floor: float = XI_FLOOR) -> tuple[str, float | None, float]:
-    """Dispatch the power regime: (regime, xi used, rate bound [bits s^-1])
-    of a channel whose characteristic power is p_c.
-
-    The regime logic of :func:`capacity_bound`, without the report's
-    other fields.
-    """
-    return regime_rate(ch.lambda_c, ch.power, p_c, ch.emission, xi_floor)
-
-
 def regime_rate(lambda_c: float, P: float, p_c: float,
-                params: EmissionParameters,
-                xi_floor: float = XI_FLOOR) -> tuple[str, float | None, float]:
-    """:func:`regime_bound` on floats, for callers that evaluate many
-    channels: the inputs must pass :func:`check_channel`."""
+                params: EmissionParameters) -> tuple[str, float | None, float]:
+    """Dispatch the power regime: (regime, xi used, rate bound [bits s^-1])
+    of the channel (lambda_c, P) whose characteristic power is p_c.
+
+    The one home of the regime logic, on floats for callers that evaluate
+    many channels: the inputs must pass :func:`check_channel`.
+    """
     if P == 0.0:
         return "low", None, 0.0
     nu = params.nu
@@ -261,8 +245,8 @@ def regime_rate(lambda_c: float, P: float, p_c: float,
         # admissible xi range, so the bound is taken at xi = 1.
         return "low", XI_MIN, gsl_rate(lambda_c, P, p_c, params, XI_MIN)
     if P >= p_c / HIGH_POWER_DIVISOR:
-        return "high", xi_floor, high_power_rate(lambda_c, P, xi_floor)
-    xi_used = max(optimal_xi(P, p_c, nu), xi_floor)
+        return "high", XI_FLOOR, high_power_rate(lambda_c, P)
+    xi_used = max(optimal_xi(P, p_c, nu), XI_FLOOR)
     return "intermediate", xi_used, gsl_rate(lambda_c, P, p_c, params, xi_used)
 
 
@@ -284,13 +268,11 @@ def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
     On a monotone column each regime is one run of points: the zero
     powers, the low run up to p_c/200, the high run from p_c/10 and the
     intermediate run between, found by bisection.  Each run maps its
-    regime's kernel; the low run's sqrt law needs optimal_xi >= XI_MIN
-    at every point, or that run goes point by point.  So does the whole
-    column if it is not monotone or if nu <= 1.
+    regime's kernel.  The low run's sqrt law needs nu > 1 and optimal_xi
+    >= XI_MIN; optimal_xi never rises as P rises, so the run's last point
+    decides, and if it fails the run goes point by point.  So does the
+    whole column if it is not monotone.
     """
-    nu = params.nu
-    if nu <= 1.0:
-        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params)
     if len(powers) > 1 and powers[0] > powers[-1]:
         regimes, bounds = power_sweep_rates(lambda_c, powers[::-1], p_c, params)
         return regimes[::-1], bounds[::-1]
@@ -301,8 +283,8 @@ def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
     high = max(low, bisect_left(powers, p_c / HIGH_POWER_DIVISOR))
     bounds = [0.0] * zero
     run = powers[zero:low]
-    if min(map(optimal_xi, run, repeat(p_c), repeat(nu)),
-           default=XI_MIN) >= XI_MIN:
+    nu = params.nu
+    if run and nu > 1.0 and optimal_xi(run[-1], p_c, nu) >= XI_MIN:
         bounds += map(low_power_rate, run, repeat(params))
     else:
         bounds += regime_columns(repeat(lambda_c), run, repeat(p_c), params)[1]
@@ -310,14 +292,13 @@ def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
     bounds += map(gsl_rate, repeat(lambda_c), run, repeat(p_c), repeat(params),
                   [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
                    for xi in map(optimal_xi, run, repeat(p_c), repeat(nu))])
-    bounds += map(high_power_rate, repeat(lambda_c), powers[high:],
-                  repeat(XI_FLOOR))
+    bounds += map(high_power_rate, repeat(lambda_c), powers[high:])
     n = len(powers)
     return (["low"] * low + ["intermediate"] * (high - low)
             + ["high"] * (n - high), bounds)
 
 
-def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:
+def capacity_bound(ch: Channel) -> CapacityReport:
     """Dispatch the power regime and return the applicable rate bound.
 
     Regime edges (P_c/200 and P_c/10) are disclosed in the report along
@@ -325,7 +306,7 @@ def capacity_bound(ch: Channel, xi_floor: float = XI_FLOOR) -> CapacityReport:
     factor at the edges.
     """
     p_c = characteristic_power(ch)
-    regime, xi_used, bound = regime_bound(ch, p_c, xi_floor)
+    regime, xi_used, bound = regime_rate(ch.lambda_c, ch.power, p_c, ch.emission)
     return CapacityReport(
         p_c=p_c, p_c_approx=approx_characteristic_power(ch.lambda_c),
         regime=regime, xi_used=xi_used, bound_bits_per_s=bound,

@@ -20,6 +20,7 @@ from typing import NamedTuple, NoReturn
 
 from .constants import (
     CONSTANTS,
+    DEFAULT_NU,
     constants_table,
     energy_temperature_to_kelvin,
     geometrized_mass,
@@ -33,14 +34,13 @@ from .errors import DomainError
 #: (a test double, a tracing wrapper) is left as set, and every call goes
 #: through the module global, so the name set is the one that runs.
 _LAZY_IMPORTS = {
-    "bounds": ("COMPOSITE_THRESHOLD", "DEFAULT_NU", "DEFAULT_ZETA",
-               "MaterialSystem", "WEAK_GRAVITY_THRESHOLD", "bound_report",
-               "sphere_area"),
+    "bounds": ("COMPOSITE_THRESHOLD", "DEFAULT_ZETA", "MaterialSystem",
+               "WEAK_GRAVITY_THRESHOLD", "bound_report", "sphere_area"),
     "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
                 "power_sweep_rates", "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
-    "gedanken": ("GedankenReport", "capsule_lowering", "infall_experiment",
-                 "merger", "susskind_collapse"),
+    "gedanken": ("capsule_lowering", "infall_experiment", "merger",
+                 "susskind_collapse"),
     "grids": ("geomspace", "linspace"),
     "kerr_newman": ("area_from", "entropy", "entropy_from", "h_factors",
                     "horizon_area", "horizon_columns", "make_black_hole",
@@ -101,7 +101,7 @@ FULL_PRECISION_SECTIONS = frozenset({"inputs"})
 
 class Document:
     """Uniform output container: named scalar sections plus an optional
-    series, stored as columns."""
+    series, stored as columns of floats only or of strs only."""
 
     def __init__(self, kind: str):
         self.kind = kind
@@ -110,6 +110,7 @@ class Document:
         self.columns: list[str] | None = None
         self.column_units: list[str] | None = None
         self.series: list[Sequence[object]] | None = None
+        self._str_columns: list[bool] = []
 
     def add(self, section: str, name: str, value: object, unit: str = "") -> None:
         self.sections.setdefault(section, {})[name] = value
@@ -118,20 +119,30 @@ class Document:
     def set_columns(self, names: list[str], units: list[str],
                     columns: list[Sequence[object]]) -> None:
         """The series: one name, one unit and one sequence of cells per
-        column, all columns of one length (with no column, no rows)."""
+        column, all columns of one length (with no column, no rows), each
+        holding only floats or only strs."""
         if len({len(names), len(units), len(columns)}) != 1:
             raise ValueError(f"{len(columns)} columns, {len(names)} names "
                              f"and {len(units)} units")
         if len(set(map(len, columns))) > 1:
             raise ValueError("series columns differ in length: "
                              + ", ".join(str(len(c)) for c in columns))
+        str_columns = []        # each column's kind, decided once
+        for name, column in zip(names, columns):
+            kinds = set(map(type, column))
+            is_str = all(issubclass(k, str) for k in kinds)
+            if not (is_str or all(issubclass(k, float) for k in kinds)):
+                raise ValueError(f"series column {name!r} holds neither only floats "
+                                 f"nor only strs: {sorted(k.__name__ for k in kinds)}")
+            str_columns.append(is_str)
+        self._str_columns = str_columns
         self.columns = names
         self.column_units = units
         self.series = columns
 
     # -- rendering ---------------------------------------------------------
 
-    def _display(self, value: object, where: str, exact: bool = False) -> object:
+    def _display(self, value: object, where: str, exact: bool) -> object:
         if isinstance(value, bool) or value is None or isinstance(value, str):
             return value
         x = _finite(float(value), where)
@@ -162,7 +173,7 @@ class Document:
         # start a line with two spaces and '"rows": '.
         head, tail = text.split('\n  "rows": []', 1)
         specs, columns = self._series_columns(_json_floats,
-                                              encode_basestring_ascii, _json_cell)
+                                              encode_basestring_ascii)
         rows = self._series_body(
             "[\n      " + ",\n      ".join(specs) + "\n    ]", ",\n    ", columns)
         return f'{head}\n  "rows": [\n    {rows}\n  ]{tail}'
@@ -182,33 +193,24 @@ class Document:
 
     def _series_columns(self, floats: Callable[[Sequence[float]],
                                                tuple[str, Sequence[object]]],
-                        strs: Callable[[str], str] | None,
-                        cell: Callable[[object], str]
+                        strs: Callable[[str], str] | None
                         ) -> tuple[list[str], list[Sequence[object]]]:
         """The series as one ``%`` conversion and one column of values to
         convert per column.
 
-        A column of floats only is written by ``floats`` after one
-        finiteness pass, a column of strs only by ``strs`` mapped over it
-        (None keeps them), any other column cell by cell through ``cell``;
-        the last two convert with ``%s``.  A NaN or an infinity is refused
-        naming the first such cell in row order.
+        A float column is written by ``floats`` after one finiteness pass,
+        which refuses a NaN or an infinity naming the first such cell in
+        row order; a str column by ``strs`` mapped over it (None keeps
+        them), converted with ``%s``.
         """
         specs, written = [], []
-        for column in self.series:
-            kinds = set(map(type, column))
-            if kinds == {float}:
+        for column, is_str in zip(self.series, self._str_columns):
+            if is_str:
+                spec, values = "%s", column if strs is None else list(map(strs, column))
+            else:
                 if not all(map(math.isfinite, column)):
                     self._refuse_non_finite()
                 spec, values = floats(column)
-            elif kinds == {str}:
-                spec, values = "%s", column if strs is None else list(map(strs, column))
-            else:
-                try:
-                    spec, values = "%s", list(map(cell, column))
-                except DomainError:
-                    self._refuse_non_finite()
-                    raise
             specs.append(spec)
             written.append(values)
         return specs, written
@@ -239,7 +241,7 @@ class Document:
         if self.columns is not None:
             header = [f"{c} [{u}]" if u else c
                       for c, u in zip(self.columns, self.column_units)]
-            _, columns = self._series_columns(_table_floats, None, _text_cell)
+            _, columns = self._series_columns(_table_floats, None)
             widths = [max(len(h), max(map(len, column), default=0))
                       for h, column in zip(header, columns)]
             lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -252,7 +254,7 @@ class Document:
         if self.columns is not None:
             lines = [",".join(self.columns)]
             if self._series_length():
-                specs, columns = self._series_columns(_csv_floats, None, _text_cell)
+                specs, columns = self._series_columns(_csv_floats, None)
                 lines.append(self._series_body(",".join(specs), "\n", columns))
             return "\n".join(lines)
         lines = ["quantity,value,unit"]
@@ -266,7 +268,7 @@ class Document:
         return getattr(self, f"to_{fmt}")()
 
 
-def _finite(x: float, where: str = "a computed value") -> float:
+def _finite(x: float, where: str) -> float:
     """x itself; no output format may carry a NaN or an infinity."""
     if math.isfinite(x):
         return x
@@ -274,11 +276,8 @@ def _finite(x: float, where: str = "a computed value") -> float:
                                         else f"{x}, beyond the float range"))
 
 
-_JSON_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-# A finite float column as _text_cell (CSV, table) or _json_cell (JSON)
-# writes each of its cells: (its % conversion, the values it converts).
+# A finite float column as each format writes it: (its % conversion, the
+# values it converts).
 def _csv_floats(column: Sequence[float]) -> tuple[str, Sequence[float]]:
     return "%.8e", column
 
@@ -300,31 +299,16 @@ def _json_floats(column: Sequence[float]) -> tuple[str, list[object]]:
                   or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in column]
 
 
-def _json_cell(value: object) -> str:
-    """A series cell as ``json.dumps`` writes ``Document._display`` of it."""
-    if value.__class__ is not float:        # floats, the common cells, skip these
-        if isinstance(value, str):
-            from json.encoder import encode_basestring_ascii
-            return encode_basestring_ascii(value)
-        if value is None or isinstance(value, bool):
-            return _JSON_LITERALS[value]
-        value = float(value)
-    return "%s" % tuple(_json_floats([_finite(value)])[1])
-
-
-def _text_cell(value: object, where: str = "a computed value",
-               exact: bool = False) -> str:
+def _text_cell(value: object, where: str, exact: bool) -> str:
     """A table or CSV cell: numbers in scientific notation with nine
     significant digits, or 17 when ``exact``."""
-    if value.__class__ is not float:        # floats, the common cells, skip these
-        if isinstance(value, str):
-            return value
-        if value is None:
-            return ""
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        value = float(value)
-    value = _finite(value, where)
+    if isinstance(value, str):
+        return value
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    value = _finite(float(value), where)
     return f"{value:.16e}" if exact else f"{value:.8e}"
 
 

@@ -27,6 +27,12 @@ LOG2E = math.log2(math.e)
 DEFAULT_NU = 1.5
 
 
+def _checked_make(cls: type, iterable: Iterable[object]) -> tuple:
+    """``_make``, and so ``_replace``, of a value type whose ``__new__``
+    checks or derives fields: NamedTuple's own skip ``__new__``."""
+    return cls(*iterable)
+
+
 class _ConstantsFields(NamedTuple):
     G: float
     c: float
@@ -41,7 +47,8 @@ class PhysicalConstants(_ConstantsFields):
     """Fundamental constants in CGS plus the derived quantum-gravity scales.
 
     Built from the base four (G, c, hbar, k_B); the derived three are
-    computed once, at construction.
+    computed once, at construction.  ``_make`` takes the base four, and
+    ``_replace`` replaces only them.
 
     Attributes
     ----------
@@ -70,6 +77,15 @@ class PhysicalConstants(_ConstantsFields):
                                math.pi**2 * k_B**4 / (60.0 * hbar**3 * c**2),
                                math.sqrt(G * hbar / c**3),
                                math.sqrt(hbar * c / G))
+
+    _make = classmethod(_checked_make)
+
+    def _replace(self, /, **changes: float) -> PhysicalConstants:
+        new = self._make(map(changes.pop, self._fields[:4], self))
+        if changes:
+            raise ValueError("only G, c, hbar and k_B can be replaced, "
+                             f"got {sorted(changes)}")
+        return new
 
     def __getnewargs__(self) -> tuple[float, ...]:
         # copy and pickle rebuild from the base four
@@ -145,17 +161,9 @@ def nats_to_bits(S: float) -> float:
     return S * LOG2E
 
 
-def constants_table(constants: PhysicalConstants = CONSTANTS) -> dict:
+def constants_table() -> dict:
     """Full constants table with unit annotations, for machine output."""
-    values = {
-        "G": constants.G,
-        "c": constants.c,
-        "hbar": constants.hbar,
-        "k_B": constants.k_B,
-        "sigma_SB": constants.sigma_SB,
-        "planck_length": constants.planck_length,
-        "planck_mass": constants.planck_mass,
-    }
+    values = CONSTANTS._asdict()
     units = {
         "G": "cm^3 g^-1 s^-2",
         "c": "cm s^-1",

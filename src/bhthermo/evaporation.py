@@ -30,10 +30,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_NU, geometrized_mass
+from .constants import CONSTANTS, DEFAULT_NU, _checked_make, geometrized_mass
 from .errors import DomainError, SubPlanckMassError
 from .grids import linspace
-from .kerr_newman import BlackHole, area_from, temperature, temperature_from
+from .kerr_newman import BlackHole, area_from, temperature_from
 
 
 class _EmissionFields(NamedTuple):
@@ -56,6 +56,7 @@ class EmissionParameters(_EmissionFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, *args: float, **kwargs: float) -> EmissionParameters:
         self = super().__new__(cls, *args, **kwargs)
@@ -206,9 +207,3 @@ def entropy_emission_rate(P: float,
         raise DomainError(f"power must be non-negative, got {P}")
     return math.sqrt(math.pi * params.nu**2 * params.gamma_bar
                      * params.n_species * P / (240.0 * CONSTANTS.hbar))
-
-
-def entropy_emission_rate_thermo(bh: BlackHole,
-                                 params: EmissionParameters = DEFAULT_EMISSION) -> float:
-    """The same outflow computed as nu * P_BH / T_BH, the thermodynamic route."""
-    return params.nu * hawking_power(bh, params) / temperature(bh)

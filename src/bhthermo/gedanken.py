@@ -34,7 +34,7 @@ from .bounds import (
     is_weakly_gravitating,
     weak_gravity_ratio,
 )
-from .constants import CONSTANTS
+from .constants import CONSTANTS, mass_from_geometrized
 from .errors import DomainError
 from .evaporation import DEFAULT_EMISSION, EmissionParameters
 from .kerr_newman import BlackHole, entropy, horizon_area, make_black_hole, temperature
@@ -227,7 +227,7 @@ def infall_experiment(sys: MaterialSystem, bh_or_zeta: BlackHole | float,
             raise DomainError(f"zeta must be finite, got {zeta}")
         if zeta < 1.0:
             raise DomainError(f"zeta must be >= 1, got {zeta}")
-        hole = make_black_hole(zeta * sys.radius * CONSTANTS.c**2 / CONSTANTS.G)
+        hole = make_black_hole(mass_from_geometrized(zeta * sys.radius))
 
     radiated = params.nu * sys.energy / temperature(hole)
     S_hole = entropy(hole)

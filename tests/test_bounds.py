@@ -103,6 +103,8 @@ class TestUniversalBound:
     def test_disk(self):
         limit = universal_bound(DISK)
         assert limit == pytest.approx(1.7147295950e40, rel=1e-9)
+        assert limit == (2.0 * math.pi * DISK.radius * DISK.energy
+                         / (CONSTANTS.hbar * CONSTANTS.c))
         assert nats_to_bits(limit) == pytest.approx(2.4738318831e40, rel=1e-9)
 
     @given(st.floats(min_value=5, max_value=35))

@@ -18,12 +18,11 @@ from bhthermo.channel import (
     consistency_check,
     cutoff_power,
     gsl_bound,
-    high_power_bound,
-    low_power_bound,
+    high_power_rate,
+    low_power_rate,
     optimal_xi,
     pendry_capacity,
     power_sweep_rates,
-    regime_bound,
     regime_rate,
 )
 from bhthermo.constants import CONSTANTS, LOG2E
@@ -121,9 +120,9 @@ class TestOptimalXi:
         assert numeric == pytest.approx(closed, rel=1e-8)
 
 
-def _reference_dispatch(ch, xi_floor=10.0):
+def _reference_dispatch(ch):
     """The regime dispatch as capacity_bound wrote it inline before
-    regime_bound existed: (regime, xi_used, bound)."""
+    regime_rate existed: (regime, xi_used, bound)."""
     p_c = characteristic_power(ch)
     P = ch.power
     if P == 0.0:
@@ -131,11 +130,11 @@ def _reference_dispatch(ch, xi_floor=10.0):
     if P <= p_c / 200.0:
         xi_used = optimal_xi(P, p_c, ch.emission.nu)
         if xi_used >= 1.0 and ch.emission.nu > 1.0:
-            return "low", xi_used, low_power_bound(ch)
+            return "low", xi_used, low_power_rate(P, ch.emission)
         return "low", 1.0, gsl_bound(ch, 1.0)
     if P >= p_c / 10.0:
-        return "high", xi_floor, high_power_bound(ch, xi_floor)
-    xi_used = max(optimal_xi(P, p_c, ch.emission.nu), xi_floor)
+        return "high", 10.0, high_power_rate(ch.lambda_c, P)
+    xi_used = max(optimal_xi(P, p_c, ch.emission.nu), 10.0)
     return "intermediate", xi_used, gsl_bound(ch, xi_used)
 
 
@@ -172,8 +171,9 @@ class TestFloatKernels:
     @given(channels, st.floats(min_value=1.0, max_value=1e6))
     def test_bounds_are_unchanged(self, ch, xi):
         assert gsl_bound(ch, xi) == self.old_gsl_bound(ch, xi)
-        assert low_power_bound(ch) == self.old_low_power_bound(ch)
-        assert high_power_bound(ch, xi) == self.old_high_power_bound(ch, xi)
+        assert low_power_rate(ch.power, ch.emission) == self.old_low_power_bound(ch)
+        assert high_power_rate(ch.lambda_c, ch.power) == \
+            self.old_high_power_bound(ch, 10.0)
 
     @pytest.mark.parametrize("args, message", [
         ((0.0, -1.0, 0.5), "cutoff wavelength"),
@@ -200,17 +200,17 @@ class TestRegimeBound:
         0.0, P_C * 1e-9, P_C / 1000, P_C / 200, P_C / 200 * (1 + 1e-15),
         P_C / 50, P_C / 10 * (1 - 1e-15), P_C / 10, P_C, P_C * 1e9])
     @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
-    @pytest.mark.parametrize("xi_floor", [10.0, 3.0])
-    def test_matches_capacity_bound_bit_for_bit(self, power, nu, xi_floor):
+    def test_matches_capacity_bound_bit_for_bit(self, power, nu):
         ch = channel(power, nu=nu)
-        got = regime_bound(ch, characteristic_power(ch), xi_floor)
-        report = capacity_bound(ch, xi_floor)
-        assert got == _reference_dispatch(ch, xi_floor)
+        got = regime_rate(ch.lambda_c, power, characteristic_power(ch), ch.emission)
+        report = capacity_bound(ch)
+        assert got == _reference_dispatch(ch)
         assert got == (report.regime, report.xi_used, report.bound_bits_per_s)
 
     def test_edges_belong_to_the_outer_regimes(self):
-        assert regime_bound(channel(self.P_C / 200), self.P_C)[0] == "low"
-        assert regime_bound(channel(self.P_C / 10), self.P_C)[0] == "high"
+        params = EmissionParameters()
+        assert regime_rate(OPTICAL, self.P_C / 200, self.P_C, params)[0] == "low"
+        assert regime_rate(OPTICAL, self.P_C / 10, self.P_C, params)[0] == "high"
 
 
 def _bits(columns):
@@ -269,19 +269,23 @@ class TestPowerSweepRates:
         assert [b.hex() for b in bounds[:2]] == [(0.0).hex()] * 2
 
     @pytest.mark.parametrize("descending", [False, True])
-    @pytest.mark.parametrize("nu, per_point", [(1.5, False), (1.0, True)])
+    @pytest.mark.parametrize("nu", [1.5, 1.0])
     def test_a_monotone_column_runs_without_regime_rate(self, monkeypatch, nu,
-                                                        per_point, descending):
+                                                        descending):
+        # at nu = 1 the sqrt law does not hold, so the low run alone goes
+        # point by point
         params = EmissionParameters(nu=nu)
         p_c = cutoff_power(OPTICAL, params)
         powers = sorted(self.powers(p_c), reverse=descending)
+        low_run = sorted(P for P in powers if 0.0 < P <= p_c / 200)
         expected = self.per_point(OPTICAL, powers, p_c, params)
         calls = []
         monkeypatch.setattr(channel_module, "regime_rate",
                             lambda *args: calls.append(args) or regime_rate(*args))
         got = power_sweep_rates(OPTICAL, powers, p_c, params)
         assert _bits(got) == _bits(expected)
-        assert len(calls) == (len(powers) if per_point else 0)
+        assert len(low_run) == 4
+        assert [args[1] for args in calls] == (low_run if nu == 1.0 else [])
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e30), max_size=40),
            st.sampled_from(["sorted", "reversed", "as drawn"]),
@@ -457,7 +461,7 @@ class TestConsistency:
         assert report.pendry_crossover_power == pytest.approx(0.4 * p_c, rel=1e-12)
         assert report.pendry_crossover_power < p_c
         for P in np.geomspace(report.pendry_crossover_power * 1.001, p_c, 20):
-            assert high_power_bound(channel(P)) >= pendry_capacity(P, 1.0)
+            assert high_power_rate(OPTICAL, P) >= pendry_capacity(P, 1.0)
         # and with a single carrier against a many-species hole, dominance
         # reaches below p_c/10
         many = channel(1e-3, n_species=10.0)
@@ -468,4 +472,5 @@ class TestConsistency:
         ch = channel(1e-8)
         p_c = characteristic_power(ch)
         xi = optimal_xi(ch.power, p_c, ch.emission.nu)
-        assert low_power_bound(ch) == pytest.approx(gsl_bound(ch, xi), rel=1e-12)
+        assert low_power_rate(ch.power, ch.emission) == pytest.approx(
+            gsl_bound(ch, xi), rel=1e-12)

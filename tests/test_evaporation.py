@@ -18,7 +18,6 @@ from bhthermo.errors import DomainError, SubPlanckMassError
 from bhthermo.evaporation import (
     EmissionParameters,
     entropy_emission_rate,
-    entropy_emission_rate_thermo,
     hawking_flux,
     hawking_power,
     lifetime,
@@ -221,6 +220,11 @@ class TestLifetime:
 def test_mass_history_needs_two_points():
     with pytest.raises(DomainError, match="at least 2"):
         mass_history(1e15, points=1)
+
+
+def entropy_emission_rate_thermo(bh, params):
+    """The outflow nu * P_BH / T_BH, the thermodynamic route."""
+    return params.nu * hawking_power(bh, params) / temperature(bh)
 
 
 class TestEntropyEmission:

@@ -179,6 +179,8 @@ class TestInfall:
                         if e.label == "hawking radiation")
         assert radiated.after == pytest.approx(
             PHOTON.nu * sys_.energy / temperature(hole), rel=1e-12)
+        # zeta = 10 sizes the same hole, M = zeta R, bit for bit
+        assert infall_experiment(sys_, 10.0, PHOTON).ledger == report.ledger
 
     def test_pressure_check_value(self):
         sys_ = composite_weak_system(1.0)

@@ -11,7 +11,7 @@ import struct
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bhthermo import cli
@@ -125,26 +125,17 @@ section_names = st.one_of(
 
 
 class FloatSubclass(float):
-    """Not exactly a float: its column takes the cell-by-cell path."""
-
-
-#: One cell that moves a column of floats off the all-float path.
-odd_cells = st.one_of(st.booleans(), st.integers(-10**300, 10**300), st.none(),
-                      floats.map(FloatSubclass))
+    """Not exactly a float, but a float column's cell all the same."""
 
 
 @st.composite
 def column(draw, nrows):
-    """One series column: all floats, all strs, floats with one odd cell,
-    or any cells."""
-    kind = draw(st.sampled_from(["float", "str", "float+odd", "any"]))
-    if kind == "str":
+    """One series column: all floats, some of them maybe of a float
+    subclass, or all strs."""
+    if draw(st.booleans()):
         return draw(st.lists(texts, min_size=nrows, max_size=nrows))
-    cells_of_kind = cells if kind == "any" else floats
-    values = draw(st.lists(cells_of_kind, min_size=nrows, max_size=nrows))
-    if kind == "float+odd" and nrows:
-        values[draw(st.integers(0, nrows - 1))] = draw(odd_cells)
-    return values
+    return draw(st.lists(st.one_of(floats, floats.map(FloatSubclass)),
+                         min_size=nrows, max_size=nrows))
 
 
 @st.composite
@@ -196,12 +187,18 @@ non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).flatmap(
     lambda x: st.sampled_from([x, FloatSubclass(x)]))
 
 
-@given(documents(with_series=True), st.data())
-def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, data):
-    nrows, ncols = len(doc.series[0]), len(doc.columns)
-    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+@given(documents(with_series=False), series(nonempty=True), st.data())
+def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, args,
+                                                                    data):
+    names, units, columns = args
+    float_columns = [j for j, c in enumerate(columns)
+                     if isinstance(c[0], float)]
+    assume(float_columns)
+    cells = st.tuples(st.integers(0, len(columns[0]) - 1),
+                      st.sampled_from(float_columns))
     for i, j in data.draw(st.lists(cells, min_size=1, max_size=3)):
-        doc.series[j][i] = data.draw(non_finite)
+        columns[j][i] = data.draw(non_finite)
+    doc.set_columns(names, units, columns)
     expected = reference_refusal(doc)
     for fmt in FORMATS:
         with pytest.raises(DomainError) as info:
@@ -224,6 +221,15 @@ def test_many_rows_match_the_reference():
 def test_columns_of_unequal_length_are_refused(args):
     with pytest.raises(ValueError, match="differ in length"):
         Document("x").set_columns(*args)
+
+
+@pytest.mark.parametrize("column", [
+    [1.5, None], [None], [1, 2], [1.5, 2], [True], ["a", 1.0], [1.5, "a"],
+    ["a", None]])
+def test_a_column_of_neither_only_floats_nor_only_strs_is_refused(column):
+    with pytest.raises(ValueError, match="series column 'odd' holds neither"):
+        Document("x").set_columns(["x", "odd"], ["", ""],
+                                  [[1.0] * len(column), column])
 
 
 @pytest.mark.parametrize("names, units", [(["x"], ["", ""]), (["x", "y"], [""])])
@@ -316,8 +322,7 @@ JSON_EDGE_CASES = _EDGES + [-x for x in _EDGES]
 def test_json_cell_rule_on_edge_cases(x):
     expected = _old_json_text(x)
     assert _json_texts([x]) == [expected]
-    assert cli._json_cell(x) == expected
-    assert cli._json_cell(FloatSubclass(x)) == expected
+    assert _json_texts([FloatSubclass(x)]) == [expected]
 
 
 def test_json_cell_rule_on_columns_of_edge_cases():
@@ -342,8 +347,8 @@ def test_json_cell_rule_on_random_bit_patterns():
     assert len(xs) > 99_000
     assert _json_texts(xs) == list(map(_old_json_text, xs))
     # each cell alone takes a branch of its own
-    assert [cli._json_cell(x) for x in xs[:5000]] == list(map(_old_json_text,
-                                                              xs[:5000]))
+    assert [_json_texts([x])[0] for x in xs[:5000]] == list(
+        map(_old_json_text, xs[:5000]))
 
 
 def test_json_cells_go_through_the_column_rule(monkeypatch):
@@ -352,6 +357,8 @@ def test_json_cells_go_through_the_column_rule(monkeypatch):
     monkeypatch.setattr(cli, "_json_floats",
                         lambda column: seen.append(list(column)) or rule(column))
     doc = Document("sweep")
-    doc.set_columns(["x", "mixed"], ["", ""], [[1.5, 2e9], [2.5, None]])
-    assert json.loads(doc.render("json"))["rows"] == [[1.5, 2.5], [2e9, None]]
-    assert seen == [[1.5, 2e9], [2.5]]
+    doc.set_columns(["x", "y", "label"], ["", "", ""],
+                    [[1.5, 2e9], [2.5, FloatSubclass(3.0)], ["a", "b"]])
+    assert json.loads(doc.render("json"))["rows"] == [[1.5, 2.5, "a"],
+                                                      [2e9, 3.0, "b"]]
+    assert seen == [[1.5, 2e9], [2.5, 3.0]]

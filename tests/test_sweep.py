@@ -13,7 +13,7 @@ import pytest
 from bhthermo.channel import (
     Channel,
     characteristic_power,
-    regime_bound,
+    regime_rate,
 )
 from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
 from bhthermo.constants import (
@@ -58,7 +58,8 @@ def reference_channel_rows(grid, param, fixed, n_carriers, emission):
         ch = Channel(lambda_c=fixed if param == "power" else x,
                      power=x if param == "power" else fixed,
                      n_carriers=n_carriers, emission=emission)
-        regime, _, bound = regime_bound(ch, characteristic_power(ch))
+        regime, _, bound = regime_rate(ch.lambda_c, ch.power,
+                                       characteristic_power(ch), ch.emission)
         rows.append([x, bound, regime])
     return rows
 

@@ -4,7 +4,8 @@ Each result or parameter record is an immutable value: it is built by
 keyword with its defaults, refuses assignment, compares and hashes by value,
 and its repr names every field.  The four types that check or derive
 fields at construction (PhysicalConstants, MaterialSystem, Channel,
-EmissionParameters) do so whichever way they are built.
+EmissionParameters) do so whichever way they are built, ``_replace`` and
+``_make`` included.
 """
 
 import copy
@@ -164,3 +165,45 @@ def test_construction_checks_raise_their_domain_errors(cls, kwargs, message):
 def test_construction_checks_run_on_positional_arguments(cls, args, message):
     with pytest.raises(DomainError, match=message):
         cls(*args)
+
+
+def _built(build):
+    """What build() returns, or the type and message of the DomainError it
+    raises."""
+    try:
+        return build()
+    except DomainError as error:
+        return DomainError, str(error)
+
+
+@pytest.mark.parametrize("cls, kwargs, change", [
+    (EmissionParameters, {}, {"nu": 1.2}),
+    (EmissionParameters, {}, {"nu": 5.0}),
+    (EmissionParameters, {}, {"gamma_bar": 0.0, "n_species": 3.0}),
+    (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"label": "disk"}),
+    (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"radius": -1.0}),
+    (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"entropy": math.nan}),
+    (Channel, {"lambda_c": 1.0, "power": 1.0}, {"power": 3.0}),
+    (Channel, {"lambda_c": 1.0, "power": 1.0}, {"power": math.nan}),
+    (Channel, {"lambda_c": 1.0, "power": 1.0}, {"n_carriers": 0.5}),
+    (PhysicalConstants, BASE_CONSTANTS, {}),
+    (PhysicalConstants, BASE_CONSTANTS, {"G": 1.0}),
+    (PhysicalConstants, BASE_CONSTANTS, {"c": 1.0, "k_B": 2.0}),
+    (PhysicalConstants, BASE_CONSTANTS, {"planck_mass": 1.0}),
+    (PhysicalConstants, BASE_CONSTANTS, {"G": 1.0, "sigma_SB": 1.0}),
+])
+def test_replace_and_make_check_and_derive_as_construction_does(cls, kwargs,
+                                                               change):
+    value = cls(**kwargs)
+    arguments = cls._fields[:4] if cls is PhysicalConstants else cls._fields
+    if not change.keys() <= set(arguments):
+        # a derived field follows from the base four: it cannot be replaced
+        with pytest.raises(ValueError, match="only G, c, hbar and k_B"):
+            value._replace(**change)
+        return
+    expected = _built(lambda: cls(**{**kwargs, **change}))
+    fields = {**value._asdict(), **change}
+    for built in (_built(lambda: value._replace(**change)),
+                  _built(lambda: cls._make(fields[name] for name in arguments))):
+        assert built == expected
+        assert type(built) is type(expected)
