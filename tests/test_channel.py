@@ -195,10 +195,11 @@ class TestFloatKernels:
 
 class TestRegimeBound:
     P_C = characteristic_power(channel(0.0))
-
-    @pytest.mark.parametrize("power", [
+    POWERS = [                  # ascending
         0.0, P_C * 1e-9, P_C / 1000, P_C / 200, P_C / 200 * (1 + 1e-15),
-        P_C / 50, P_C / 10 * (1 - 1e-15), P_C / 10, P_C, P_C * 1e9])
+        P_C / 50, P_C / 10 * (1 - 1e-15), P_C / 10, P_C, P_C * 1e9]
+
+    @pytest.mark.parametrize("power", POWERS)
     @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
     def test_matches_capacity_bound_bit_for_bit(self, power, nu):
         ch = channel(power, nu=nu)
@@ -206,6 +207,20 @@ class TestRegimeBound:
         report = capacity_bound(ch)
         assert got == _reference_dispatch(ch)
         assert got == (report.regime, report.xi_used, report.bound_bits_per_s)
+
+    @pytest.mark.parametrize("power", POWERS)
+    @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
+    def test_a_sweep_ending_at_the_power_matches_capacity_bound(self, power,
+                                                                nu):
+        # the run path and the point path share one xi floor, and the low
+        # run's law is decided at its last point, here the given power
+        ch = channel(power, nu=nu)
+        powers = [P for P in self.POWERS if P <= power]
+        regimes, bounds = power_sweep_rates(
+            ch.lambda_c, powers, characteristic_power(ch), ch.emission)
+        reports = [capacity_bound(channel(P, nu=nu)) for P in powers]
+        assert list(zip(regimes, map(float.hex, bounds))) == [
+            (r.regime, r.bound_bits_per_s.hex()) for r in reports]
 
     def test_edges_belong_to_the_outer_regimes(self):
         params = EmissionParameters()
