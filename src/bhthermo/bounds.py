@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_NU, _checked_make, nats_to_bits
+from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make, nats_to_bits
 from .errors import DomainError
 
 #: A system counts as composite when E R / (c hbar) reaches this value.
@@ -133,9 +133,11 @@ def weak_universal_bound(sys: MaterialSystem, nu: float = DEFAULT_NU,
                          zeta: float = DEFAULT_ZETA) -> float:
     """Weak form 8 pi nu zeta R E / (c hbar) [nats] from the infall argument.
 
-    zeta is the hole-to-system size ratio of the underlying thought
-    experiment and must be at least 1.
+    nu must lie in [1, 2] (see constants.DEFAULT_NU); zeta is the
+    hole-to-system size ratio of the underlying thought experiment and must
+    be at least 1.
     """
+    _check_nu(nu)
     if zeta < 1.0:
         raise DomainError(f"zeta must be >= 1, got {zeta}")
     return (8.0 * math.pi * nu * zeta * sys.radius * sys.energy

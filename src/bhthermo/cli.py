@@ -20,7 +20,6 @@ from typing import NamedTuple, NoReturn
 
 from .constants import (
     CONSTANTS,
-    DEFAULT_NU,
     constants_table,
     energy_temperature_to_kelvin,
     geometrized_mass,
@@ -34,8 +33,7 @@ from .errors import DomainError
 #: (a test double, a tracing wrapper) is left as set, and every call goes
 #: through the module global, so the name set is the one that runs.
 _LAZY_IMPORTS = {
-    "bounds": ("COMPOSITE_THRESHOLD", "DEFAULT_ZETA", "MaterialSystem",
-               "WEAK_GRAVITY_THRESHOLD", "bound_report", "sphere_area"),
+    "bounds": ("MaterialSystem", "bound_report", "sphere_area"),
     "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
                 "power_sweep_rates", "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
@@ -318,11 +316,11 @@ class Param(NamedTuple):
     """One parameter of a subcommand, declared once.
 
     A parameter that neither the command line nor the --input file sets
-    takes ``default``: a literal only the command line uses, or a callable
-    reading a default the library holds, called only after the subcommand
-    has loaded its formula modules.  ``type`` and ``choices`` hold for flag
-    and file values alike.  ``key`` names the value in an emitted JSON
-    record's ``inputs`` where that name is not the dest.
+    takes ``default``, a literal only the command line uses.  One without a
+    default stays None; if it is a library option, the library call leaves
+    it out, so the library's own default applies.  ``type`` and ``choices``
+    hold for flag and file values alike.  ``key`` names the value in an
+    emitted JSON record's ``inputs`` where that name is not the dest.
     """
 
     flag: str                   # a bare name for a positional argument
@@ -336,23 +334,16 @@ class Param(NamedTuple):
     def dest(self) -> str:
         return self.flag.lstrip("-").replace("-", "_")
 
-    def default_value(self) -> object:
-        return self.default() if callable(self.default) else self.default
-
 
 #: The one emission factor an evaporation reads.
-N_SPECIES = Param("--n-species", "effective massless species count",
-                  lambda: EmissionParameters._field_defaults["n_species"])
+N_SPECIES = Param("--n-species", "effective massless species count")
 #: The emission factors of the radiating hole.
 EMISSION = (
-    Param("--nu", "irreversibility factor (1..2)",
-          lambda: EmissionParameters._field_defaults["nu"]),
-    Param("--gamma-bar", "relativistic emission factor",
-          lambda: EmissionParameters._field_defaults["gamma_bar"]),
+    Param("--nu", "irreversibility factor (1..2)"),
+    Param("--gamma-bar", "relativistic emission factor"),
     N_SPECIES,
 )
-N_CARRIERS = Param("--n-carriers", "carrier species count",
-                   lambda: Channel._field_defaults["n_carriers"])
+N_CARRIERS = Param("--n-carriers", "carrier species count")
 #: The sweep's grid, then the parameters of each target.
 SWEEP_GRID = (
     Param("--param", "swept parameter (mass | power | lambda_c)", type=str),
@@ -406,15 +397,12 @@ SUBCOMMANDS = {
         Param("--entropy", "stored entropy [nat]"),
         Param("--area", "enclosing area [cm^2] (default: sphere of the radius)",
               key="enclosing_area"),
-        # bound_report's own defaults
-        Param("--nu", "irreversibility factor", lambda: DEFAULT_NU),
-        Param("--zeta", "hole-to-system size ratio", lambda: DEFAULT_ZETA),
+        Param("--nu", "irreversibility factor"),
+        Param("--zeta", "hole-to-system size ratio"),
         Param("--composite-threshold",
-              "ER/(c hbar) needed to count as composite (default 10)",
-              lambda: COMPOSITE_THRESHOLD),
+              "ER/(c hbar) needed to count as composite (default 10)"),
         Param("--weak-gravity-threshold",
-              "largest GE/(c^4 R) counting as weak gravity (default 1e-2)",
-              lambda: WEAK_GRAVITY_THRESHOLD),
+              "largest GE/(c^4 R) counting as weak gravity (default 1e-2)"),
     )),
     "gedanken": ("entropy-ledger thought experiments", "key=value scenario file", (
         Param("--scenario", type=str, choices=tuple(GEDANKEN_SCENARIOS)),
@@ -429,7 +417,7 @@ SUBCOMMANDS = {
         Param("--mu", "capsule rest mass [g]"),
         Param("--b", "capsule radius [cm]"),
         Param("--s-cap", "capsule entropy [nat]"),
-        Param("--zeta", "hole-to-system size ratio (infall)", lambda: DEFAULT_ZETA),
+        Param("--zeta", "hole-to-system size ratio (infall)"),
         Param("--m1", "first hole mass [g] (merger)"),
         Param("--m2", "second hole mass [g] (merger)"),
         *EMISSION,
@@ -483,13 +471,11 @@ def load_input_file(path: str, keys: dict[str, str]) -> dict[str, str]:
     return {keys.get(key, key): str(value) for key, value in inputs.items()}
 
 
-def merge_input(args: argparse.Namespace,
-                defaults: Sequence[Param] | None = None) -> set[str]:
+def merge_input(args: argparse.Namespace) -> set[str]:
     """Fill the subcommand's unset parameters from --input, then give each
-    of ``defaults`` (all its parameters if None) still unset its default.
-    CLI flags win over file values, and a file value must have its
-    parameter's type and choices.  Returns the dests that the command line
-    or the file set."""
+    one still unset its literal default, if it has one.  CLI flags win over
+    file values, and a file value must have its parameter's type and
+    choices.  Returns the dests that the command line or the file set."""
     parameters = SUBCOMMANDS[args.command][2]
     path = getattr(args, "input", None)
     if path is not None:
@@ -510,9 +496,9 @@ def merge_input(args: argparse.Namespace,
                     raise ConfigError(f"bad value for {key!r} in {path}: {exc}")
                 setattr(args, dest, value)
     given = {p.dest for p in parameters if getattr(args, p.dest) is not None}
-    for p in parameters if defaults is None else defaults:
+    for p in parameters:
         if p.dest not in given and p.default is not None:
-            setattr(args, p.dest, p.default_value())
+            setattr(args, p.dest, p.default)
     return given
 
 
@@ -539,18 +525,16 @@ def _refuse_unread(args: argparse.Namespace, given: set[str],
             p.flag for p in SUBCOMMANDS[args.command][2] if p.dest in unread))
 
 
-def _echo_given(doc: Document, args: argparse.Namespace, given: set[str],
-                *dests: str) -> None:
-    """Echo in ``inputs`` each of these optional parameters the request
-    set, so that its record re-feeds to the same numbers."""
-    for dest in dests:
-        if dest in given:
-            doc.add("inputs", dest, getattr(args, dest))
+def _options(args: argparse.Namespace, *dests: str) -> dict[str, object]:
+    """The library options among ``dests`` that the request set, by dest:
+    what a library call receives, and its record echoes.  One left unset
+    is left out, so the library's own default applies."""
+    return {dest: value for dest in dests
+            if (value := getattr(args, dest, None)) is not None}
 
 
 def build_emission(args: argparse.Namespace) -> EmissionParameters:
-    return EmissionParameters(nu=args.nu, gamma_bar=args.gamma_bar,
-                              n_species=args.n_species)
+    return EmissionParameters(**_options(args, "nu", "gamma_bar", "n_species"))
 
 
 # -- subcommands -----------------------------------------------------------
@@ -616,8 +600,7 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     if args.points < 2:
         raise ConfigError("evaporate needs at least two points")
     _check_points(args)
-    t, m = mass_history(args.mass, EmissionParameters(n_species=args.n_species),
-                        points=args.points)
+    t, m = mass_history(args.mass, build_emission(args), points=args.points)
     doc = Document("evaporation")
     doc.add("inputs", "mass_g", args.mass, "g")
     doc.add("results", "lifetime_s", t[-1], "s")
@@ -627,13 +610,12 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
 
 def cmd_bounds(args: argparse.Namespace) -> Document:
     _load("bounds")
-    given = merge_input(args)
+    merge_input(args)
     _require(args, "radius")
     sys_ = _system_from_args(args)
-    report = bound_report(sys_, enclosing_area=args.area,
-                          nu=args.nu, zeta=args.zeta,
-                          composite_threshold=args.composite_threshold,
-                          weak_gravity_threshold=args.weak_gravity_threshold)
+    options = _options(args, "nu", "zeta", "composite_threshold",
+                       "weak_gravity_threshold")
+    report = bound_report(sys_, enclosing_area=args.area, **options)
     doc = Document("bound_report")
     doc.add("inputs", "energy", sys_.energy, "erg")
     doc.add("inputs", "radius", args.radius, "cm")
@@ -641,8 +623,8 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     doc.add("inputs", "enclosing_area", area, "cm^2")
     if args.entropy is not None:
         doc.add("inputs", "entropy", args.entropy, "nat")
-    _echo_given(doc, args, given, "nu", "zeta", "composite_threshold",
-                "weak_gravity_threshold")
+    for name, value in options.items():
+        doc.add("inputs", name, value)
     doc.add("results", "compositeness", report.compositeness)
     doc.add("results", "weak_gravity_ratio", report.weak_gravity_ratio)
     doc.add("results", "tightest_applicable", report.tightest_applicable)
@@ -684,8 +666,9 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
             _refuse_unread(args, given, given - {"zeta"}, "infall with --bh-mass")
         sys_ = _system_from_args(args, "radius", "entropy")
         params = build_emission(args)
-        host = args.zeta if args.bh_mass is None else make_black_hole(args.bh_mass)
-        report = infall_experiment(sys_, host, params)
+        host = [make_black_hole(args.bh_mass)] if args.bh_mass is not None \
+            else _options(args, "zeta").values()    # unset: the library's zeta
+        report = infall_experiment(sys_, *host, params=params)
     else:
         _require(args, "m1", "m2")
         report = merger(make_black_hole(args.m1), make_black_hole(args.m2))
@@ -716,7 +699,7 @@ def _gedanken_document(report: GedankenReport) -> Document:
 
 def cmd_channel(args: argparse.Namespace) -> Document:
     _load("channel", "evaporation")
-    given = merge_input(args)
+    merge_input(args)
     _require(args, "power")
     if (args.lambda_c is None) == (args.frequency is None):
         raise ConfigError("give exactly one of lambda-c or frequency")
@@ -725,14 +708,16 @@ def cmd_channel(args: argparse.Namespace) -> Document:
             f"frequency must be positive and finite, got {args.frequency}")
     lambda_c = args.lambda_c if args.lambda_c is not None \
         else CONSTANTS.c / args.frequency
-    ch = Channel(lambda_c=lambda_c, power=args.power,
-                 n_carriers=args.n_carriers, emission=build_emission(args))
+    emission = _options(args, "nu", "gamma_bar", "n_species")
+    ch = Channel(lambda_c, args.power, **_options(args, "n_carriers"),
+                 emission=EmissionParameters(**emission))
     report = capacity_bound(ch)
     doc = Document("channel_capacity")
     doc.add("inputs", "lambda_c", lambda_c, "cm")
     doc.add("inputs", "power", ch.power, "erg s^-1")
     doc.add("inputs", "n_carriers", ch.n_carriers)
-    _echo_given(doc, args, given, "nu", "gamma_bar", "n_species")
+    for name, value in emission.items():
+        doc.add("inputs", name, value)
     doc.add("results", "p_c", report.p_c, "erg s^-1")
     doc.add("results", "p_c_approx", report.p_c_approx, "erg s^-1")
     doc.add("results", "regime", report.regime)
@@ -782,11 +767,9 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
     bh = args.target == "bh"
-    # Only the target's defaults are filled: the other target's are read
-    # from formula modules this request does not load.
     _load("grids", *(["kerr_newman"] if bh else ["channel", "evaporation"]))
+    given = merge_input(args)
     read = SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL)
-    given = merge_input(args, read)
     _refuse_unread(args, given, ["target", *(p.dest for p in read)],
                    f"target {args.target}")
     _require(args, "param", "start", "stop")
@@ -818,13 +801,13 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         if (args.lambda_c if args.param == "power" else args.power) is None:
             raise ConfigError("channel sweep needs the non-swept parameter "
                               "(lambda-c or power) fixed")
-        n = args.n_carriers
+        carriers = _options(args, "n_carriers")
         # Every point is checked in one pass over the grid; only if one
         # fails does the per-point loop run, to raise for the first.
         if args.param == "power":
             lambda_c = args.lambda_c
             # The first point's checks come before the cutoff's power.
-            check_channel(lambda_c, grid[0], n)
+            n = Channel(lambda_c, grid[0], **carriers).n_carriers
             p_c = cutoff_power(lambda_c, emission)
             if not (all(map(math.isfinite, grid)) and min(grid) >= 0.0):
                 for P in grid:
@@ -833,7 +816,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         else:
             P = args.power
             # The fixed power and carrier count are checked with the first point.
-            check_channel(grid[0], P, n)
+            n = Channel(grid[0], P, **carriers).n_carriers
             if not (all(map(math.isfinite, grid)) and min(grid) > 0.0):
                 for lambda_c in grid:
                     check_channel(lambda_c, P, n)
@@ -908,6 +891,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    if args.format not in FORMATS:      # argparse leaves a default unchecked
+        print(f"bhthermo: bad ${FORMAT_ENV} {args.format!r}; choose from "
+              + ", ".join(FORMATS), file=sys.stderr)
+        return EXIT_USAGE
     try:
         text = COMMANDS[args.command](args).render(args.format)
         print(text, flush=True)

@@ -27,6 +27,12 @@ LOG2E = math.log2(math.e)
 DEFAULT_NU = 1.5
 
 
+def _check_nu(nu: float) -> None:
+    """Refuse an irreversibility factor outside [1, 2]."""
+    if not 1.0 <= nu <= 2.0:
+        raise DomainError(f"nu must lie in [1, 2], got {nu}")
+
+
 def _checked_make(cls: type, iterable: Iterable[object]) -> tuple:
     """``_make``, and so ``_replace``, of a value type whose ``__new__``
     checks or derives fields: NamedTuple's own skip ``__new__``."""

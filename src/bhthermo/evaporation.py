@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_NU, _checked_make, geometrized_mass
+from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make, geometrized_mass
 from .errors import DomainError, SubPlanckMassError
 from .grids import linspace
 from .kerr_newman import BlackHole, area_from, temperature_from
@@ -60,8 +60,7 @@ class EmissionParameters(_EmissionFields):
 
     def __new__(cls, *args: float, **kwargs: float) -> EmissionParameters:
         self = super().__new__(cls, *args, **kwargs)
-        if not 1.0 <= self.nu <= 2.0:
-            raise DomainError(f"nu must lie in [1, 2], got {self.nu}")
+        _check_nu(self.nu)
         if not 0 < self.gamma_bar < math.inf:
             raise DomainError(
                 f"gamma_bar must be positive and finite, got {self.gamma_bar}")

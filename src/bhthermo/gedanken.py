@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .bounds import (
     COMPOSITE_THRESHOLD,
+    DEFAULT_ZETA,
     WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     compositeness,
@@ -205,7 +206,8 @@ def drop_distance(sys: MaterialSystem, zeta: float,
                              passed=ratio >= threshold)
 
 
-def infall_experiment(sys: MaterialSystem, bh_or_zeta: BlackHole | float,
+def infall_experiment(sys: MaterialSystem,
+                      bh_or_zeta: BlackHole | float = DEFAULT_ZETA,
                       params: EmissionParameters = DEFAULT_EMISSION) -> GedankenReport:
     """Drop a composite system into a large radiating hole, M = zeta R.
 

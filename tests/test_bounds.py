@@ -141,6 +141,13 @@ class TestWeakUniversalBound:
         with pytest.raises(DomainError):
             weak_universal_bound(DISK, nu=1.5, zeta=0.5)
 
+    @pytest.mark.parametrize("nu", [0.0, -1.0, 0.99, 2.01])
+    def test_rejects_nu_outside_one_to_two(self, nu):
+        for call in (weak_universal_bound, bound_report):
+            with pytest.raises(DomainError,
+                               match=rf"nu must lie in \[1, 2\], got {nu}"):
+                call(DISK, nu=nu)
+
 
 class TestGourBound:
     def test_boundary(self):

@@ -90,6 +90,17 @@ class TestFormats:
         assert code == 0
         json.loads(out)
 
+    @pytest.mark.parametrize("value", ["xml", ""])
+    def test_bad_format_env_exits_2_unless_a_flag_sets_the_format(
+            self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BHTHERMO_FORMAT", value)
+        assert run(capsys, "constants") == (
+            2, "", f"bhthermo: bad $BHTHERMO_FORMAT {value!r}; "
+                   "choose from table, json, csv\n")
+        code, out, err = run(capsys, "constants", "--format", "json")
+        assert (code, err) == (0, "")
+        json.loads(out)
+
     def test_nine_significant_digits(self, capsys):
         _, out, _ = run(capsys, "bh", "--mass", "1e15", "--format", "csv")
         assert "1.48523205e-13" in out  # r_plus at 9 significant digits
@@ -156,6 +167,12 @@ class TestBounds:
         doc = run_json(capsys, "bounds", "--mass", "16", "--radius", "6",
                        "--entropy", "1e50")
         assert "gour" in doc["results"]["violations"]
+
+    @pytest.mark.parametrize("nu", ["0", "-1", "0.99", "2.5"])
+    def test_nu_outside_one_to_two_exits_1(self, capsys, nu):
+        assert run(capsys, "bounds", "--mass", "16", "--radius", "6",
+                   "--nu", nu) == (
+            1, "", f"bhthermo bounds: nu must lie in [1, 2], got {float(nu)}\n")
 
     def test_energy_and_mass_are_exclusive(self, capsys):
         code, _, err = run(capsys, "bounds", "--mass", "16",

@@ -1,16 +1,19 @@
 """The parameter tables of the command line: file values obey the same
 types and choices as flags, the defaults the help text names are the ones
-that run, and every emitted record of bh, evaporate, bounds and channel
-re-feeds through --input to the same output."""
+that run, a library call receives only the options the request set, and
+every emitted record of bh, evaporate, bounds and channel re-feeds through
+--input to the same output."""
 
 import argparse
+import inspect
 import json
 import re
 
 import pytest
 
-from bhthermo import cli
+from bhthermo import bounds, cli
 from bhthermo.cli import main
+from bhthermo.evaporation import EmissionParameters
 
 FORMATS = ("table", "json", "csv")
 
@@ -70,17 +73,88 @@ HELP_DEFAULTS = {
 }
 
 
+#: The library defaults a help text names, for rows that have no default:
+#: an unset one is left out of the call, so the library's own applies.
+LIBRARY_DEFAULTS = {
+    ("bounds", "composite_threshold"): bounds.COMPOSITE_THRESHOLD,
+    ("bounds", "weak_gravity_threshold"): bounds.WEAK_GRAVITY_THRESHOLD,
+}
+
+
 def test_help_defaults_are_the_tables():
-    cli._load(*cli._LAZY_IMPORTS)
+    report_defaults = inspect.signature(bounds.bound_report).parameters
+    for (_, dest), value in LIBRARY_DEFAULTS.items():
+        assert report_defaults[dest].default == value
     found = {}
     for name, parser in _subparsers().items():
         rows = {p.dest: p for p in cli.SUBCOMMANDS[name][2]}
         for action in parser._actions:
             for text in re.findall(r"\(default ([^\s,)]+)[,)]", action.help or ""):
                 found[name, action.option_strings[-1]] = text
-                row = rows[action.dest]
-                assert row.type(text) == row.default_value(), (name, action.dest)
+                default = rows[action.dest].default
+                if default is None:
+                    default = LIBRARY_DEFAULTS[name, action.dest]
+                assert rows[action.dest].type(text) == default, (name, action.dest)
     assert found == HELP_DEFAULTS
+
+
+GEDANKEN_INFALL = ["gedanken", "--scenario", "infall", "--energy", "1e10",
+                   "--radius", "1", "--entropy", "1"]
+CHANNEL_SWEEP = ["sweep", "channel", "--start", "1e-6", "--stop", "1e-1",
+                 "--points", "3"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["bounds", "--mass", "16", "--radius", "6"],
+     [("bound_report", {"enclosing_area": None})]),
+    (["bounds", "--mass", "16", "--radius", "6", "--zeta", "20"],
+     [("bound_report", {"enclosing_area": None, "zeta": 20.0})]),
+    (["bounds", "--mass", "16", "--radius", "6", "--area", "1000", "--nu", "1.2",
+      "--composite-threshold", "5", "--weak-gravity-threshold", "0.2"],
+     [("bound_report", {"enclosing_area": 1000.0, "nu": 1.2,
+                        "composite_threshold": 5.0,
+                        "weak_gravity_threshold": 0.2})]),
+    (["evaporate", "--mass", "1e12", "--points", "3"],
+     [("EmissionParameters", {})]),
+    (["evaporate", "--mass", "1e12", "--points", "3", "--n-species", "2"],
+     [("EmissionParameters", {"n_species": 2.0})]),
+    (["channel", "--lambda-c", "1", "--power", "1e3"],
+     [("EmissionParameters", {}),
+      ("Channel", {"emission": EmissionParameters()})]),
+    (["channel", "--lambda-c", "1", "--power", "1e3", "--n-carriers", "3",
+      "--nu", "1.2"],
+     [("EmissionParameters", {"nu": 1.2}),
+      ("Channel", {"n_carriers": 3.0, "emission": EmissionParameters(nu=1.2)})]),
+    (GEDANKEN_INFALL, [("EmissionParameters", {}), ("infall_experiment", ())]),
+    (GEDANKEN_INFALL + ["--zeta", "20", "--gamma-bar", "3"],
+     [("EmissionParameters", {"gamma_bar": 3.0}), ("infall_experiment", (20.0,))]),
+    (CHANNEL_SWEEP + ["--param", "power", "--lambda-c", "5e-5"],
+     [("EmissionParameters", {}), ("Channel", {})]),
+    (CHANNEL_SWEEP + ["--param", "lambda_c", "--power", "1e-3", "--n-carriers",
+                      "3", "--n-species", "2"],
+     [("EmissionParameters", {"n_species": 2.0}), ("Channel", {"n_carriers": 3.0})]),
+], ids=lambda x: " ".join(x) if isinstance(x[0], str) else None)
+def test_a_library_call_receives_only_the_options_the_request_set(
+        capsys, monkeypatch, argv, expected):
+    """Each call of these library names in order, with its keyword
+    arguments (for the infall, its positional ones after the system): an
+    option the request left unset is not passed, so the library's own
+    default applies."""
+    calls = []
+
+    def record(name, positional):
+        func = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[1:] if positional else kwargs))
+            return func(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+    for name in ("bound_report", "EmissionParameters", "Channel"):
+        record(name, False)
+    record("infall_experiment", True)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert calls == expected
 
 
 #: Requests whose JSON record holds every parameter they ran with.
