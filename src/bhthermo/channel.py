@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from itertools import islice, repeat
-from operator import le
+from operator import ge, le
 from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E, _checked_make
@@ -233,6 +233,8 @@ def regime_rate(lambda_c: float, P: float, p_c: float,
 
     The one home of the regime logic, on floats for callers that evaluate
     many channels: the inputs must pass :func:`check_channel`.
+    :func:`regime_columns` repeats its comparisons and the sqrt law's
+    condition to split a column into runs: change them together.
     """
     if P == 0.0:
         return "low", None, 0.0
@@ -250,52 +252,45 @@ def regime_rate(lambda_c: float, P: float, p_c: float,
     return "intermediate", xi_used, gsl_rate(lambda_c, P, p_c, params, xi_used)
 
 
-def regime_columns(lambdas: Iterable[float], powers: Iterable[float],
-                   p_cs: Iterable[float], params: EmissionParameters
+def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
+                   p_cs: Sequence[float], params: EmissionParameters
                    ) -> tuple[list[str], list[float]]:
-    """:func:`regime_rate` of each channel (lambda_c, P, p_c) point by
-    point, as the two columns regime and bound."""
-    rates = list(map(regime_rate, lambdas, powers, p_cs, repeat(params)))
-    return [rate[0] for rate in rates], [rate[2] for rate in rates]
+    """:func:`regime_rate` of each channel (lambda_c, P, p_c), as the two
+    columns regime and bound: the one kernel of every channel sweep.
 
-
-def power_sweep_rates(lambda_c: float, powers: Sequence[float], p_c: float,
-                      params: EmissionParameters
-                      ) -> tuple[list[str], list[float]]:
-    """:func:`regime_columns` of the channels of one cutoff lambda_c, and
-    so one characteristic power p_c, at each power P in ``powers``.
-
-    On a monotone column each regime is one run of points: the zero
-    powers, the low run up to p_c/200, the high run from p_c/10 and the
-    intermediate run between, found by bisection.  Each run maps its
-    regime's kernel.  The low run's sqrt law needs nu > 1 and optimal_xi
-    >= XI_MIN; optimal_xi never rises as P rises, so the run's last point
-    decides, and if it fails the run goes point by point.  So does the
-    whole column if it is not monotone.
+    Where P never falls and p_c never rises along the columns, P/p_c never
+    falls, so each regime is one run of points, found by bisection with
+    :func:`regime_rate`'s own comparisons: the low run up to p_c/200, the
+    high run from p_c/10 and the intermediate run between.  Each run maps
+    its regime's kernel.  The low run's sqrt law needs nu > 1 and
+    optimal_xi >= XI_MIN; optimal_xi never rises along the run, so its
+    last point decides, and if it fails the run goes point by point.  So
+    do the zero powers, and every point of columns not so ordered.
     """
-    if len(powers) > 1 and powers[0] > powers[-1]:
-        regimes, bounds = power_sweep_rates(lambda_c, powers[::-1], p_c, params)
-        return regimes[::-1], bounds[::-1]
-    if not all(map(le, powers, islice(powers, 1, None))):
-        return regime_columns(repeat(lambda_c), powers, repeat(p_c), params)
-    zero = bisect_right(powers, 0.0)
-    low = max(zero, bisect_right(powers, p_c / LOW_POWER_DIVISOR))
-    high = max(low, bisect_left(powers, p_c / HIGH_POWER_DIVISOR))
-    bounds = [0.0] * zero
-    run = powers[zero:low]
-    nu = params.nu
-    if run and nu > 1.0 and optimal_xi(run[-1], p_c, nu) >= XI_MIN:
-        bounds += map(low_power_rate, run, repeat(params))
-    else:
-        bounds += regime_columns(repeat(lambda_c), run, repeat(p_c), params)[1]
-    run = powers[low:high]
-    bounds += map(gsl_rate, repeat(lambda_c), run, repeat(p_c), repeat(params),
-                  [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
-                   for xi in map(optimal_xi, run, repeat(p_c), repeat(nu))])
-    bounds += map(high_power_rate, repeat(lambda_c), powers[high:])
     n = len(powers)
-    return (["low"] * low + ["intermediate"] * (high - low)
-            + ["high"] * (n - high), bounds)
+    point = low = high = n
+    nu = params.nu
+    if (all(map(le, powers, islice(powers, 1, None)))
+            and all(map(ge, p_cs, islice(p_cs, 1, None)))):
+        low = bisect_left(range(n), True, key=lambda i:
+                          powers[i] > p_cs[i] / LOW_POWER_DIVISOR)
+        high = bisect_left(range(n), True, low, key=lambda i:
+                           powers[i] >= p_cs[i] / HIGH_POWER_DIVISOR)
+        point = bisect_right(powers, 0.0, 0, low)
+        if not (point < low and nu > 1.0
+                and optimal_xi(powers[low - 1], p_cs[low - 1], nu) >= XI_MIN):
+            point = low
+    rates = list(map(regime_rate, lambdas[:point], powers[:point], p_cs[:point],
+                     repeat(params)))
+    bounds = [rate[2] for rate in rates]
+    bounds += map(low_power_rate, powers[point:low], repeat(params))
+    run = slice(low, high)
+    bounds += map(gsl_rate, lambdas[run], powers[run], p_cs[run], repeat(params),
+                  [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
+                   for xi in map(optimal_xi, powers[run], p_cs[run], repeat(nu))])
+    bounds += map(high_power_rate, lambdas[high:], powers[high:])
+    return ([rate[0] for rate in rates] + ["low"] * (low - point)
+            + ["intermediate"] * (high - low) + ["high"] * (n - high), bounds)
 
 
 def capacity_bound(ch: Channel) -> CapacityReport:

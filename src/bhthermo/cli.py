@@ -35,7 +35,7 @@ from .errors import DomainError
 _LAZY_IMPORTS = {
     "bounds": ("MaterialSystem", "bound_report", "sphere_area"),
     "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
-                "power_sweep_rates", "regime_columns"),
+                "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
     "gedanken": ("capsule_lowering", "infall_experiment", "merger",
                  "susskind_collapse"),
@@ -655,8 +655,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
                    f"scenario {scenario}")
     if scenario == "susskind":
         sys_ = _system_from_args(args, "radius", "entropy")
-        area = args.area if args.area is not None else sphere_area(sys_.radius)
-        report = susskind_collapse(sys_, area)
+        report = susskind_collapse(sys_, *_options(args, "area").values())
     elif scenario == "capsule":
         _require(args, "bh_mass", "mu", "b", "s_cap")
         bh = make_black_hole(args.bh_mass, args.bh_charge, args.bh_spin)
@@ -753,6 +752,7 @@ BH_SWEEP_QUANTITIES = {
 
 
 def _sweep_grid(args: argparse.Namespace) -> list[float]:
+    _load("grids")
     if args.points < 1:
         raise ConfigError("sweep needs at least one point")
     _check_points(args)
@@ -767,7 +767,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
     bh = args.target == "bh"
-    _load("grids", *(["kerr_newman"] if bh else ["channel", "evaporation"]))
+    _load(*(["kerr_newman"] if bh else ["channel", "evaporation"]))
     given = merge_input(args)
     read = SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL)
     _refuse_unread(args, given, ["target", *(p.dest for p in read)],
@@ -801,28 +801,23 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         if (args.lambda_c if args.param == "power" else args.power) is None:
             raise ConfigError("channel sweep needs the non-swept parameter "
                               "(lambda-c or power) fixed")
-        carriers = _options(args, "n_carriers")
+        lambdas = grid if args.param == "lambda_c" else [args.lambda_c] * len(grid)
+        powers = grid if args.param == "power" else [args.power] * len(grid)
+        # The fixed parameter and carrier count are checked with the first
+        # point, and before the cutoff's power.
+        n = Channel(lambdas[0], powers[0], **_options(args, "n_carriers")).n_carriers
         # Every point is checked in one pass over the grid; only if one
         # fails does the per-point loop run, to raise for the first.
+        if not (all(map(math.isfinite, grid))
+                and min(lambdas) > 0.0 and min(powers) >= 0.0):
+            for lambda_c, P in zip(lambdas, powers):
+                check_channel(lambda_c, P, n)
+                cutoff_power(lambda_c, emission)
         if args.param == "power":
-            lambda_c = args.lambda_c
-            # The first point's checks come before the cutoff's power.
-            n = Channel(lambda_c, grid[0], **carriers).n_carriers
-            p_c = cutoff_power(lambda_c, emission)
-            if not (all(map(math.isfinite, grid)) and min(grid) >= 0.0):
-                for P in grid:
-                    check_channel(lambda_c, P, n)
-            regimes, bounds = power_sweep_rates(lambda_c, grid, p_c, emission)
+            p_cs = [cutoff_power(args.lambda_c, emission)] * len(grid)
         else:
-            P = args.power
-            # The fixed power and carrier count are checked with the first point.
-            n = Channel(grid[0], P, **carriers).n_carriers
-            if not (all(map(math.isfinite, grid)) and min(grid) > 0.0):
-                for lambda_c in grid:
-                    check_channel(lambda_c, P, n)
-                    cutoff_power(lambda_c, emission)
-            regimes, bounds = regime_columns(
-                grid, repeat(P), map(cutoff_power, grid, repeat(emission)), emission)
+            p_cs = list(map(cutoff_power, grid, repeat(emission)))
+        regimes, bounds = regime_columns(lambdas, powers, p_cs, emission)
         doc.set_columns([args.param, "bound", "regime"],
                         ["erg s^-1" if args.param == "power" else "cm",
                          "bit s^-1", ""], [grid, bounds, regimes])

@@ -33,6 +33,7 @@ from .bounds import (
     compositeness,
     is_composite,
     is_weakly_gravitating,
+    sphere_area,
     weak_gravity_ratio,
 )
 from .constants import CONSTANTS, mass_from_geometrized
@@ -108,14 +109,18 @@ class DropDistanceCheck(NamedTuple):
     passed: bool
 
 
-def susskind_collapse(sys: MaterialSystem, enclosing_area: float) -> GedankenReport:
+def susskind_collapse(sys: MaterialSystem,
+                      enclosing_area: float | None = None) -> GedankenReport:
     """Collapse a neutral, nonrotating system to a hole inside its sphere.
 
     The system's entropy is lost; a Schwarzschild hole of the same energy
     appears.  The GSL then demands entropy <= enclosing_area / 4 l_P^2.
+    enclosing_area defaults to the system's own sphere 4 pi R^2.
     """
     if sys.entropy is None:
         raise DomainError("the collapsing system needs a stored entropy")
+    if enclosing_area is None:
+        enclosing_area = sphere_area(sys.radius)
     if not 0 < enclosing_area < math.inf:
         raise DomainError("enclosing area must be positive and finite, "
                           f"got {enclosing_area}")

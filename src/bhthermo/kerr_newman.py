@@ -92,21 +92,10 @@ class FirstLawPotentials(NamedTuple):
     omega: float
 
 
-def horizon_lengths(m: float, q: float = 0.0,
-                    j: float = 0.0) -> tuple[float, float, float, float]:
-    """The length scales (M, Q, a, r_plus) [cm] of the hole (m, q, j).
-
-    Runs every check of :func:`make_black_hole` and raises as it does, on
-    plain floats.
-    """
-    (M,), (Q,), (a,), (r_plus,) = horizon_columns((m,), q, j)
-    return M, Q, a, r_plus
-
-
 def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
                     ) -> tuple[list[float], list[float], list[float], list[float]]:
-    """:func:`horizon_lengths` of the holes (m, q, j), m in ``masses``, as
-    the four columns M, Q, a and r_plus [cm], with
+    """The length scales of the holes (m, q, j), m in ``masses``, as the
+    four columns M, Q, a and r_plus [cm], with
     r_plus = M + sqrt(M^2 - Q^2 - a^2).
 
     The checks that do not depend on m run once.  An invalid hole raises
@@ -169,7 +158,8 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
     NakedSingularityError
         If Q^2 + a^2 exceeds M^2 (beyond a 1e-12 relative slack).
     """
-    return BlackHole(m, q, j, *horizon_lengths(m, q, j))
+    (M,), (Q,), (a,), (r_plus,) = horizon_columns((m,), q, j)
+    return BlackHole(m, q, j, M, Q, a, r_plus)
 
 
 def area_from(r_plus: float, a: float) -> float:

@@ -22,7 +22,7 @@ from bhthermo.channel import (
     low_power_rate,
     optimal_xi,
     pendry_capacity,
-    power_sweep_rates,
+    regime_columns,
     regime_rate,
 )
 from bhthermo.constants import CONSTANTS, LOG2E
@@ -212,11 +212,11 @@ class TestRegimeBound:
     @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
     def test_a_sweep_ending_at_the_power_matches_capacity_bound(self, power,
                                                                 nu):
-        # the run path and the point path share one xi floor, and the low
-        # run's law is decided at its last point, here the given power
+        # the run path and the point path share one xi floor, and the
+        # sweep's last point, here the given power, sits in any regime
         ch = channel(power, nu=nu)
         powers = [P for P in self.POWERS if P <= power]
-        regimes, bounds = power_sweep_rates(
+        regimes, bounds = one_cutoff_columns(
             ch.lambda_c, powers, characteristic_power(ch), ch.emission)
         reports = [capacity_bound(channel(P, nu=nu)) for P in powers]
         assert list(zip(regimes, map(float.hex, bounds))) == [
@@ -234,14 +234,43 @@ def _bits(columns):
             for column in columns]
 
 
-class TestPowerSweepRates:
-    """The regime runs of a power sweep against regime_rate point by
-    point, bit for bit, regime strings included."""
+def one_cutoff_columns(lambda_c, powers, p_c, params):
+    """regime_columns of the channels of one cutoff lambda_c, and so one
+    characteristic power p_c, at each power in ``powers``: a power sweep."""
+    n = len(powers)
+    return regime_columns([lambda_c] * n, powers, [p_c] * n, params)
+
+
+def point_by_point(lambdas, powers, p_cs, params):
+    """regime_rate point by point, as the columns regime and bound."""
+    rates = list(map(regime_rate, lambdas, powers, p_cs, [params] * len(powers)))
+    return [[rate[0] for rate in rates], [rate[2] for rate in rates]]
+
+
+def reorder(column, order):
+    """``column`` (ascending) as is, reversed, or rotated out of order."""
+    if order == "descending":
+        return column[::-1]
+    if order == "shuffled":
+        return column[3:] + column[:3]
+    return column
+
+
+#: Emission settings: the default, nu = 1 (no sqrt law), nu just above 1
+#: (optimal_xi below XI_MIN in part of the low run) and a large nu.
+EMISSIONS = [{}, {"nu": 1.0}, {"nu": 1.0001}, {"nu": 1.003},
+             {"nu": 2.0, "gamma_bar": 3.0, "n_species": 7.0}]
+
+
+class TestPowerColumns:
+    """The regime runs of a power sweep, constant lambda_c and p_c
+    columns, against regime_rate point by point, bit for bit, regime
+    strings included."""
 
     @staticmethod
     def per_point(lambda_c, powers, p_c, params):
-        rates = [regime_rate(lambda_c, P, p_c, params) for P in powers]
-        return [[rate[0] for rate in rates], [rate[2] for rate in rates]]
+        n = len(powers)
+        return point_by_point([lambda_c] * n, powers, [p_c] * n, params)
 
     @staticmethod
     def powers(p_c):
@@ -252,19 +281,13 @@ class TestPowerSweepRates:
             p_c * 1e6]      # a repeated point keeps the column monotone
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    @pytest.mark.parametrize("emission", [
-        {}, {"nu": 1.0}, {"nu": 1.0001}, {"nu": 1.003},
-        {"nu": 2.0, "gamma_bar": 3.0, "n_species": 7.0}])
+    @pytest.mark.parametrize("emission", EMISSIONS)
     def test_runs_match_regime_rate(self, order, emission):
         params = EmissionParameters(**emission)
         lambda_c = OPTICAL
         p_c = cutoff_power(lambda_c, params)
-        powers = [-0.0] + self.powers(p_c)
-        if order == "descending":
-            powers.reverse()
-        elif order == "shuffled":
-            powers = powers[3:] + powers[:3]
-        got = power_sweep_rates(lambda_c, powers, p_c, params)
+        powers = reorder([-0.0] + self.powers(p_c), order)
+        got = one_cutoff_columns(lambda_c, powers, p_c, params)
         assert _bits(got) == _bits(self.per_point(lambda_c, powers, p_c, params))
         assert set(got[0]) == {"low", "intermediate", "high"}
 
@@ -273,34 +296,46 @@ class TestPowerSweepRates:
     def test_short_columns(self, powers):
         params = EmissionParameters()
         p_c = cutoff_power(OPTICAL, params)
-        got = power_sweep_rates(OPTICAL, powers, p_c, params)
+        got = one_cutoff_columns(OPTICAL, powers, p_c, params)
         assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
+
+    def test_edges_that_round_to_zero(self):
+        # p_c/200 and p_c/10 are both 0: a zero power is still low, any
+        # other power high
+        params = EmissionParameters()
+        powers = [0.0, 0.0, 5e-324, 1.0]
+        got = one_cutoff_columns(1.0, powers, 5e-324, params)
+        assert _bits(got) == _bits(self.per_point(1.0, powers, 5e-324, params))
+        assert got[0] == ["low", "low", "high", "high"]
 
     def test_zero_power_gives_a_zero_bound(self):
         params = EmissionParameters()
-        regimes, bounds = power_sweep_rates(
+        regimes, bounds = one_cutoff_columns(
             OPTICAL, [-0.0, 0.0, 1e-9], cutoff_power(OPTICAL, params), params)
         assert regimes[:2] == ["low", "low"]
         assert [b.hex() for b in bounds[:2]] == [(0.0).hex()] * 2
 
-    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     @pytest.mark.parametrize("nu", [1.5, 1.0])
-    def test_a_monotone_column_runs_without_regime_rate(self, monkeypatch, nu,
-                                                        descending):
-        # at nu = 1 the sqrt law does not hold, so the low run alone goes
-        # point by point
+    def test_a_rising_column_calls_regime_rate_only_off_the_runs(
+            self, monkeypatch, nu, order):
+        # a rising column maps each regime's kernel over its run, but for
+        # the zero powers and, at nu = 1 where the sqrt law does not hold,
+        # the low run; any other column goes point by point
         params = EmissionParameters(nu=nu)
         p_c = cutoff_power(OPTICAL, params)
-        powers = sorted(self.powers(p_c), reverse=descending)
-        low_run = sorted(P for P in powers if 0.0 < P <= p_c / 200)
+        powers = reorder(self.powers(p_c), order)
+        low_run = [P for P in powers if 0.0 < P <= p_c / 200]
         expected = self.per_point(OPTICAL, powers, p_c, params)
         calls = []
         monkeypatch.setattr(channel_module, "regime_rate",
                             lambda *args: calls.append(args) or regime_rate(*args))
-        got = power_sweep_rates(OPTICAL, powers, p_c, params)
+        got = one_cutoff_columns(OPTICAL, powers, p_c, params)
         assert _bits(got) == _bits(expected)
         assert len(low_run) == 4
-        assert [args[1] for args in calls] == (low_run if nu == 1.0 else [])
+        off_runs = [0.0] + (low_run if nu == 1.0 else [])
+        assert [args[1] for args in calls] == (
+            off_runs if order == "ascending" else powers)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1e30), max_size=40),
            st.sampled_from(["sorted", "reversed", "as drawn"]),
@@ -312,8 +347,76 @@ class TestPowerSweepRates:
         powers = [P * p_c * scale / 1e15 for P in powers]
         if order != "as drawn":
             powers.sort(reverse=order == "reversed")
-        got = power_sweep_rates(OPTICAL, powers, p_c, params)
+        got = one_cutoff_columns(OPTICAL, powers, p_c, params)
         assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
+
+
+class TestCutoffColumns:
+    """A cutoff sweep: the lambda_c column and its p_c column against
+    regime_rate point by point, bit for bit.  An ascending cutoff column
+    has a falling p_c, so at a fixed power P/p_c rises and the runs apply."""
+
+    #: 49 cutoffs from OPTICAL/1000 to 1000 OPTICAL, OPTICAL among them.
+    LAMBDAS = [OPTICAL * 10.0 ** (k / 8) for k in range(-24, 25)]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("emission", EMISSIONS)
+    @pytest.mark.parametrize("edge, step", [
+        (200.0, -1), (200.0, 0), (200.0, 1), (10.0, -1), (10.0, 0), (10.0, 1),
+        (50.0, 0), (math.inf, 0)])
+    def test_runs_match_regime_rate(self, order, emission, edge, step):
+        # the fixed power sits at, or one ulp either side of, an edge of
+        # OPTICAL's p_c (inf: the zero power)
+        params = EmissionParameters(**emission)
+        power = cutoff_power(OPTICAL, params) / edge
+        for _ in range(abs(step)):
+            power = math.nextafter(power, step * math.inf)
+        lambdas = reorder(self.LAMBDAS, order)
+        powers = [power] * len(lambdas)
+        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        got = regime_columns(lambdas, powers, p_cs, params)
+        assert _bits(got) == _bits(point_by_point(lambdas, powers, p_cs, params))
+        assert set(got[0]) == ({"low"} if power == 0.0
+                               else {"low", "intermediate", "high"})
+        at_optical = got[0][lambdas.index(OPTICAL)]
+        assert at_optical == regime_rate(OPTICAL, power,
+                                         cutoff_power(OPTICAL, params), params)[0]
+
+    @pytest.mark.parametrize("rising", [True, False])
+    @pytest.mark.parametrize("nu", [1.5, 1.0])
+    def test_a_rising_column_calls_regime_rate_only_off_the_runs(
+            self, monkeypatch, rising, nu):
+        params = EmissionParameters(nu=nu)
+        lambdas = self.LAMBDAS if rising else self.LAMBDAS[::-1]
+        power = cutoff_power(OPTICAL, params) / 50
+        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        low_run = [lam for lam, p_c in zip(lambdas, p_cs) if power <= p_c / 200]
+        calls = []
+        monkeypatch.setattr(channel_module, "regime_rate",
+                            lambda *args: calls.append(args) or regime_rate(*args))
+        regime_columns(lambdas, [power] * len(lambdas), p_cs, params)
+        assert 0 < len(low_run) < len(lambdas)
+        off_runs = low_run if nu == 1.0 else []
+        assert [args[0] for args in calls] == (off_runs if rising else lambdas)
+
+    @given(st.lists(st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                              st.floats(min_value=0.0, max_value=1e6)),
+                    max_size=40),
+           st.sampled_from(["rising", "as drawn"]),
+           st.floats(min_value=1.0, max_value=2.0))
+    def test_any_columns_match_regime_rate(self, points, order, nu):
+        # both columns vary; "rising" sorts the cutoffs and the powers
+        # each ascending, so P rises and p_c falls
+        params = EmissionParameters(nu=nu)
+        p_c0 = cutoff_power(OPTICAL, params)
+        lambdas = [OPTICAL * 10.0 ** x for x, _ in points]
+        powers = [P * p_c0 / 1e4 for _, P in points]
+        if order == "rising":
+            lambdas.sort()
+            powers.sort()
+        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        got = regime_columns(lambdas, powers, p_cs, params)
+        assert _bits(got) == _bits(point_by_point(lambdas, powers, p_cs, params))
 
 
 class TestCapacityBound:

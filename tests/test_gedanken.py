@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bhthermo.bounds import MaterialSystem, holographic_bound, universal_bound
+from bhthermo.bounds import (
+    MaterialSystem,
+    holographic_bound,
+    sphere_area,
+    universal_bound,
+)
 from bhthermo.constants import CONSTANTS
 from bhthermo.errors import DomainError
 from bhthermo.evaporation import EmissionParameters
@@ -95,6 +100,14 @@ class TestSusskindCollapse:
         sys_ = MaterialSystem(energy=1e33 * CONSTANTS.c**2, radius=1.0)
         with pytest.raises(DomainError):
             susskind_collapse(sys_, 4 * math.pi)
+
+    @pytest.mark.parametrize("sys_", [
+        MaterialSystem(energy=4.0e28 * CONSTANTS.c**2, radius=6.0, entropy=1e69),
+        MaterialSystem(energy=2e33 * CONSTANTS.c**2, radius=7e10, entropy=1e58),
+        MaterialSystem(energy=1e30, radius=1.0, entropy=1.0)])
+    def test_area_defaults_to_the_systems_sphere(self, sys_):
+        assert susskind_collapse(sys_) == \
+            susskind_collapse(sys_, sphere_area(sys_.radius))
 
     @pytest.mark.parametrize("area", [math.inf, math.nan, -5.0, 0.0])
     def test_area_must_be_positive_and_finite(self, area):
