@@ -74,7 +74,8 @@ class BoundEntry(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """All bounds evaluated for one system, ordered and applicability-flagged."""
+    """All bounds evaluated for one system, ordered and applicability-flagged,
+    with the enclosing area [cm^2] the holographic bound used."""
 
     label: str
     compositeness: float
@@ -83,6 +84,7 @@ class BoundReport(NamedTuple):
     tightest_applicable: str
     stored_entropy: float | None
     violations: tuple[str, ...]
+    enclosing_area: float
 
 
 def compositeness(sys: MaterialSystem) -> float:
@@ -235,4 +237,5 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     return BoundReport(label=sys.label, compositeness=comp,
                        weak_gravity_ratio=grav, entries=entries,
                        tightest_applicable=tightest,
-                       stored_entropy=sys.entropy, violations=violations)
+                       stored_entropy=sys.entropy, violations=violations,
+                       enclosing_area=enclosing_area)

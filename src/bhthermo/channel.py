@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import islice, repeat
 from operator import ge, le
 from typing import NamedTuple
@@ -159,8 +159,18 @@ def gsl_rate(lambda_c: float, P: float, p_c: float,
     if xi < XI_MIN:
         raise DomainError(
             f"xi must be >= {XI_MIN} for near-total absorption, got {xi}")
-    return (8.0 * math.pi * lambda_c / (CONSTANTS.hbar * CONSTANTS.c)
-            * (xi * P + (params.nu - 1.0) / xi * p_c) * LOG2E)
+    return gsl_rates((lambda_c,), (P,), (p_c,), params, (xi,))[0]
+
+
+def gsl_rates(lambdas: Iterable[float], powers: Iterable[float],
+              p_cs: Iterable[float], params: EmissionParameters,
+              xis: Iterable[float]) -> list[float]:
+    """:func:`gsl_rate` of each channel (lambda_c, P, p_c) at its size
+    ratio xi, which must be at least XI_MIN."""
+    eight_pi, hc = 8.0 * math.pi, CONSTANTS.hbar * CONSTANTS.c
+    nu_1 = params.nu - 1.0
+    return [eight_pi * lam / hc * (xi * P + nu_1 / xi * p_c) * LOG2E
+            for lam, P, p_c, xi in zip(lambdas, powers, p_cs, xis)]
 
 
 def optimal_xi(P: float, p_c: float, nu: float) -> float:
@@ -171,22 +181,33 @@ def optimal_xi(P: float, p_c: float, nu: float) -> float:
     """
     if P <= 0:
         raise DomainError(f"power must be positive, got {P}")
+    return optimal_xis((P,), (p_c,), nu)[0]
+
+
+def optimal_xis(powers: Iterable[float], p_cs: Iterable[float],
+                nu: float) -> list[float]:
+    """:func:`optimal_xi` of each (P, p_c), P positive."""
     if nu <= 1.0:
-        return XI_MIN
-    return math.sqrt((nu - 1.0) * p_c / P)
+        return [XI_MIN for _ in powers]
+    nu_1, sqrt = nu - 1.0, math.sqrt
+    return [sqrt(nu_1 * p_c / P) for P, p_c in zip(powers, p_cs)]
 
 
-def low_power_rate(P: float, params: EmissionParameters) -> float:
-    """Sqrt-law bound [bits s^-1] at power P, the two-term bound at its
-    optimum."""
-    return math.sqrt(math.pi * (params.nu - 1.0) * params.gamma_bar
-                     * params.n_species * P / (60.0 * CONSTANTS.hbar)) * LOG2E
+def low_power_rates(powers: Iterable[float],
+                    params: EmissionParameters) -> list[float]:
+    """Sqrt-law bound [bits s^-1] at each power P, the two-term bound at
+    its optimum."""
+    k = math.pi * (params.nu - 1.0) * params.gamma_bar * params.n_species
+    d, sqrt = 60.0 * CONSTANTS.hbar, math.sqrt
+    return [sqrt(k * P / d) * LOG2E for P in powers]
 
 
-def high_power_rate(lambda_c: float, P: float) -> float:
-    """Linear bound [bits s^-1] at power P and the safe size ratio XI_FLOOR."""
-    return (8.0 * math.pi * XI_FLOOR * lambda_c * P
-            / (CONSTANTS.hbar * CONSTANTS.c) * LOG2E)
+def high_power_rates(lambdas: Iterable[float],
+                     powers: Iterable[float]) -> list[float]:
+    """Linear bound [bits s^-1] of each channel (lambda_c, P) at the safe
+    size ratio XI_FLOOR."""
+    k, hc = 8.0 * math.pi * XI_FLOOR, CONSTANTS.hbar * CONSTANTS.c
+    return [k * lam * P / hc * LOG2E for lam, P in zip(lambdas, powers)]
 
 
 def bremermann_rate(E: float, xi: float = XI_FLOOR) -> float:
@@ -242,53 +263,66 @@ def regime_rate(lambda_c: float, P: float, p_c: float,
     if P <= p_c / LOW_POWER_DIVISOR:
         xi_used = optimal_xi(P, p_c, nu)
         if xi_used >= XI_MIN and nu > 1.0:
-            return "low", xi_used, low_power_rate(P, params)
+            return "low", xi_used, low_power_rates((P,), params)[0]
         # nu at or near 1: the unconstrained optimum sits below the
         # admissible xi range, so the bound is taken at xi = 1.
         return "low", XI_MIN, gsl_rate(lambda_c, P, p_c, params, XI_MIN)
     if P >= p_c / HIGH_POWER_DIVISOR:
-        return "high", XI_FLOOR, high_power_rate(lambda_c, P)
+        return "high", XI_FLOOR, high_power_rates((lambda_c,), (P,))[0]
     xi_used = max(optimal_xi(P, p_c, nu), XI_FLOOR)
     return "intermediate", xi_used, gsl_rate(lambda_c, P, p_c, params, xi_used)
 
 
-def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
-                   p_cs: Sequence[float], params: EmissionParameters
+def _at(x: Sequence[float] | float) -> Callable[[int], float]:
+    """Point i of x, a column or one float for every point."""
+    return (lambda i: x) if isinstance(x, float) else x.__getitem__
+
+
+def regime_columns(lambdas: Sequence[float] | float,
+                   powers: Sequence[float] | float,
+                   p_cs: Sequence[float] | float, params: EmissionParameters
                    ) -> tuple[list[str], list[float]]:
     """:func:`regime_rate` of each channel (lambda_c, P, p_c), as the two
-    columns regime and bound: the one kernel of every channel sweep.
+    columns regime and bound: the one kernel of every channel sweep.  A
+    float in place of a column holds at every point; at least one of the
+    three must be a column.
 
     Where P never falls and p_c never rises along the columns, P/p_c never
     falls, so each regime is one run of points, found by bisection with
     :func:`regime_rate`'s own comparisons: the low run up to p_c/200, the
     high run from p_c/10 and the intermediate run between.  Each run maps
-    its regime's kernel.  The low run's sqrt law needs nu > 1 and
+    its regime's column kernel.  The low run's sqrt law needs nu > 1 and
     optimal_xi >= XI_MIN; optimal_xi never rises along the run, so its
     last point decides, and if it fails the run goes point by point.  So
     do the zero powers, and every point of columns not so ordered.
     """
-    n = len(powers)
+    n = len(next(x for x in (powers, lambdas, p_cs) if not isinstance(x, float)))
     point = low = high = n
     nu = params.nu
-    if (all(map(le, powers, islice(powers, 1, None)))
-            and all(map(ge, p_cs, islice(p_cs, 1, None)))):
+    P, p_c = _at(powers), _at(p_cs)
+    if all(isinstance(x, float) or all(map(order, x, islice(x, 1, None)))
+           for x, order in ((powers, le), (p_cs, ge))):
         low = bisect_left(range(n), True, key=lambda i:
-                          powers[i] > p_cs[i] / LOW_POWER_DIVISOR)
+                          P(i) > p_c(i) / LOW_POWER_DIVISOR)
         high = bisect_left(range(n), True, low, key=lambda i:
-                           powers[i] >= p_cs[i] / HIGH_POWER_DIVISOR)
-        point = bisect_right(powers, 0.0, 0, low)
+                           P(i) >= p_c(i) / HIGH_POWER_DIVISOR)
+        point = bisect_right(range(n), 0.0, 0, low, key=P)
         if not (point < low and nu > 1.0
-                and optimal_xi(powers[low - 1], p_cs[low - 1], nu) >= XI_MIN):
+                and optimal_xi(P(low - 1), p_c(low - 1), nu) >= XI_MIN):
             point = low
-    rates = list(map(regime_rate, lambdas[:point], powers[:point], p_cs[:point],
-                     repeat(params)))
+
+    def run(start: int, stop: int) -> list[Iterable[float]]:
+        """lambdas, powers and p_cs at points start to stop."""
+        return [repeat(x, stop - start) if isinstance(x, float) else x[start:stop]
+                for x in (lambdas, powers, p_cs)]
+
+    rates = list(map(regime_rate, *run(0, point), repeat(params)))
     bounds = [rate[2] for rate in rates]
-    bounds += map(low_power_rate, powers[point:low], repeat(params))
-    run = slice(low, high)
-    bounds += map(gsl_rate, lambdas[run], powers[run], p_cs[run], repeat(params),
-                  [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
-                   for xi in map(optimal_xi, powers[run], p_cs[run], repeat(nu))])
-    bounds += map(high_power_rate, lambdas[high:], powers[high:])
+    bounds += low_power_rates(run(point, low)[1], params)
+    xis = [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
+           for xi in optimal_xis(*run(low, high)[1:], nu)]
+    bounds += gsl_rates(*run(low, high), params, xis)
+    bounds += high_power_rates(*run(high, n)[:2])
     return ([rate[0] for rate in rates] + ["low"] * (low - point)
             + ["intermediate"] * (high - low) + ["high"] * (n - high), bounds)
 

@@ -14,8 +14,9 @@ import math
 import os
 import re
 import sys
-from collections.abc import Callable, Iterable, Sequence
-from itertools import chain, repeat
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from functools import partial, partialmethod
+from itertools import chain, filterfalse, repeat
 from typing import NamedTuple, NoReturn
 
 from .constants import (
@@ -33,17 +34,16 @@ from .errors import DomainError
 #: (a test double, a tracing wrapper) is left as set, and every call goes
 #: through the module global, so the name set is the one that runs.
 _LAZY_IMPORTS = {
-    "bounds": ("MaterialSystem", "bound_report", "sphere_area"),
+    "bounds": ("MaterialSystem", "bound_report"),
     "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
                 "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
     "gedanken": ("capsule_lowering", "infall_experiment", "merger",
                  "susskind_collapse"),
     "grids": ("geomspace", "linspace"),
-    "kerr_newman": ("area_from", "entropy", "entropy_from", "h_factors",
-                    "horizon_area", "horizon_columns", "make_black_hole",
-                    "mean_density", "potentials", "temperature",
-                    "temperature_from"),
+    "kerr_newman": ("entropies", "entropy", "h_factors", "horizon_area",
+                    "horizon_areas", "horizon_columns", "make_black_hole",
+                    "mean_density", "potentials", "temperature", "temperatures"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY_IMPORTS.items()
               for name in names}
@@ -81,6 +81,8 @@ EXIT_USAGE = 2
 #: Most points a sweep or an evaporation series may have; above it the
 #: rows would take gigabytes, so the request is refused (exit 2).
 MAX_POINTS = 10_000_000
+#: Most series rows one written piece of a document holds.
+BLOCK_ROWS = 4096
 
 
 class ConfigError(Exception):
@@ -134,9 +136,7 @@ class Document:
                                  f"nor only strs: {sorted(k.__name__ for k in kinds)}")
             str_columns.append(is_str)
         self._str_columns = str_columns
-        self.columns = names
-        self.column_units = units
-        self.series = columns
+        self.columns, self.column_units, self.series = names, units, columns
 
     # -- rendering ---------------------------------------------------------
 
@@ -146,7 +146,37 @@ class Document:
         x = _finite(float(value), where)
         return x if exact else round9(x)
 
-    def to_json(self) -> str:
+    def render(self, fmt: str) -> str:
+        """The document in ``fmt``, one of FORMATS; only that format is built."""
+        return "".join(self.blocks(fmt))
+
+    to_table = partialmethod(render, "table")
+    to_json = partialmethod(render, "json")
+    to_csv = partialmethod(render, "csv")
+
+    def blocks(self, fmt: str) -> Iterator[str]:
+        """The pieces of text that ``render(fmt)`` joins: a head, the series
+        rows at most BLOCK_ROWS to a piece, then a tail.  The format's
+        layout runs every check that can refuse the document, and gives the
+        head and tail, a row's ``%`` template with one conversion per column,
+        the row separator and a function or None per column to convert its
+        cells first.  A piece of rows is one formatting call over its cells
+        in row order, so a cell is data, never a template."""
+        if fmt not in FORMATS:
+            raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
+        head, row_spec, sep, convert, tail = getattr(self, f"_{fmt}_layout")()
+        yield head
+        n = self._series_length()
+        full = sep.join([row_spec] * BLOCK_ROWS) + sep if n > BLOCK_ROWS else ""
+        for start in range(0, n, BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            cells = [c[start:stop] if f is None else f(c[start:stop])
+                     for c, f in zip(self.series, convert)]
+            template = full if stop < n else sep.join([row_spec] * (n - start))
+            yield template % tuple(chain.from_iterable(zip(*cells)))
+        yield tail
+
+    def _json_layout(self) -> tuple[str, str, str, list, str]:
         """Strict JSON, byte for byte ``json.dumps(obj, indent=2)`` of the
         document; the series rows skip that pure-Python encoder."""
         import json
@@ -157,24 +187,52 @@ class Document:
             exact = section in FULL_PRECISION_SECTIONS
             obj[section] = {k: self._display(v, f"{section}.{k}", exact)
                             for k, v in items.items()}
+        units = {k: u for k, u in self.units.items() if u}
         if self.columns is not None:
-            obj["columns"] = self.columns
-            obj["rows"] = []
-        obj["units"] = {k: u for k, u in self.units.items() if u}
-        if self.column_units is not None:
-            obj["units"].update(
-                {c: u for c, u in zip(self.columns, self.column_units) if u})
+            obj["columns"], obj["rows"] = self.columns, []
+            units.update({c: u for c, u in zip(self.columns, self.column_units) if u})
+        obj["units"] = units
         text = json.dumps(obj, indent=2, allow_nan=False)
         if not self._series_length():
-            return text
+            return text, "", "", [], ""
+        self._check_series()
         # Strings hold no raw newline, so only the top-level key "rows" can
         # start a line with two spaces and '"rows": '.
         head, tail = text.split('\n  "rows": []', 1)
-        specs, columns = self._series_columns(_json_floats,
-                                              encode_basestring_ascii)
-        rows = self._series_body(
-            "[\n      " + ",\n      ".join(specs) + "\n    ]", ",\n    ", columns)
-        return f'{head}\n  "rows": [\n    {rows}\n  ]{tail}'
+        return (f'{head}\n  "rows": [\n    ',
+                "[\n      " + ",\n      ".join(["%s"] * len(self.series)) + "\n    ]",
+                ",\n    ", [partial(map, encode_basestring_ascii) if is_str
+                            else _json_floats for is_str in self._str_columns],
+                f"\n  ]{tail}")
+
+    def _table_layout(self) -> tuple[str, str, str, list, str]:
+        lines = [f"# {self.kind}"]
+        rows = self._scalar_rows()
+        if rows:
+            w0 = max(len(r[0]) for r in rows)
+            w1 = max(len(r[1]) for r in rows)
+            lines += [f"{k:<{w0}}  {v:>{w1}}  {u}".rstrip() for k, v, u in rows]
+        specs, header = [], []
+        if self.columns is not None:
+            self._check_series()
+            for c, u, column, is_str in zip(self.columns, self.column_units,
+                                            self.series, self._str_columns):
+                h = f"{c} [{u}]" if u else c
+                w = max(len(h), _table_width(column, is_str))
+                specs.append(f"%{w}s" if is_str else f"%{w}.8e")
+                header.append(h.ljust(w))
+            lines.append("  ".join(header))
+        return ("\n".join(lines) + ("\n" if self._series_length() else ""),
+                "  ".join(specs), "\n", [None] * len(specs), "")
+
+    def _csv_layout(self) -> tuple[str, str, str, list, str]:
+        if self.columns is None:
+            return "\n".join(["quantity,value,unit", *(
+                f"{k},{v},{u}" for k, v, u in self._scalar_rows())]), "", "", [], ""
+        self._check_series()
+        return (",".join(self.columns) + ("\n" if self._series_length() else ""),
+                ",".join("%s" if is_str else "%.8e" for is_str in self._str_columns),
+                "\n", [None] * len(self.columns), "")
 
     def _scalar_rows(self) -> list[tuple[str, str, str]]:
         rows = []
@@ -189,81 +247,15 @@ class Document:
     def _series_length(self) -> int:
         return len(self.series[0]) if self.series else 0
 
-    def _series_columns(self, floats: Callable[[Sequence[float]],
-                                               tuple[str, Sequence[object]]],
-                        strs: Callable[[str], str] | None
-                        ) -> tuple[list[str], list[Sequence[object]]]:
-        """The series as one ``%`` conversion and one column of values to
-        convert per column.
-
-        A float column is written by ``floats`` after one finiteness pass,
-        which refuses a NaN or an infinity naming the first such cell in
-        row order; a str column by ``strs`` mapped over it (None keeps
-        them), converted with ``%s``.
-        """
-        specs, written = [], []
+    def _check_series(self) -> None:
+        """Refuse a NaN or an infinite float of the series, naming the first
+        in row order with its column and the row's first cell."""
         for column, is_str in zip(self.series, self._str_columns):
-            if is_str:
-                spec, values = "%s", column if strs is None else list(map(strs, column))
-            else:
-                if not all(map(math.isfinite, column)):
-                    self._refuse_non_finite()
-                spec, values = floats(column)
-            specs.append(spec)
-            written.append(values)
-        return specs, written
-
-    def _refuse_non_finite(self) -> None:
-        """Raise DomainError naming the first NaN or infinite float of the
-        series in row order, with its column and the row's first cell."""
-        for row in zip(*self.series):
-            for column, value in zip(self.columns, row):
-                if isinstance(value, float):
-                    _finite(value, f"{column} at {self.columns[0]} = {row[0]}")
-
-    def _series_body(self, row_spec: str, sep: str,
-                     columns: list[Sequence[object]]) -> str:
-        """Every series row through ``row_spec``, a ``%`` template with one
-        conversion per column, joined by ``sep``: one formatting call over
-        the cells in row order, so a cell is data, never a template."""
-        template = sep.join([row_spec] * self._series_length())
-        return template % tuple(chain.from_iterable(zip(*columns)))
-
-    def to_table(self) -> str:
-        lines = [f"# {self.kind}"]
-        rows = self._scalar_rows()
-        if rows:
-            w0 = max(len(r[0]) for r in rows)
-            w1 = max(len(r[1]) for r in rows)
-            lines += [f"{k:<{w0}}  {v:>{w1}}  {u}".rstrip() for k, v, u in rows]
-        if self.columns is not None:
-            header = [f"{c} [{u}]" if u else c
-                      for c, u in zip(self.columns, self.column_units)]
-            _, columns = self._series_columns(_table_floats, None)
-            widths = [max(len(h), max(map(len, column), default=0))
-                      for h, column in zip(header, columns)]
-            lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-            if self._series_length():
-                lines.append(self._series_body(
-                    "  ".join(f"%{w}s" for w in widths), "\n", columns))
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        if self.columns is not None:
-            lines = [",".join(self.columns)]
-            if self._series_length():
-                specs, columns = self._series_columns(_csv_floats, None)
-                lines.append(self._series_body(",".join(specs), "\n", columns))
-            return "\n".join(lines)
-        lines = ["quantity,value,unit"]
-        lines += [f"{k},{v},{u}" for k, v, u in self._scalar_rows()]
-        return "\n".join(lines)
-
-    def render(self, fmt: str) -> str:
-        """The document in ``fmt``, one of FORMATS; only that format is built."""
-        if fmt not in FORMATS:
-            raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
-        return getattr(self, f"to_{fmt}")()
+            if not (is_str or all(map(math.isfinite, column))):
+                for row in zip(*self.series):
+                    for name, value in zip(self.columns, row):
+                        if isinstance(value, float):
+                            _finite(value, f"{name} at {self.columns[0]} = {row[0]}")
 
 
 def _finite(x: float, where: str) -> float:
@@ -274,27 +266,44 @@ def _finite(x: float, where: str) -> float:
                                         else f"{x}, beyond the float range"))
 
 
-# A finite float column as each format writes it: (its % conversion, the
-# values it converts).
-def _csv_floats(column: Sequence[float]) -> tuple[str, Sequence[float]]:
-    return "%.8e", column
+def _table_width(column: Sequence[object], is_str: bool) -> int:
+    """The length of the column's longest table cell, 0 with none.  A
+    finite float's cell "%.8e" has 14 characters, one more with a minus
+    sign (-0.0 has one) and one more with a three-digit exponent.  Rounding
+    is monotone, so of the floats of one sign only the largest and the
+    smallest non-zero magnitude can have the longest exponent: those and a
+    -0.0 decide.  With both signs, every cell is written."""
+    if is_str or not column:
+        return max(map(len, column), default=0)
+    lo, hi = min(column), max(column)
+    if lo < 0.0 < hi:
+        return max(map(len, map("%.8e".__mod__, column)))
+    cells = [lo, hi]
+    if lo == 0.0 or hi == 0.0:      # a zero hides the smallest magnitude
+        tiny = min(filter(None, map(abs, column)), default=0.0)
+        cells.append(-tiny if lo < 0.0 else tiny)
+        if lo == 0.0 and min(map(math.copysign, repeat(1.0),
+                                 filterfalse(None, column))) < 0.0:
+            cells.append(-0.0)
+    return max(map(len, map("%.8e".__mod__, cells)))
 
 
-def _table_floats(column: Sequence[float]) -> tuple[str, list[str]]:
-    # the table needs the written cells to size its columns
-    return "%s", list(map("%.8e".__mod__, column))
-
-
-def _json_floats(column: Sequence[float]) -> tuple[str, list[object]]:
+def _json_floats(column: Sequence[float]) -> list[object]:
     """The JSON float cell rule: ``%s`` of each value writes
     repr(float("%.8e" % x)).  A value is format(x, ".9") if x is 0.0, or
     normal with |x| < 99999999.0 or >= 1e16; else it is that rounding,
-    which repr writes in fixed notation or, if subnormal, shorter."""
-    if 99999999.0 <= min(column, default=0.0) and max(column) < 1e16:
-        return "%s", list(map(float, map("%.8e".__mod__, column)))
+    which repr writes in fixed notation or, if subnormal, shorter.  A
+    column whose cells all take one branch maps that branch's conversion."""
+    lo, hi = min(column, default=0.0), max(column, default=0.0)
+    if 99999999.0 <= lo and hi < 1e16:
+        return list(map(float, map("%.8e".__mod__, column)))
     tiny = sys.float_info.min
-    return "%s", [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
-                  or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in column]
+    if ((-99999999.0 < lo and hi < 99999999.0 or lo >= 1e16 or hi <= -1e16)
+            and (lo >= tiny or hi <= -tiny
+                 or min(filter(None, map(abs, column)), default=tiny) >= tiny)):
+        return list(map(format, column, repeat(".9")))
+    return [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
+            or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in column]
 
 
 def _text_cell(value: object, where: str, exact: bool) -> str:
@@ -619,17 +628,14 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     doc = Document("bound_report")
     doc.add("inputs", "energy", sys_.energy, "erg")
     doc.add("inputs", "radius", args.radius, "cm")
-    area = args.area if args.area is not None else sphere_area(args.radius)
-    doc.add("inputs", "enclosing_area", area, "cm^2")
+    doc.add("inputs", "enclosing_area", report.enclosing_area, "cm^2")
     if args.entropy is not None:
         doc.add("inputs", "entropy", args.entropy, "nat")
     for name, value in options.items():
         doc.add("inputs", name, value)
-    doc.add("results", "compositeness", report.compositeness)
-    doc.add("results", "weak_gravity_ratio", report.weak_gravity_ratio)
-    doc.add("results", "tightest_applicable", report.tightest_applicable)
-    doc.add("results", "violations",
-            ";".join(report.violations) if report.violations else "none")
+    for name in ("compositeness", "weak_gravity_ratio", "tightest_applicable"):
+        doc.add("results", name, getattr(report, name))
+    doc.add("results", "violations", ";".join(report.violations) or "none")
     for e in report.entries:
         doc.add("bounds", f"{e.name}.limit", e.limit_nats, "nat")
         doc.add("bounds", f"{e.name}.limit_bits", e.limit_bits, "bit")
@@ -688,9 +694,8 @@ def _gedanken_document(report: GedankenReport) -> Document:
     doc.add("results", "verdict", "inapplicable" if verdict is None
             else ("satisfied" if verdict else "violated"))
     for c in report.assumption_checks:
-        doc.add("checks", f"{c.name}.value", c.value)
-        doc.add("checks", f"{c.name}.threshold", c.threshold)
-        doc.add("checks", f"{c.name}.passed", c.passed)
+        for field in ("value", "threshold", "passed"):
+            doc.add("checks", f"{c.name}.{field}", getattr(c, field))
     if report.notes:
         doc.add("results", "notes", report.notes)
     return doc
@@ -723,13 +728,9 @@ def cmd_channel(args: argparse.Namespace) -> Document:
     doc.add("results", "xi_used", report.xi_used)
     doc.add("results", "bound", report.bound_bits_per_s, "bit s^-1")
     doc.add("results", "pendry_capacity", report.pendry_bits_per_s, "bit s^-1")
-    cons = report.consistency
-    doc.add("consistency", "f0_limit", cons.f0_limit)
-    doc.add("consistency", "f_inf", cons.f_inf)
-    doc.add("consistency", "monotone_ok", cons.monotone_ok)
-    doc.add("consistency", "caveat_flagged", cons.caveat_flagged)
-    doc.add("consistency", "pendry_crossover_power",
-            cons.pendry_crossover_power, "erg s^-1")
+    for name, value in report.consistency._asdict().items():
+        doc.add("consistency", name, value,
+                "erg s^-1" if name == "pendry_crossover_power" else "")
     return doc
 
 
@@ -737,16 +738,13 @@ def cmd_channel(args: argparse.Namespace) -> Document:
 #: mass column m and the holes' ``horizon_columns`` (M, Q, a, r = r_plus).
 BH_SWEEP_QUANTITIES = {
     "r_plus": (lambda m, M, Q, a, r: r, "cm"),
-    "area": (lambda m, M, Q, a, r: list(map(area_from, r, a)), "cm^2"),
-    "entropy": (lambda m, M, Q, a, r:
-                list(map(entropy_from, map(area_from, r, a))), "nat"),
+    "area": (lambda m, M, Q, a, r: horizon_areas(r, a), "cm^2"),
+    "entropy": (lambda m, M, Q, a, r: entropies(horizon_areas(r, a)), "nat"),
     "entropy_bits": (lambda m, M, Q, a, r: list(map(
-        nats_to_bits, map(entropy_from, map(area_from, r, a)))), "bit"),
-    "temperature": (lambda m, M, Q, a, r:
-                    list(map(temperature_from, M, r, map(area_from, r, a))), "erg"),
+        nats_to_bits, entropies(horizon_areas(r, a)))), "bit"),
+    "temperature": (lambda m, M, Q, a, r: temperatures(M, r, horizon_areas(r, a)), "erg"),
     "temperature_kelvin": (lambda m, M, Q, a, r: list(map(
-        energy_temperature_to_kelvin,
-        map(temperature_from, M, r, map(area_from, r, a)))), "K"),
+        energy_temperature_to_kelvin, temperatures(M, r, horizon_areas(r, a)))), "K"),
     "mean_density": (lambda m, M, Q, a, r: list(map(mean_density, m)), "g cm^-3"),
 }
 
@@ -798,26 +796,27 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         # the grid, not a fixed value, gives the swept parameter
         _refuse_unread(args, given, given - {args.param}, f"a {args.param} sweep")
         emission = build_emission(args)
-        if (args.lambda_c if args.param == "power" else args.power) is None:
+        power_sweep = args.param == "power"
+        fixed = args.lambda_c if power_sweep else args.power
+        if fixed is None:
             raise ConfigError("channel sweep needs the non-swept parameter "
                               "(lambda-c or power) fixed")
-        lambdas = grid if args.param == "lambda_c" else [args.lambda_c] * len(grid)
-        powers = grid if args.param == "power" else [args.power] * len(grid)
+        # (lambda_c, P) at the swept value x
+        channel = (lambda x: (fixed, x)) if power_sweep else (lambda x: (x, fixed))
         # The fixed parameter and carrier count are checked with the first
         # point, and before the cutoff's power.
-        n = Channel(lambdas[0], powers[0], **_options(args, "n_carriers")).n_carriers
+        n = Channel(*channel(grid[0]), **_options(args, "n_carriers")).n_carriers
         # Every point is checked in one pass over the grid; only if one
         # fails does the per-point loop run, to raise for the first.
+        low = min(grid)
         if not (all(map(math.isfinite, grid))
-                and min(lambdas) > 0.0 and min(powers) >= 0.0):
-            for lambda_c, P in zip(lambdas, powers):
+                and (low >= 0.0 if power_sweep else low > 0.0)):
+            for lambda_c, P in map(channel, grid):
                 check_channel(lambda_c, P, n)
                 cutoff_power(lambda_c, emission)
-        if args.param == "power":
-            p_cs = [cutoff_power(args.lambda_c, emission)] * len(grid)
-        else:
-            p_cs = list(map(cutoff_power, grid, repeat(emission)))
-        regimes, bounds = regime_columns(lambdas, powers, p_cs, emission)
+        p_cs = cutoff_power(fixed, emission) if power_sweep \
+            else list(map(cutoff_power, grid, repeat(emission)))
+        regimes, bounds = regime_columns(*channel(grid), p_cs, emission)
         doc.set_columns([args.param, "bound", "regime"],
                         ["erg s^-1" if args.param == "power" else "cm",
                          "bit s^-1", ""], [grid, bounds, regimes])
@@ -891,8 +890,9 @@ def main(argv: list[str] | None = None) -> int:
               + ", ".join(FORMATS), file=sys.stderr)
         return EXIT_USAGE
     try:
-        text = COMMANDS[args.command](args).render(args.format)
-        print(text, flush=True)
+        for block in COMMANDS[args.command](args).blocks(args.format):
+            sys.stdout.write(block)
+        print(flush=True)
     except ConfigError as exc:
         print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make, geometrized_mass
 from .errors import DomainError, SubPlanckMassError
 from .grids import linspace
-from .kerr_newman import BlackHole, area_from, temperature_from
+from .kerr_newman import BlackHole, horizon_areas, temperatures
 
 
 class _EmissionFields(NamedTuple):
@@ -130,8 +130,8 @@ def mass_loss_rate(m: float) -> float:
             f"mass {m} g is not above the Planck mass {CONSTANTS.planck_mass:.6e} g")
     M = geometrized_mass(m)
     r_g = 2.0 * M
-    area = area_from(r_g, 0.0)
-    T_erg = temperature_from(M, r_g, area)
+    [area] = horizon_areas((r_g,), (0.0,))
+    [T_erg] = temperatures((M,), (r_g,), (area,))
     power = area * CONSTANTS.sigma_SB * (T_erg / CONSTANTS.k_B)**4
     return -power / CONSTANTS.c**2
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from decimal import Context, Decimal
+from itertools import repeat
 
 #: With 40 digits, float() of a decimal logarithm is correctly rounded.
 _LOG_CONTEXT = Context(prec=40)
@@ -42,4 +43,4 @@ def geomspace(start: float, stop: float, n: int) -> list[float]:
     """n >= 2 points from start to stop inclusive (both positive), evenly
     spaced in log; the endpoints are start and stop exactly."""
     logs = linspace(_log10(start), _log10(stop), n)
-    return [start, *(10.0 ** y for y in logs[1:-1]), stop]
+    return [start, *map(pow, repeat(10.0), logs[1:-1]), stop]

@@ -120,8 +120,10 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
     Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
     s2 = [Q2 + x * x for x in a]
     # The holes that passed the checks above can fail only this one, so
-    # the first to fail it is the first invalid hole.
-    naked = [t > x * x * slack for t, x in zip(s2, M)]
+    # the first to fail it is the first invalid hole.  None fails it
+    # where Q^2 + a^2 is 0 throughout.
+    naked = ([t > x * x * slack for t, x in zip(s2, M)]
+             if max(s2, default=0.0) > 0.0 else ())
     if True in naked:
         i = naked.index(True)
         raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[i]:.6e} cm^2 "
@@ -130,9 +132,9 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
     # extremality.  Within the existence slack the hole is extremal:
     # clamping keeps the square root from amplifying last-digit noise
     # into a fake temperature.
-    r_plus = [x + math.sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x
-                            else d)
-              for x, s in zip(M, map(math.sqrt, s2))]
+    sqrt = math.sqrt
+    r_plus = [x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
+              for x, s in zip(M, map(sqrt, s2))]
     return M, [Q] * len(M), a, r_plus
 
 
@@ -162,39 +164,48 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
     return BlackHole(m, q, j, M, Q, a, r_plus)
 
 
-def area_from(r_plus: float, a: float) -> float:
-    """Horizon area 4 pi (r_plus^2 + a^2) [cm^2] from the horizon radius
-    and the spin length [cm].
+def horizon_areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
+    """Horizon areas 4 pi (r_plus^2 + a^2) [cm^2] from the columns of
+    horizon radii and spin lengths [cm].
 
-    Raises DomainError when r_plus^2 or a^2 overflows (r_plus above
-    ~1.3e154 cm, m above ~9e181 g).
+    Raises DomainError, naming the first such radius, when r_plus^2 or
+    a^2 overflows (r_plus above ~1.3e154 cm, m above ~9e181 g).
     """
+    four_pi = 4.0 * math.pi
     try:
-        return 4.0 * math.pi * (r_plus**2 + a**2)
+        return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
     except OverflowError:
-        raise DomainError(f"horizon radius {r_plus:g} cm puts the horizon "
-                          "area beyond the float range") from None
+        for r, x in zip(r_plus, a):
+            try:
+                r**2 + x**2
+            except OverflowError:
+                raise DomainError(f"horizon radius {r:g} cm puts the horizon "
+                                  "area beyond the float range") from None
+        raise
 
 
-def entropy_from(area: float) -> float:
-    """Entropy A / (4 l_P^2) [nats] of a horizon of area A [cm^2]."""
-    return area / (4.0 * CONSTANTS.planck_length**2)
+def entropies(areas: Sequence[float]) -> list[float]:
+    """Entropies A / (4 l_P^2) [nats] of the horizons of areas A [cm^2]."""
+    four_lp2 = 4.0 * CONSTANTS.planck_length**2
+    return [A / four_lp2 for A in areas]
 
 
-def temperature_from(M: float, r_plus: float, area: float) -> float:
-    """Temperature (2 c hbar / A)(r_plus - M) [erg] from the gravitational
-    length, the horizon radius [cm] and the horizon area [cm^2]."""
-    return 2.0 * CONSTANTS.c * CONSTANTS.hbar * (r_plus - M) / area
+def temperatures(M: Sequence[float], r_plus: Sequence[float],
+                 areas: Sequence[float]) -> list[float]:
+    """Temperatures (2 c hbar / A)(r_plus - M) [erg] from the columns of
+    gravitational lengths, horizon radii [cm] and horizon areas [cm^2]."""
+    two_c_hbar = 2.0 * CONSTANTS.c * CONSTANTS.hbar
+    return [two_c_hbar * (r - x) / A for x, r, A in zip(M, r_plus, areas)]
 
 
 def horizon_area(bh: BlackHole) -> float:
     """Event horizon area A = 4 pi (r_plus^2 + a^2) [cm^2]."""
-    return area_from(bh.r_plus, bh.a)
+    return horizon_areas((bh.r_plus,), (bh.a,))[0]
 
 
 def entropy(bh: BlackHole) -> float:
     """Black hole entropy A / (4 l_P^2) [nats]."""
-    return entropy_from(horizon_area(bh))
+    return entropies((horizon_area(bh),))[0]
 
 
 def temperature(bh: BlackHole) -> float:
@@ -203,7 +214,7 @@ def temperature(bh: BlackHole) -> float:
     Zero exactly for extremal holes; reduces to hbar c / (8 pi M) in the
     Schwarzschild case.
     """
-    return temperature_from(bh.M, bh.r_plus, horizon_area(bh))
+    return temperatures((bh.M,), (bh.r_plus,), (horizon_area(bh),))[0]
 
 
 def potentials(bh: BlackHole) -> FirstLawPotentials:

@@ -17,6 +17,7 @@ from bhthermo.bounds import (
     holographic_bound,
     is_composite,
     is_weakly_gravitating,
+    sphere_area,
     universal_bound,
     weak_gravity_ratio,
     weak_universal_bound,
@@ -199,6 +200,15 @@ class TestBoundReport:
         report = bound_report(sys_)
         assert "gour" in report.violations
         assert "universal" not in report.violations
+
+    @pytest.mark.parametrize("sys_", [DISK, NUCLEON, EARTH])
+    def test_the_report_carries_the_area_it_used(self, sys_):
+        report = bound_report(sys_)
+        assert report.enclosing_area == sphere_area(sys_.radius)
+        holo = {e.name: e.limit_nats for e in report.entries}["holographic"]
+        assert holo == holographic_bound(report.enclosing_area)
+        area = 2.0 * sphere_area(sys_.radius)
+        assert bound_report(sys_, enclosing_area=area).enclosing_area == area
 
     def test_geometry_smaller_than_system_rejected(self):
         with pytest.raises(DomainError):

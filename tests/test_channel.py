@@ -1,6 +1,7 @@
 """Channel capacity bounds: characteristic power, regimes, special limits."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from bhthermo.channel import (
     consistency_check,
     cutoff_power,
     gsl_bound,
-    high_power_rate,
-    low_power_rate,
+    gsl_rate,
+    gsl_rates,
+    high_power_rates,
+    low_power_rates,
     optimal_xi,
+    optimal_xis,
     pendry_capacity,
     regime_columns,
     regime_rate,
@@ -130,10 +134,10 @@ def _reference_dispatch(ch):
     if P <= p_c / 200.0:
         xi_used = optimal_xi(P, p_c, ch.emission.nu)
         if xi_used >= 1.0 and ch.emission.nu > 1.0:
-            return "low", xi_used, low_power_rate(P, ch.emission)
+            return "low", xi_used, low_power_rates([P], ch.emission)[0]
         return "low", 1.0, gsl_bound(ch, 1.0)
     if P >= p_c / 10.0:
-        return "high", 10.0, high_power_rate(ch.lambda_c, P)
+        return "high", 10.0, high_power_rates([ch.lambda_c], [P])[0]
     xi_used = max(optimal_xi(P, p_c, ch.emission.nu), 10.0)
     return "intermediate", xi_used, gsl_bound(ch, xi_used)
 
@@ -171,8 +175,8 @@ class TestFloatKernels:
     @given(channels, st.floats(min_value=1.0, max_value=1e6))
     def test_bounds_are_unchanged(self, ch, xi):
         assert gsl_bound(ch, xi) == self.old_gsl_bound(ch, xi)
-        assert low_power_rate(ch.power, ch.emission) == self.old_low_power_bound(ch)
-        assert high_power_rate(ch.lambda_c, ch.power) == \
+        assert low_power_rates([ch.power], ch.emission)[0] == self.old_low_power_bound(ch)
+        assert high_power_rates([ch.lambda_c], [ch.power])[0] == \
             self.old_high_power_bound(ch, 10.0)
 
     @pytest.mark.parametrize("args, message", [
@@ -228,6 +232,10 @@ class TestRegimeBound:
         assert regime_rate(OPTICAL, self.P_C / 10, self.P_C, params)[0] == "high"
 
 
+def _hex(column):
+    return [x.hex() for x in column]
+
+
 def _bits(columns):
     """Columns with every float as its exact hex form, so -0.0 != 0.0."""
     return [[v.hex() if isinstance(v, float) else v for v in column]
@@ -236,9 +244,9 @@ def _bits(columns):
 
 def one_cutoff_columns(lambda_c, powers, p_c, params):
     """regime_columns of the channels of one cutoff lambda_c, and so one
-    characteristic power p_c, at each power in ``powers``: a power sweep."""
-    n = len(powers)
-    return regime_columns([lambda_c] * n, powers, [p_c] * n, params)
+    characteristic power p_c, at each power in ``powers``: a power sweep,
+    which passes its one cutoff and p_c as single values."""
+    return regime_columns(lambda_c, powers, p_c, params)
 
 
 def point_by_point(lambdas, powers, p_cs, params):
@@ -262,10 +270,62 @@ EMISSIONS = [{}, {"nu": 1.0}, {"nu": 1.0001}, {"nu": 1.003},
              {"nu": 2.0, "gamma_bar": 3.0, "n_species": 7.0}]
 
 
+class TestColumnForms:
+    """Each regime formula's column form, on 20k random channels, gives the
+    scalar formula's own arithmetic bit for bit, and the scalar callers
+    give the column forms' values."""
+
+    @pytest.mark.parametrize("emission", EMISSIONS)
+    def test_rates_are_the_scalar_formulas(self, emission):
+        params = EmissionParameters(**emission)
+        nu, gamma_bar, n_species = params
+        rng = random.Random(20261019)
+        n = 20_000
+        lambdas = [10.0 ** rng.uniform(-8.0, 2.0) for _ in range(n)]
+        powers = [10.0 ** rng.uniform(-20.0, 10.0) for _ in range(n)]
+        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        xis = [10.0 ** rng.uniform(0.0, 6.0) for _ in range(n)]
+        hc = CONSTANTS.hbar * CONSTANTS.c
+        gsl = gsl_rates(lambdas, powers, p_cs, params, xis)
+        assert _hex(gsl) == _hex(
+            8.0 * math.pi * lam / (CONSTANTS.hbar * CONSTANTS.c)
+            * (xi * P + (nu - 1.0) / xi * p_c) * LOG2E
+            for lam, P, p_c, xi in zip(lambdas, powers, p_cs, xis))
+        low = low_power_rates(powers, params)
+        assert _hex(low) == _hex(
+            math.sqrt(math.pi * (nu - 1.0) * gamma_bar * n_species * P
+                      / (60.0 * CONSTANTS.hbar)) * LOG2E for P in powers)
+        high = high_power_rates(lambdas, powers)
+        assert _hex(high) == _hex(8.0 * math.pi * 10.0 * lam * P / hc * LOG2E
+                                  for lam, P in zip(lambdas, powers))
+        xi_opt = optimal_xis(powers, p_cs, nu)
+        assert _hex(xi_opt) == _hex(
+            1.0 if nu <= 1.0 else math.sqrt((nu - 1.0) * p_c / P)
+            for P, p_c in zip(powers, p_cs))
+        assert _hex(map(gsl_rate, lambdas, powers, p_cs, [params] * n, xis)) \
+            == _hex(gsl)
+        assert _hex(map(optimal_xi, powers, p_cs, [nu] * n)) == _hex(xi_opt)
+
+    @pytest.mark.parametrize("emission", EMISSIONS)
+    def test_regime_rate_gives_the_column_forms(self, emission):
+        params = EmissionParameters(**emission)
+        rng = random.Random(20261020)
+        p_c = cutoff_power(OPTICAL, params)
+        for P in (p_c * 10.0 ** rng.uniform(-9.0, 3.0) for _ in range(20_000)):
+            regime, xi, bound = regime_rate(OPTICAL, P, p_c, params)
+            if regime == "high":
+                expected = high_power_rates([OPTICAL], [P])
+            elif regime == "low" and xi != 1.0:
+                expected = low_power_rates([P], params)
+            else:
+                expected = gsl_rates([OPTICAL], [P], [p_c], params, [xi])
+            assert [bound.hex()] == _hex(expected)
+
+
 class TestPowerColumns:
-    """The regime runs of a power sweep, constant lambda_c and p_c
-    columns, against regime_rate point by point, bit for bit, regime
-    strings included."""
+    """The regime runs of a power sweep, one lambda_c and p_c for every
+    point, against regime_rate point by point, bit for bit, regime strings
+    included."""
 
     @staticmethod
     def per_point(lambda_c, powers, p_c, params):
@@ -349,6 +409,23 @@ class TestPowerColumns:
             powers.sort(reverse=order == "reversed")
         got = one_cutoff_columns(OPTICAL, powers, p_c, params)
         assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("emission", EMISSIONS)
+def test_one_value_is_its_constant_column(order, emission):
+    # a power sweep's cutoff and p_c, and a cutoff sweep's power
+    params = EmissionParameters(**emission)
+    p_c = cutoff_power(OPTICAL, params)
+    powers = reorder(TestPowerColumns.powers(p_c), order)
+    n = len(powers)
+    assert _bits(regime_columns(OPTICAL, powers, p_c, params)) == _bits(
+        regime_columns([OPTICAL] * n, powers, [p_c] * n, params))
+    lambdas = reorder(TestCutoffColumns.LAMBDAS, order)
+    p_cs = [cutoff_power(lam, params) for lam in lambdas]
+    for power in (0.0, p_c / 50):
+        assert _bits(regime_columns(lambdas, power, p_cs, params)) == _bits(
+            regime_columns(lambdas, [power] * len(lambdas), p_cs, params))
 
 
 class TestCutoffColumns:
@@ -579,7 +656,7 @@ class TestConsistency:
         assert report.pendry_crossover_power == pytest.approx(0.4 * p_c, rel=1e-12)
         assert report.pendry_crossover_power < p_c
         for P in np.geomspace(report.pendry_crossover_power * 1.001, p_c, 20):
-            assert high_power_rate(OPTICAL, P) >= pendry_capacity(P, 1.0)
+            assert high_power_rates([OPTICAL], [P])[0] >= pendry_capacity(P, 1.0)
         # and with a single carrier against a many-species hole, dominance
         # reaches below p_c/10
         many = channel(1e-3, n_species=10.0)
@@ -590,5 +667,5 @@ class TestConsistency:
         ch = channel(1e-8)
         p_c = characteristic_power(ch)
         xi = optimal_xi(ch.power, p_c, ch.emission.nu)
-        assert low_power_rate(ch.power, ch.emission) == pytest.approx(
+        assert low_power_rates([ch.power], ch.emission)[0] == pytest.approx(
             gsl_bound(ch, xi), rel=1e-12)

@@ -472,10 +472,32 @@ GOLDEN_SERIES = {
 
 @pytest.mark.parametrize("command", list(GOLDEN_SERIES))
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-def test_series_output_is_byte_identical(capsys, command, fmt):
+@pytest.mark.parametrize("block_rows", [1, 7, 4096])
+def test_series_output_is_byte_identical(capsys, monkeypatch, command, fmt,
+                                         block_rows):
+    # the rows are written in blocks; 4096 does not divide 20,000
+    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
     code, out, err = run(capsys, *command.split(), "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SERIES[command][fmt]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_non_finite_cell_in_the_last_block_writes_nothing(capsys, monkeypatch,
+                                                            fmt):
+    # the entropy of the last of ten holes, alone in the last block of
+    # four rows, is beyond the float range; the others are finite
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    argv = ["sweep", "bh", "--param", "mass", "--start", "1e147", "--stop",
+            "1e149", "--points", "10", "--quantity", "entropy"]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["bhthermo sweep: entropy at mass = 1e+149 is "
+                                "inf, beyond the float range"]
+    # stopping short of it, every row is written
+    code, out, err = run(capsys, *argv[:7], "5e148", *argv[8:], "--format", fmt)
+    assert code == 0, err
+    assert len(out.splitlines()) > 10
 
 
 class TestOverflow:

@@ -6,6 +6,7 @@ exists).
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,16 +15,18 @@ from hypothesis import given, strategies as st
 from bhthermo.constants import CONSTANTS, geometrized_mass
 from bhthermo.errors import DomainError, NakedSingularityError, SubPlanckMassError
 from bhthermo.kerr_newman import (
+    entropies,
     entropy,
     first_law_residual,
     h_factors,
-    area_from,
     horizon_area,
+    horizon_areas,
     horizon_columns,
     make_black_hole,
     mean_density,
     potentials,
     temperature,
+    temperatures,
 )
 
 
@@ -175,7 +178,41 @@ class TestFloatKernels:
         with pytest.raises(DomainError, match="horizon area beyond the float"):
             horizon_area(bh)
         with pytest.raises(DomainError, match="horizon area beyond the float"):
-            area_from(1e155, 0.0)
+            horizon_areas([1e155], [0.0])
+
+
+def _hex(column):
+    return [x.hex() for x in column]
+
+
+def test_column_forms_are_the_scalar_formulas_bit_for_bit():
+    """horizon_areas, entropies and temperatures on 20k random points give
+    each formula's own scalar arithmetic, and horizon_area, entropy and
+    temperature of a hole give the column forms' values."""
+    rng = random.Random(20261019)
+    n = 20_000
+    r = [10.0 ** rng.uniform(-33.0, 150.0) for _ in range(n)]
+    a = [x * rng.random() for x in r]
+    M = [x * rng.uniform(0.5, 1.0) for x in r]
+    areas = horizon_areas(r, a)
+    assert _hex(areas) == _hex(4.0 * math.pi * (x**2 + y**2) for x, y in zip(r, a))
+    assert _hex(entropies(areas)) == _hex(
+        A / (4.0 * CONSTANTS.planck_length**2) for A in areas)
+    assert _hex(temperatures(M, r, areas)) == _hex(
+        2.0 * CONSTANTS.c * CONSTANTS.hbar * (x - m) / A
+        for m, x, A in zip(M, r, areas))
+    holes = [build(rng.uniform(0.0, 35.0), rng.uniform(0.0, 0.7),
+                   rng.uniform(0.0, 0.7)) for _ in range(n)]
+    areas = horizon_areas([bh.r_plus for bh in holes], [bh.a for bh in holes])
+    assert _hex(map(horizon_area, holes)) == _hex(areas)
+    assert _hex(map(entropy, holes)) == _hex(entropies(areas))
+    assert _hex(map(temperature, holes)) == _hex(temperatures(
+        [bh.M for bh in holes], [bh.r_plus for bh in holes], areas))
+
+
+def test_area_overflow_names_the_first_radius_of_the_column():
+    with pytest.raises(DomainError, match=r"^horizon radius 2e\+154 cm puts"):
+        horizon_areas([1.0, 2e154, 3e154], [0.0, 0.0, 0.0])
 
 
 class TestArea:

@@ -258,10 +258,12 @@ def test_a_series_without_columns_has_no_rows():
 def test_render_builds_only_the_requested_format(monkeypatch, fmt):
     called = []
     for name in FORMATS:
-        monkeypatch.setattr(Document, f"to_{name}",
-                            lambda self, name=name: called.append(name) or name)
+        monkeypatch.setattr(Document, f"_{name}_layout",
+                            lambda self, name=name: called.append(name)
+                            or (name, "", "", [], ""))
     assert Document("x").render(fmt) == fmt
-    assert called == [fmt]
+    assert getattr(Document("x"), f"to_{fmt}")() == fmt
+    assert called == [fmt, fmt]
 
 
 def test_render_rejects_an_unknown_format():
@@ -304,8 +306,7 @@ def _old_json_text(x):
 
 
 def _json_texts(column):
-    spec, values = cli._json_floats(column)
-    return [spec % (v,) for v in values]
+    return ["%s" % (v,) for v in cli._json_floats(column)]
 
 
 _TINY = sys.float_info.min
@@ -362,3 +363,48 @@ def test_json_cells_go_through_the_column_rule(monkeypatch):
     assert json.loads(doc.render("json"))["rows"] == [[1.5, 2.5, "a"],
                                                       [2e9, 3.0, "b"]]
     assert seen == [[1.5, 2e9], [2.5, 3.0]]
+
+
+# -- the table float cell width ---------------------------------------------
+#
+# The table sizes a float column from a few of its cells; the width must be
+# that of the widest cell, "%.8e" of every value.
+
+
+def _widest(column):
+    return max(len("%.8e" % x) for x in column)
+
+
+def test_table_width_rule_on_random_bit_patterns():
+    xs = _random_doubles(100_000, seed=20261019)
+    magnitudes = [abs(x) for x in xs]
+    rng = random.Random(20261019)
+    # values with two-digit exponents, so that a planted cell decides
+    tame = [10.0 ** rng.uniform(-99.0, 99.0) for _ in range(5000)]
+    columns = [xs, magnitudes, [-x for x in magnitudes],
+               [0.0, *magnitudes], [-0.0, *magnitudes], [*magnitudes, -0.0],
+               [0.0, *(-x for x in magnitudes)]]
+    for i in range(0, 5000, 50):
+        column = tame[i:i + 50]
+        column[rng.randrange(50)] = rng.choice(magnitudes)
+        for sign in (1.0, -1.0):
+            signed = [sign * x for x in column]
+            columns += [signed, signed + [0.0], [-0.0] + signed]
+    for column in columns:
+        assert cli._table_width(column, False) == _widest(column)
+
+
+@pytest.mark.parametrize("column", [
+    [-0.0], [0.0], [0.0, -0.0], [-0.0, 1e150], [-0.0, 1.0],
+    [-1.0, -5e-324, -2.5], [-5e-324], [1.0, 5e-324],
+    [9.9999999995e99], [9.9999999994e99], [-9.9999999995e99, -1.0],
+    [1e-100], [9.9999999996e-101, 1.0], [-1e-100, -1.0],
+    [0.0, 1e-100, 5.0], [-5.0, -1e-100, 0.0], [-5.0, -1e-99, -0.0],
+    [0.0, 1e-99, 5.0], [-1.0, 1e-100], [-1.0, -1e-100, 5.0],
+    [1.7976931348623157e308, 0.0],
+])
+def test_table_width_rule_on_edge_columns(column):
+    assert cli._table_width(column, False) == _widest(column)
+    doc = Document("x")
+    doc.set_columns(["x"], [""], [column])
+    assert doc.render("table") == reference_table(doc)

@@ -55,10 +55,11 @@ CASES = [
       "applicable": True, "applicability_reason": "composite"}, {}, {},
      ("applicable", False)),
     (BoundReport, ("label", "compositeness", "weak_gravity_ratio", "entries",
-                   "tightest_applicable", "stored_entropy", "violations"),
+                   "tightest_applicable", "stored_entropy", "violations",
+                   "enclosing_area"),
      {"label": "", "compositeness": 1e3, "weak_gravity_ratio": 1e-3,
       "entries": (), "tightest_applicable": "universal",
-      "stored_entropy": None, "violations": ()}, {}, {},
+      "stored_entropy": None, "violations": (), "enclosing_area": 4.0}, {}, {},
      ("violations", ("universal",))),
     (Channel, ("lambda_c", "power", "n_carriers", "emission"),
      {"lambda_c": 5e-5, "power": 1e-3},
