@@ -36,7 +36,12 @@ from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E, _checked_make
 from .errors import DomainError
-from .evaporation import DEFAULT_EMISSION, EmissionParameters, power_at_length
+from .evaporation import (
+    DEFAULT_EMISSION,
+    EmissionParameters,
+    power_at_length,
+    powers_at_lengths,
+)
 
 #: Smallest hole-to-cutoff size ratio with near-total absorption.
 XI_MIN = 1.0
@@ -129,6 +134,17 @@ def cutoff_power(lambda_c: float, params: EmissionParameters) -> float:
         return power_at_length(lambda_c, params)
     except (OverflowError, ZeroDivisionError):
         raise _cutoff_out_of_range(lambda_c) from None
+
+
+def cutoff_powers(lambdas: Sequence[float], params: EmissionParameters) -> list[float]:
+    """:func:`cutoff_power` of each cutoff [cm], raising its DomainError for
+    the first cutoff out of range."""
+    try:
+        return powers_at_lengths(lambdas, params)
+    except (OverflowError, ZeroDivisionError):
+        for lambda_c in lambdas:
+            cutoff_power(lambda_c, params)
+        raise
 
 
 def approx_characteristic_power(lambda_c: float) -> float:

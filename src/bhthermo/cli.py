@@ -15,7 +15,7 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import partial, partialmethod
+from functools import partialmethod
 from itertools import chain, filterfalse, repeat
 from typing import NamedTuple, NoReturn
 
@@ -23,8 +23,10 @@ from .constants import (
     CONSTANTS,
     constants_table,
     energy_temperature_to_kelvin,
+    entropies_in_bits,
     geometrized_mass,
     nats_to_bits,
+    temperatures_in_kelvin,
 )
 from .errors import DomainError
 
@@ -36,14 +38,15 @@ from .errors import DomainError
 _LAZY_IMPORTS = {
     "bounds": ("MaterialSystem", "bound_report"),
     "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
-                "regime_columns"),
+                "cutoff_powers", "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
     "gedanken": ("capsule_lowering", "infall_experiment", "merger",
                  "susskind_collapse"),
     "grids": ("geomspace", "linspace"),
     "kerr_newman": ("entropies", "entropy", "h_factors", "horizon_area",
                     "horizon_areas", "horizon_columns", "make_black_hole",
-                    "mean_density", "potentials", "temperature", "temperatures"),
+                    "mean_densities", "mean_density", "potentials", "temperature",
+                    "temperatures"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY_IMPORTS.items()
               for name in names}
@@ -158,25 +161,28 @@ class Document:
         """The pieces of text that ``render(fmt)`` joins: a head, the series
         rows at most BLOCK_ROWS to a piece, then a tail.  The format's
         layout runs every check that can refuse the document, and gives the
-        head and tail, a row's ``%`` template with one conversion per column,
-        the row separator and a function or None per column to convert its
-        cells first.  A piece of rows is one formatting call over its cells
-        in row order, so a cell is data, never a template."""
+        head, a function joining ``%`` conversions into a row's template, a
+        conversion or a function of a block giving one and its cells per
+        column, the row separator and the tail.  A piece of rows is one
+        formatting call over its cells, so a cell is data, never a template."""
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
-        head, row_spec, sep, convert, tail = getattr(self, f"_{fmt}_layout")()
+        head, row, columns, sep, tail = getattr(self, f"_{fmt}_layout")()
         yield head
         n = self._series_length()
-        full = sep.join([row_spec] * BLOCK_ROWS) + sep if n > BLOCK_ROWS else ""
+        last = template = None
         for start in range(0, n, BLOCK_ROWS):
-            stop = start + BLOCK_ROWS
-            cells = [c[start:stop] if f is None else f(c[start:stop])
-                     for c, f in zip(self.series, convert)]
-            template = full if stop < n else sep.join([row_spec] * (n - start))
+            stop = min(start + BLOCK_ROWS, n)
+            specs, cells = zip(*[(f, c[start:stop]) if isinstance(f, str)
+                                 else f(c[start:stop])
+                                 for c, f in zip(self.series, columns)])
+            if last != (shape := (specs, stop - start, stop < n)):
+                last = shape
+                template = sep.join([row(specs)] * (stop - start)) + sep * (stop < n)
             yield template % tuple(chain.from_iterable(zip(*cells)))
         yield tail
 
-    def _json_layout(self) -> tuple[str, str, str, list, str]:
+    def _json_layout(self) -> tuple[str, Callable, list, str, str]:
         """Strict JSON, byte for byte ``json.dumps(obj, indent=2)`` of the
         document; the series rows skip that pure-Python encoder."""
         import json
@@ -194,18 +200,18 @@ class Document:
         obj["units"] = units
         text = json.dumps(obj, indent=2, allow_nan=False)
         if not self._series_length():
-            return text, "", "", [], ""
+            return text, None, [], "", ""
         self._check_series()
         # Strings hold no raw newline, so only the top-level key "rows" can
         # start a line with two spaces and '"rows": '.
         head, tail = text.split('\n  "rows": []', 1)
         return (f'{head}\n  "rows": [\n    ',
-                "[\n      " + ",\n      ".join(["%s"] * len(self.series)) + "\n    ]",
-                ",\n    ", [partial(map, encode_basestring_ascii) if is_str
-                            else _json_floats for is_str in self._str_columns],
-                f"\n  ]{tail}")
+                lambda specs: "[\n      " + ",\n      ".join(specs) + "\n    ]",
+                [(lambda block: ("%s", map(encode_basestring_ascii, block)))
+                 if is_str else _json_floats for is_str in self._str_columns],
+                ",\n    ", f"\n  ]{tail}")
 
-    def _table_layout(self) -> tuple[str, str, str, list, str]:
+    def _table_layout(self) -> tuple[str, Callable, list, str, str]:
         lines = [f"# {self.kind}"]
         rows = self._scalar_rows()
         if rows:
@@ -223,16 +229,16 @@ class Document:
                 header.append(h.ljust(w))
             lines.append("  ".join(header))
         return ("\n".join(lines) + ("\n" if self._series_length() else ""),
-                "  ".join(specs), "\n", [None] * len(specs), "")
+                "  ".join, specs, "\n", "")
 
-    def _csv_layout(self) -> tuple[str, str, str, list, str]:
+    def _csv_layout(self) -> tuple[str, Callable, list, str, str]:
         if self.columns is None:
             return "\n".join(["quantity,value,unit", *(
-                f"{k},{v},{u}" for k, v, u in self._scalar_rows())]), "", "", [], ""
+                f"{k},{v},{u}" for k, v, u in self._scalar_rows())]), None, [], "", ""
         self._check_series()
         return (",".join(self.columns) + ("\n" if self._series_length() else ""),
-                ",".join("%s" if is_str else "%.8e" for is_str in self._str_columns),
-                "\n", [None] * len(self.columns), "")
+                ",".join, ["%s" if is_str else "%.8e" for is_str in self._str_columns],
+                "\n", "")
 
     def _scalar_rows(self) -> list[tuple[str, str, str]]:
         rows = []
@@ -288,22 +294,36 @@ def _table_width(column: Sequence[object], is_str: bool) -> int:
     return max(map(len, map("%.8e".__mod__, cells)))
 
 
-def _json_floats(column: Sequence[float]) -> list[object]:
-    """The JSON float cell rule: ``%s`` of each value writes
-    repr(float("%.8e" % x)).  A value is format(x, ".9") if x is 0.0, or
-    normal with |x| < 99999999.0 or >= 1e16; else it is that rounding,
-    which repr writes in fixed notation or, if subnormal, shorter.  A
-    column whose cells all take one branch maps that branch's conversion."""
-    lo, hi = min(column, default=0.0), max(column, default=0.0)
-    if 99999999.0 <= lo and hi < 1e16:
-        return list(map(float, map("%.8e".__mod__, column)))
+def _json_floats(block: Sequence[float]) -> tuple[str, Sequence[object]]:
+    """The JSON float cell rule for a block: a ``%`` conversion and cells it
+    writes as repr(float("%.8e" % x)).  The block's extremes pick a branch.
+    Values of one sign, all normal and below 0.999999999 or all from
+    9999999995000000.0 in magnitude: "%.9g", which writes repr's digits and
+    notation there.  All of one sign in [999999999.5, 9999999995000000.0):
+    the rounding is an integer, its "%.8e" text with "e+EE" as EE - 8 zeros
+    and ".0", less the point.  Else a cell is format(x, ".9") if x is 0.0
+    or normal with |x| < 99999999.0 or >= 1e16, and the rounding if not; a
+    block of one kind maps its conversion."""
+    lo, hi = min(block, default=0.0), max(block, default=0.0)
     tiny = sys.float_info.min
-    if ((-99999999.0 < lo and hi < 99999999.0 or lo >= 1e16 or hi <= -1e16)
+    if (tiny <= lo and (hi < 0.999999999 or lo >= 9999999995000000.0)
+            or hi <= -tiny and (lo > -0.999999999 or hi <= -9999999995000000.0)):
+        return "%.9g", block
+    if 999999999.5 <= lo and hi < 9999999995000000.0 or (
+            -9999999995000000.0 < lo and hi <= -999999999.5):
+        text = ("%.8e|" * len(block) % tuple(block)).replace(".", "")
+        small, large = sorted((abs(lo), abs(hi)))
+        for e in range(int(("%.8e" % small)[-2:]), int(("%.8e" % large)[-2:]) + 1):
+            text = text.replace(f"e+{e:02}|", "0" * (e - 8) + ".0|")
+        return "%s", text.split("|")[:-1]
+    if 99999999.0 <= lo and hi < 1e16:
+        return "%s", list(map(float, map("%.8e".__mod__, block)))
+    if (-99999999.0 < lo and hi < 99999999.0
             and (lo >= tiny or hi <= -tiny
-                 or min(filter(None, map(abs, column)), default=tiny) >= tiny)):
-        return list(map(format, column, repeat(".9")))
-    return [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
-            or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in column]
+                 or min(filter(None, map(abs, block)), default=tiny) >= tiny)):
+        return "%s", map(format, block, repeat(".9"))
+    return "%s", [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
+                  or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in block]
 
 
 def _text_cell(value: object, where: str, exact: bool) -> str:
@@ -740,12 +760,12 @@ BH_SWEEP_QUANTITIES = {
     "r_plus": (lambda m, M, Q, a, r: r, "cm"),
     "area": (lambda m, M, Q, a, r: horizon_areas(r, a), "cm^2"),
     "entropy": (lambda m, M, Q, a, r: entropies(horizon_areas(r, a)), "nat"),
-    "entropy_bits": (lambda m, M, Q, a, r: list(map(
-        nats_to_bits, entropies(horizon_areas(r, a)))), "bit"),
+    "entropy_bits": (lambda m, M, Q, a, r: entropies_in_bits(
+        entropies(horizon_areas(r, a))), "bit"),
     "temperature": (lambda m, M, Q, a, r: temperatures(M, r, horizon_areas(r, a)), "erg"),
-    "temperature_kelvin": (lambda m, M, Q, a, r: list(map(
-        energy_temperature_to_kelvin, temperatures(M, r, horizon_areas(r, a)))), "K"),
-    "mean_density": (lambda m, M, Q, a, r: list(map(mean_density, m)), "g cm^-3"),
+    "temperature_kelvin": (lambda m, M, Q, a, r: temperatures_in_kelvin(
+        temperatures(M, r, horizon_areas(r, a))), "K"),
+    "mean_density": (lambda m, M, Q, a, r: mean_densities(m), "g cm^-3"),
 }
 
 
@@ -754,13 +774,11 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
     if args.points < 1:
         raise ConfigError("sweep needs at least one point")
     _check_points(args)
-    if args.points == 1:
-        return [args.start]
     if args.spacing == "log":
         if args.start <= 0 or args.stop <= 0:
             raise ConfigError("log spacing needs positive start and stop")
-        return geomspace(args.start, args.stop, args.points)
-    return linspace(args.start, args.stop, args.points)
+        return geomspace(args.start, args.stop, max(args.points, 2))
+    return linspace(args.start, args.stop, max(args.points, 2))
 
 
 def cmd_sweep(args: argparse.Namespace) -> Document:
@@ -772,7 +790,6 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                    f"target {args.target}")
     _require(args, "param", "start", "stop")
     grid = _sweep_grid(args)
-    doc = Document("sweep")
     if bh:
         if args.param != "mass":
             raise ConfigError("bh sweeps support param=mass")
@@ -789,7 +806,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             for m in grid:
                 func([m], *horizon_columns([m], q, j))
             raise
-        doc.set_columns(["mass", args.quantity], ["g", unit], [grid, values])
+        names, units, columns = ["mass", args.quantity], ["g", unit], [grid, values]
     else:
         if args.param not in ("power", "lambda_c"):
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
@@ -815,11 +832,15 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                 check_channel(lambda_c, P, n)
                 cutoff_power(lambda_c, emission)
         p_cs = cutoff_power(fixed, emission) if power_sweep \
-            else list(map(cutoff_power, grid, repeat(emission)))
+            else cutoff_powers(grid, emission)
         regimes, bounds = regime_columns(*channel(grid), p_cs, emission)
-        doc.set_columns([args.param, "bound", "regime"],
-                        ["erg s^-1" if args.param == "power" else "cm",
-                         "bit s^-1", ""], [grid, bounds, regimes])
+        names, units, columns = ([args.param, "bound", "regime"],
+                                 ["erg s^-1" if power_sweep else "cm", "bit s^-1", ""],
+                                 [grid, bounds, regimes])
+    # one point is the first row of a two-point sweep, so its stop is checked
+    doc = Document("sweep")
+    doc.set_columns(names, units, columns if args.points > 1
+                    else [column[:1] for column in columns])
     return doc
 
 

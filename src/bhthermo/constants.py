@@ -14,7 +14,7 @@ independently.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -155,16 +155,33 @@ def spin_lengths(j: float, masses: Iterable[float]) -> list[float]:
 
 def energy_temperature_to_kelvin(T: float) -> float:
     """Convert a temperature expressed as an energy [erg] to Kelvin."""
-    if T < 0:
-        raise DomainError(f"temperature must be non-negative, got {T}")
-    return T / CONSTANTS.k_B
+    return temperatures_in_kelvin((T,))[0]
+
+
+def temperatures_in_kelvin(temperatures: Sequence[float]) -> list[float]:
+    """:func:`energy_temperature_to_kelvin` of each temperature [erg],
+    refusing the first negative one."""
+    if not all(map((0.0).__le__, temperatures)):
+        for T in temperatures:
+            if T < 0:
+                raise DomainError(f"temperature must be non-negative, got {T}")
+    k_B = CONSTANTS.k_B
+    return [T / k_B for T in temperatures]
 
 
 def nats_to_bits(S: float) -> float:
     """Convert an entropy or information content from nats to bits."""
-    if S < 0:
-        raise DomainError(f"entropy must be non-negative, got {S}")
-    return S * LOG2E
+    return entropies_in_bits((S,))[0]
+
+
+def entropies_in_bits(entropies: Sequence[float]) -> list[float]:
+    """:func:`nats_to_bits` of each entropy [nats], refusing the first
+    negative one."""
+    if not all(map((0.0).__le__, entropies)):
+        for S in entropies:
+            if S < 0:
+                raise DomainError(f"entropy must be non-negative, got {S}")
+    return [S * LOG2E for S in entropies]
 
 
 def constants_table() -> dict:

@@ -28,6 +28,7 @@ With dm/dt = -K/m^2 the hole shrinks from m0 to m in the closed-form time
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make, geometrized_mass
@@ -100,8 +101,16 @@ def power_at_length(length: float, params: EmissionParameters) -> float:
     Raises OverflowError or ZeroDivisionError when L^2 leaves the float
     range; each caller names its own length in the DomainError.
     """
-    return (CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
-            / (15360.0 * math.pi * length**2))
+    return powers_at_lengths((length,), params)[0]
+
+
+def powers_at_lengths(lengths: Sequence[float],
+                      params: EmissionParameters) -> list[float]:
+    """:func:`power_at_length` at each length [cm], raising what it raises
+    for the first length out of range."""
+    numerator = CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
+    scale = 15360.0 * math.pi
+    return [numerator / (scale * L**2) for L in lengths]
 
 
 def hawking_power(bh: BlackHole,

@@ -116,6 +116,11 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
             horizon_columns((m,), q, j)
     Q = geometrized_charge(q)
     M = geometrized_masses(masses)
+    if q == 0.0 and j == 0.0 and max(M, default=0.0) < 1e154:
+        # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is M
+        # while M * M stays finite, so the general form below gives M + M.
+        # Larger M take that form, and its overflow error.
+        return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
     a = spin_lengths(j, masses)
     Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
     s2 = [Q2 + x * x for x in a]
@@ -173,7 +178,9 @@ def horizon_areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
     """
     four_pi = 4.0 * math.pi
     try:
-        return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
+        if any(a):
+            return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
+        return [four_pi * r**2 for r in r_plus]     # r^2 + (+-0)^2 is r^2
     except OverflowError:
         for r, x in zip(r_plus, a):
             try:
@@ -294,11 +301,26 @@ def mean_density(m: float) -> float:
     DomainError
         If m is not positive, or m^2 overflows (m above ~1.3e154 g).
     """
-    if m <= 0:
-        raise DomainError(f"mass must be positive, got {m}")
+    return mean_densities((m,))[0]
+
+
+def mean_densities(masses: Sequence[float]) -> list[float]:
+    """:func:`mean_density` of each mass [g], raising what it raises for
+    the first mass it refuses."""
+    numerator = 3.0 * CONSTANTS.c**6
+    scale = 32.0 * math.pi * CONSTANTS.G**3
     try:
-        return 3.0 * CONSTANTS.c**6 / (32.0 * math.pi * CONSTANTS.G**3 * m**2)
+        if all(map((0.0).__lt__, masses)):
+            return [numerator / (scale * m**2) for m in masses]
     except OverflowError:
-        raise DomainError(
-            f"mass {m:g} g is beyond the float range of the mean density "
-            "(m^2 overflows)") from None
+        pass
+    for m in masses:                # the first mass refused, if any
+        if m <= 0:
+            raise DomainError(f"mass must be positive, got {m}")
+        try:
+            m**2
+        except OverflowError:
+            raise DomainError(
+                f"mass {m:g} g is beyond the float range of the mean "
+                "density (m^2 overflows)") from None
+    return [numerator / (scale * m**2) for m in masses]     # a NaN among them

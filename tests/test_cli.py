@@ -296,6 +296,34 @@ class TestSweep:
         assert len(doc["rows"]) == 1
         assert doc["rows"][0][0] == 1e15
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--start", "1e10", "--stop", "nan"], 1),
+        (["--start", "1e10", "--stop=-5"], 2),
+        (["--start=-5", "--stop", "1e10"], 2),
+    ])
+    def test_single_point_sweep_checks_start_and_stop(self, capsys, argv, code):
+        argv = ["sweep", "bh", "--param", "mass", *argv]
+        one = run(capsys, *argv, "--points", "1")
+        assert (one[0], one[1]) == (code, "")
+        assert one == run(capsys, *argv, "--points", "2")
+
+    @pytest.mark.parametrize("target", [
+        ["bh", "--param", "mass"],
+        ["channel", "--param", "power", "--lambda-c", "5e-5"],
+        ["channel", "--param", "lambda_c", "--power", "1e-3"],
+    ])
+    @pytest.mark.parametrize("spacing", ["log", "linear"])
+    @pytest.mark.parametrize("start, stop", [
+        ("1e10", "nan"), ("nan", "1e10"), ("1e10", "inf"), ("1e10", "-5"),
+        ("-5", "1e10")])
+    def test_single_point_sweep_refuses_what_two_points_refuse(
+            self, capsys, target, spacing, start, stop):
+        argv = ["sweep", *target, f"--start={start}", f"--stop={stop}",
+                "--spacing", spacing]
+        two = run(capsys, *argv, "--points", "2")
+        assert two[0] != 0
+        assert run(capsys, *argv, "--points", "1") == two
+
     def test_empty_sweep_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "bh", "--param", "mass",
                            "--start", "1e15", "--stop", "1e18", "--points", "0")

@@ -129,6 +129,24 @@ class TestFloatKernels:
                 for column in horizon_columns(masses, q, j)] == [
             list(map(float.hex, column)) for column in expected]
 
+    @pytest.mark.parametrize("q, j", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
+                                      (-0.0, -0.0), (0, 0)])
+    def test_schwarzschild_columns_are_the_old_code(self, q, j):
+        # up to M = 1e154, where the column leaves the Schwarzschild form,
+        # and beyond, where M * M overflows (M = 1.36e154)
+        edge = 1e154 * CONSTANTS.c**2 / CONSTANTS.G
+        below = [10.0 ** (x / 10.0) for x in range(-46, 1820)] + [
+            math.nextafter(edge, 0.0)]
+        for masses in (below, below + [edge, 1.3 * edge, 1.36 * edge]):
+            expected = zip(*[self.old_make(m, q, j) for m in masses])
+            assert [list(map(float.hex, column))
+                    for column in horizon_columns(masses, q, j)] == [
+                list(map(float.hex, column)) for column in expected]
+        # and their areas, while r_plus^2 stays finite
+        _, _, a, r_plus = horizon_columns(below[:-40], q, j)
+        assert list(map(float.hex, horizon_areas(r_plus, a))) == [
+            (4.0 * math.pi * (r**2 + x**2)).hex() for r, x in zip(r_plus, a)]
+
     def test_extremal_holes_are_unchanged(self):
         for m in (1e-4, 1e15, 1e40):
             for q, j in ((extremal_charge(m), 0.0), (0.0, extremal_spin(m)),

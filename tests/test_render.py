@@ -4,6 +4,7 @@ A ``Document`` stores its series by column; the reference renders it the
 old way, row by row and cell by cell.
 """
 
+import itertools
 import json
 import math
 import random
@@ -260,7 +261,7 @@ def test_render_builds_only_the_requested_format(monkeypatch, fmt):
     for name in FORMATS:
         monkeypatch.setattr(Document, f"_{name}_layout",
                             lambda self, name=name: called.append(name)
-                            or (name, "", "", [], ""))
+                            or (name, None, [], "", ""))
     assert Document("x").render(fmt) == fmt
     assert getattr(Document("x"), f"to_{fmt}")() == fmt
     assert called == [fmt, fmt]
@@ -295,10 +296,11 @@ def test_non_finite_series_cell_is_refused(fmt, bad):
 
 # -- the JSON float cell ------------------------------------------------------
 #
-# JSON writes a series float as repr of its 9-digit rounding; the writer
-# gets that text from format(x, ".9") in one call where it can, and keeps
-# the rounding where it cannot.  Every cell must come out as the old
-# three conversions wrote it.
+# JSON writes a series float as repr of its 9-digit rounding.  The writer
+# takes one conversion per cell where a block's extremes allow it: "%.9g"
+# of the value, or the rounding's "%.8e" text rewritten as fixed notation,
+# and keeps the old conversions elsewhere.  Every cell must come out as the
+# old three conversions wrote it.
 
 
 def _old_json_text(x):
@@ -306,16 +308,20 @@ def _old_json_text(x):
 
 
 def _json_texts(column):
-    return ["%s" % (v,) for v in cli._json_floats(column)]
+    spec, cells = cli._json_floats(column)
+    return [spec % (v,) for v in cells]
 
 
 _TINY = sys.float_info.min
+_MAX = sys.float_info.max
+#: The magnitudes where a branch of the cell rule, or repr's fixed
+#: notation, starts or ends, and the least that round up to 1 and 1e8.
+_BOUNDS = [_TINY, 0.999999999, 0.9999999995, 1.0, 99999999.0, 99999999.95,
+           999999999.5, 9.999999995e15, 1e16]
 _EDGES = [
-    99999999.0, math.nextafter(99999999.0, 0.0),
-    math.nextafter(99999999.0, math.inf), 99999999.95, 9.999999995e15,
-    1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
-    9.999999995e-5, 5e-324, 7.651921e-317, _TINY, math.nextafter(_TINY, 0.0),
-    0.0, 1.7976931348623157e308]
+    *(y for x in _BOUNDS for y in (math.nextafter(x, 0.0), x,
+                                   math.nextafter(x, math.inf))),
+    9.999999995e-5, 5e-324, 7.651921e-317, 0.0, _MAX]
 JSON_EDGE_CASES = _EDGES + [-x for x in _EDGES]
 
 
@@ -334,6 +340,16 @@ def test_json_cell_rule_on_columns_of_edge_cases():
                    [1e16, 3e200, 1.7976931348623157e308],
                    [99999999.0, 1.23456789123e12, 9.99999999e15]):
         assert _json_texts(column) == list(map(_old_json_text, column))
+    # blocks whose extremes sit on two bounds, or one ulp off them
+    near = [[math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+            for x in _BOUNDS]
+    for i, lows in enumerate(near):
+        for highs in near[i:]:
+            for column in itertools.product(lows, highs):
+                for sign in (1.0, -1.0):
+                    column = [sign * x for x in column]
+                    assert _json_texts(column) == list(map(_old_json_text,
+                                                           column))
 
 
 def _random_doubles(n, seed):
@@ -343,6 +359,54 @@ def _random_doubles(n, seed):
     return [x for x in doubles if math.isfinite(x)]
 
 
+#: Each branch's magnitudes [lo, hi), with the row spec its blocks take:
+#: "%.9g" of the value, or "%s" of a str cell, the fixed notation of the
+#: band.  The others take the old rule.
+JSON_BRANCHES = {
+    "direct_small": (_TINY, 0.999999999, "%.9g"),
+    "direct_large": (9.999999995e15, math.inf, "%.9g"),
+    "band": (999999999.5, 9.999999995e15, "%s"),
+    "fixed_below_band": (99999999.0, 999999999.5, None),
+    "one_call_middle": (0.999999999, 99999999.0, None),
+    "subnormal": (5e-324, _TINY, None),
+}
+
+
+def _random_magnitudes(rng, lo, hi, n):
+    """n doubles in [lo, hi), spread over its binades; the range's first
+    and last doubles are among them, if n allows."""
+    e_lo, e_hi = math.frexp(lo)[1], math.frexp(min(hi, _MAX))[1]
+    xs = [lo, math.nextafter(lo, math.inf), math.nextafter(min(hi, _MAX), 0.0)]
+    while len(xs) < n:
+        x = math.ldexp(rng.uniform(0.5, 1.0), rng.randint(e_lo, e_hi))
+        if lo <= x < hi:
+            xs.append(x)
+    rng.shuffle(xs)
+    return xs[:n]
+
+
+def test_json_cell_rule_on_random_blocks_of_each_branch():
+    rng = random.Random(20261019)
+    for lo, hi, spec in JSON_BRANCHES.values():
+        for _ in range(60):
+            sign = rng.choice([1.0, -1.0])
+            block = [sign * x for x in _random_magnitudes(
+                rng, lo, hi, rng.choice([1, 2, 7, 64, 500]))]
+            assert _json_texts(block) == list(map(_old_json_text, block))
+            if spec is not None:
+                assert cli._json_floats(block)[0] == spec
+    # blocks that straddle the branches, or mix signs, zeros and subnormals
+    pieces = [_random_magnitudes(rng, lo, hi, 50)
+              for lo, hi, _ in JSON_BRANCHES.values()]
+    for _ in range(200):
+        block = [rng.choice([1.0, -1.0]) * x
+                 for piece in rng.sample(pieces, 2)
+                 for x in rng.sample(piece, rng.randint(1, 20))]
+        block += rng.choice([[], [0.0], [-0.0]])
+        rng.shuffle(block)
+        assert _json_texts(block) == list(map(_old_json_text, block))
+
+
 def test_json_cell_rule_on_random_bit_patterns():
     xs = _random_doubles(100_000, seed=20261018)
     assert len(xs) > 99_000
@@ -350,19 +414,36 @@ def test_json_cell_rule_on_random_bit_patterns():
     # each cell alone takes a branch of its own
     assert [_json_texts([x])[0] for x in xs[:5000]] == list(
         map(_old_json_text, xs[:5000]))
+    # and so do runs of one sign and a few binades, the blocks of a sweep
+    runs = sorted(xs[5000:25000])
+    for i in range(0, len(runs), 40):
+        assert _json_texts(runs[i:i + 40]) == list(map(_old_json_text,
+                                                       runs[i:i + 40]))
 
 
 def test_json_cells_go_through_the_column_rule(monkeypatch):
     seen = []
     rule = cli._json_floats
-    monkeypatch.setattr(cli, "_json_floats",
-                        lambda column: seen.append(list(column)) or rule(column))
+
+    def spy(block):
+        spec, cells = rule(block)
+        seen.append((list(block), spec))
+        return spec, cells
+
+    monkeypatch.setattr(cli, "_json_floats", spy)
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
+    # blocks of three rows: direct, band, the old rule, direct again
+    x = [0.5, 1e-3, 2e-300, 2e9, 3.5e12, 9e15, 1e8, 0.0, 5e-324, 1e17, 2e300, 3e16,
+         0.25]
+    y = [FloatSubclass(-v) for v in x]
     doc = Document("sweep")
     doc.set_columns(["x", "y", "label"], ["", "", ""],
-                    [[1.5, 2e9], [2.5, FloatSubclass(3.0)], ["a", "b"]])
-    assert json.loads(doc.render("json"))["rows"] == [[1.5, 2.5, "a"],
-                                                      [2e9, 3.0, "b"]]
-    assert seen == [[1.5, 2e9], [2.5, 3.0]]
+                    [x, y, [f"r{i}" for i in range(len(x))]])
+    assert doc.render("json") == reference_json(doc)
+    blocks = [column[i:i + 3] for i in range(0, len(x), 3) for column in (x, y)]
+    assert [block for block, _ in seen] == blocks
+    assert [spec for _, spec in seen] == ["%.9g"] * 2 + ["%s"] * 4 + [
+        "%.9g"] * 4
 
 
 # -- the table float cell width ---------------------------------------------

@@ -13,14 +13,18 @@ import pytest
 from bhthermo.channel import (
     Channel,
     characteristic_power,
+    cutoff_powers,
     regime_rate,
 )
 from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
 from bhthermo.constants import (
     CONSTANTS,
+    LOG2E,
     energy_temperature_to_kelvin,
+    entropies_in_bits,
     geometrized_mass,
     nats_to_bits,
+    temperatures_in_kelvin,
 )
 from bhthermo.errors import DomainError
 from bhthermo.evaporation import EmissionParameters
@@ -30,6 +34,7 @@ from bhthermo.kerr_newman import (
     horizon_area,
     horizon_columns,
     make_black_hole,
+    mean_densities,
     mean_density,
     temperature,
 )
@@ -316,3 +321,85 @@ def test_errors_match_the_object_loop(capsys, argv, reference, fmt):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == reference_error(reference)
+
+
+# -- column conversions against the per-point formulas -------------------------
+#
+# The sweep's conversions run as column forms, which the scalar functions
+# now call; each cell must be what the per-point formula gave, and a column
+# must raise the scalar's error for its first bad value.
+
+def old_nats_to_bits(S):
+    if S < 0:
+        raise DomainError(f"entropy must be non-negative, got {S}")
+    return S * LOG2E
+
+
+def old_energy_temperature_to_kelvin(T):
+    if T < 0:
+        raise DomainError(f"temperature must be non-negative, got {T}")
+    return T / CONSTANTS.k_B
+
+
+def old_mean_density(m):
+    if m <= 0:
+        raise DomainError(f"mass must be positive, got {m}")
+    try:
+        return 3.0 * CONSTANTS.c**6 / (32.0 * math.pi * CONSTANTS.G**3 * m**2)
+    except OverflowError:
+        raise DomainError(
+            f"mass {m:g} g is beyond the float range of the mean density "
+            "(m^2 overflows)") from None
+
+
+def old_cutoff_power(lambda_c, params=EmissionParameters()):
+    try:
+        return (CONSTANTS.c**2 * params.gamma_bar * params.n_species
+                * CONSTANTS.hbar / (15360.0 * math.pi * lambda_c**2))
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
+                          "characteristic power beyond the float range") from None
+
+
+COLUMN_FORMS = {
+    "entropies_in_bits": (entropies_in_bits, old_nats_to_bits),
+    "temperatures_in_kelvin": (temperatures_in_kelvin,
+                               old_energy_temperature_to_kelvin),
+    "mean_densities": (mean_densities, old_mean_density),
+    "cutoff_powers": (lambda xs: cutoff_powers(xs, EmissionParameters(1.6, 7.0, 3.0)),
+                      lambda x: old_cutoff_power(x, EmissionParameters(1.6, 7.0, 3.0))),
+}
+COLUMN_VALUES = [10.0 ** (x / 7.0) for x in range(-700, 700)] + [
+    5e-324, 1e-160, 1e154, 1.3e154, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("form", sorted(COLUMN_FORMS))
+def test_column_forms_match_the_per_point_formulas(form):
+    column, old = COLUMN_FORMS[form]
+    values = []
+    for x in COLUMN_VALUES:
+        try:
+            old(x)
+        except (DomainError, ArithmeticError):
+            continue
+        values.append(x)
+    assert len(values) > 1000
+    assert bits([column(values)]) == bits([[old(x) for x in values]])
+    assert column([]) == []
+
+
+@pytest.mark.parametrize("form", sorted(COLUMN_FORMS))
+@pytest.mark.parametrize("column", [
+    [1.0, -2.0, 0.0, -3.0], [math.nan, -1.0], [2.0, -0.0, 0.0], [1.0, 1e200],
+    [1e-200, 1.0, 1e200], [1e300, -1.0], [math.nan, 1.0], [math.inf, 1.0]])
+def test_column_forms_raise_for_the_first_bad_value(form, column):
+    func, old = COLUMN_FORMS[form]
+    for x in column:
+        try:
+            old(x)
+        except (DomainError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as info:
+                func(column)
+            assert str(info.value) == str(exc)
+            return
+    assert bits([func(column)]) == bits([list(map(old, column))])
