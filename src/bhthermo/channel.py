@@ -39,7 +39,6 @@ from .errors import DomainError
 from .evaporation import (
     DEFAULT_EMISSION,
     EmissionParameters,
-    power_at_length,
     powers_at_lengths,
 )
 
@@ -131,7 +130,7 @@ def characteristic_power(ch: Channel) -> float:
 def cutoff_power(lambda_c: float, params: EmissionParameters) -> float:
     """:func:`characteristic_power` of a cutoff lambda_c [cm], on floats."""
     try:
-        return power_at_length(lambda_c, params)
+        return powers_at_lengths((lambda_c,), params)[0]
     except (OverflowError, ZeroDivisionError):
         raise _cutoff_out_of_range(lambda_c) from None
 

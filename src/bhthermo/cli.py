@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+from bisect import bisect
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partialmethod
 from itertools import chain, filterfalse, repeat
@@ -164,7 +165,11 @@ class Document:
         head, a function joining ``%`` conversions into a row's template, a
         conversion or a function of a block giving one and its cells per
         column, the row separator and the tail.  A piece of rows is one
-        formatting call over its cells, so a cell is data, never a template."""
+        formatting call over its cells, so a cell is data, never a template.
+        A JSON float block's magnitudes pick its conversion (_json_floats):
+        of one sign, "%.9g" in [float_info.min, 0.999999999) or from 1e16 - 5e6
+        and integer text in [99999999.95, 1e16 - 5e6); format(x, ".9") for 0.0
+        and in [float_info.min, 99999999.95); else the definition."""
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
         head, row, columns, sep, tail = getattr(self, f"_{fmt}_layout")()
@@ -296,34 +301,29 @@ def _table_width(column: Sequence[object], is_str: bool) -> int:
 
 def _json_floats(block: Sequence[float]) -> tuple[str, Sequence[object]]:
     """The JSON float cell rule for a block: a ``%`` conversion and cells it
-    writes as repr(float("%.8e" % x)).  The block's extremes pick a branch.
-    Values of one sign, all normal and below 0.999999999 or all from
-    9999999995000000.0 in magnitude: "%.9g", which writes repr's digits and
-    notation there.  All of one sign in [999999999.5, 9999999995000000.0):
-    the rounding is an integer, its "%.8e" text with "e+EE" as EE - 8 zeros
-    and ".0", less the point.  Else a cell is format(x, ".9") if x is 0.0
-    or normal with |x| < 99999999.0 or >= 1e16, and the rounding if not; a
-    block of one kind maps its conversion."""
+    writes as repr(float("%.8e" % x)), the definition.  The block's least
+    and greatest magnitude pick one conversion a cell.  One sign, all in
+    [sys.float_info.min, 0.999999999) or all from 9999999995000000.0:
+    "%.9g".  One sign, all in [99999999.95, 9999999995000000.0): the
+    rounding is an integer, its "%.8e" text less the point, with "e+EE" as
+    EE - 8 zeros and ".0".  All 0.0 or in [sys.float_info.min, 99999999.95):
+    format(x, ".9").  Any other block maps the definition."""
     lo, hi = min(block, default=0.0), max(block, default=0.0)
-    tiny = sys.float_info.min
-    if (tiny <= lo and (hi < 0.999999999 or lo >= 9999999995000000.0)
-            or hi <= -tiny and (lo > -0.999999999 or hi <= -9999999995000000.0)):
+    small, large = sorted((abs(lo), abs(hi)))
+    edges = (sys.float_info.min, 0.999999999, 99999999.95, 9999999995000000.0)
+    least = bisect(edges, small) if lo > 0.0 or hi < 0.0 else 0  # 0: 0.0, subnormals
+    most = bisect(edges, large)
+    if least == most and most in (1, 4):
         return "%.9g", block
-    if 999999999.5 <= lo and hi < 9999999995000000.0 or (
-            -9999999995000000.0 < lo and hi <= -999999999.5):
+    if least == most == 3:
         text = ("%.8e|" * len(block) % tuple(block)).replace(".", "")
-        small, large = sorted((abs(lo), abs(hi)))
         for e in range(int(("%.8e" % small)[-2:]), int(("%.8e" % large)[-2:]) + 1):
             text = text.replace(f"e+{e:02}|", "0" * (e - 8) + ".0|")
         return "%s", text.split("|")[:-1]
-    if 99999999.0 <= lo and hi < 1e16:
-        return "%s", list(map(float, map("%.8e".__mod__, block)))
-    if (-99999999.0 < lo and hi < 99999999.0
-            and (lo >= tiny or hi <= -tiny
-                 or min(filter(None, map(abs, block)), default=tiny) >= tiny)):
+    if most < 3 and (least or bisect(edges, min(filter(None, map(abs, block)),
+                                                default=1.0))):
         return "%s", map(format, block, repeat(".9"))
-    return "%s", [format(x, ".9") if tiny <= (a := abs(x)) < 99999999.0
-                  or a >= 1e16 or x == 0.0 else float("%.8e" % x) for x in block]
+    return "%s", map(float, map("%.8e".__mod__, block))
 
 
 def _text_cell(value: object, where: str, exact: bool) -> str:

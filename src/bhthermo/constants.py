@@ -161,10 +161,9 @@ def energy_temperature_to_kelvin(T: float) -> float:
 def temperatures_in_kelvin(temperatures: Sequence[float]) -> list[float]:
     """:func:`energy_temperature_to_kelvin` of each temperature [erg],
     refusing the first negative one."""
-    if not all(map((0.0).__le__, temperatures)):
-        for T in temperatures:
-            if T < 0:
-                raise DomainError(f"temperature must be non-negative, got {T}")
+    negative = next((T for T in temperatures if T < 0), None)
+    if negative is not None:
+        raise DomainError(f"temperature must be non-negative, got {negative}")
     k_B = CONSTANTS.k_B
     return [T / k_B for T in temperatures]
 
@@ -177,10 +176,9 @@ def nats_to_bits(S: float) -> float:
 def entropies_in_bits(entropies: Sequence[float]) -> list[float]:
     """:func:`nats_to_bits` of each entropy [nats], refusing the first
     negative one."""
-    if not all(map((0.0).__le__, entropies)):
-        for S in entropies:
-            if S < 0:
-                raise DomainError(f"entropy must be non-negative, got {S}")
+    negative = next((S for S in entropies if S < 0), None)
+    if negative is not None:
+        raise DomainError(f"entropy must be non-negative, got {negative}")
     return [S * LOG2E for S in entropies]
 
 

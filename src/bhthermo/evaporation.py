@@ -93,21 +93,16 @@ def hawking_flux(bh: BlackHole, r: float,
             / (61440.0 * (math.pi * bh.M * r)**2))
 
 
-def power_at_length(length: float, params: EmissionParameters) -> float:
-    """c^2 gamma_bar N hbar / (15360 pi L^2) [erg s^-1] at the length L [cm].
+def powers_at_lengths(lengths: Sequence[float],
+                      params: EmissionParameters) -> list[float]:
+    """c^2 gamma_bar N hbar / (15360 pi L^2) [erg s^-1] at each length L [cm].
 
     The Hawking power of a hole of gravitational length L, and the
     characteristic power of a channel whose cutoff wavelength is L.
-    Raises OverflowError or ZeroDivisionError when L^2 leaves the float
-    range; each caller names its own length in the DomainError.
+    Raises OverflowError or ZeroDivisionError for the first L whose L^2
+    leaves the float range; each caller names its own length in the
+    DomainError.
     """
-    return powers_at_lengths((length,), params)[0]
-
-
-def powers_at_lengths(lengths: Sequence[float],
-                      params: EmissionParameters) -> list[float]:
-    """:func:`power_at_length` at each length [cm], raising what it raises
-    for the first length out of range."""
     numerator = CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
     scale = 15360.0 * math.pi
     return [numerator / (scale * L**2) for L in lengths]
@@ -121,7 +116,7 @@ def hawking_power(bh: BlackHole,
     """
     _require_schwarzschild(bh)
     try:
-        return power_at_length(bh.M, params)
+        return powers_at_lengths((bh.M,), params)[0]
     except OverflowError:
         raise DomainError(f"mass {bh.m:g} g puts the Hawking power beyond "
                           "the float range (M^2 overflows)") from None

@@ -220,6 +220,8 @@ def infall_experiment(sys: MaterialSystem,
     energy it is about to swallow, so its entropy is unchanged; the world
     ledger trades the system's entropy against the radiated nu E / T.
     Failed assumptions make the report inapplicable, not a violation.
+    An energy whose rest mass E/c^2 underflows to 0 (below about 2.2e-303
+    erg) is refused with a DomainError.
     """
     if sys.entropy is None:
         raise DomainError("the infalling system needs a stored entropy")
@@ -250,7 +252,11 @@ def infall_experiment(sys: MaterialSystem,
         raise DomainError(f"hole-to-system size ratio zeta = {zeta:g} puts "
                           "zeta^2 beyond the float range") from None
     drop = drop_distance(sys, zeta, params)
-    mass_ratio = hole.m / (sys.energy / CONSTANTS.c**2)
+    rest_mass = sys.energy / CONSTANTS.c**2
+    if rest_mass == 0.0:
+        raise DomainError(f"energy {sys.energy:g} erg puts the rest mass E/c^2 "
+                          "below the float range")
+    mass_ratio = hole.m / rest_mass
     checks = (
         AssumptionCheck("composite", compositeness(sys), COMPOSITE_THRESHOLD,
                         is_composite(sys)),

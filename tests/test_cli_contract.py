@@ -12,7 +12,7 @@ import io
 import json
 import re
 
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from bhthermo.cli import BH_SWEEP_QUANTITIES, FORMATS, build_parser, main
@@ -54,8 +54,11 @@ VALID = [
 
 #: Values near the physical scales of the subcommands next to every float
 #: hypothesis draws, NaN and the infinities among them.
+#: The float range's ends are among them: the least subnormal and normal,
+#: where a quotient underflows to 0, and the greatest finite magnitudes.
 TYPICAL = [0.0, 0.5, 1.0, 1.5, 2.0, 10.0, 1e-3, 5e-5, 1e-6, 1e5, 1e15, 1e20,
-           1e30, 2e33, 1e-300, 1e300]
+           1e30, 2e33, 1e-300, 1e300, 5e-324, 2.2e-308, 1e-303, 1e-154, 1e154,
+           1.7e308]
 floats = st.one_of(st.sampled_from(TYPICAL),
                    st.sampled_from(TYPICAL).map(lambda x: -x),
                    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
@@ -107,6 +110,9 @@ def _reject_constant(name):
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(argvs())
+# E/c^2 underflows to 0 for this energy, so hole mass / rest mass divides by 0
+@example(["gedanken", "--scenario", "infall", "--energy", "1e-303", "--radius", "1",
+          "--entropy", "1", "--format", "table"])
 def test_every_run_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

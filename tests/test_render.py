@@ -296,11 +296,11 @@ def test_non_finite_series_cell_is_refused(fmt, bad):
 
 # -- the JSON float cell ------------------------------------------------------
 #
-# JSON writes a series float as repr of its 9-digit rounding.  The writer
-# takes one conversion per cell where a block's extremes allow it: "%.9g"
-# of the value, or the rounding's "%.8e" text rewritten as fixed notation,
-# and keeps the old conversions elsewhere.  Every cell must come out as the
-# old three conversions wrote it.
+# JSON writes a series float as repr of its 9-digit rounding, the
+# definition.  The writer takes one conversion per cell where a block's
+# magnitudes allow it: "%.9g" of the value, the rounding's "%.8e" text
+# rewritten as fixed notation, or format(x, ".9"), and maps the definition
+# elsewhere.  Every cell must come out as the definition writes it.
 
 
 def _old_json_text(x):
@@ -314,8 +314,9 @@ def _json_texts(column):
 
 _TINY = sys.float_info.min
 _MAX = sys.float_info.max
-#: The magnitudes where a branch of the cell rule, or repr's fixed
-#: notation, starts or ends, and the least that round up to 1 and 1e8.
+#: The magnitudes where a rule of the cell, or repr's fixed notation,
+#: starts or ends (and where an earlier form of the rule switched), and
+#: the least that round up to 1 and 1e8.
 _BOUNDS = [_TINY, 0.999999999, 0.9999999995, 1.0, 99999999.0, 99999999.95,
            999999999.5, 9.999999995e15, 1e16]
 _EDGES = [
@@ -359,17 +360,27 @@ def _random_doubles(n, seed):
     return [x for x in doubles if math.isfinite(x)]
 
 
-#: Each branch's magnitudes [lo, hi), with the row spec its blocks take:
-#: "%.9g" of the value, or "%s" of a str cell, the fixed notation of the
-#: band.  The others take the old rule.
-JSON_BRANCHES = {
-    "direct_small": (_TINY, 0.999999999, "%.9g"),
-    "direct_large": (9.999999995e15, math.inf, "%.9g"),
-    "band": (999999999.5, 9.999999995e15, "%s"),
-    "fixed_below_band": (99999999.0, 999999999.5, None),
-    "one_call_middle": (0.999999999, 99999999.0, None),
-    "subnormal": (5e-324, _TINY, None),
+#: Each rule's magnitudes [lo, hi), with the row spec its blocks take and
+#: the type of their cells: "%.9g" of the value itself, "%s" of a str (the
+#: text rule's fixed notation, or format(x, ".9")), or "%s" of the
+#: definition's rounded float.
+JSON_RULES = {
+    "direct_small": (_TINY, 0.999999999, "%.9g", float),
+    "direct_large": (9.999999995e15, math.inf, "%.9g", float),
+    "text": (99999999.95, 9.999999995e15, "%s", str),
+    "format": (0.999999999, 99999999.95, "%s", str),
+    "definition": (5e-324, _TINY, "%s", float),
 }
+
+
+def _rule_of(block):
+    """The row spec of the block's rule and the kind of its first cell."""
+    spec, cells = cli._json_floats(block)
+    return spec, _kind(next(iter(cells)))
+
+
+def _kind(cell):
+    return str if isinstance(cell, str) else float
 
 
 def _random_magnitudes(rng, lo, hi, n):
@@ -387,17 +398,16 @@ def _random_magnitudes(rng, lo, hi, n):
 
 def test_json_cell_rule_on_random_blocks_of_each_branch():
     rng = random.Random(20261019)
-    for lo, hi, spec in JSON_BRANCHES.values():
+    for lo, hi, spec, kind in JSON_RULES.values():
         for _ in range(60):
             sign = rng.choice([1.0, -1.0])
             block = [sign * x for x in _random_magnitudes(
                 rng, lo, hi, rng.choice([1, 2, 7, 64, 500]))]
             assert _json_texts(block) == list(map(_old_json_text, block))
-            if spec is not None:
-                assert cli._json_floats(block)[0] == spec
-    # blocks that straddle the branches, or mix signs, zeros and subnormals
+            assert _rule_of(block) == (spec, kind)
+    # blocks that straddle the rules, or mix signs, zeros and subnormals
     pieces = [_random_magnitudes(rng, lo, hi, 50)
-              for lo, hi, _ in JSON_BRANCHES.values()]
+              for lo, hi, _, _ in JSON_RULES.values()]
     for _ in range(200):
         block = [rng.choice([1.0, -1.0]) * x
                  for piece in rng.sample(pieces, 2)
@@ -411,7 +421,7 @@ def test_json_cell_rule_on_random_bit_patterns():
     xs = _random_doubles(100_000, seed=20261018)
     assert len(xs) > 99_000
     assert _json_texts(xs) == list(map(_old_json_text, xs))
-    # each cell alone takes a branch of its own
+    # each cell alone takes a rule of its own
     assert [_json_texts([x])[0] for x in xs[:5000]] == list(
         map(_old_json_text, xs[:5000]))
     # and so do runs of one sign and a few binades, the blocks of a sweep
@@ -427,23 +437,28 @@ def test_json_cells_go_through_the_column_rule(monkeypatch):
 
     def spy(block):
         spec, cells = rule(block)
-        seen.append((list(block), spec))
+        cells = list(cells)
+        seen.append((list(block), spec, _kind(cells[0])))
         return spec, cells
 
     monkeypatch.setattr(cli, "_json_floats", spy)
     monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
-    # blocks of three rows: direct, band, the old rule, direct again
+    # blocks of three rows: direct, text, the definition, direct, text from
+    # 1e8, format, direct again
     x = [0.5, 1e-3, 2e-300, 2e9, 3.5e12, 9e15, 1e8, 0.0, 5e-324, 1e17, 2e300, 3e16,
-         0.25]
+         99999999.95, 1.5e8, 999999999.4, 0.0, 99999999.9, 2.5, 0.25]
     y = [FloatSubclass(-v) for v in x]
     doc = Document("sweep")
     doc.set_columns(["x", "y", "label"], ["", "", ""],
                     [x, y, [f"r{i}" for i in range(len(x))]])
     assert doc.render("json") == reference_json(doc)
     blocks = [column[i:i + 3] for i in range(0, len(x), 3) for column in (x, y)]
-    assert [block for block, _ in seen] == blocks
-    assert [spec for _, spec in seen] == ["%.9g"] * 2 + ["%s"] * 4 + [
-        "%.9g"] * 4
+    assert [block for block, _, _ in seen] == blocks
+    direct, definition = ("%.9g", float), ("%s", float)
+    text = formatted = ("%s", str)
+    assert [(spec, kind) for _, spec, kind in seen] == [
+        direct, direct, text, text, definition, definition, direct, direct,
+        text, text, formatted, formatted, direct, direct]
 
 
 # -- the table float cell width ---------------------------------------------
