@@ -100,16 +100,6 @@ def weak_gravity_ratio(sys: MaterialSystem) -> float:
     return CONSTANTS.G * sys.energy / (CONSTANTS.c**4 * sys.radius)
 
 
-def is_composite(sys: MaterialSystem,
-                 threshold: float = COMPOSITE_THRESHOLD) -> bool:
-    return compositeness(sys) >= threshold
-
-
-def is_weakly_gravitating(sys: MaterialSystem,
-                          threshold: float = WEAK_GRAVITY_THRESHOLD) -> bool:
-    return weak_gravity_ratio(sys) <= threshold
-
-
 def sphere_area(radius: float) -> float:
     """Area 4 pi R^2 [cm^2] of the sphere of radius R [cm]."""
     try:
@@ -193,8 +183,8 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
 
     comp = compositeness(sys)
     grav = weak_gravity_ratio(sys)
-    composite = is_composite(sys, composite_threshold)
-    weak = is_weakly_gravitating(sys, weak_gravity_threshold)
+    composite = comp >= composite_threshold
+    weak = grav <= weak_gravity_threshold
 
     not_composite = f"not composite (ER/c hbar = {comp:.3e} < {composite_threshold})"
     reasons = [] if composite else [not_composite]

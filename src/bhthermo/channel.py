@@ -28,9 +28,9 @@ the dimensional-analysis capacity (P/hbar)^(1/2) f(lambda_c^2 P / c^2 hbar).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Sequence
-from itertools import islice, repeat
+from bisect import bisect_right
+from collections.abc import Iterable, Sequence
+from itertools import groupby, islice, repeat
 from operator import ge, le
 from typing import NamedTuple
 
@@ -164,23 +164,17 @@ def _cutoff_out_of_range(lambda_c: float) -> DomainError:
 
 def gsl_bound(ch: Channel, xi: float) -> float:
     """Two-term information-rate bound [bits s^-1] at size ratio xi >= 1."""
-    return gsl_rate(ch.lambda_c, ch.power, characteristic_power(ch),
-                    ch.emission, xi)
-
-
-def gsl_rate(lambda_c: float, P: float, p_c: float,
-             params: EmissionParameters, xi: float) -> float:
-    """:func:`gsl_bound` on floats, given the characteristic power p_c."""
+    p_c = characteristic_power(ch)
     if xi < XI_MIN:
         raise DomainError(
             f"xi must be >= {XI_MIN} for near-total absorption, got {xi}")
-    return gsl_rates((lambda_c,), (P,), (p_c,), params, (xi,))[0]
+    return gsl_rates((ch.lambda_c,), (ch.power,), (p_c,), ch.emission, (xi,))[0]
 
 
 def gsl_rates(lambdas: Iterable[float], powers: Iterable[float],
               p_cs: Iterable[float], params: EmissionParameters,
               xis: Iterable[float]) -> list[float]:
-    """:func:`gsl_rate` of each channel (lambda_c, P, p_c) at its size
+    """:func:`gsl_bound` of each channel (lambda_c, P, p_c) at its size
     ratio xi, which must be at least XI_MIN."""
     eight_pi, hc = 8.0 * math.pi, CONSTANTS.hbar * CONSTANTS.c
     nu_1 = params.nu - 1.0
@@ -262,84 +256,86 @@ def consistency_check(ch: Channel) -> ConsistencyReport:
                              pendry_crossover_power=crossover)
 
 
-def regime_rate(lambda_c: float, P: float, p_c: float,
-                params: EmissionParameters) -> tuple[str, float | None, float]:
-    """Dispatch the power regime: (regime, xi used, rate bound [bits s^-1])
-    of the channel (lambda_c, P) whose characteristic power is p_c.
+#: The runs of :func:`_run`, in the order met as P/p_c rises; their regimes.
+ZERO_POWER, SQRT_LAW, AT_XI_MIN, INTERMEDIATE, HIGH = range(5)
+_REGIMES = ("low", "low", "low", "intermediate", "high")
 
-    The one home of the regime logic, on floats for callers that evaluate
-    many channels: the inputs must pass :func:`check_channel`.
-    :func:`regime_columns` repeats its comparisons and the sqrt law's
-    condition to split a column into runs: change them together.
+
+def _run(P: float, p_c: float, nu: float) -> int:
+    """The run of the channel of power P and characteristic power p_c: the
+    one home of the regime policy.
+
+    P = 0 carries nothing.  The regime is low up to p_c/200, where the sqrt
+    law holds if nu > 1 and optimal_xi >= XI_MIN, else the two-term bound
+    is taken at XI_MIN; high from p_c/10; intermediate between.  Where P
+    never falls and p_c never rises along columns, P/p_c never falls and
+    optimal_xi never rises, so neither does the run.
     """
     if P == 0.0:
-        return "low", None, 0.0
-    nu = params.nu
+        return ZERO_POWER
     if P <= p_c / LOW_POWER_DIVISOR:
-        xi_used = optimal_xi(P, p_c, nu)
-        if xi_used >= XI_MIN and nu > 1.0:
-            return "low", xi_used, low_power_rates((P,), params)[0]
-        # nu at or near 1: the unconstrained optimum sits below the
-        # admissible xi range, so the bound is taken at xi = 1.
-        return "low", XI_MIN, gsl_rate(lambda_c, P, p_c, params, XI_MIN)
-    if P >= p_c / HIGH_POWER_DIVISOR:
-        return "high", XI_FLOOR, high_power_rates((lambda_c,), (P,))[0]
-    xi_used = max(optimal_xi(P, p_c, nu), XI_FLOOR)
-    return "intermediate", xi_used, gsl_rate(lambda_c, P, p_c, params, xi_used)
+        if nu > 1.0 and optimal_xi(P, p_c, nu) >= XI_MIN:
+            return SQRT_LAW
+        return AT_XI_MIN
+    return HIGH if P >= p_c / HIGH_POWER_DIVISOR else INTERMEDIATE
 
 
-def _at(x: Sequence[float] | float) -> Callable[[int], float]:
-    """Point i of x, a column or one float for every point."""
-    return (lambda i: x) if isinstance(x, float) else x.__getitem__
+def _rates(run: int, lambdas: Sequence[float] | float,
+           powers: Sequence[float] | float, p_cs: Sequence[float] | float,
+           params: EmissionParameters, start: int, stop: int
+           ) -> tuple[Iterable[float | None], list[float]]:
+    """The xi used and the bound [bits s^-1] of the channels (lambda_c, P,
+    p_c) at points start to stop, all in run ``run``, by its kernel; a float
+    holds at every point, and the sqrt law's xi is computed only as read."""
+    def at(x: Sequence[float] | float) -> Iterable[float]:
+        return repeat(x, stop - start) if isinstance(x, float) else x[start:stop]
+
+    if run == ZERO_POWER:
+        return repeat(None), [0.0] * (stop - start)
+    if run == SQRT_LAW:
+        return (map(optimal_xi, at(powers), at(p_cs), repeat(params.nu)),
+                low_power_rates(at(powers), params))
+    if run == HIGH:
+        return repeat(XI_FLOOR), high_power_rates(at(lambdas), at(powers))
+    xis = [XI_MIN] * (stop - start) if run == AT_XI_MIN else [
+        XI_FLOOR if XI_FLOOR > xi else xi       # max(xi, XI_FLOOR)
+        for xi in optimal_xis(at(powers), at(p_cs), params.nu)]
+    return xis, gsl_rates(at(lambdas), at(powers), at(p_cs), params, xis)
 
 
 def regime_columns(lambdas: Sequence[float] | float,
                    powers: Sequence[float] | float,
                    p_cs: Sequence[float] | float, params: EmissionParameters
                    ) -> tuple[list[str], list[float]]:
-    """:func:`regime_rate` of each channel (lambda_c, P, p_c), as the two
-    columns regime and bound: the one kernel of every channel sweep.  A
-    float in place of a column holds at every point; at least one of the
-    three must be a column.
+    """The regime and the bound [bits s^-1] of each channel (lambda_c, P,
+    p_c), as two columns: the one kernel of every channel sweep.  A float
+    in place of a column holds at every point; at least one of the three
+    must be a column, and the inputs must pass :func:`check_channel`.
 
-    Where P never falls and p_c never rises along the columns, P/p_c never
-    falls, so each regime is one run of points, found by bisection with
-    :func:`regime_rate`'s own comparisons: the low run up to p_c/200, the
-    high run from p_c/10 and the intermediate run between.  Each run maps
-    its regime's column kernel.  The low run's sqrt law needs nu > 1 and
-    optimal_xi >= XI_MIN; optimal_xi never rises along the run, so its
-    last point decides, and if it fails the run goes point by point.  So
-    do the zero powers, and every point of columns not so ordered.
+    Each stretch of points in one run of :func:`_run` maps its kernel
+    (:func:`_rates`).  Where P never falls and p_c never rises, so neither
+    do the runs, bisection finds them; else each point's run is read.
     """
     n = len(next(x for x in (powers, lambdas, p_cs) if not isinstance(x, float)))
-    point = low = high = n
-    nu = params.nu
-    P, p_c = _at(powers), _at(p_cs)
     if all(isinstance(x, float) or all(map(order, x, islice(x, 1, None)))
            for x, order in ((powers, le), (p_cs, ge))):
-        low = bisect_left(range(n), True, key=lambda i:
-                          P(i) > p_c(i) / LOW_POWER_DIVISOR)
-        high = bisect_left(range(n), True, low, key=lambda i:
-                           P(i) >= p_c(i) / HIGH_POWER_DIVISOR)
-        point = bisect_right(range(n), 0.0, 0, low, key=P)
-        if not (point < low and nu > 1.0
-                and optimal_xi(P(low - 1), p_c(low - 1), nu) >= XI_MIN):
-            point = low
-
-    def run(start: int, stop: int) -> list[Iterable[float]]:
-        """lambdas, powers and p_cs at points start to stop."""
-        return [repeat(x, stop - start) if isinstance(x, float) else x[start:stop]
-                for x in (lambdas, powers, p_cs)]
-
-    rates = list(map(regime_rate, *run(0, point), repeat(params)))
-    bounds = [rate[2] for rate in rates]
-    bounds += low_power_rates(run(point, low)[1], params)
-    xis = [XI_FLOOR if XI_FLOOR > xi else xi    # max(xi, XI_FLOOR)
-           for xi in optimal_xis(*run(low, high)[1:], nu)]
-    bounds += gsl_rates(*run(low, high), params, xis)
-    bounds += high_power_rates(*run(high, n)[:2])
-    return ([rate[0] for rate in rates] + ["low"] * (low - point)
-            + ["intermediate"] * (high - low) + ["high"] * (n - high), bounds)
+        P, p_c = ((lambda i, x=x: x) if isinstance(x, float) else x.__getitem__
+                  for x in (powers, p_cs))
+        stops = [bisect_right(range(n), run,
+                              key=lambda i: _run(P(i), p_c(i), params.nu))
+                 for run in range(len(_REGIMES))]
+        runs = [(run, stop - start) for run, start, stop
+                in zip(range(len(_REGIMES)), [0, *stops], stops) if start < stop]
+    else:
+        runs = [(run, len(list(points))) for run, points in groupby(map(
+            _run, *(repeat(x, n) if isinstance(x, float) else x
+                    for x in (powers, p_cs)), repeat(params.nu)))]
+    regimes, bounds, start = [], [], 0
+    for run, size in runs:
+        regimes += repeat(_REGIMES[run], size)
+        bounds += _rates(run, lambdas, powers, p_cs, params, start, start + size)[1]
+        start += size
+    return regimes, bounds
 
 
 def capacity_bound(ch: Channel) -> CapacityReport:
@@ -350,9 +346,10 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     factor at the edges.
     """
     p_c = characteristic_power(ch)
-    regime, xi_used, bound = regime_rate(ch.lambda_c, ch.power, p_c, ch.emission)
+    run = _run(ch.power, p_c, ch.emission.nu)
+    xis, bounds = _rates(run, (ch.lambda_c,), (ch.power,), (p_c,), ch.emission, 0, 1)
     return CapacityReport(
         p_c=p_c, p_c_approx=approx_characteristic_power(ch.lambda_c),
-        regime=regime, xi_used=xi_used, bound_bits_per_s=bound,
+        regime=_REGIMES[run], xi_used=next(iter(xis)), bound_bits_per_s=bounds[0],
         pendry_bits_per_s=pendry_capacity(ch.power, ch.n_carriers),
         consistency=consistency_check(ch))

@@ -402,24 +402,33 @@ GEDANKEN_SCENARIOS = {
     "merger": ("m1", "m2"),
 }
 
-#: Each subcommand's help, its --input help (None: it takes no --input) and
-#: its parameters, in the order its --help lists them.
+
+class Subcommand(NamedTuple):
+    """Help, --input help (None: no --input), parameters, emitted record kind."""
+    help: str
+    input_help: str | None
+    parameters: tuple[Param, ...]
+    kind: str
+
+
 SUBCOMMANDS = {
-    "constants": ("dump the physical constants table", None, ()),
-    "bh": ("Kerr-Newman black hole state", "key=value or emitted-JSON input file", (
+    "constants": Subcommand("dump the physical constants table", None, (),
+                            "constants"),
+    "bh": Subcommand("Kerr-Newman black hole state",
+                     "key=value or emitted-JSON input file", (
         Param("--mass", "mass [g]", key="mass_g"),
         Param("--charge", "charge [esu]", 0.0, key="charge_esu"),
         Param("--spin", "angular momentum [erg s]", 0.0, key="spin_erg_s"),
         Param("--charge-over-m", "charge as the dimensionless ratio Q/M"),
         Param("--spin-over-m", "spin as the dimensionless ratio a/M"),
-    )),
-    "evaporate": ("Hawking evaporation trajectory", INPUT_HELP, (
+    ), "black_hole"),
+    "evaporate": Subcommand("Hawking evaporation trajectory", INPUT_HELP, (
         Param("--mass", "initial mass [g]", key="mass_g"),
         Param("--points", f"number of samples (default 200, at most {MAX_POINTS})",
               200, int),
         N_SPECIES,
-    )),
-    "bounds": ("entropy bound report for a system", INPUT_HELP, (
+    ), "evaporation"),
+    "bounds": Subcommand("entropy bound report for a system", INPUT_HELP, (
         Param("--energy", "rest energy [erg]"),
         Param("--mass", "rest mass [g] (alternative to energy)"),
         Param("--radius", "largest radius [cm]"),
@@ -432,8 +441,9 @@ SUBCOMMANDS = {
               "ER/(c hbar) needed to count as composite (default 10)"),
         Param("--weak-gravity-threshold",
               "largest GE/(c^4 R) counting as weak gravity (default 1e-2)"),
-    )),
-    "gedanken": ("entropy-ledger thought experiments", "key=value scenario file", (
+    ), "bound_report"),
+    "gedanken": Subcommand("entropy-ledger thought experiments",
+                           "key=value scenario file", (
         Param("--scenario", type=str, choices=tuple(GEDANKEN_SCENARIOS)),
         Param("--energy", "system rest energy [erg]"),
         Param("--mass", "system rest mass [g]"),
@@ -450,18 +460,18 @@ SUBCOMMANDS = {
         Param("--m1", "first hole mass [g] (merger)"),
         Param("--m2", "second hole mass [g] (merger)"),
         *EMISSION,
-    )),
-    "channel": ("channel capacity bounds", INPUT_HELP, (
+    ), "gedanken"),
+    "channel": Subcommand("channel capacity bounds", INPUT_HELP, (
         Param("--lambda-c", "long-wavelength cutoff [cm]"),
         Param("--frequency", "cutoff as a frequency [Hz] (alternative to lambda-c)"),
         Param("--power", "channel power [erg s^-1]"),
         N_CARRIERS,
         *EMISSION,
-    )),
-    "sweep": ("parameter sweeps as data series", INPUT_HELP, (
+    ), "channel_capacity"),
+    "sweep": Subcommand("parameter sweeps as data series", INPUT_HELP, (
         Param("target", type=str, choices=("bh", "channel")),
         *SWEEP_GRID, *SWEEP_BH, *SWEEP_CHANNEL,
-    )),
+    ), "sweep"),
 }
 
 
@@ -481,9 +491,10 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return data
 
 
-def load_input_file(path: str, keys: dict[str, str]) -> dict[str, str]:
+def load_input_file(path: str, command: str) -> dict[str, str]:
     """Read a flat key=value file, or the inputs of a previously emitted
-    JSON record, whose keys ``keys`` maps to parameter names."""
+    JSON record of the subcommand ``command``, by parameter name."""
+    row = SUBCOMMANDS[command]
     try:
         if not path.endswith(".json"):
             return _parse_kv_file(path)
@@ -492,11 +503,14 @@ def load_input_file(path: str, keys: dict[str, str]) -> dict[str, str]:
             obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}")
-    except ValueError as exc:       # json.JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:    # bad JSON or UTF-8; too deep
         raise ConfigError(f"cannot parse {path}: {exc}")
+    if isinstance(obj, dict) and obj.get("kind", row.kind) != row.kind:
+        raise ConfigError(f"{path} holds a {obj['kind']!r} record, not {row.kind!r}")
     inputs = obj.get("inputs", obj) if isinstance(obj, dict) else None
     if not isinstance(inputs, dict):
         raise ConfigError(f"{path} holds no JSON object of inputs")
+    keys = {p.key: p.dest for p in row.parameters if p.key}
     return {keys.get(key, key): str(value) for key, value in inputs.items()}
 
 
@@ -505,12 +519,11 @@ def merge_input(args: argparse.Namespace) -> set[str]:
     one still unset its literal default, if it has one.  CLI flags win over
     file values, and a file value must have its parameter's type and
     choices.  Returns the dests that the command line or the file set."""
-    parameters = SUBCOMMANDS[args.command][2]
+    parameters = SUBCOMMANDS[args.command].parameters
     path = getattr(args, "input", None)
     if path is not None:
         options = {p.dest: p for p in parameters if p.flag.startswith("-")}
-        keys = {p.key: p.dest for p in parameters if p.key}
-        for key, raw in load_input_file(path, keys).items():
+        for key, raw in load_input_file(path, args.command).items():
             dest = key.replace("-", "_")
             if dest not in options:
                 raise ConfigError(f"unknown key {key!r} in {path}")
@@ -551,7 +564,7 @@ def _refuse_unread(args: argparse.Namespace, given: set[str],
     unread = given.difference(read)
     if unread:
         raise ConfigError(f"{what} does not read " + ", ".join(
-            p.flag for p in SUBCOMMANDS[args.command][2] if p.dest in unread))
+            p.flag for p in SUBCOMMANDS[args.command].parameters if p.dest in unread))
 
 
 def _options(args: argparse.Namespace, *dests: str) -> dict[str, object]:
@@ -570,7 +583,7 @@ def build_emission(args: argparse.Namespace) -> EmissionParameters:
 
 def cmd_constants(args: argparse.Namespace) -> Document:
     table = constants_table()
-    doc = Document("constants")
+    doc = Document(SUBCOMMANDS["constants"].kind)
     for name, value in table["values"].items():
         doc.add("values", name, value, table["units"][name])
     doc.add("meta", "source", table["source"])
@@ -602,7 +615,7 @@ def cmd_bh(args: argparse.Namespace) -> Document:
     h1, h2 = h_factors(bh)
     S = entropy(bh)
     T = temperature(bh)
-    doc = Document("black_hole")
+    doc = Document(SUBCOMMANDS["bh"].kind)
     doc.add("inputs", "mass_g", bh.m, "g")
     doc.add("inputs", "charge_esu", bh.q, "esu")
     doc.add("inputs", "spin_erg_s", bh.j, "erg s")
@@ -630,7 +643,7 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
         raise ConfigError("evaporate needs at least two points")
     _check_points(args)
     t, m = mass_history(args.mass, build_emission(args), points=args.points)
-    doc = Document("evaporation")
+    doc = Document(SUBCOMMANDS["evaporate"].kind)
     doc.add("inputs", "mass_g", args.mass, "g")
     doc.add("results", "lifetime_s", t[-1], "s")
     doc.set_columns(["t", "mass"], ["s", "g"], [t, m])
@@ -645,7 +658,7 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     options = _options(args, "nu", "zeta", "composite_threshold",
                        "weak_gravity_threshold")
     report = bound_report(sys_, enclosing_area=args.area, **options)
-    doc = Document("bound_report")
+    doc = Document(SUBCOMMANDS["bounds"].kind)
     doc.add("inputs", "energy", sys_.energy, "erg")
     doc.add("inputs", "radius", args.radius, "cm")
     doc.add("inputs", "enclosing_area", report.enclosing_area, "cm^2")
@@ -701,7 +714,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
 
 
 def _gedanken_document(report: GedankenReport) -> Document:
-    doc = Document("gedanken")
+    doc = Document(SUBCOMMANDS["gedanken"].kind)
     doc.add("results", "scenario", report.scenario)
     for e in report.ledger.entries:
         key = e.label.replace(" ", "_")
@@ -736,7 +749,7 @@ def cmd_channel(args: argparse.Namespace) -> Document:
     ch = Channel(lambda_c, args.power, **_options(args, "n_carriers"),
                  emission=EmissionParameters(**emission))
     report = capacity_bound(ch)
-    doc = Document("channel_capacity")
+    doc = Document(SUBCOMMANDS["channel"].kind)
     doc.add("inputs", "lambda_c", lambda_c, "cm")
     doc.add("inputs", "power", ch.power, "erg s^-1")
     doc.add("inputs", "n_carriers", ch.n_carriers)
@@ -838,7 +851,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                                  ["erg s^-1" if power_sweep else "cm", "bit s^-1", ""],
                                  [grid, bounds, regimes])
     # one point is the first row of a two-point sweep, so its stop is checked
-    doc = Document("sweep")
+    doc = Document(SUBCOMMANDS["sweep"].kind)
     doc.set_columns(names, units, columns if args.points > 1
                     else [column[:1] for column in columns])
     return doc
@@ -877,15 +890,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_, input_help, parameters) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_, parents=[common])
+    for name, row in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=row.help, parents=[common])
         # argparse's default stays None: a file value or the row's default
         # fills an unset parameter later, in merge_input
-        for param in parameters:
+        for param in row.parameters:
             p.add_argument(param.flag, type=param.type, choices=param.choices,
                            help=param.help)
-        if input_help is not None:
-            p.add_argument("--input", help=input_help)
+        if row.input_help is not None:
+            p.add_argument("--input", help=row.input_help)
     return parser
 
 

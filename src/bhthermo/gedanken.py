@@ -31,8 +31,6 @@ from .bounds import (
     WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     compositeness,
-    is_composite,
-    is_weakly_gravitating,
     sphere_area,
     weak_gravity_ratio,
 )
@@ -257,11 +255,12 @@ def infall_experiment(sys: MaterialSystem,
         raise DomainError(f"energy {sys.energy:g} erg puts the rest mass E/c^2 "
                           "below the float range")
     mass_ratio = hole.m / rest_mass
+    comp, grav = compositeness(sys), weak_gravity_ratio(sys)
     checks = (
-        AssumptionCheck("composite", compositeness(sys), COMPOSITE_THRESHOLD,
-                        is_composite(sys)),
-        AssumptionCheck("weak_gravity", weak_gravity_ratio(sys),
-                        WEAK_GRAVITY_THRESHOLD, is_weakly_gravitating(sys)),
+        AssumptionCheck("composite", comp, COMPOSITE_THRESHOLD,
+                        comp >= COMPOSITE_THRESHOLD),
+        AssumptionCheck("weak_gravity", grav, WEAK_GRAVITY_THRESHOLD,
+                        grav <= WEAK_GRAVITY_THRESHOLD),
         AssumptionCheck("hole_mass_dominates", mass_ratio, MASS_DOMINANCE,
                         mass_ratio >= MASS_DOMINANCE),
         AssumptionCheck("radiation_pressure_negligible", pressure_bound, 1e-2,

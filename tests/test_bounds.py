@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bhthermo.bounds import (
+    COMPOSITE_THRESHOLD,
+    WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     bound_report,
     compositeness,
     gour_bound,
     holographic_bound,
-    is_composite,
-    is_weakly_gravitating,
     sphere_area,
     universal_bound,
     weak_gravity_ratio,
@@ -60,23 +60,23 @@ class TestCompositeness:
 
     def test_compact_disk(self):
         assert compositeness(DISK) == pytest.approx(2.7290769110e39, rel=1e-9)
-        assert is_composite(DISK)
+        assert compositeness(DISK) >= COMPOSITE_THRESHOLD
 
 
 class TestWeakGravity:
     def test_black_hole_is_half(self):
         _, sys_ = hole_system(1e15)
         assert weak_gravity_ratio(sys_) == pytest.approx(0.5, rel=1e-12)
-        assert not is_weakly_gravitating(sys_)
+        assert weak_gravity_ratio(sys_) > WEAK_GRAVITY_THRESHOLD
 
     def test_earth(self):
         assert weak_gravity_ratio(EARTH) == pytest.approx(6.9716680085e-10, rel=1e-9)
-        assert is_weakly_gravitating(EARTH)
+        assert weak_gravity_ratio(EARTH) <= WEAK_GRAVITY_THRESHOLD
 
     def test_neutron_star_is_strongly_gravitating(self):
         ns = MaterialSystem(energy=1.4 * 2e33 * CONSTANTS.c**2, radius=1e6)
         assert weak_gravity_ratio(ns) == pytest.approx(0.2079324875, rel=1e-9)
-        assert not is_weakly_gravitating(ns)
+        assert weak_gravity_ratio(ns) > WEAK_GRAVITY_THRESHOLD
 
 
 class TestHolographicBound:
@@ -217,7 +217,7 @@ class TestBoundReport:
     @given(st.floats(min_value=1, max_value=30), st.floats(min_value=0, max_value=20))
     def test_universal_below_holographic_for_weak_gravity(self, log_e, log_r):
         sys_ = MaterialSystem(energy=10.0 ** log_e, radius=10.0 ** log_r)
-        if not is_weakly_gravitating(sys_):
+        if weak_gravity_ratio(sys_) > WEAK_GRAVITY_THRESHOLD:
             return
         area = 4 * math.pi * sys_.radius**2
         assert universal_bound(sys_) <= holographic_bound(area)

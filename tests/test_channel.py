@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from bhthermo.channel import (
     consistency_check,
     cutoff_power,
     gsl_bound,
-    gsl_rate,
     gsl_rates,
     high_power_rates,
     low_power_rates,
@@ -27,7 +27,6 @@ from bhthermo.channel import (
     optimal_xis,
     pendry_capacity,
     regime_columns,
-    regime_rate,
 )
 from bhthermo.constants import CONSTANTS, LOG2E
 from bhthermo.errors import DomainError
@@ -124,22 +123,22 @@ class TestOptimalXi:
         assert numeric == pytest.approx(closed, rel=1e-8)
 
 
-def _reference_dispatch(ch):
-    """The regime dispatch as capacity_bound wrote it inline before
-    regime_rate existed: (regime, xi_used, bound)."""
-    p_c = characteristic_power(ch)
-    P = ch.power
+def _reference_dispatch(lambda_c, P, p_c, params):
+    """The regime dispatch as capacity_bound once wrote it inline, on
+    floats: (regime, xi_used, bound) of the channel (lambda_c, P) whose
+    characteristic power is p_c."""
     if P == 0.0:
         return "low", None, 0.0
     if P <= p_c / 200.0:
-        xi_used = optimal_xi(P, p_c, ch.emission.nu)
-        if xi_used >= 1.0 and ch.emission.nu > 1.0:
-            return "low", xi_used, low_power_rates([P], ch.emission)[0]
-        return "low", 1.0, gsl_bound(ch, 1.0)
+        xi_used = optimal_xi(P, p_c, params.nu)
+        if xi_used >= 1.0 and params.nu > 1.0:
+            return "low", xi_used, low_power_rates([P], params)[0]
+        return "low", 1.0, gsl_rates([lambda_c], [P], [p_c], params, [1.0])[0]
     if P >= p_c / 10.0:
-        return "high", 10.0, high_power_rates([ch.lambda_c], [P])[0]
-    xi_used = max(optimal_xi(P, p_c, ch.emission.nu), 10.0)
-    return "intermediate", xi_used, gsl_bound(ch, xi_used)
+        return "high", 10.0, high_power_rates([lambda_c], [P])[0]
+    xi_used = max(optimal_xi(P, p_c, params.nu), 10.0)
+    return ("intermediate", xi_used,
+            gsl_rates([lambda_c], [P], [p_c], params, [xi_used])[0])
 
 
 class TestFloatKernels:
@@ -207,10 +206,11 @@ class TestRegimeBound:
     @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
     def test_matches_capacity_bound_bit_for_bit(self, power, nu):
         ch = channel(power, nu=nu)
-        got = regime_rate(ch.lambda_c, power, characteristic_power(ch), ch.emission)
+        expected = _reference_dispatch(ch.lambda_c, power, characteristic_power(ch),
+                                       ch.emission)
         report = capacity_bound(ch)
-        assert got == _reference_dispatch(ch)
-        assert got == (report.regime, report.xi_used, report.bound_bits_per_s)
+        assert _bits([expected]) == _bits(
+            [(report.regime, report.xi_used, report.bound_bits_per_s)])
 
     @pytest.mark.parametrize("power", POWERS)
     @pytest.mark.parametrize("nu", [1.0, 1.5, 2.0])
@@ -227,9 +227,10 @@ class TestRegimeBound:
             (r.regime, r.bound_bits_per_s.hex()) for r in reports]
 
     def test_edges_belong_to_the_outer_regimes(self):
-        params = EmissionParameters()
-        assert regime_rate(OPTICAL, self.P_C / 200, self.P_C, params)[0] == "low"
-        assert regime_rate(OPTICAL, self.P_C / 10, self.P_C, params)[0] == "high"
+        edges = [self.P_C / 200, self.P_C / 10]
+        assert [capacity_bound(channel(P)).regime for P in edges] == ["low", "high"]
+        assert one_cutoff_columns(OPTICAL, edges, self.P_C,
+                                  EmissionParameters())[0] == ["low", "high"]
 
 
 def _hex(column):
@@ -250,8 +251,10 @@ def one_cutoff_columns(lambda_c, powers, p_c, params):
 
 
 def point_by_point(lambdas, powers, p_cs, params):
-    """regime_rate point by point, as the columns regime and bound."""
-    rates = list(map(regime_rate, lambdas, powers, p_cs, [params] * len(powers)))
+    """The reference dispatch point by point, as the columns regime and
+    bound."""
+    rates = [_reference_dispatch(lambda_c, P, p_c, params)
+             for lambda_c, P, p_c in zip(lambdas, powers, p_cs)]
     return [[rate[0] for rate in rates], [rate[2] for rate in rates]]
 
 
@@ -302,17 +305,16 @@ class TestColumnForms:
         assert _hex(xi_opt) == _hex(
             1.0 if nu <= 1.0 else math.sqrt((nu - 1.0) * p_c / P)
             for P, p_c in zip(powers, p_cs))
-        assert _hex(map(gsl_rate, lambdas, powers, p_cs, [params] * n, xis)) \
-            == _hex(gsl)
         assert _hex(map(optimal_xi, powers, p_cs, [nu] * n)) == _hex(xi_opt)
 
     @pytest.mark.parametrize("emission", EMISSIONS)
-    def test_regime_rate_gives_the_column_forms(self, emission):
+    def test_capacity_bound_gives_the_column_forms(self, emission):
         params = EmissionParameters(**emission)
         rng = random.Random(20261020)
         p_c = cutoff_power(OPTICAL, params)
         for P in (p_c * 10.0 ** rng.uniform(-9.0, 3.0) for _ in range(20_000)):
-            regime, xi, bound = regime_rate(OPTICAL, P, p_c, params)
+            report = capacity_bound(Channel(OPTICAL, P, emission=params))
+            regime, xi, bound = report.regime, report.xi_used, report.bound_bits_per_s
             if regime == "high":
                 expected = high_power_rates([OPTICAL], [P])
             elif regime == "low" and xi != 1.0:
@@ -324,8 +326,8 @@ class TestColumnForms:
 
 class TestPowerColumns:
     """The regime runs of a power sweep, one lambda_c and p_c for every
-    point, against regime_rate point by point, bit for bit, regime strings
-    included."""
+    point, against the reference dispatch point by point, bit for bit,
+    regime strings included."""
 
     @staticmethod
     def per_point(lambda_c, powers, p_c, params):
@@ -342,7 +344,7 @@ class TestPowerColumns:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     @pytest.mark.parametrize("emission", EMISSIONS)
-    def test_runs_match_regime_rate(self, order, emission):
+    def test_runs_match_the_reference(self, order, emission):
         params = EmissionParameters(**emission)
         lambda_c = OPTICAL
         p_c = cutoff_power(lambda_c, params)
@@ -375,33 +377,11 @@ class TestPowerColumns:
         assert regimes[:2] == ["low", "low"]
         assert [b.hex() for b in bounds[:2]] == [(0.0).hex()] * 2
 
-    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-    @pytest.mark.parametrize("nu", [1.5, 1.0])
-    def test_a_rising_column_calls_regime_rate_only_off_the_runs(
-            self, monkeypatch, nu, order):
-        # a rising column maps each regime's kernel over its run, but for
-        # the zero powers and, at nu = 1 where the sqrt law does not hold,
-        # the low run; any other column goes point by point
-        params = EmissionParameters(nu=nu)
-        p_c = cutoff_power(OPTICAL, params)
-        powers = reorder(self.powers(p_c), order)
-        low_run = [P for P in powers if 0.0 < P <= p_c / 200]
-        expected = self.per_point(OPTICAL, powers, p_c, params)
-        calls = []
-        monkeypatch.setattr(channel_module, "regime_rate",
-                            lambda *args: calls.append(args) or regime_rate(*args))
-        got = one_cutoff_columns(OPTICAL, powers, p_c, params)
-        assert _bits(got) == _bits(expected)
-        assert len(low_run) == 4
-        off_runs = [0.0] + (low_run if nu == 1.0 else [])
-        assert [args[1] for args in calls] == (
-            off_runs if order == "ascending" else powers)
-
     @given(st.lists(st.floats(min_value=0.0, max_value=1e30), max_size=40),
            st.sampled_from(["sorted", "reversed", "as drawn"]),
            st.floats(min_value=1.0, max_value=2.0),
            st.floats(min_value=1e-6, max_value=1e6))
-    def test_any_column_matches_regime_rate(self, powers, order, nu, scale):
+    def test_any_column_matches_the_reference(self, powers, order, nu, scale):
         params = EmissionParameters(nu=nu)
         p_c = cutoff_power(OPTICAL, params)
         powers = [P * p_c * scale / 1e15 for P in powers]
@@ -429,8 +409,8 @@ def test_one_value_is_its_constant_column(order, emission):
 
 
 class TestCutoffColumns:
-    """A cutoff sweep: the lambda_c column and its p_c column against
-    regime_rate point by point, bit for bit.  An ascending cutoff column
+    """A cutoff sweep: the lambda_c column and its p_c column against the
+    reference dispatch point by point, bit for bit.  An ascending cutoff column
     has a falling p_c, so at a fixed power P/p_c rises and the runs apply."""
 
     #: 49 cutoffs from OPTICAL/1000 to 1000 OPTICAL, OPTICAL among them.
@@ -441,7 +421,7 @@ class TestCutoffColumns:
     @pytest.mark.parametrize("edge, step", [
         (200.0, -1), (200.0, 0), (200.0, 1), (10.0, -1), (10.0, 0), (10.0, 1),
         (50.0, 0), (math.inf, 0)])
-    def test_runs_match_regime_rate(self, order, emission, edge, step):
+    def test_runs_match_the_reference(self, order, emission, edge, step):
         # the fixed power sits at, or one ulp either side of, an edge of
         # OPTICAL's p_c (inf: the zero power)
         params = EmissionParameters(**emission)
@@ -456,32 +436,15 @@ class TestCutoffColumns:
         assert set(got[0]) == ({"low"} if power == 0.0
                                else {"low", "intermediate", "high"})
         at_optical = got[0][lambdas.index(OPTICAL)]
-        assert at_optical == regime_rate(OPTICAL, power,
-                                         cutoff_power(OPTICAL, params), params)[0]
-
-    @pytest.mark.parametrize("rising", [True, False])
-    @pytest.mark.parametrize("nu", [1.5, 1.0])
-    def test_a_rising_column_calls_regime_rate_only_off_the_runs(
-            self, monkeypatch, rising, nu):
-        params = EmissionParameters(nu=nu)
-        lambdas = self.LAMBDAS if rising else self.LAMBDAS[::-1]
-        power = cutoff_power(OPTICAL, params) / 50
-        p_cs = [cutoff_power(lam, params) for lam in lambdas]
-        low_run = [lam for lam, p_c in zip(lambdas, p_cs) if power <= p_c / 200]
-        calls = []
-        monkeypatch.setattr(channel_module, "regime_rate",
-                            lambda *args: calls.append(args) or regime_rate(*args))
-        regime_columns(lambdas, [power] * len(lambdas), p_cs, params)
-        assert 0 < len(low_run) < len(lambdas)
-        off_runs = low_run if nu == 1.0 else []
-        assert [args[0] for args in calls] == (off_runs if rising else lambdas)
+        assert at_optical == _reference_dispatch(
+            OPTICAL, power, cutoff_power(OPTICAL, params), params)[0]
 
     @given(st.lists(st.tuples(st.floats(min_value=-3.0, max_value=3.0),
                               st.floats(min_value=0.0, max_value=1e6)),
                     max_size=40),
            st.sampled_from(["rising", "as drawn"]),
            st.floats(min_value=1.0, max_value=2.0))
-    def test_any_columns_match_regime_rate(self, points, order, nu):
+    def test_any_columns_match_the_reference(self, points, order, nu):
         # both columns vary; "rising" sorts the cutoffs and the powers
         # each ascending, so P rises and p_c falls
         params = EmissionParameters(nu=nu)
@@ -494,6 +457,88 @@ class TestCutoffColumns:
         p_cs = [cutoff_power(lam, params) for lam in lambdas]
         got = regime_columns(lambdas, powers, p_cs, params)
         assert _bits(got) == _bits(point_by_point(lambdas, powers, p_cs, params))
+
+
+def _kernel(regime, nu):
+    """The column kernel the reference dispatch gives a positive power's
+    bound in ``regime``."""
+    if regime == "high":
+        return "high_power_rates"
+    return "low_power_rates" if regime == "low" and nu > 1.0 else "gsl_rates"
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("nu", [1.5, 1.0])
+@pytest.mark.parametrize("swept", ["power", "lambda_c"])
+def test_each_stretch_of_one_run_calls_its_kernel_once(monkeypatch, swept, nu,
+                                                       order):
+    # An ordered column's runs are found by bisection, any other column's
+    # by reading each point's run: either way each stretch of points in one
+    # run maps its kernel once, and a zero power calls none.  At nu = 1.5
+    # the sqrt law holds in the whole low run, at nu = 1 nowhere.
+    params = EmissionParameters(nu=nu)
+    p_c = cutoff_power(OPTICAL, params)
+    if swept == "power":
+        powers = reorder(TestPowerColumns.powers(p_c), order)
+        lambdas, p_cs = [OPTICAL] * len(powers), [p_c] * len(powers)
+        columns = (OPTICAL, powers, p_c)
+    else:
+        lambdas = reorder(TestCutoffColumns.LAMBDAS, order)
+        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        powers = [p_c / 50] * len(lambdas)
+        columns = (lambdas, p_c / 50, p_cs)
+    expected = point_by_point(lambdas, powers, p_cs, params)
+    stretches = [(_kernel(regime, nu), len(list(points))) for (regime, zero), points
+                 in groupby(zip(expected[0], powers), lambda rp: (rp[0], rp[1] == 0.0))
+                 if not zero]
+    calls = []
+
+    def spy(name, kernel):
+        def counted(*args):
+            rates = kernel(*args)
+            calls.append((name, len(rates)))
+            return rates
+        return counted
+
+    for name in ("low_power_rates", "gsl_rates", "high_power_rates"):
+        monkeypatch.setattr(channel_module, name,
+                            spy(name, getattr(channel_module, name)))
+    assert _bits(regime_columns(*columns, params)) == _bits(expected)
+    assert calls == stretches
+    assert len(stretches) >= 3
+
+
+def _edges(p_c):
+    """p_c/200 and p_c/10, each with the floats one ulp either side."""
+    return [x for edge in (p_c / 200, p_c / 10)
+            for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
+
+
+@given(st.floats(min_value=1.0, max_value=2.0),
+       st.lists(st.one_of(st.integers(0, 5), st.floats(min_value=0.0, max_value=1e8)),
+                max_size=30),
+       st.sampled_from(["ascending", "descending", "as drawn"]))
+def test_any_order_matches_the_reference_at_the_edges(nu, points, order):
+    # a drawn int picks one of the six edge powers, a float is P in units
+    # of p_c/1e4; regime and bound come from regime_columns, and regime,
+    # xi and bound from capacity_bound at each point
+    params = EmissionParameters(nu=nu)
+    p_c = cutoff_power(OPTICAL, params)
+    edges = _edges(p_c)
+    powers = [edges[x] if isinstance(x, int) else x * p_c / 1e4 for x in points]
+    if order != "as drawn":
+        powers.sort(reverse=order == "descending")
+    expected = [_reference_dispatch(OPTICAL, P, p_c, params) for P in powers]
+    got = one_cutoff_columns(OPTICAL, powers, p_c, params)
+    assert _bits(got) == _bits([[e[0] for e in expected], [e[2] for e in expected]])
+
+    def bits(regime, xi, bound):
+        return regime, xi if xi is None else xi.hex(), bound.hex()
+
+    reports = [capacity_bound(Channel(OPTICAL, P, emission=params)) for P in powers]
+    assert [bits(r.regime, r.xi_used, r.bound_bits_per_s) for r in reports] == [
+        bits(*e) for e in expected]
+
 
 
 class TestCapacityBound:

@@ -10,8 +10,11 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import re
+import tempfile
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -131,3 +134,100 @@ def test_every_run_keeps_the_exit_code_contract(argv):
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert err.startswith("bhthermo")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _emitted_kind(argv):
+    code, out, _ = _run([*argv, "--format", "json"])
+    assert code == 0
+    return json.loads(out)["kind"]
+
+
+def _input_request(valid):
+    """A valid request's subcommand words, the kind of record it emits and
+    its flags as the inputs of a JSON record."""
+    words = 2 if valid[0] == "sweep" else 1
+    flags = valid[words:]
+    return (valid[:words], _emitted_kind(valid),
+            {flag[2:]: value for flag, value in zip(flags[::2], flags[1::2])})
+
+
+#: The valid requests of the subcommands that take --input.
+INPUT_REQUESTS = [_input_request(valid) for valid in VALID if valid[0] != "constants"]
+KINDS = sorted({kind for _, kind, _ in INPUT_REQUESTS})
+
+#: JSON values, and values that cannot be one of a request's parameters.
+scalars = st.one_of(st.booleans(), st.integers(), st.floats(allow_nan=False),
+                    st.text(max_size=8))
+containers = st.one_of(st.lists(scalars, max_size=3),
+                       st.dictionaries(st.text(max_size=4), scalars, max_size=3))
+
+
+@st.composite
+def bad_input_files(draw):
+    """(argv without --input, kind it emits, text of an --input JSON file
+    that the request must refuse, which shape)."""
+    words, kind, inputs = draw(st.sampled_from(INPUT_REQUESTS))
+    shape = draw(st.sampled_from(["top level", "inputs", "other kind", "deep"]))
+    if shape == "top level":     # a list, bool, number or string
+        text = json.dumps(draw(st.one_of(scalars, st.lists(scalars, max_size=3))))
+    elif shape == "inputs":      # an object of non-scalar values, array, null or bool
+        keys = st.sampled_from([*inputs, "target", "kind", "mass_g"])
+        value = draw(st.one_of(st.dictionaries(keys, containers, max_size=3),
+                               st.lists(scalars, max_size=3), st.none(), st.booleans()))
+        text = json.dumps({"inputs": value})
+    elif shape == "other kind":  # a valid request's inputs under another kind
+        other = draw(st.one_of(st.sampled_from(KINDS), st.text(max_size=12), scalars)
+                     .filter(lambda k: k != kind))
+        text = json.dumps({"kind": other, "inputs": inputs})
+    else:                        # nested deeper than 1,100 levels
+        depth = draw(st.integers(1_101, 20_000))
+        opener, closer = draw(st.sampled_from([("[", "]"), ('{"a": ', "}")]))
+        nest = opener * depth + ("0" if opener != "[" else "") + closer * depth
+        text = draw(st.sampled_from([nest, f'{{"inputs": {nest}}}']))
+    return words, kind, text, shape
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(bad_input_files(), st.sampled_from(FORMATS))
+@example((["bh"], "black_hole",
+          json.dumps({"kind": "channel_capacity", "inputs": {"mass_g": 1e15}}),
+          "other kind"), "table")
+@example((["channel"], "channel_capacity",
+          '{"inputs": ' + "[" * 1100 + "]" * 1100 + "}", "deep"), "json")
+def test_a_bad_input_file_is_one_line_and_exit_2(request, fmt):
+    # the file is refused before anything is computed, whatever the format
+    words, kind, text, shape = request
+    event(shape)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, out, err = _run([*words, "--input", path, "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bhthermo {words[0]}: ") and err.count("\n") == 1, err
+    assert err.endswith("\n")
+    if shape == "other kind":
+        assert repr(kind) in err
+
+
+@pytest.mark.parametrize("words, kind, inputs", INPUT_REQUESTS)
+def test_a_record_of_its_own_kind_loads(words, kind, inputs):
+    # with the kind the subcommand emits, or none, the record is read
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "input.json")
+        expected = _run([*words, "--format", "json",
+                         *(x for k, v in inputs.items() for x in (f"--{k}", v))])
+        assert expected[0] == 0
+        for record in ({"kind": kind, "inputs": inputs}, {"inputs": inputs}, inputs):
+            with open(path, "w") as fh:
+                json.dump(record, fh)
+            assert _run([*words, "--input", path, "--format", "json"]) == expected

@@ -12,9 +12,9 @@ import pytest
 
 from bhthermo.channel import (
     Channel,
+    capacity_bound,
     characteristic_power,
     cutoff_powers,
-    regime_rate,
 )
 from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
 from bhthermo.constants import (
@@ -63,9 +63,8 @@ def reference_channel_rows(grid, param, fixed, n_carriers, emission):
         ch = Channel(lambda_c=fixed if param == "power" else x,
                      power=x if param == "power" else fixed,
                      n_carriers=n_carriers, emission=emission)
-        regime, _, bound = regime_rate(ch.lambda_c, ch.power,
-                                       characteristic_power(ch), ch.emission)
-        rows.append([x, bound, regime])
+        report = capacity_bound(ch)
+        rows.append([x, report.bound_bits_per_s, report.regime])
     return rows
 
 
@@ -210,6 +209,27 @@ def test_lambda_c_sweep_matches_the_object_loop(emission, spacing):
                          "--stop", repr(stop), "--points", "401",
                          "--spacing", spacing, "--power", repr(power),
                          *emission_flags(emission)])
+    assert bits(got) == bits(columns_of(expected))
+
+
+@pytest.mark.parametrize("emission", sorted(EMISSIONS))
+@pytest.mark.parametrize("spacing", ["log", "linear"])
+def test_descending_lambda_c_sweep_matches_the_object_loop(emission, spacing):
+    params = EmissionParameters(**EMISSIONS[emission])
+    power = 1e-3
+    unit = math.sqrt(characteristic_power(Channel(1.0, 0.0, emission=params))
+                     / power)
+    # --start above --stop: p_c rises along the sweep, so P/p_c falls from
+    # the high regime to the low one
+    start, stop = unit * 100, unit * 0.01
+    expected = reference_channel_rows(grid(start, stop, 401, spacing),
+                                      "lambda_c", power, 1.0, params)
+    assert {row[2] for row in expected} == {"low", "intermediate", "high"}
+    got = sweep_columns(["channel", "--param", "lambda_c", "--start", repr(start),
+                         "--stop", repr(stop), "--points", "401",
+                         "--spacing", spacing, "--power", repr(power),
+                         *emission_flags(emission)])
+    assert got[0][0] > got[0][-1]
     assert bits(got) == bits(columns_of(expected))
 
 
