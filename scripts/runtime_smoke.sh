@@ -8,8 +8,9 @@
 # fed back through `--input`, must print what the direct run prints in every
 # format, and a bad choice in an `--input` file exits 2 as the flag does, as
 # does a parameter the request would not read.
-# Under `python -X importtime`, `--help` and one request per subcommand
-# must not import `dataclasses`.
+# Under `-X importtime` (`PYTHONPROFILEIMPORTTIME=1` for the console
+# script), `--help` and one request per subcommand must not import
+# `dataclasses`, and `--help` imports no formula module and no `json`.
 # Every case runs twice: through `python -m bhthermo.cli` and
 # through the `bhthermo` console script, whose import path differs (it
 # imports the package, then `bhthermo.cli`, then calls `entrypoint`).
@@ -93,23 +94,35 @@ refeed() {  # the arguments of one run whose JSON record must re-feed
     done
 }
 
-no_dataclasses() {  # the arguments of one run, which must not import dataclasses
-    python -X importtime -m bhthermo.cli "$@" > /dev/null 2> "$err"
-    report 0 $? python -X importtime -m bhthermo.cli "$@"
-    if grep -Eq '[|] +dataclasses$' "$err"; then
-        echo "FAIL (imports dataclasses): $*"
+check_imports() {  # the arguments of the run whose -X importtime log is in $err
+    local refused='dataclasses'
+    case " $* " in
+        *" --help "*)
+            refused+='|json|bhthermo[.](kerr_newman|bounds|channel|evaporation|gedanken|grids)';;
+    esac
+    if grep -Eq "[|] +($refused)\$" "$err"; then
+        echo "FAIL (imports one of $refused): $*"
         failures=$((failures + 1))
     fi
 }
 
-no_dataclasses --help
-no_dataclasses constants
-no_dataclasses bh --mass 1e15 --charge-over-m 0.3
-no_dataclasses evaporate --mass 1e12 --points 10 --format json
-no_dataclasses bounds --mass 16 --radius 6
-no_dataclasses gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1
-no_dataclasses channel --lambda-c 5e-5 --power 1e-3
-no_dataclasses sweep channel --param power --start 1e-6 --stop 1e-1 \
+footprint() {  # the arguments of one run, whose imports check_imports checks
+    python -X importtime -m bhthermo.cli "$@" > /dev/null 2> "$err"
+    report 0 $? python -X importtime -m bhthermo.cli "$@"
+    check_imports python -m bhthermo.cli "$@"
+    PYTHONPROFILEIMPORTTIME=1 "${console[@]}" "$@" > /dev/null 2> "$err"
+    report 0 $? PYTHONPROFILEIMPORTTIME=1 bhthermo "$@"
+    check_imports bhthermo "$@"
+}
+
+footprint --help
+footprint constants
+footprint bh --mass 1e15 --charge-over-m 0.3
+footprint evaporate --mass 1e12 --points 10 --format json
+footprint bounds --mass 16 --radius 6
+footprint gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1
+footprint channel --lambda-c 5e-5 --power 1e-3
+footprint sweep channel --param power --start 1e-6 --stop 1e-1 \
     --lambda-c 5e-5
 
 run 0 --help

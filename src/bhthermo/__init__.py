@@ -41,27 +41,44 @@ _EXPORTS = {
         "potentials", "temperature",
     ),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 #: The formula submodules, which are attributes of the package too.
 _SUBMODULES = (*_EXPORTS, "grids")
 
+
+def _lazy(namespace: dict, table: dict[str, tuple[str, ...]]) -> tuple:
+    """Lazy names (PEP 562) for the module with globals ``namespace``, from
+    ``table`` (submodule -> names): ``load(*modules)``, which binds the names
+    ``namespace`` lacks (one set earlier, a test double or a tracing wrapper,
+    stays), the name -> submodule map and ``__getattr__``."""
+    home = {name: module for module, names in table.items() for name in names}
+
+    def load(*modules: str) -> None:
+        for module in modules:
+            qualified = f"{__name__}.{module}"
+            __import__(qualified)   # -X importtime omits importlib.import_module
+            for name in table[module]:
+                if name not in namespace:
+                    namespace[name] = getattr(_sys.modules[qualified], name)
+
+    def __getattr__(name: str) -> object:
+        if name not in home:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}")
+        load(home[name])
+        return namespace[name]
+
+    return load, home, __getattr__
+
+
+_HOME, _getattr = _lazy(globals(), _EXPORTS)[1:]
 __all__ = [*_HOME, *_SUBMODULES]
-
-
-def _submodule(name: str) -> object:
-    qualified = f"{__name__}.{name}"
-    __import__(qualified)           # -X importtime omits importlib.import_module
-    return _sys.modules[qualified]
 
 
 def __getattr__(name: str) -> object:
     if name in _SUBMODULES:
-        return _submodule(name)
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_submodule(_HOME[name]), name)
-    globals()[name] = value         # later lookups skip this function
-    return value
+        __import__(f"{__name__}.{name}")
+        return _sys.modules[f"{__name__}.{name}"]
+    return _getattr(name)
 
 
 def __dir__() -> list[str]:

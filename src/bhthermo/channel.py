@@ -348,8 +348,11 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     p_c = characteristic_power(ch)
     run = _run(ch.power, p_c, ch.emission.nu)
     xis, bounds = _rates(run, (ch.lambda_c,), (ch.power,), (p_c,), ch.emission, 0, 1)
+    if (xi := next(iter(xis))) == math.inf:     # sqrt((nu - 1) p_c / P), P tiny
+        raise DomainError(f"power {ch.power} erg s^-1 puts the sqrt law's "
+                          "optimal xi beyond the float range")
     return CapacityReport(
         p_c=p_c, p_c_approx=approx_characteristic_power(ch.lambda_c),
-        regime=_REGIMES[run], xi_used=next(iter(xis)), bound_bits_per_s=bounds[0],
+        regime=_REGIMES[run], xi_used=xi, bound_bits_per_s=bounds[0],
         pendry_bits_per_s=pendry_capacity(ch.power, ch.n_carriers),
         consistency=consistency_check(ch))

@@ -2,11 +2,12 @@
 
 import math
 import random
+import sys
 from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.optimize import brentq
 
 from bhthermo import channel as channel_module
@@ -518,6 +519,7 @@ def _edges(p_c):
        st.lists(st.one_of(st.integers(0, 5), st.floats(min_value=0.0, max_value=1e8)),
                 max_size=30),
        st.sampled_from(["ascending", "descending", "as drawn"]))
+@example(2.0, [sys.float_info.min], "as drawn")     # xi beyond the float range
 def test_any_order_matches_the_reference_at_the_edges(nu, points, order):
     # a drawn int picks one of the six edge powers, a float is P in units
     # of p_c/1e4; regime and bound come from regime_columns, and regime,
@@ -535,13 +537,23 @@ def test_any_order_matches_the_reference_at_the_edges(nu, points, order):
     def bits(regime, xi, bound):
         return regime, xi if xi is None else xi.hex(), bound.hex()
 
-    reports = [capacity_bound(Channel(OPTICAL, P, emission=params)) for P in powers]
-    assert [bits(r.regime, r.xi_used, r.bound_bits_per_s) for r in reports] == [
-        bits(*e) for e in expected]
+    def report(P):
+        try:
+            r = capacity_bound(Channel(OPTICAL, P, emission=params))
+        except DomainError as exc:
+            return str(exc)
+        return bits(r.regime, r.xi_used, r.bound_bits_per_s)
+
+    # a sqrt-law xi beyond the float range is refused, naming the power
+    assert list(map(report, powers)) == [
+        f"power {P} erg s^-1 puts the sqrt law's optimal xi beyond the float "
+        "range" if e[1] == math.inf else bits(*e) for P, e in zip(powers, expected)]
 
 
 
 class TestCapacityBound:
+    P_C = characteristic_power(channel(0.0))
+
     def test_low_power_formula(self):
         ch = channel(1e-10)
         report = capacity_bound(ch)
@@ -570,6 +582,17 @@ class TestCapacityBound:
         report = capacity_bound(channel(0.0))
         assert report.bound_bits_per_s == 0.0
         assert report.xi_used is None
+
+    @pytest.mark.parametrize("power", [1e-320, 5e-324])
+    def test_a_power_whose_optimal_xi_overflows_is_refused_naming_it(self, power):
+        # the sqrt law's bound is finite there; xi = sqrt((nu-1) p_c / P) is not
+        with pytest.raises(DomainError) as exc:
+            capacity_bound(channel(power))
+        assert str(exc.value) == (f"power {power} erg s^-1 puts the sqrt law's "
+                                  "optimal xi beyond the float range")
+        regimes, bounds = one_cutoff_columns(OPTICAL, [power], self.P_C,
+                                             EmissionParameters())
+        assert regimes == ["low"] and 0.0 < bounds[0] < 1e-140
 
     def test_reversible_emission_falls_back_to_unit_xi(self):
         # nu = 1 drops the constant term; the constrained optimum over

@@ -11,6 +11,7 @@ import pytest
 
 import bhthermo
 from bhthermo import CONSTANTS, MaterialSystem, bound_report, cli, infall_experiment
+from bhthermo import document
 from bhthermo.bounds import DEFAULT_ZETA
 from bhthermo.cli import main
 
@@ -190,7 +191,7 @@ class TestBounds:
                        "--radius", repr(radius))
         report = bound_report(MaterialSystem(energy=energy, radius=radius))
         for e in report.entries:
-            assert doc["bounds"][f"{e.name}.limit"] == cli.round9(e.limit_nats)
+            assert doc["bounds"][f"{e.name}.limit"] == document.round9(e.limit_nats)
             assert doc["bounds"][f"{e.name}.applicable"] == e.applicable
             assert doc["bounds"][f"{e.name}.reason"] == e.applicability_reason
 
@@ -498,16 +499,35 @@ GOLDEN_SERIES = {
 }
 
 
+def count_pieces(monkeypatch):
+    """A list that gains, for each document written, how many pieces
+    ``Document.blocks`` yielded."""
+    counts = []
+    blocks = document.Document.blocks
+
+    def counted(self, fmt):
+        counts.append(0)
+        for piece in blocks(self, fmt):
+            counts[-1] += 1
+            yield piece
+
+    monkeypatch.setattr(document.Document, "blocks", counted)
+    return counts
+
+
 @pytest.mark.parametrize("command", list(GOLDEN_SERIES))
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 @pytest.mark.parametrize("block_rows", [1, 7, 4096])
 def test_series_output_is_byte_identical(capsys, monkeypatch, command, fmt,
                                          block_rows):
     # the rows are written in blocks; 4096 does not divide 20,000
-    monkeypatch.setattr(cli, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(document, "BLOCK_ROWS", block_rows)
+    pieces = count_pieces(monkeypatch)
     code, out, err = run(capsys, *command.split(), "--format", fmt)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SERIES[command][fmt]
+    # a head, the rows block by block, a tail: the writer read the patch
+    assert pieces == [2 + math.ceil(20000 / block_rows)]
 
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
@@ -515,17 +535,19 @@ def test_a_non_finite_cell_in_the_last_block_writes_nothing(capsys, monkeypatch,
                                                             fmt):
     # the entropy of the last of ten holes, alone in the last block of
     # four rows, is beyond the float range; the others are finite
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(document, "BLOCK_ROWS", 4)
+    pieces = count_pieces(monkeypatch)
     argv = ["sweep", "bh", "--param", "mass", "--start", "1e147", "--stop",
             "1e149", "--points", "10", "--quantity", "entropy"]
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (1, "")
     assert err.splitlines() == ["bhthermo sweep: entropy at mass = 1e+149 is "
                                 "inf, beyond the float range"]
-    # stopping short of it, every row is written
+    # stopping short of it, every row is written, in three blocks
     code, out, err = run(capsys, *argv[:7], "5e148", *argv[8:], "--format", fmt)
     assert code == 0, err
     assert len(out.splitlines()) > 10
+    assert pieces == [0, 2 + 3]
 
 
 class TestOverflow:
@@ -543,6 +565,8 @@ class TestOverflow:
         (["channel", "--power", "1e300", "--lambda-c", "1e300"], "cutoff"),
         (["channel", "--power", "1", "--lambda-c", "1e-300"], "cutoff"),
         (["channel", "--power", "1e300", "--lambda-c", "1"], "results.bound"),
+        (["channel", "--power", "1e-320", "--lambda-c", "5e-5"],
+         "power 1e-320 erg s^-1 puts the sqrt law's optimal xi"),
         (["bounds", "--energy", "1", "--radius", "1e200"], "radius"),
         (["sweep", "bh", "--param", "mass", "--start", "1e150",
           "--stop", "1e160", "--points", "3", "--quantity", "entropy"],

@@ -45,7 +45,8 @@ print((code, sorted(m for m in sys.modules if m.split(".")[0] == "bhthermo"),
               & sys.modules.keys())))
 """
 
-BASE = ["bhthermo", "bhthermo.cli", "bhthermo.constants", "bhthermo.errors"]
+BASE = ["bhthermo", "bhthermo.cli", "bhthermo.constants", "bhthermo.document",
+        "bhthermo.errors"]
 #: bhthermo.X for each formula module a request loads beyond BASE.
 HOLE = ["kerr_newman"]
 EVAPORATION = ["evaporation", "grids", "kerr_newman"]
@@ -83,6 +84,33 @@ def test_package_import_loads_no_submodule():
     code = ("import sys, bhthermo; "
             "print(sorted(m for m in sys.modules if m.startswith('bhthermo')))")
     assert _probe(code) == ["bhthermo"]
+
+
+#: Sets a name on the package before its module loads, then reads another
+#: name of that module, the grids module and an unknown name; prints what
+#: each read gave.
+PACKAGE = """
+import sys, bhthermo
+fresh = not {"bhthermo.kerr_newman", "bhthermo.grids"} & sys.modules.keys()
+double = bhthermo.entropy = object()
+from_module = bhthermo.temperature is sys.modules["bhthermo.kerr_newman"].temperature
+grids = bhthermo.grids.__name__
+try:
+    bhthermo.no_such_name
+except AttributeError as exc:
+    unknown = str(exc)
+print((fresh, bhthermo.entropy is double, from_module, grids, unknown))
+"""
+
+
+def test_the_package_keeps_the_lazy_contract_of_the_cli():
+    # the package's names come from the loader the cli module uses
+    fresh, kept, from_module, grids, unknown = _probe(PACKAGE)
+    assert fresh
+    assert kept                 # a name set earlier survives the module's load
+    assert from_module
+    assert grids == "bhthermo.grids"
+    assert unknown == "module 'bhthermo' has no attribute 'no_such_name'"
 
 
 #: Wraps every formula name the cli module calls by name, plus the grids,
@@ -184,8 +212,9 @@ def test_star_import_and_dir_give_the_eager_packages_names():
     namespace: dict = {}
     exec("from bhthermo import *", namespace)
     assert set(namespace) - {"__builtins__"} == expected
-    # `cli` is public only once imported, as it was with the eager package
-    public = {n for n in dir(bhthermo) if not n.startswith("_")} - {"cli"}
+    # `cli`, and the `document` it imports, are public only once imported,
+    # as `cli` was with the eager package
+    public = {n for n in dir(bhthermo) if not n.startswith("_")} - {"cli", "document"}
     assert public == expected
     assert bhthermo.__version__ == "0.1.0"
 

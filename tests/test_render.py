@@ -15,8 +15,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bhthermo import cli
-from bhthermo.cli import FORMATS, FULL_PRECISION_SECTIONS, Document
+from bhthermo import document
+from bhthermo.document import FORMATS, FULL_PRECISION_SECTIONS, Document
 from bhthermo.errors import DomainError
 
 # -- the reference: the eager renderer the writers replaced ------------------
@@ -308,7 +308,7 @@ def _old_json_text(x):
 
 
 def _json_texts(column):
-    spec, cells = cli._json_floats(column)
+    spec, cells = document._json_floats(column)
     return [spec % (v,) for v in cells]
 
 
@@ -375,7 +375,7 @@ JSON_RULES = {
 
 def _rule_of(block):
     """The row spec of the block's rule and the kind of its first cell."""
-    spec, cells = cli._json_floats(block)
+    spec, cells = document._json_floats(block)
     return spec, _kind(next(iter(cells)))
 
 
@@ -433,7 +433,7 @@ def test_json_cell_rule_on_random_bit_patterns():
 
 def test_json_cells_go_through_the_column_rule(monkeypatch):
     seen = []
-    rule = cli._json_floats
+    rule = document._json_floats
 
     def spy(block):
         spec, cells = rule(block)
@@ -441,8 +441,8 @@ def test_json_cells_go_through_the_column_rule(monkeypatch):
         seen.append((list(block), spec, _kind(cells[0])))
         return spec, cells
 
-    monkeypatch.setattr(cli, "_json_floats", spy)
-    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
+    monkeypatch.setattr(document, "_json_floats", spy)
+    monkeypatch.setattr(document, "BLOCK_ROWS", 3)
     # blocks of three rows: direct, text, the definition, direct, text from
     # 1e8, format, direct again
     x = [0.5, 1e-3, 2e-300, 2e9, 3.5e12, 9e15, 1e8, 0.0, 5e-324, 1e17, 2e300, 3e16,
@@ -487,7 +487,7 @@ def test_table_width_rule_on_random_bit_patterns():
             signed = [sign * x for x in column]
             columns += [signed, signed + [0.0], [-0.0] + signed]
     for column in columns:
-        assert cli._table_width(column, False) == _widest(column)
+        assert document._table_width(column, False) == _widest(column)
 
 
 @pytest.mark.parametrize("column", [
@@ -500,7 +500,7 @@ def test_table_width_rule_on_random_bit_patterns():
     [1.7976931348623157e308, 0.0],
 ])
 def test_table_width_rule_on_edge_columns(column):
-    assert cli._table_width(column, False) == _widest(column)
+    assert document._table_width(column, False) == _widest(column)
     doc = Document("x")
     doc.set_columns(["x"], [""], [column])
     assert doc.render("table") == reference_table(doc)

@@ -15,6 +15,7 @@ from bhthermo.channel import (
     capacity_bound,
     characteristic_power,
     cutoff_powers,
+    low_power_rates,
 )
 from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
 from bhthermo.constants import (
@@ -63,7 +64,15 @@ def reference_channel_rows(grid, param, fixed, n_carriers, emission):
         ch = Channel(lambda_c=fixed if param == "power" else x,
                      power=x if param == "power" else fixed,
                      n_carriers=n_carriers, emission=emission)
-        report = capacity_bound(ch)
+        try:
+            report = capacity_bound(ch)
+        except DomainError as exc:
+            # the report refuses a sqrt-law xi beyond the float range; a
+            # sweep writes no xi, so its row holds the sqrt law's bound
+            if "optimal xi beyond the float range" not in str(exc):
+                raise
+            rows.append([x, low_power_rates([ch.power], emission)[0], "low"])
+            continue
         rows.append([x, report.bound_bits_per_s, report.regime])
     return rows
 
