@@ -552,8 +552,6 @@ def test_any_order_matches_the_reference_at_the_edges(nu, points, order):
 
 
 class TestCapacityBound:
-    P_C = characteristic_power(channel(0.0))
-
     def test_low_power_formula(self):
         ch = channel(1e-10)
         report = capacity_bound(ch)
@@ -590,8 +588,8 @@ class TestCapacityBound:
             capacity_bound(channel(power))
         assert str(exc.value) == (f"power {power} erg s^-1 puts the sqrt law's "
                                   "optimal xi beyond the float range")
-        regimes, bounds = one_cutoff_columns(OPTICAL, [power], self.P_C,
-                                             EmissionParameters())
+        regimes, bounds = one_cutoff_columns(
+            OPTICAL, [power], characteristic_power(channel(0.0)), EmissionParameters())
         assert regimes == ["low"] and 0.0 < bounds[0] < 1e-140
 
     def test_reversible_emission_falls_back_to_unit_xi(self):
