@@ -4,10 +4,12 @@
 # rejected requests exit 1 and 2, and a 100k-point series whose reader stops
 # after one line (`| head -1`) exits 2.  No run may write a Python traceback
 # to stderr, and every JSON series must load as strict JSON (no NaN or
-# Infinity).  An emitted JSON record of bh, bounds, evaporate and channel,
-# fed back through `--input`, must print what the direct run prints in every
-# format, and a bad choice in an `--input` file exits 2 as the flag does, as
-# does a parameter the request would not read.
+# Infinity).  A request refused at a float edge must exit 1 with one stderr
+# line that names the input which crossed it.  An emitted JSON record of
+# bh, bounds, evaporate and channel, fed back through `--input`, must print
+# what the direct run prints in every format, and a bad choice in an
+# `--input` file exits 2 as the flag does, as does a parameter the request
+# would not read.
 # Under `-X importtime` (`PYTHONPROFILEIMPORTTIME=1` for the console
 # script), `--help` and one request per subcommand must not import
 # `dataclasses`, and `--help` imports no formula module and no `json`.
@@ -70,6 +72,24 @@ run() {  # expected exit code, then the arguments of one run
     "${console[@]}" "$@" > "$out" 2> "$err"
     report "$expected" $? bhthermo "$@"
     [ "$strict" -eq 1 ] && strict_json bhthermo "$@"
+}
+
+refuse() {  # the text the one stderr line must hold, then the arguments
+    local text=$1 entry
+    shift
+    for entry in module console; do
+        if [ "$entry" = module ]; then
+            python -m bhthermo.cli "$@" > "$out" 2> "$err"
+        else
+            "${console[@]}" "$@" > "$out" 2> "$err"
+        fi
+        report 1 $? "$entry:" "$@"
+        if [ "$(wc -l < "$err")" -ne 1 ] || ! grep -qF -- "$text" "$err"; then
+            echo "FAIL (stderr is not one line naming '$text'): $entry: $*"
+            sed 's/^/    /' "$err"
+            failures=$((failures + 1))
+        fi
+    done
 }
 
 series() {  # the arguments of one series run: exit 0, and strict JSON
@@ -156,6 +176,13 @@ for fmt in table json csv; do
     series sweep channel --param lambda_c --start 1e-5 --stop 1e-3 \
         --points 200 --power 1e-3 --format "$fmt"
     run 1 bh --mass 1e-10 --format "$fmt"
+    # float edges: the refusal names the input, not an output field
+    refuse "cutoff wavelength" channel --lambda-c 1e-160 --power 1 \
+        --format "$fmt"
+    refuse "gamma_bar" channel --lambda-c 5e-5 --power 1e-3 --gamma-bar 1e300 \
+        --format "$fmt"
+    refuse "n_species" evaporate --mass 1e12 --n-species 1e300 --format "$fmt"
+    refuse "horizon radius" bh --mass 1e183 --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)

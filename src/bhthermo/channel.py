@@ -122,44 +122,38 @@ class CapacityReport(NamedTuple):
 def characteristic_power(ch: Channel) -> float:
     """Exact characteristic power [erg s^-1] of the absorbing hole.
 
-    Raises DomainError when lambda_c^2 leaves the float range.
+    Raises DomainError as :func:`cutoff_powers` does.
     """
-    return cutoff_power(ch.lambda_c, ch.emission)
-
-
-def cutoff_power(lambda_c: float, params: EmissionParameters) -> float:
-    """:func:`characteristic_power` of a cutoff lambda_c [cm], on floats."""
-    try:
-        return powers_at_lengths((lambda_c,), params)[0]
-    except (OverflowError, ZeroDivisionError):
-        raise _cutoff_out_of_range(lambda_c) from None
+    return cutoff_powers((ch.lambda_c,), ch.emission)[0]
 
 
 def cutoff_powers(lambdas: Sequence[float], params: EmissionParameters) -> list[float]:
-    """:func:`cutoff_power` of each cutoff [cm], raising its DomainError for
-    the first cutoff out of range."""
+    """:func:`characteristic_power` of each cutoff [cm]: the one home of a
+    cutoff's float range.  Raises DomainError naming gamma_bar and n_species
+    when c^2 gamma_bar N hbar overflows, else naming the first cutoff whose
+    lambda_c^2 or P_c leaves the float range: lambda_c above ~1e154 cm, or
+    below ~4.7e-160 cm with the default factors."""
     try:
-        return powers_at_lengths(lambdas, params)
+        p_cs = powers_at_lengths(lambdas, params)
+        if math.inf not in p_cs:
+            return p_cs
     except (OverflowError, ZeroDivisionError):
-        for lambda_c in lambdas:
-            cutoff_power(lambda_c, params)
-        raise
+        pass
+    for lambda_c in lambdas:
+        try:
+            if powers_at_lengths((lambda_c,), params)[0] != math.inf:
+                continue
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
+                          "characteristic power beyond the float range")
+    raise AssertionError("no cutoff is out of range")
 
 
 def approx_characteristic_power(lambda_c: float) -> float:
-    """The round-number form 1e-4 c^2 hbar / lambda_c^2 [erg s^-1]."""
-    if lambda_c <= 0:
-        raise DomainError(f"cutoff wavelength must be positive, got {lambda_c}")
-    try:
-        return 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
-    except (OverflowError, ZeroDivisionError):
-        raise _cutoff_out_of_range(lambda_c) from None
-
-
-def _cutoff_out_of_range(lambda_c: float) -> DomainError:
-    # lambda_c^2 overflows above ~1e154 cm and vanishes below ~1e-162 cm
-    return DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
-                       "characteristic power beyond the float range")
+    """The round-number form 1e-4 c^2 hbar / lambda_c^2 [erg s^-1] of a
+    cutoff lambda_c [cm] whose lambda_c^2 fits a float."""
+    return 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
 
 
 def gsl_bound(ch: Channel, xi: float) -> float:

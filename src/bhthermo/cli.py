@@ -33,8 +33,8 @@ from .errors import DomainError
 #: through the module global, so a name set here first is the one that runs.
 _LAZY_IMPORTS = {
     "bounds": ("MaterialSystem", "bound_report"),
-    "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_power",
-                "cutoff_powers", "regime_columns"),
+    "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_powers",
+                "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
     "gedanken": ("capsule_lowering", "infall_experiment", "merger",
                  "susskind_collapse"),
@@ -565,8 +565,8 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                 and (low >= 0.0 if power_sweep else low > 0.0)):
             for lambda_c, P in map(channel, grid):
                 check_channel(lambda_c, P, n)
-                cutoff_power(lambda_c, emission)
-        p_cs = cutoff_power(fixed, emission) if power_sweep \
+                cutoff_powers([lambda_c], emission)
+        p_cs = cutoff_powers([fixed], emission)[0] if power_sweep \
             else cutoff_powers(grid, emission)
         regimes, bounds = regime_columns(*channel(grid), p_cs, emission)
         names, units, columns = ([args.param, "bound", "regime"],

@@ -99,11 +99,16 @@ def powers_at_lengths(lengths: Sequence[float],
 
     The Hawking power of a hole of gravitational length L, and the
     characteristic power of a channel whose cutoff wavelength is L.
-    Raises OverflowError or ZeroDivisionError for the first L whose L^2
-    leaves the float range; each caller names its own length in the
-    DomainError.
+    Raises DomainError, naming gamma_bar and n_species, when the numerator
+    overflows (gamma_bar N above ~2e287), else OverflowError or
+    ZeroDivisionError for the first L whose L^2 leaves the float range;
+    each caller names its own length in the DomainError.
     """
     numerator = CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
+    if numerator == math.inf:
+        raise DomainError(f"gamma_bar {params.gamma_bar:g} and n_species "
+                          f"{params.n_species:g} put c^2 gamma_bar N hbar beyond "
+                          "the float range")
     scale = 15360.0 * math.pi
     return [numerator / (scale * L**2) for L in lengths]
 
@@ -112,14 +117,11 @@ def hawking_power(bh: BlackHole,
                   params: EmissionParameters = DEFAULT_EMISSION) -> float:
     """Total radiated power [erg s^-1]; equals 4 pi r_g^2 * flux(r_g).
 
-    Raises DomainError when M^2 overflows (m above ~1.8e182 g).
+    M^2 fits a float for every hole :func:`make_black_hole` builds; raises
+    DomainError as :func:`powers_at_lengths` does for its numerator.
     """
     _require_schwarzschild(bh)
-    try:
-        return powers_at_lengths((bh.M,), params)[0]
-    except OverflowError:
-        raise DomainError(f"mass {bh.m:g} g puts the Hawking power beyond "
-                          "the float range (M^2 overflows)") from None
+    return powers_at_lengths((bh.M,), params)[0]
 
 
 def mass_loss_rate(m: float) -> float:
@@ -142,9 +144,17 @@ def mass_loss_rate(m: float) -> float:
 
 def _loss_constant(params: EmissionParameters) -> float:
     """K in dm/dt = -K/m^2: N hbar c^4 / (15360 pi G^2) for N = n_species
-    per-species channels of ``mass_loss_rate``."""
-    return (params.n_species * CONSTANTS.hbar * CONSTANTS.c**4
-            / (15360.0 * math.pi * CONSTANTS.G**2))
+    per-species channels of ``mass_loss_rate``.
+
+    Raises DomainError, naming n_species, when K or the 3 K every time
+    divides by overflows (N above ~1.5e283): each time would be 0.
+    """
+    k = (params.n_species * CONSTANTS.hbar * CONSTANTS.c**4
+         / (15360.0 * math.pi * CONSTANTS.G**2))
+    if 3.0 * k == math.inf:
+        raise DomainError(f"n_species {params.n_species:g} puts the evaporation "
+                          "rate constant beyond the float range")
+    return k
 
 
 def _evaporation_times(m0: float, masses: list[float], K: float) -> list[float]:
@@ -170,8 +180,8 @@ def lifetime(m0: float, params: EmissionParameters = DEFAULT_EMISSION) -> float:
     SubPlanckMassError
         If m0 is not above the Planck mass.
     DomainError
-        If m0 is not finite, or the lifetime exceeds the float range
-        (m0 above ~1e111 g).
+        If m0 is not finite, if n_species puts K beyond the float range,
+        or if the lifetime exceeds it (m0 above ~1e111 g).
     """
     if not math.isfinite(m0):
         raise DomainError(f"initial mass must be finite, got {m0}")

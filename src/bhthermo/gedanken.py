@@ -219,7 +219,8 @@ def infall_experiment(sys: MaterialSystem,
     ledger trades the system's entropy against the radiated nu E / T.
     Failed assumptions make the report inapplicable, not a violation.
     An energy whose rest mass E/c^2 underflows to 0 (below about 2.2e-303
-    erg) is refused with a DomainError.
+    erg) is refused with a DomainError, and so is a zeta whose square
+    overflows, before the hole is built.
     """
     if sys.entropy is None:
         raise DomainError("the infalling system needs a stored entropy")
@@ -234,6 +235,12 @@ def infall_experiment(sys: MaterialSystem,
             raise DomainError(f"zeta must be finite, got {zeta}")
         if zeta < 1.0:
             raise DomainError(f"zeta must be >= 1, got {zeta}")
+    try:
+        pressure_bound = params.gamma_bar / (7680.0 * zeta**2)
+    except OverflowError:
+        raise DomainError(f"hole-to-system size ratio zeta = {zeta:g} puts "
+                          "zeta^2 beyond the float range") from None
+    if not isinstance(bh_or_zeta, BlackHole):
         hole = make_black_hole(mass_from_geometrized(zeta * sys.radius))
 
     radiated = params.nu * sys.energy / temperature(hole)
@@ -244,11 +251,6 @@ def infall_experiment(sys: MaterialSystem,
         LedgerEntry("black hole", S_hole, S_hole),
     ))
 
-    try:
-        pressure_bound = params.gamma_bar / (7680.0 * zeta**2)
-    except OverflowError:
-        raise DomainError(f"hole-to-system size ratio zeta = {zeta:g} puts "
-                          "zeta^2 beyond the float range") from None
     drop = drop_distance(sys, zeta, params)
     rest_mass = sys.energy / CONSTANTS.c**2
     if rest_mass == 0.0:
@@ -281,10 +283,12 @@ def merger(bh1: BlackHole, bh2: BlackHole) -> GedankenReport:
     """
     if not (bh1.is_schwarzschild and bh2.is_schwarzschild):
         raise DomainError("merger model requires two Schwarzschild holes")
+    # each hole's own entropy is refused before the merged hole's mass
+    S1, S2 = entropy(bh1), entropy(bh2)
     final = make_black_hole(bh1.m + bh2.m)
     ledger = EntropyLedger((
-        LedgerEntry("hole 1", entropy(bh1), 0.0),
-        LedgerEntry("hole 2", entropy(bh2), 0.0),
+        LedgerEntry("hole 1", S1, 0.0),
+        LedgerEntry("hole 2", S2, 0.0),
         LedgerEntry("merged hole", 0.0, entropy(final)),
     ))
     return GedankenReport(

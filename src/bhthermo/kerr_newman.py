@@ -100,8 +100,10 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
 
     The checks that do not depend on m run once.  An invalid hole raises
     what :func:`make_black_hole` raises for the first one in ``masses``:
-    a NaN or infinite input, a mass below the Planck mass, or Q^2 + a^2
-    above M^2 beyond the EPS_EXTREMAL slack (NakedSingularityError).
+    a NaN or infinite input, a mass below the Planck mass, Q^2 + a^2
+    above M^2 beyond the EPS_EXTREMAL slack (NakedSingularityError), or
+    a horizon radius beyond the float range (M above ~1.34e154 cm, m above
+    ~1.8e182 g).
     """
     if not (math.isfinite(q) and math.isfinite(j)
             and all(map(math.isfinite, masses))
@@ -119,27 +121,33 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
     if q == 0.0 and j == 0.0 and max(M, default=0.0) < 1e154:
         # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is M
         # while M * M stays finite, so the general form below gives M + M.
-        # Larger M take that form, and its overflow error.
+        # Larger M take that form, and its refusal of an infinite r_plus.
         return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
     a = spin_lengths(j, masses)
     Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
     s2 = [Q2 + x * x for x in a]
-    # The holes that passed the checks above can fail only this one, so
-    # the first to fail it is the first invalid hole.  None fails it
-    # where Q^2 + a^2 is 0 throughout.
+    # the existence test, which no hole fails where Q^2 + a^2 is 0 throughout
     naked = ([t > x * x * slack for t, x in zip(s2, M)]
              if max(s2, default=0.0) > 0.0 else ())
-    if True in naked:
-        i = naked.index(True)
-        raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[i]:.6e} cm^2 "
-                                    f"exceeds M^2 = {M[i] * M[i]:.6e} cm^2")
     # (M - s)(M + s) instead of M^2 - s^2 avoids cancellation near
     # extremality.  Within the existence slack the hole is extremal:
     # clamping keeps the square root from amplifying last-digit noise
-    # into a fake temperature.
+    # into a fake temperature, and clamps a naked hole's r_plus to M.
+    # (M - s)(M + s) overflows to inf, not an error, above M ~ 1.34e154 cm.
     sqrt = math.sqrt
     r_plus = [x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
               for x, s in zip(M, map(sqrt, s2))]
+    # The holes that passed the checks above can fail only these two, and
+    # none fails both; a column finds its first invalid hole point by point.
+    if True in naked or math.inf in r_plus:
+        if len(M) > 1:
+            for m in masses:
+                horizon_columns((m,), q, j)
+        if True in naked:
+            raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[0]:.6e} "
+                                        f"cm^2 exceeds M^2 = {M[0] * M[0]:.6e} cm^2")
+        raise DomainError(f"mass {masses[0]:g} g puts the horizon radius beyond "
+                          "the float range")
     return M, [Q] * len(M), a, r_plus
 
 

@@ -19,7 +19,7 @@ from bhthermo.channel import (
     characteristic_power,
     check_channel,
     consistency_check,
-    cutoff_power,
+    cutoff_powers,
     gsl_bound,
     gsl_rates,
     high_power_rates,
@@ -287,7 +287,7 @@ class TestColumnForms:
         n = 20_000
         lambdas = [10.0 ** rng.uniform(-8.0, 2.0) for _ in range(n)]
         powers = [10.0 ** rng.uniform(-20.0, 10.0) for _ in range(n)]
-        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
         xis = [10.0 ** rng.uniform(0.0, 6.0) for _ in range(n)]
         hc = CONSTANTS.hbar * CONSTANTS.c
         gsl = gsl_rates(lambdas, powers, p_cs, params, xis)
@@ -312,7 +312,7 @@ class TestColumnForms:
     def test_capacity_bound_gives_the_column_forms(self, emission):
         params = EmissionParameters(**emission)
         rng = random.Random(20261020)
-        p_c = cutoff_power(OPTICAL, params)
+        p_c = cutoff_powers([OPTICAL], params)[0]
         for P in (p_c * 10.0 ** rng.uniform(-9.0, 3.0) for _ in range(20_000)):
             report = capacity_bound(Channel(OPTICAL, P, emission=params))
             regime, xi, bound = report.regime, report.xi_used, report.bound_bits_per_s
@@ -348,7 +348,7 @@ class TestPowerColumns:
     def test_runs_match_the_reference(self, order, emission):
         params = EmissionParameters(**emission)
         lambda_c = OPTICAL
-        p_c = cutoff_power(lambda_c, params)
+        p_c = cutoff_powers([lambda_c], params)[0]
         powers = reorder([-0.0] + self.powers(p_c), order)
         got = one_cutoff_columns(lambda_c, powers, p_c, params)
         assert _bits(got) == _bits(self.per_point(lambda_c, powers, p_c, params))
@@ -358,7 +358,7 @@ class TestPowerColumns:
                                         [1.0], [2.0, 1.0]])
     def test_short_columns(self, powers):
         params = EmissionParameters()
-        p_c = cutoff_power(OPTICAL, params)
+        p_c = cutoff_powers([OPTICAL], params)[0]
         got = one_cutoff_columns(OPTICAL, powers, p_c, params)
         assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
 
@@ -374,7 +374,7 @@ class TestPowerColumns:
     def test_zero_power_gives_a_zero_bound(self):
         params = EmissionParameters()
         regimes, bounds = one_cutoff_columns(
-            OPTICAL, [-0.0, 0.0, 1e-9], cutoff_power(OPTICAL, params), params)
+            OPTICAL, [-0.0, 0.0, 1e-9], cutoff_powers([OPTICAL], params)[0], params)
         assert regimes[:2] == ["low", "low"]
         assert [b.hex() for b in bounds[:2]] == [(0.0).hex()] * 2
 
@@ -384,7 +384,7 @@ class TestPowerColumns:
            st.floats(min_value=1e-6, max_value=1e6))
     def test_any_column_matches_the_reference(self, powers, order, nu, scale):
         params = EmissionParameters(nu=nu)
-        p_c = cutoff_power(OPTICAL, params)
+        p_c = cutoff_powers([OPTICAL], params)[0]
         powers = [P * p_c * scale / 1e15 for P in powers]
         if order != "as drawn":
             powers.sort(reverse=order == "reversed")
@@ -397,13 +397,13 @@ class TestPowerColumns:
 def test_one_value_is_its_constant_column(order, emission):
     # a power sweep's cutoff and p_c, and a cutoff sweep's power
     params = EmissionParameters(**emission)
-    p_c = cutoff_power(OPTICAL, params)
+    p_c = cutoff_powers([OPTICAL], params)[0]
     powers = reorder(TestPowerColumns.powers(p_c), order)
     n = len(powers)
     assert _bits(regime_columns(OPTICAL, powers, p_c, params)) == _bits(
         regime_columns([OPTICAL] * n, powers, [p_c] * n, params))
     lambdas = reorder(TestCutoffColumns.LAMBDAS, order)
-    p_cs = [cutoff_power(lam, params) for lam in lambdas]
+    p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
     for power in (0.0, p_c / 50):
         assert _bits(regime_columns(lambdas, power, p_cs, params)) == _bits(
             regime_columns(lambdas, [power] * len(lambdas), p_cs, params))
@@ -426,19 +426,19 @@ class TestCutoffColumns:
         # the fixed power sits at, or one ulp either side of, an edge of
         # OPTICAL's p_c (inf: the zero power)
         params = EmissionParameters(**emission)
-        power = cutoff_power(OPTICAL, params) / edge
+        power = cutoff_powers([OPTICAL], params)[0] / edge
         for _ in range(abs(step)):
             power = math.nextafter(power, step * math.inf)
         lambdas = reorder(self.LAMBDAS, order)
         powers = [power] * len(lambdas)
-        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
         got = regime_columns(lambdas, powers, p_cs, params)
         assert _bits(got) == _bits(point_by_point(lambdas, powers, p_cs, params))
         assert set(got[0]) == ({"low"} if power == 0.0
                                else {"low", "intermediate", "high"})
         at_optical = got[0][lambdas.index(OPTICAL)]
         assert at_optical == _reference_dispatch(
-            OPTICAL, power, cutoff_power(OPTICAL, params), params)[0]
+            OPTICAL, power, cutoff_powers([OPTICAL], params)[0], params)[0]
 
     @given(st.lists(st.tuples(st.floats(min_value=-3.0, max_value=3.0),
                               st.floats(min_value=0.0, max_value=1e6)),
@@ -449,13 +449,13 @@ class TestCutoffColumns:
         # both columns vary; "rising" sorts the cutoffs and the powers
         # each ascending, so P rises and p_c falls
         params = EmissionParameters(nu=nu)
-        p_c0 = cutoff_power(OPTICAL, params)
+        p_c0 = cutoff_powers([OPTICAL], params)[0]
         lambdas = [OPTICAL * 10.0 ** x for x, _ in points]
         powers = [P * p_c0 / 1e4 for _, P in points]
         if order == "rising":
             lambdas.sort()
             powers.sort()
-        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
         got = regime_columns(lambdas, powers, p_cs, params)
         assert _bits(got) == _bits(point_by_point(lambdas, powers, p_cs, params))
 
@@ -478,14 +478,14 @@ def test_each_stretch_of_one_run_calls_its_kernel_once(monkeypatch, swept, nu,
     # run maps its kernel once, and a zero power calls none.  At nu = 1.5
     # the sqrt law holds in the whole low run, at nu = 1 nowhere.
     params = EmissionParameters(nu=nu)
-    p_c = cutoff_power(OPTICAL, params)
+    p_c = cutoff_powers([OPTICAL], params)[0]
     if swept == "power":
         powers = reorder(TestPowerColumns.powers(p_c), order)
         lambdas, p_cs = [OPTICAL] * len(powers), [p_c] * len(powers)
         columns = (OPTICAL, powers, p_c)
     else:
         lambdas = reorder(TestCutoffColumns.LAMBDAS, order)
-        p_cs = [cutoff_power(lam, params) for lam in lambdas]
+        p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
         powers = [p_c / 50] * len(lambdas)
         columns = (lambdas, p_c / 50, p_cs)
     expected = point_by_point(lambdas, powers, p_cs, params)
@@ -525,7 +525,7 @@ def test_any_order_matches_the_reference_at_the_edges(nu, points, order):
     # of p_c/1e4; regime and bound come from regime_columns, and regime,
     # xi and bound from capacity_bound at each point
     params = EmissionParameters(nu=nu)
-    p_c = cutoff_power(OPTICAL, params)
+    p_c = cutoff_powers([OPTICAL], params)[0]
     edges = _edges(p_c)
     powers = [edges[x] if isinstance(x, int) else x * p_c / 1e4 for x in points]
     if order != "as drawn":

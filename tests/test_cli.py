@@ -556,7 +556,15 @@ class TestOverflow:
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     @pytest.mark.parametrize("argv, where", [
-        (["bh", "--mass", "1e200"], "mean density"),
+        (["bh", "--mass", "1e200"], "mass 1e+200 g puts the horizon radius"),
+        (["bh", "--mass", "1e183"], "mass 1e+183 g puts the horizon radius"),
+        (["bh", "--mass", "1e183", "--charge", "1e10", "--spin", "1e10"],
+         "mass 1e+183 g puts the horizon radius"),
+        (["sweep", "bh", "--param", "mass", "--start", "1e183", "--stop", "1e184",
+          "--points", "2", "--quantity", "temperature"],
+         "mass 1e+183 g puts the horizon radius"),
+        (["gedanken", "--scenario", "merger", "--m1", "1.7e308", "--m2", "1e15"],
+         "mass 1.7e+308 g puts the horizon radius"),
         (["bh", "--mass", "1e150"], "results.entropy"),
         (["bh", "--mass", "1.5e182"], "horizon radius 2.22785e+154 cm"),
         (["sweep", "bh", "--param", "mass", "--start", "1e181",
@@ -564,6 +572,22 @@ class TestOverflow:
          "horizon radius 1.48523e+154 cm"),
         (["channel", "--power", "1e300", "--lambda-c", "1e300"], "cutoff"),
         (["channel", "--power", "1", "--lambda-c", "1e-300"], "cutoff"),
+        (["channel", "--power", "1", "--lambda-c", "1e-160"],
+         "cutoff wavelength 1e-160 cm"),
+        (["channel", "--power", "1e-3", "--lambda-c", "5e-5", "--gamma-bar", "1e300"],
+         "gamma_bar 1e+300 and n_species 1 put"),
+        (["channel", "--power", "1e-3", "--lambda-c", "5e-5", "--n-species", "1e300"],
+         "gamma_bar 2 and n_species 1e+300 put"),
+        # the first cutoff whose P_c overflows, before lambda_c^2 vanishes
+        (["sweep", "channel", "--param", "lambda_c", "--start", "1e-159",
+          "--stop", "1e-170", "--points", "12", "--power", "1"],
+         "cutoff wavelength 1e-160 cm"),
+        (["sweep", "channel", "--param", "power", "--start", "1e-3", "--stop", "1",
+          "--lambda-c", "1e-160"], "cutoff wavelength 1e-160 cm"),
+        (["sweep", "channel", "--param", "power", "--start", "1e-3", "--stop", "1",
+          "--lambda-c", "5e-5", "--gamma-bar", "1e300"], "gamma_bar 1e+300"),
+        (["evaporate", "--mass", "1e12", "--n-species", "1e300", "--points", "3"],
+         "n_species 1e+300 puts the evaporation rate constant"),
         (["channel", "--power", "1e300", "--lambda-c", "1"], "results.bound"),
         (["channel", "--power", "1e-320", "--lambda-c", "5e-5"],
          "power 1e-320 erg s^-1 puts the sqrt law's optimal xi"),
@@ -576,7 +600,7 @@ class TestOverflow:
          "zeta = 1e+200"),
         (["gedanken", "--scenario", "infall", "--bh-mass", "1e200",
           "--energy", "1e10", "--radius", "1", "--entropy", "1"],
-         "zeta = 7.42616e+171"),
+         "mass 1e+200 g puts the horizon radius"),
     ])
     def test_exits_1(self, capsys, argv, where, fmt):
         code, out, err = run(capsys, *argv, "--format", fmt)

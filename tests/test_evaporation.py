@@ -130,6 +130,18 @@ class TestPowerAtLength:
         with pytest.raises(DomainError, match="float range"):
             hawking_power(make_black_hole(1e200))
 
+    @pytest.mark.parametrize("gamma_bar, n_species", [(1e300, 1.0), (2.0, 1e300),
+                                                      (1e154, 1e154)])
+    def test_an_overflowing_numerator_names_the_factors(self, gamma_bar, n_species):
+        params = EmissionParameters(gamma_bar=gamma_bar, n_species=n_species)
+        message = (f"gamma_bar {gamma_bar:g} and n_species {n_species:g} put "
+                   "c^2 gamma_bar N hbar beyond the float range")
+        for call in (lambda: hawking_power(make_black_hole(1e15), params),
+                     lambda: characteristic_power(Channel(5e-5, 1e-3, emission=params))):
+            with pytest.raises(DomainError) as info:
+                call()
+            assert str(info.value) == message
+
 
 class TestMassLossRate:
     def test_mountain_anchor(self):

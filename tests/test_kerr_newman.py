@@ -133,15 +133,21 @@ class TestFloatKernels:
                                       (-0.0, -0.0), (0, 0)])
     def test_schwarzschild_columns_are_the_old_code(self, q, j):
         # up to M = 1e154, where the column leaves the Schwarzschild form,
-        # and beyond, where M * M overflows (M = 1.36e154)
+        # and beyond, while M * M stays finite (M = 1.3e154)
         edge = 1e154 * CONSTANTS.c**2 / CONSTANTS.G
         below = [10.0 ** (x / 10.0) for x in range(-46, 1820)] + [
             math.nextafter(edge, 0.0)]
-        for masses in (below, below + [edge, 1.3 * edge, 1.36 * edge]):
+        for masses in (below, below + [edge, 1.3 * edge]):
             expected = zip(*[self.old_make(m, q, j) for m in masses])
             assert [list(map(float.hex, column))
                     for column in horizon_columns(masses, q, j)] == [
                 list(map(float.hex, column)) for column in expected]
+        # where M * M overflows (M = 1.36e154) the old code's r_plus is inf
+        assert self.old_make(1.36 * edge, q, j)[3] == math.inf
+        with pytest.raises(DomainError) as info:
+            horizon_columns(below + [edge, 1.3 * edge, 1.36 * edge], q, j)
+        assert str(info.value) == (f"mass {1.36 * edge:g} g puts the horizon "
+                                   "radius beyond the float range")
         # and their areas, while r_plus^2 stays finite
         _, _, a, r_plus = horizon_columns(below[:-40], q, j)
         assert list(map(float.hex, horizon_areas(r_plus, a))) == [
@@ -175,6 +181,16 @@ class TestFloatKernels:
         # a naked hole before a sub-Planck mass: the naked one is named
         ([1e20, 1e17, 1e-6], 2.6e14, 0.0),
         ([1e20, 1e16, 1e15], 2.6e14, 0.0),
+        # a horizon radius beyond the float range (m above ~1.8e182 g),
+        # ascending and descending, and before or after the other checks
+        ([1e180, 1e182, 1e183, 1e184], 0.0, 0.0),
+        ([1e184, 1e183, 1e182, 1e180], 0.0, 0.0),
+        ([1e15, 1e183, 1e-6], 0.0, 0.0),
+        ([1e15, 1e-6, 1e183], 0.0, 0.0),
+        ([1e180, 1e183, 1e184], 1e10, 1e10),
+        ([1e184, 1e183, 1e180], 0.0, 1e10),
+        ([1e20, 1e183, 1e17, 1e-6], 2.6e14, 0.0),
+        ([1e20, 1e17, 1e183], 2.6e14, 0.0),
     ])
     def test_columns_raise_as_make_black_hole_for_the_first_bad_hole(
             self, masses, q, j):

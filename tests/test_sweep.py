@@ -284,10 +284,15 @@ def reference_error(reference):
       "--charge", "2.6e14"],
      lambda: reference_bh_rows(grid(1e20, 1e-10, 50, "log"), "entropy",
                                2.6e14, 0.0)),
-    # ... a mean density beyond the float range before naked singularities
+    # ... a horizon radius beyond the float range before naked singularities
     (["bh", "--param", "mass", "--start", "1e200", "--stop", "1e-3",
       "--charge", "1e20", "--quantity", "mean_density"],
      lambda: reference_bh_rows(grid(1e200, 1e-3, 50, "log"), "mean_density",
+                               1e20, 0.0)),
+    # ... a mean density beyond the float range before naked singularities
+    (["bh", "--param", "mass", "--start", "1e170", "--stop", "1e-3",
+      "--charge", "1e20", "--quantity", "mean_density"],
+     lambda: reference_bh_rows(grid(1e170, 1e-3, 50, "log"), "mean_density",
                                1e20, 0.0)),
     # ... and a cutoff beyond the float range before a zero cutoff
     (["channel", "--param", "lambda_c", "--start", "1e200", "--stop=-1e200",
@@ -382,12 +387,17 @@ def old_mean_density(m):
 
 
 def old_cutoff_power(lambda_c, params=EmissionParameters()):
+    # the per-point formula, which refuses lambda_c^2 or the quotient
+    # beyond the float range (an inf P_c is refused, not returned)
     try:
-        return (CONSTANTS.c**2 * params.gamma_bar * params.n_species
-                * CONSTANTS.hbar / (15360.0 * math.pi * lambda_c**2))
+        p_c = (CONSTANTS.c**2 * params.gamma_bar * params.n_species
+               * CONSTANTS.hbar / (15360.0 * math.pi * lambda_c**2))
     except (OverflowError, ZeroDivisionError):
+        p_c = math.inf
+    if p_c == math.inf:
         raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
-                          "characteristic power beyond the float range") from None
+                          "characteristic power beyond the float range")
+    return p_c
 
 
 COLUMN_FORMS = {
@@ -420,7 +430,8 @@ def test_column_forms_match_the_per_point_formulas(form):
 @pytest.mark.parametrize("form", sorted(COLUMN_FORMS))
 @pytest.mark.parametrize("column", [
     [1.0, -2.0, 0.0, -3.0], [math.nan, -1.0], [2.0, -0.0, 0.0], [1.0, 1e200],
-    [1e-200, 1.0, 1e200], [1e300, -1.0], [math.nan, 1.0], [math.inf, 1.0]])
+    [1e-200, 1.0, 1e200], [1e300, -1.0], [math.nan, 1.0], [math.inf, 1.0],
+    [1.0, 1e-160, 1e-200], [1.0, 1e-200, 1e-160]])
 def test_column_forms_raise_for_the_first_bad_value(form, column):
     func, old = COLUMN_FORMS[form]
     for x in column:
