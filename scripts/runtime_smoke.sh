@@ -179,10 +179,15 @@ for fmt in table json csv; do
     # float edges: the refusal names the input, not an output field
     refuse "cutoff wavelength" channel --lambda-c 1e-160 --power 1 \
         --format "$fmt"
+    # P_c fits, its round-number form 1e-4 c^2 hbar / lambda_c^2 does not
+    refuse "cutoff wavelength" channel --lambda-c 6e-160 --power 1 \
+        --format "$fmt"
     refuse "gamma_bar" channel --lambda-c 5e-5 --power 1e-3 --gamma-bar 1e300 \
         --format "$fmt"
     refuse "n_species" evaporate --mass 1e12 --n-species 1e300 --format "$fmt"
     refuse "horizon radius" bh --mass 1e183 --format "$fmt"
+    # a naked hole whose Q^2 and M^2 both overflow
+    refuse "horizon radius" bh --mass 1.35e228 --charge 3.5e274 --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)

@@ -35,7 +35,7 @@ from operator import ge, le
 from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E, _checked_make
-from .errors import DomainError
+from .errors import DomainError, first_refused
 from .evaporation import (
     DEFAULT_EMISSION,
     EmissionParameters,
@@ -73,22 +73,25 @@ class Channel(_ChannelFields):
 
     def __new__(cls, *args: object, **kwargs: object) -> Channel:
         self = super().__new__(cls, *args, **kwargs)
-        check_channel(self.lambda_c, self.power, self.n_carriers)
+        check_channels((self.lambda_c,), (self.power,), self.n_carriers)
         return self
 
 
-def check_channel(lambda_c: float, power: float, n_carriers: float) -> None:
-    """The checks of a :class:`Channel`'s fields, in that order, for
-    callers that evaluate many channels without building one."""
-    if not 0 < lambda_c < math.inf:
-        raise DomainError("cutoff wavelength must be positive and finite, "
-                          f"got {lambda_c}")
-    if not 0 <= power < math.inf:
-        raise DomainError(
-            f"power must be non-negative and finite, got {power}")
-    if not 1.0 <= n_carriers < math.inf:
-        raise DomainError(
-            f"n_carriers must be >= 1 and finite, got {n_carriers}")
+def check_channels(lambdas: Sequence[float], powers: Sequence[float],
+                   n_carriers: float = 1.0) -> None:
+    """The checks of a :class:`Channel`'s fields, in that order, on the
+    channels (lambda_c, P, n_carriers), lambda_c in ``lambdas`` and P in
+    ``powers``, for callers that evaluate many channels without building
+    one.  Raises DomainError for the first channel refused."""
+    def check(lambdas: Sequence[float], powers: Sequence[float]) -> None:
+        if not (all(map(math.isfinite, lambdas)) and min(lambdas, default=1.0) > 0.0):
+            raise DomainError("cutoff wavelength must be positive and finite, "
+                              f"got {lambdas[0]}")
+        if not (all(map(math.isfinite, powers)) and min(powers, default=0.0) >= 0.0):
+            raise DomainError(f"power must be non-negative and finite, got {powers[0]}")
+        if not 1.0 <= n_carriers < math.inf:
+            raise DomainError(f"n_carriers must be >= 1 and finite, got {n_carriers}")
+    first_refused(check, lambdas, powers)
 
 
 class ConsistencyReport(NamedTuple):
@@ -133,27 +136,27 @@ def cutoff_powers(lambdas: Sequence[float], params: EmissionParameters) -> list[
     when c^2 gamma_bar N hbar overflows, else naming the first cutoff whose
     lambda_c^2 or P_c leaves the float range: lambda_c above ~1e154 cm, or
     below ~4.7e-160 cm with the default factors."""
-    try:
-        p_cs = powers_at_lengths(lambdas, params)
-        if math.inf not in p_cs:
-            return p_cs
-    except (OverflowError, ZeroDivisionError):
-        pass
-    for lambda_c in lambdas:
+    def powers(lambdas: Sequence[float]) -> list[float]:
         try:
-            if powers_at_lengths((lambda_c,), params)[0] != math.inf:
-                continue
+            p_cs = powers_at_lengths(lambdas, params)
+            if math.inf not in p_cs:
+                return p_cs
         except (OverflowError, ZeroDivisionError):
             pass
-        raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
+        raise DomainError(f"cutoff wavelength {lambdas[0]:g} cm puts the "
                           "characteristic power beyond the float range")
-    raise AssertionError("no cutoff is out of range")
+    return first_refused(powers, lambdas)
 
 
 def approx_characteristic_power(lambda_c: float) -> float:
     """The round-number form 1e-4 c^2 hbar / lambda_c^2 [erg s^-1] of a
-    cutoff lambda_c [cm] whose lambda_c^2 fits a float."""
-    return 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
+    cutoff lambda_c [cm] whose lambda_c^2 fits a float.  Raises DomainError,
+    naming the cutoff, where it overflows (lambda_c below ~7.3e-160 cm)."""
+    p_c = 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
+    if p_c == math.inf:
+        raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the round-number "
+                          "characteristic power beyond the float range")
+    return p_c
 
 
 def gsl_bound(ch: Channel, xi: float) -> float:
@@ -274,61 +277,54 @@ def _run(P: float, p_c: float, nu: float) -> int:
     return HIGH if P >= p_c / HIGH_POWER_DIVISOR else INTERMEDIATE
 
 
-def _rates(run: int, lambdas: Sequence[float] | float,
-           powers: Sequence[float] | float, p_cs: Sequence[float] | float,
-           params: EmissionParameters, start: int, stop: int
+def _rates(run: int, lambdas: Sequence[float], powers: Sequence[float],
+           p_cs: Sequence[float], params: EmissionParameters
            ) -> tuple[Iterable[float | None], list[float]]:
     """The xi used and the bound [bits s^-1] of the channels (lambda_c, P,
-    p_c) at points start to stop, all in run ``run``, by its kernel; a float
-    holds at every point, and the sqrt law's xi is computed only as read."""
-    def at(x: Sequence[float] | float) -> Iterable[float]:
-        return repeat(x, stop - start) if isinstance(x, float) else x[start:stop]
-
+    p_c), columns of one length all in run ``run``, by its kernel; the sqrt
+    law's xi is computed only as read."""
     if run == ZERO_POWER:
-        return repeat(None), [0.0] * (stop - start)
+        return repeat(None), [0.0] * len(powers)
     if run == SQRT_LAW:
-        return (map(optimal_xi, at(powers), at(p_cs), repeat(params.nu)),
-                low_power_rates(at(powers), params))
+        return (map(optimal_xi, powers, p_cs, repeat(params.nu)),
+                low_power_rates(powers, params))
     if run == HIGH:
-        return repeat(XI_FLOOR), high_power_rates(at(lambdas), at(powers))
-    xis = [XI_MIN] * (stop - start) if run == AT_XI_MIN else [
+        return repeat(XI_FLOOR), high_power_rates(lambdas, powers)
+    xis = [XI_MIN] * len(powers) if run == AT_XI_MIN else [
         XI_FLOOR if XI_FLOOR > xi else xi       # max(xi, XI_FLOOR)
-        for xi in optimal_xis(at(powers), at(p_cs), params.nu)]
-    return xis, gsl_rates(at(lambdas), at(powers), at(p_cs), params, xis)
+        for xi in optimal_xis(powers, p_cs, params.nu)]
+    return xis, gsl_rates(lambdas, powers, p_cs, params, xis)
 
 
-def regime_columns(lambdas: Sequence[float] | float,
-                   powers: Sequence[float] | float,
-                   p_cs: Sequence[float] | float, params: EmissionParameters
+def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
+                   p_cs: Sequence[float], params: EmissionParameters
                    ) -> tuple[list[str], list[float]]:
     """The regime and the bound [bits s^-1] of each channel (lambda_c, P,
-    p_c), as two columns: the one kernel of every channel sweep.  A float
-    in place of a column holds at every point; at least one of the three
-    must be a column, and the inputs must pass :func:`check_channel`.
+    p_c), columns of one length, as two columns: the one kernel of every
+    channel sweep.  The channels must pass :func:`check_channels`.
 
     Each stretch of points in one run of :func:`_run` maps its kernel
     (:func:`_rates`).  Where P never falls and p_c never rises, so neither
     do the runs, bisection finds them; else each point's run is read.
     """
-    n = len(next(x for x in (powers, lambdas, p_cs) if not isinstance(x, float)))
-    if all(isinstance(x, float) or all(map(order, x, islice(x, 1, None)))
-           for x, order in ((powers, le), (p_cs, ge))):
-        P, p_c = ((lambda i, x=x: x) if isinstance(x, float) else x.__getitem__
-                  for x in (powers, p_cs))
+    n, nu = len(powers), params.nu
+    if all(map(le, powers, islice(powers, 1, None))) and all(
+            map(ge, p_cs, islice(p_cs, 1, None))):
         stops = [bisect_right(range(n), run,
-                              key=lambda i: _run(P(i), p_c(i), params.nu))
+                              key=lambda i: _run(powers[i], p_cs[i], nu))
                  for run in range(len(_REGIMES))]
         runs = [(run, stop - start) for run, start, stop
                 in zip(range(len(_REGIMES)), [0, *stops], stops) if start < stop]
     else:
-        runs = [(run, len(list(points))) for run, points in groupby(map(
-            _run, *(repeat(x, n) if isinstance(x, float) else x
-                    for x in (powers, p_cs)), repeat(params.nu)))]
+        runs = [(run, len(list(points)))
+                for run, points in groupby(map(_run, powers, p_cs, repeat(nu)))]
     regimes, bounds, start = [], [], 0
     for run, size in runs:
+        stop = start + size
         regimes += repeat(_REGIMES[run], size)
-        bounds += _rates(run, lambdas, powers, p_cs, params, start, start + size)[1]
-        start += size
+        bounds += _rates(run, lambdas[start:stop], powers[start:stop],
+                         p_cs[start:stop], params)[1]
+        start = stop
     return regimes, bounds
 
 
@@ -341,7 +337,7 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     """
     p_c = characteristic_power(ch)
     run = _run(ch.power, p_c, ch.emission.nu)
-    xis, bounds = _rates(run, (ch.lambda_c,), (ch.power,), (p_c,), ch.emission, 0, 1)
+    xis, bounds = _rates(run, (ch.lambda_c,), (ch.power,), (p_c,), ch.emission)
     if (xi := next(iter(xis))) == math.inf:     # sqrt((nu - 1) p_c / P), P tiny
         raise DomainError(f"power {ch.power} erg s^-1 puts the sqrt law's "
                           "optimal xi beyond the float range")

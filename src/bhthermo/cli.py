@@ -26,14 +26,14 @@ from .constants import (
     temperatures_in_kelvin,
 )
 from .document import FORMATS, Document
-from .errors import DomainError
+from .errors import DomainError, first_refused
 
 #: The names this module takes from the formula modules, by module: each
 #: subcommand loads (``_load``) only the modules it runs.  Every call goes
 #: through the module global, so a name set here first is the one that runs.
 _LAZY_IMPORTS = {
     "bounds": ("MaterialSystem", "bound_report"),
-    "channel": ("Channel", "capacity_bound", "check_channel", "cutoff_powers",
+    "channel": ("Channel", "capacity_bound", "check_channels", "cutoff_powers",
                 "regime_columns"),
     "evaporation": ("EmissionParameters", "mass_history"),
     "gedanken": ("capsule_lowering", "infall_experiment", "merger",
@@ -533,14 +533,7 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                               + ", ".join(sorted(BH_SWEEP_QUANTITIES)))
         func, unit = BH_SWEEP_QUANTITIES[args.quantity]
         q, j = args.charge, args.spin
-        try:
-            values = func(grid, *horizon_columns(grid, q, j))
-        except DomainError:
-            # Each column raises for its own first bad point; the sweep's
-            # first bad point is found point by point.
-            for m in grid:
-                func([m], *horizon_columns([m], q, j))
-            raise
+        values = first_refused(lambda m: func(m, *horizon_columns(m, q, j)), grid)
         names, units, columns = ["mass", args.quantity], ["g", unit], [grid, values]
     else:
         if args.param not in ("power", "lambda_c"):
@@ -553,22 +546,17 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         if fixed is None:
             raise ConfigError("channel sweep needs the non-swept parameter "
                               "(lambda-c or power) fixed")
-        # (lambda_c, P) at the swept value x
-        channel = (lambda x: (fixed, x)) if power_sweep else (lambda x: (x, fixed))
-        # The fixed parameter and carrier count are checked with the first
-        # point, and before the cutoff's power.
-        n = Channel(*channel(grid[0]), **_options(args, "n_carriers")).n_carriers
-        # Every point is checked in one pass over the grid; only if one
-        # fails does the per-point loop run, to raise for the first.
-        low = min(grid)
-        if not (all(map(math.isfinite, grid))
-                and (low >= 0.0 if power_sweep else low > 0.0)):
-            for lambda_c, P in map(channel, grid):
-                check_channel(lambda_c, P, n)
-                cutoff_powers([lambda_c], emission)
-        p_cs = cutoff_powers([fixed], emission)[0] if power_sweep \
-            else cutoff_powers(grid, emission)
-        regimes, bounds = regime_columns(*channel(grid), p_cs, emission)
+        n_carriers = _options(args, "n_carriers")
+        fixeds = [fixed] * len(grid)
+        lambdas, powers = (fixeds, grid) if power_sweep else (grid, fixeds)
+
+        def checked_p_cs(lambdas: list[float], powers: list[float]) -> list[float]:
+            # a channel is checked before its cutoff's power
+            check_channels(lambdas, powers, **n_carriers)
+            return cutoff_powers([fixed], emission) * len(powers) if power_sweep \
+                else cutoff_powers(lambdas, emission)
+        p_cs = first_refused(checked_p_cs, lambdas, powers)
+        regimes, bounds = regime_columns(lambdas, powers, p_cs, emission)
         names, units, columns = ([args.param, "bound", "regime"],
                                  ["erg s^-1" if power_sweep else "cm", "bit s^-1", ""],
                                  [grid, bounds, regimes])

@@ -118,10 +118,16 @@ def hawking_power(bh: BlackHole,
     """Total radiated power [erg s^-1]; equals 4 pi r_g^2 * flux(r_g).
 
     M^2 fits a float for every hole :func:`make_black_hole` builds; raises
-    DomainError as :func:`powers_at_lengths` does for its numerator.
+    DomainError as :func:`powers_at_lengths` does for its numerator, and
+    naming the mass where the power overflows (a light hole of large
+    gamma_bar N).
     """
     _require_schwarzschild(bh)
-    return powers_at_lengths((bh.M,), params)[0]
+    [power] = powers_at_lengths((bh.M,), params)
+    if power == math.inf:
+        raise DomainError(f"mass {bh.m:g} g puts the Hawking power beyond the "
+                          "float range")
+    return power
 
 
 def mass_loss_rate(m: float) -> float:

@@ -40,7 +40,8 @@ from .constants import (
     geometrized_masses,
     spin_lengths,
 )
-from .errors import DomainError, NakedSingularityError, SubPlanckMassError
+from .errors import (DomainError, NakedSingularityError, SubPlanckMassError,
+                     first_refused)
 
 #: Relative slack accepted on the existence test Q^2 + a^2 <= M^2.
 EPS_EXTREMAL = 1e-12
@@ -98,57 +99,45 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
     four columns M, Q, a and r_plus [cm], with
     r_plus = M + sqrt(M^2 - Q^2 - a^2).
 
-    The checks that do not depend on m run once.  An invalid hole raises
-    what :func:`make_black_hole` raises for the first one in ``masses``:
-    a NaN or infinite input, a mass below the Planck mass, Q^2 + a^2
-    above M^2 beyond the EPS_EXTREMAL slack (NakedSingularityError), or
-    a horizon radius beyond the float range (M above ~1.34e154 cm, m above
-    ~1.8e182 g).
+    An invalid hole raises what :func:`make_black_hole` raises for the
+    first one in ``masses``: a NaN or infinite input, a mass below the
+    Planck mass, a horizon radius beyond the float range (M^2 overflows: M
+    above ~1.34e154 cm, m above ~1.8e182 g), or Q^2 + a^2 above M^2 beyond
+    the EPS_EXTREMAL slack (NakedSingularityError).
     """
-    if not (math.isfinite(q) and math.isfinite(j)
-            and all(map(math.isfinite, masses))
-            and min(masses, default=math.inf) >= CONSTANTS.planck_mass):
-        for m in masses:            # raises for the first invalid hole
-            if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
-                raise DomainError(
-                    f"mass, charge and spin must be finite, got {m}, {q}, {j}")
-            if m < CONSTANTS.planck_mass:
-                raise SubPlanckMassError(f"mass {m} g is below the Planck "
-                                         f"mass {CONSTANTS.planck_mass:.6e} g")
-            horizon_columns((m,), q, j)
-    Q = geometrized_charge(q)
-    M = geometrized_masses(masses)
-    if q == 0.0 and j == 0.0 and max(M, default=0.0) < 1e154:
-        # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is M
-        # while M * M stays finite, so the general form below gives M + M.
-        # Larger M take that form, and its refusal of an infinite r_plus.
-        return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
-    a = spin_lengths(j, masses)
-    Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
-    s2 = [Q2 + x * x for x in a]
-    # the existence test, which no hole fails where Q^2 + a^2 is 0 throughout
-    naked = ([t > x * x * slack for t, x in zip(s2, M)]
-             if max(s2, default=0.0) > 0.0 else ())
-    # (M - s)(M + s) instead of M^2 - s^2 avoids cancellation near
-    # extremality.  Within the existence slack the hole is extremal:
-    # clamping keeps the square root from amplifying last-digit noise
-    # into a fake temperature, and clamps a naked hole's r_plus to M.
-    # (M - s)(M + s) overflows to inf, not an error, above M ~ 1.34e154 cm.
-    sqrt = math.sqrt
-    r_plus = [x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
-              for x, s in zip(M, map(sqrt, s2))]
-    # The holes that passed the checks above can fail only these two, and
-    # none fails both; a column finds its first invalid hole point by point.
-    if True in naked or math.inf in r_plus:
-        if len(M) > 1:
-            for m in masses:
-                horizon_columns((m,), q, j)
-        if True in naked:
+    def columns(masses: Sequence[float]) -> tuple[list[float], ...]:
+        if masses and not (math.isfinite(q) and math.isfinite(j)
+                           and all(map(math.isfinite, masses))):
+            raise DomainError(f"mass, charge and spin must be finite, got "
+                              f"{masses[0]}, {q}, {j}")
+        if min(masses, default=math.inf) < CONSTANTS.planck_mass:
+            raise SubPlanckMassError(f"mass {masses[0]} g is below the Planck "
+                                     f"mass {CONSTANTS.planck_mass:.6e} g")
+        Q, M = geometrized_charge(q), geometrized_masses(masses)
+        if (top := max(M, default=0.0)) * top == math.inf:
+            raise DomainError(f"mass {masses[0]:g} g puts the horizon radius "
+                              "beyond the float range")
+        if q == 0.0 and j == 0.0:
+            # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is
+            # M where M * M is finite, so the general form below gives M + M.
+            return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
+        a = spin_lengths(j, masses)
+        Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
+        s2 = [Q2 + x * x for x in a]
+        # the existence test, which no hole fails where Q^2 + a^2 is 0 throughout
+        if max(s2, default=0.0) > 0.0 and True in [
+                t > x * x * slack for t, x in zip(s2, M)]:
             raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[0]:.6e} "
                                         f"cm^2 exceeds M^2 = {M[0] * M[0]:.6e} cm^2")
-        raise DomainError(f"mass {masses[0]:g} g puts the horizon radius beyond "
-                          "the float range")
-    return M, [Q] * len(M), a, r_plus
+        # (M - s)(M + s) instead of M^2 - s^2 avoids cancellation near
+        # extremality.  Within the existence slack the hole is extremal:
+        # clamping keeps the square root from amplifying last-digit noise
+        # into a fake temperature.
+        sqrt = math.sqrt
+        return M, [Q] * len(M), a, [
+            x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
+            for x, s in zip(M, map(sqrt, s2))]
+    return first_refused(columns, masses)
 
 
 def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
@@ -167,7 +156,7 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
     Raises
     ------
     DomainError
-        If m, q or j is NaN or infinite.
+        If m, q or j is NaN or infinite, or M^2 overflows (m above ~1.8e182 g).
     SubPlanckMassError
         If m is below the Planck mass.
     NakedSingularityError
@@ -184,19 +173,16 @@ def horizon_areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
     Raises DomainError, naming the first such radius, when r_plus^2 or
     a^2 overflows (r_plus above ~1.3e154 cm, m above ~9e181 g).
     """
-    four_pi = 4.0 * math.pi
-    try:
-        if any(a):
-            return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
-        return [four_pi * r**2 for r in r_plus]     # r^2 + (+-0)^2 is r^2
-    except OverflowError:
-        for r, x in zip(r_plus, a):
-            try:
-                r**2 + x**2
-            except OverflowError:
-                raise DomainError(f"horizon radius {r:g} cm puts the horizon "
-                                  "area beyond the float range") from None
-        raise
+    def areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
+        four_pi = 4.0 * math.pi
+        try:
+            if any(a):
+                return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
+            return [four_pi * r**2 for r in r_plus]     # r^2 + (+-0)^2 is r^2
+        except OverflowError:
+            raise DomainError(f"horizon radius {r_plus[0]:g} cm puts the horizon "
+                              "area beyond the float range") from None
+    return first_refused(areas, r_plus, a)
 
 
 def entropies(areas: Sequence[float]) -> list[float]:
@@ -315,20 +301,14 @@ def mean_density(m: float) -> float:
 def mean_densities(masses: Sequence[float]) -> list[float]:
     """:func:`mean_density` of each mass [g], raising what it raises for
     the first mass it refuses."""
-    numerator = 3.0 * CONSTANTS.c**6
-    scale = 32.0 * math.pi * CONSTANTS.G**3
-    try:
-        if all(map((0.0).__lt__, masses)):
-            return [numerator / (scale * m**2) for m in masses]
-    except OverflowError:
-        pass
-    for m in masses:                # the first mass refused, if any
-        if m <= 0:
-            raise DomainError(f"mass must be positive, got {m}")
+    def densities(masses: Sequence[float]) -> list[float]:
+        if any(map((0.0).__ge__, masses)):
+            raise DomainError(f"mass must be positive, got {masses[0]}")
+        numerator = 3.0 * CONSTANTS.c**6
+        scale = 32.0 * math.pi * CONSTANTS.G**3
         try:
-            m**2
+            return [numerator / (scale * m**2) for m in masses]
         except OverflowError:
-            raise DomainError(
-                f"mass {m:g} g is beyond the float range of the mean "
-                "density (m^2 overflows)") from None
-    return [numerator / (scale * m**2) for m in masses]     # a NaN among them
+            raise DomainError(f"mass {masses[0]:g} g is beyond the float range "
+                              "of the mean density (m^2 overflows)") from None
+    return first_refused(densities, masses)

@@ -17,7 +17,7 @@ from bhthermo.channel import (
     bremermann_rate,
     capacity_bound,
     characteristic_power,
-    check_channel,
+    check_channels,
     consistency_check,
     cutoff_powers,
     gsl_bound,
@@ -188,13 +188,14 @@ class TestFloatKernels:
         ((1.0, 1.0, math.nan), "n_carriers"),
     ])
     def test_checks_fire_in_field_order(self, args, message):
+        lambda_c, power, n_carriers = args
         with pytest.raises(DomainError) as kernel:
-            check_channel(*args)
+            check_channels([lambda_c], [power], n_carriers)
         with pytest.raises(DomainError) as full:
             Channel(*args)
         assert str(kernel.value).startswith(message)
         assert str(kernel.value) == str(full.value)
-        assert check_channel(1.0, 0.0, 1.0) is None
+        assert check_channels([1.0], [0.0], 1.0) is None
 
 
 class TestRegimeBound:
@@ -247,8 +248,9 @@ def _bits(columns):
 def one_cutoff_columns(lambda_c, powers, p_c, params):
     """regime_columns of the channels of one cutoff lambda_c, and so one
     characteristic power p_c, at each power in ``powers``: a power sweep,
-    which passes its one cutoff and p_c as single values."""
-    return regime_columns(lambda_c, powers, p_c, params)
+    which passes its one cutoff and p_c as constant columns."""
+    n = len(powers)
+    return regime_columns([lambda_c] * n, powers, [p_c] * n, params)
 
 
 def point_by_point(lambdas, powers, p_cs, params):
@@ -392,23 +394,6 @@ class TestPowerColumns:
         assert _bits(got) == _bits(self.per_point(OPTICAL, powers, p_c, params))
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
-@pytest.mark.parametrize("emission", EMISSIONS)
-def test_one_value_is_its_constant_column(order, emission):
-    # a power sweep's cutoff and p_c, and a cutoff sweep's power
-    params = EmissionParameters(**emission)
-    p_c = cutoff_powers([OPTICAL], params)[0]
-    powers = reorder(TestPowerColumns.powers(p_c), order)
-    n = len(powers)
-    assert _bits(regime_columns(OPTICAL, powers, p_c, params)) == _bits(
-        regime_columns([OPTICAL] * n, powers, [p_c] * n, params))
-    lambdas = reorder(TestCutoffColumns.LAMBDAS, order)
-    p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
-    for power in (0.0, p_c / 50):
-        assert _bits(regime_columns(lambdas, power, p_cs, params)) == _bits(
-            regime_columns(lambdas, [power] * len(lambdas), p_cs, params))
-
-
 class TestCutoffColumns:
     """A cutoff sweep: the lambda_c column and its p_c column against the
     reference dispatch point by point, bit for bit.  An ascending cutoff column
@@ -482,12 +467,10 @@ def test_each_stretch_of_one_run_calls_its_kernel_once(monkeypatch, swept, nu,
     if swept == "power":
         powers = reorder(TestPowerColumns.powers(p_c), order)
         lambdas, p_cs = [OPTICAL] * len(powers), [p_c] * len(powers)
-        columns = (OPTICAL, powers, p_c)
     else:
         lambdas = reorder(TestCutoffColumns.LAMBDAS, order)
         p_cs = [cutoff_powers([lam], params)[0] for lam in lambdas]
         powers = [p_c / 50] * len(lambdas)
-        columns = (lambdas, p_c / 50, p_cs)
     expected = point_by_point(lambdas, powers, p_cs, params)
     stretches = [(_kernel(regime, nu), len(list(points))) for (regime, zero), points
                  in groupby(zip(expected[0], powers), lambda rp: (rp[0], rp[1] == 0.0))
@@ -504,7 +487,7 @@ def test_each_stretch_of_one_run_calls_its_kernel_once(monkeypatch, swept, nu,
     for name in ("low_power_rates", "gsl_rates", "high_power_rates"):
         monkeypatch.setattr(channel_module, name,
                             spy(name, getattr(channel_module, name)))
-    assert _bits(regime_columns(*columns, params)) == _bits(expected)
+    assert _bits(regime_columns(lambdas, powers, p_cs, params)) == _bits(expected)
     assert calls == stretches
     assert len(stretches) >= 3
 

@@ -129,10 +129,11 @@ CHANNEL_SWEEP = ["sweep", "channel", "--start", "1e-6", "--stop", "1e-1",
     (GEDANKEN_INFALL + ["--zeta", "20", "--gamma-bar", "3"],
      [("EmissionParameters", {"gamma_bar": 3.0}), ("infall_experiment", (20.0,))]),
     (CHANNEL_SWEEP + ["--param", "power", "--lambda-c", "5e-5"],
-     [("EmissionParameters", {}), ("Channel", {})]),
+     [("EmissionParameters", {}), ("check_channels", {})]),
     (CHANNEL_SWEEP + ["--param", "lambda_c", "--power", "1e-3", "--n-carriers",
                       "3", "--n-species", "2"],
-     [("EmissionParameters", {"n_species": 2.0}), ("Channel", {"n_carriers": 3.0})]),
+     [("EmissionParameters", {"n_species": 2.0}),
+      ("check_channels", {"n_carriers": 3.0})]),
 ], ids=lambda x: " ".join(x) if isinstance(x[0], str) else None)
 def test_a_library_call_receives_only_the_options_the_request_set(
         capsys, monkeypatch, argv, expected):
@@ -149,7 +150,7 @@ def test_a_library_call_receives_only_the_options_the_request_set(
             calls.append((name, args[1:] if positional else kwargs))
             return func(*args, **kwargs)
         monkeypatch.setattr(cli, name, wrapper)
-    for name in ("bound_report", "EmissionParameters", "Channel"):
+    for name in ("bound_report", "EmissionParameters", "Channel", "check_channels"):
         record(name, False)
     record("infall_experiment", True)
     code, out, err = run(capsys, *argv)

@@ -14,6 +14,7 @@ from bhthermo.channel import (
     Channel,
     capacity_bound,
     characteristic_power,
+    check_channels,
     cutoff_powers,
     low_power_rates,
 )
@@ -27,12 +28,13 @@ from bhthermo.constants import (
     nats_to_bits,
     temperatures_in_kelvin,
 )
-from bhthermo.errors import DomainError
+from bhthermo.errors import DomainError, first_refused
 from bhthermo.evaporation import EmissionParameters
 from bhthermo.grids import geomspace, linspace
 from bhthermo.kerr_newman import (
     entropy,
     horizon_area,
+    horizon_areas,
     horizon_columns,
     make_black_hole,
     mean_densities,
@@ -400,6 +402,26 @@ def old_cutoff_power(lambda_c, params=EmissionParameters()):
     return p_c
 
 
+def old_horizon_area(r_plus):
+    # a hole of spin length 0
+    try:
+        return 4.0 * math.pi * (r_plus**2 + 0.0**2)
+    except OverflowError:
+        raise DomainError(f"horizon radius {r_plus:g} cm puts the horizon area "
+                          "beyond the float range") from None
+
+
+def old_check_channel(lambda_c, power, n_carriers=1.0):
+    if not 0 < lambda_c < math.inf:
+        raise DomainError("cutoff wavelength must be positive and finite, "
+                          f"got {lambda_c}")
+    if not 0 <= power < math.inf:
+        raise DomainError(f"power must be non-negative and finite, got {power}")
+    if not 1.0 <= n_carriers < math.inf:
+        raise DomainError(f"n_carriers must be >= 1 and finite, got {n_carriers}")
+
+
+#: Each column form and its per-point formula; a check passes its column on.
 COLUMN_FORMS = {
     "entropies_in_bits": (entropies_in_bits, old_nats_to_bits),
     "temperatures_in_kelvin": (temperatures_in_kelvin,
@@ -407,6 +429,11 @@ COLUMN_FORMS = {
     "mean_densities": (mean_densities, old_mean_density),
     "cutoff_powers": (lambda xs: cutoff_powers(xs, EmissionParameters(1.6, 7.0, 3.0)),
                       lambda x: old_cutoff_power(x, EmissionParameters(1.6, 7.0, 3.0))),
+    "horizon_areas": (lambda xs: horizon_areas(xs, [0.0] * len(xs)), old_horizon_area),
+    "check_channels_cutoffs": (lambda xs: check_channels(xs, [1.0] * len(xs)) or xs,
+                               lambda x: old_check_channel(x, 1.0) or x),
+    "check_channels_powers": (lambda xs: check_channels([1.0] * len(xs), xs) or xs,
+                              lambda x: old_check_channel(1.0, x) or x),
 }
 COLUMN_VALUES = [10.0 ** (x / 7.0) for x in range(-700, 700)] + [
     5e-324, 1e-160, 1e154, 1.3e154, 1.7976931348623157e308]
@@ -443,3 +470,40 @@ def test_column_forms_raise_for_the_first_bad_value(form, column):
             assert str(info.value) == str(exc)
             return
     assert bits([func(column)]) == bits([list(map(old, column))])
+
+
+# -- first_refused: the point a refused column names ---------------------------
+
+def refusing_negatives(calls):
+    """A column sum that refuses a negative x, naming the first x."""
+    def compute(xs, ys):
+        calls.append((xs, ys))
+        if min(xs) < 0.0:
+            raise DomainError(f"x must be non-negative, got {xs[0]}")
+        return [x + y for x, y in zip(xs, ys)]
+    return compute
+
+
+def test_first_refused_runs_once_when_the_columns_pass():
+    calls = []
+    assert first_refused(refusing_negatives(calls), [1.0, 2.0], [3.0, 4.0]) == [4.0, 6.0]
+    assert calls == [([1.0, 2.0], [3.0, 4.0])]
+
+
+def test_first_refused_names_the_first_refused_point():
+    calls = []
+    with pytest.raises(DomainError, match=r"^x must be non-negative, got -2\.0$"):
+        first_refused(refusing_negatives(calls), [1.0, -2.0, -3.0], [5.0, 6.0, 7.0])
+    assert calls == [([1.0, -2.0, -3.0], [5.0, 6.0, 7.0]), ([1.0], [5.0]),
+                     ([-2.0], [6.0])]
+
+
+def test_first_refused_lets_any_other_error_through_at_once():
+    calls = []
+
+    def compute(xs):
+        calls.append(xs)
+        raise ZeroDivisionError("not a refusal")
+    with pytest.raises(ZeroDivisionError):
+        first_refused(compute, [1.0, -2.0])
+    assert calls == [[1.0, -2.0]]
