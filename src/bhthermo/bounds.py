@@ -101,12 +101,23 @@ def weak_gravity_ratio(sys: MaterialSystem) -> float:
 
 
 def sphere_area(radius: float) -> float:
-    """Area 4 pi R^2 [cm^2] of the sphere of radius R [cm]."""
+    """Area 4 pi R^2 [cm^2] of the sphere of radius R [cm].  Raises
+    DomainError naming R where R^2 overflows (R above ~1.34e154 cm)."""
     try:
         return 4.0 * math.pi * radius**2
     except OverflowError:
         raise DomainError(f"radius {radius:g} cm puts its sphere's area "
                           "beyond the float range") from None
+
+
+def enclosing_sphere_area(radius: float) -> float:
+    """:func:`sphere_area` of a radius R > 0 [cm] taken as the area a
+    surface encloses, which must be positive: also raises DomainError
+    naming R where 4 pi R^2 underflows to 0 (R below ~1.57e-162 cm)."""
+    if area := sphere_area(radius):
+        return area
+    raise DomainError(f"radius {radius:g} cm puts its sphere's area "
+                      "beyond the float range")
 
 
 def holographic_bound(area: float) -> float:
@@ -173,10 +184,9 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
         raise DomainError(
             f"weak-gravity threshold must be below {BLACK_HOLE_GRAVITY_RATIO}, "
             f"the G E/(c^4 R) of a black hole, got {weak_gravity_threshold}")
-    min_area = sphere_area(sys.radius)
     if enclosing_area is None:
-        enclosing_area = min_area
-    elif enclosing_area < min_area * (1.0 - 1e-12):
+        enclosing_area = enclosing_sphere_area(sys.radius)
+    elif enclosing_area < (min_area := sphere_area(sys.radius)) * (1.0 - 1e-12):
         raise DomainError(
             f"enclosing area {enclosing_area} cm^2 is smaller than the "
             f"system's own sphere {min_area:.6e} cm^2")

@@ -35,7 +35,7 @@ from operator import ge, le
 from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E, _checked_make
-from .errors import DomainError, first_refused
+from .errors import DomainError
 from .evaporation import (
     DEFAULT_EMISSION,
     EmissionParameters,
@@ -82,16 +82,14 @@ def check_channels(lambdas: Sequence[float], powers: Sequence[float],
     """The checks of a :class:`Channel`'s fields, in that order, on the
     channels (lambda_c, P, n_carriers), lambda_c in ``lambdas`` and P in
     ``powers``, for callers that evaluate many channels without building
-    one.  Raises DomainError for the first channel refused."""
-    def check(lambdas: Sequence[float], powers: Sequence[float]) -> None:
-        if not (all(map(math.isfinite, lambdas)) and min(lambdas, default=1.0) > 0.0):
-            raise DomainError("cutoff wavelength must be positive and finite, "
-                              f"got {lambdas[0]}")
-        if not (all(map(math.isfinite, powers)) and min(powers, default=0.0) >= 0.0):
-            raise DomainError(f"power must be non-negative and finite, got {powers[0]}")
-        if not 1.0 <= n_carriers < math.inf:
-            raise DomainError(f"n_carriers must be >= 1 and finite, got {n_carriers}")
-    first_refused(check, lambdas, powers)
+    one.  Raises DomainError naming the columns' first channel if any fails."""
+    if not (all(map(math.isfinite, lambdas)) and min(lambdas, default=1.0) > 0.0):
+        raise DomainError("cutoff wavelength must be positive and finite, "
+                          f"got {lambdas[0]}")
+    if not (all(map(math.isfinite, powers)) and min(powers, default=0.0) >= 0.0):
+        raise DomainError(f"power must be non-negative and finite, got {powers[0]}")
+    if not 1.0 <= n_carriers < math.inf:
+        raise DomainError(f"n_carriers must be >= 1 and finite, got {n_carriers}")
 
 
 class ConsistencyReport(NamedTuple):
@@ -133,19 +131,17 @@ def characteristic_power(ch: Channel) -> float:
 def cutoff_powers(lambdas: Sequence[float], params: EmissionParameters) -> list[float]:
     """:func:`characteristic_power` of each cutoff [cm]: the one home of a
     cutoff's float range.  Raises DomainError naming gamma_bar and n_species
-    when c^2 gamma_bar N hbar overflows, else naming the first cutoff whose
-    lambda_c^2 or P_c leaves the float range: lambda_c above ~1e154 cm, or
-    below ~4.7e-160 cm with the default factors."""
-    def powers(lambdas: Sequence[float]) -> list[float]:
-        try:
-            p_cs = powers_at_lengths(lambdas, params)
-            if math.inf not in p_cs:
-                return p_cs
-        except (OverflowError, ZeroDivisionError):
-            pass
-        raise DomainError(f"cutoff wavelength {lambdas[0]:g} cm puts the "
-                          "characteristic power beyond the float range")
-    return first_refused(powers, lambdas)
+    when c^2 gamma_bar N hbar leaves the float range, else, naming the
+    column's first cutoff, when some lambda_c^2 or P_c does: lambda_c above
+    ~1.34e154 cm, or below ~4.7e-160 cm with the default factors."""
+    try:
+        p_cs = powers_at_lengths(lambdas, params)
+        if math.inf not in p_cs and 0.0 not in p_cs:
+            return p_cs
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise DomainError(f"cutoff wavelength {lambdas[0]:g} cm puts the "
+                      "characteristic power beyond the float range")
 
 
 def approx_characteristic_power(lambda_c: float) -> float:

@@ -8,6 +8,9 @@ from typing import TypeVar
 
 T = TypeVar("T")
 
+#: Points per block of :func:`first_refused`'s search, as document.BLOCK_ROWS.
+BLOCK_POINTS = 4096
+
 
 class DomainError(ValueError):
     """Input outside the physical domain of a formula."""
@@ -22,15 +25,20 @@ class NakedSingularityError(DomainError):
 
 
 def first_refused(compute: Callable[..., T], *columns: Sequence) -> T:
-    """``compute(*columns)``, for a ``compute`` that maps columns of one
-    length to its result and raises DomainError if it refuses any point,
-    naming the columns' first point: exact for one-point columns.  After a
-    refusal, ``compute`` runs once per point on one-point columns, so the
-    error raised is the first refused point's own."""
+    """``compute(*columns)``, or the DomainError of the first point it
+    refuses, for a ``compute`` of columns of one length that refuses them,
+    naming their first point, exactly when it refuses one of their points.
+    After a refusal it runs on blocks of BLOCK_POINTS points, then point by
+    point, on one-point columns, inside the first block it refuses."""
     try:
         return compute(*columns)
     except DomainError as exc:
         refused = exc
-    for point in zip(*columns):
-        compute(*([x] for x in point))
+    for start in range(0, len(columns[0]), BLOCK_POINTS):
+        block = [column[start:start + BLOCK_POINTS] for column in columns]
+        try:
+            compute(*block)
+        except DomainError:
+            for point in zip(*block):
+                compute(*([x] for x in point))
     raise refused

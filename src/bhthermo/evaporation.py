@@ -100,17 +100,22 @@ def powers_at_lengths(lengths: Sequence[float],
     The Hawking power of a hole of gravitational length L, and the
     characteristic power of a channel whose cutoff wavelength is L.
     Raises DomainError, naming gamma_bar and n_species, when the numerator
-    overflows (gamma_bar N above ~2e287), else OverflowError or
-    ZeroDivisionError for the first L whose L^2 leaves the float range;
-    each caller names its own length in the DomainError.
+    overflows or underflows to 0 (gamma_bar N above ~2e287 or below
+    ~3e-318), else OverflowError or ZeroDivisionError for the first L
+    whose L^2 leaves the float range.  A power is inf or 0 only where the
+    quotient itself leaves the float range; each caller refuses it, naming
+    its own length.
     """
     numerator = CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
-    if numerator == math.inf:
+    if not 0.0 < numerator < math.inf:
         raise DomainError(f"gamma_bar {params.gamma_bar:g} and n_species "
                           f"{params.n_species:g} put c^2 gamma_bar N hbar beyond "
                           "the float range")
-    scale = 15360.0 * math.pi
-    return [numerator / (scale * L**2) for L in lengths]
+    scale, inf = 15360.0 * math.pi, math.inf
+    # where 15360 pi L^2 overflows (L above ~6.1e151 cm) but L^2 does not,
+    # dividing by each in turn keeps the power
+    return [numerator / d if (d := scale * L**2) < inf else numerator / scale / L**2
+            for L in lengths]
 
 
 def hawking_power(bh: BlackHole,
@@ -120,11 +125,11 @@ def hawking_power(bh: BlackHole,
     M^2 fits a float for every hole :func:`make_black_hole` builds; raises
     DomainError as :func:`powers_at_lengths` does for its numerator, and
     naming the mass where the power overflows (a light hole of large
-    gamma_bar N).
+    gamma_bar N) or underflows to 0 (a heavy hole of small gamma_bar N).
     """
     _require_schwarzschild(bh)
     [power] = powers_at_lengths((bh.M,), params)
-    if power == math.inf:
+    if not 0.0 < power < math.inf:
         raise DomainError(f"mass {bh.m:g} g puts the Hawking power beyond the "
                           "float range")
     return power

@@ -31,7 +31,7 @@ from .bounds import (
     WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     compositeness,
-    sphere_area,
+    enclosing_sphere_area,
     weak_gravity_ratio,
 )
 from .constants import CONSTANTS, mass_from_geometrized
@@ -118,7 +118,7 @@ def susskind_collapse(sys: MaterialSystem,
     if sys.entropy is None:
         raise DomainError("the collapsing system needs a stored entropy")
     if enclosing_area is None:
-        enclosing_area = sphere_area(sys.radius)
+        enclosing_area = enclosing_sphere_area(sys.radius)
     if not 0 < enclosing_area < math.inf:
         raise DomainError("enclosing area must be positive and finite, "
                           f"got {enclosing_area}")

@@ -40,8 +40,7 @@ from .constants import (
     geometrized_masses,
     spin_lengths,
 )
-from .errors import (DomainError, NakedSingularityError, SubPlanckMassError,
-                     first_refused)
+from .errors import DomainError, NakedSingularityError, SubPlanckMassError
 
 #: Relative slack accepted on the existence test Q^2 + a^2 <= M^2.
 EPS_EXTREMAL = 1e-12
@@ -99,45 +98,43 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
     four columns M, Q, a and r_plus [cm], with
     r_plus = M + sqrt(M^2 - Q^2 - a^2).
 
-    An invalid hole raises what :func:`make_black_hole` raises for the
-    first one in ``masses``: a NaN or infinite input, a mass below the
-    Planck mass, a horizon radius beyond the float range (M^2 overflows: M
-    above ~1.34e154 cm, m above ~1.8e182 g), or Q^2 + a^2 above M^2 beyond
-    the EPS_EXTREMAL slack (NakedSingularityError).
+    If any hole is invalid, raises what :func:`make_black_hole` raises,
+    naming the column's first mass: for a NaN or infinite input, a mass
+    below the Planck mass, a horizon radius beyond the float range (M^2
+    overflows: M above ~1.34e154 cm, m above ~1.8e182 g), or Q^2 + a^2
+    above M^2 beyond the EPS_EXTREMAL slack (NakedSingularityError).
     """
-    def columns(masses: Sequence[float]) -> tuple[list[float], ...]:
-        if masses and not (math.isfinite(q) and math.isfinite(j)
-                           and all(map(math.isfinite, masses))):
-            raise DomainError(f"mass, charge and spin must be finite, got "
-                              f"{masses[0]}, {q}, {j}")
-        if min(masses, default=math.inf) < CONSTANTS.planck_mass:
-            raise SubPlanckMassError(f"mass {masses[0]} g is below the Planck "
-                                     f"mass {CONSTANTS.planck_mass:.6e} g")
-        Q, M = geometrized_charge(q), geometrized_masses(masses)
-        if (top := max(M, default=0.0)) * top == math.inf:
-            raise DomainError(f"mass {masses[0]:g} g puts the horizon radius "
-                              "beyond the float range")
-        if q == 0.0 and j == 0.0:
-            # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is
-            # M where M * M is finite, so the general form below gives M + M.
-            return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
-        a = spin_lengths(j, masses)
-        Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
-        s2 = [Q2 + x * x for x in a]
-        # the existence test, which no hole fails where Q^2 + a^2 is 0 throughout
-        if max(s2, default=0.0) > 0.0 and True in [
-                t > x * x * slack for t, x in zip(s2, M)]:
-            raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[0]:.6e} "
-                                        f"cm^2 exceeds M^2 = {M[0] * M[0]:.6e} cm^2")
-        # (M - s)(M + s) instead of M^2 - s^2 avoids cancellation near
-        # extremality.  Within the existence slack the hole is extremal:
-        # clamping keeps the square root from amplifying last-digit noise
-        # into a fake temperature.
-        sqrt = math.sqrt
-        return M, [Q] * len(M), a, [
-            x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
-            for x, s in zip(M, map(sqrt, s2))]
-    return first_refused(columns, masses)
+    if masses and not (math.isfinite(q) and math.isfinite(j)
+                       and all(map(math.isfinite, masses))):
+        raise DomainError(f"mass, charge and spin must be finite, got "
+                          f"{masses[0]}, {q}, {j}")
+    if min(masses, default=math.inf) < CONSTANTS.planck_mass:
+        raise SubPlanckMassError(f"mass {masses[0]} g is below the Planck "
+                                 f"mass {CONSTANTS.planck_mass:.6e} g")
+    Q, M = geometrized_charge(q), geometrized_masses(masses)
+    if (top := max(M, default=0.0)) * top == math.inf:
+        raise DomainError(f"mass {masses[0]:g} g puts the horizon radius "
+                          "beyond the float range")
+    if q == 0.0 and j == 0.0:
+        # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is
+        # M where M * M is finite, so the general form below gives M + M.
+        return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
+    a = spin_lengths(j, masses)
+    Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
+    s2 = [Q2 + x * x for x in a]
+    # the existence test, which no hole fails where Q^2 + a^2 is 0 throughout
+    if max(s2, default=0.0) > 0.0 and True in [
+            t > x * x * slack for t, x in zip(s2, M)]:
+        raise NakedSingularityError(f"no horizon: Q^2 + a^2 = {s2[0]:.6e} "
+                                    f"cm^2 exceeds M^2 = {M[0] * M[0]:.6e} cm^2")
+    # (M - s)(M + s) instead of M^2 - s^2 avoids cancellation near
+    # extremality.  Within the existence slack the hole is extremal:
+    # clamping keeps the square root from amplifying last-digit noise
+    # into a fake temperature.
+    sqrt = math.sqrt
+    return M, [Q] * len(M), a, [
+        x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
+        for x, s in zip(M, map(sqrt, s2))]
 
 
 def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
@@ -170,19 +167,17 @@ def horizon_areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
     """Horizon areas 4 pi (r_plus^2 + a^2) [cm^2] from the columns of
     horizon radii and spin lengths [cm].
 
-    Raises DomainError, naming the first such radius, when r_plus^2 or
-    a^2 overflows (r_plus above ~1.3e154 cm, m above ~9e181 g).
+    Raises DomainError, naming the column's first radius, when some
+    r_plus^2 or a^2 overflows (r_plus above ~1.3e154 cm, m above ~9e181 g).
     """
-    def areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
-        four_pi = 4.0 * math.pi
-        try:
-            if any(a):
-                return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
-            return [four_pi * r**2 for r in r_plus]     # r^2 + (+-0)^2 is r^2
-        except OverflowError:
-            raise DomainError(f"horizon radius {r_plus[0]:g} cm puts the horizon "
-                              "area beyond the float range") from None
-    return first_refused(areas, r_plus, a)
+    four_pi = 4.0 * math.pi
+    try:
+        if any(a):
+            return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
+        return [four_pi * r**2 for r in r_plus]     # r^2 + (+-0)^2 is r^2
+    except OverflowError:
+        raise DomainError(f"horizon radius {r_plus[0]:g} cm puts the horizon "
+                          "area beyond the float range") from None
 
 
 def entropies(areas: Sequence[float]) -> list[float]:
@@ -300,15 +295,13 @@ def mean_density(m: float) -> float:
 
 def mean_densities(masses: Sequence[float]) -> list[float]:
     """:func:`mean_density` of each mass [g], raising what it raises for
-    the first mass it refuses."""
-    def densities(masses: Sequence[float]) -> list[float]:
-        if any(map((0.0).__ge__, masses)):
-            raise DomainError(f"mass must be positive, got {masses[0]}")
-        numerator = 3.0 * CONSTANTS.c**6
-        scale = 32.0 * math.pi * CONSTANTS.G**3
-        try:
-            return [numerator / (scale * m**2) for m in masses]
-        except OverflowError:
-            raise DomainError(f"mass {masses[0]:g} g is beyond the float range "
-                              "of the mean density (m^2 overflows)") from None
-    return first_refused(densities, masses)
+    a mass it refuses, naming the column's first mass."""
+    if any(map((0.0).__ge__, masses)):
+        raise DomainError(f"mass must be positive, got {masses[0]}")
+    numerator = 3.0 * CONSTANTS.c**6
+    scale = 32.0 * math.pi * CONSTANTS.G**3
+    try:
+        return [numerator / (scale * m**2) for m in masses]
+    except OverflowError:
+        raise DomainError(f"mass {masses[0]:g} g is beyond the float range "
+                          "of the mean density (m^2 overflows)") from None

@@ -8,11 +8,14 @@ is the one exception left; see its test.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from bhthermo.bounds import MaterialSystem, bound_report
 from bhthermo.channel import Channel, capacity_bound, characteristic_power
+from bhthermo.cli import main
 from bhthermo.constants import CONSTANTS
 from bhthermo.errors import DomainError
 from bhthermo.evaporation import (
@@ -21,6 +24,7 @@ from bhthermo.evaporation import (
     lifetime,
     mass_history,
 )
+from bhthermo.gedanken import susskind_collapse
 from bhthermo.kerr_newman import make_black_hole
 from test_cli_contract import TYPICAL
 
@@ -80,6 +84,7 @@ def test_a_naked_hole_whose_m_squared_overflows_names_the_mass():
 @example(5e-5, 1e-3, 1e300, 1.0)                # c^2 gamma_bar overflows
 @example(5e-5, 1e-3, 2.0, 1e300)                # ... with N
 @example(6e-160, 1.0, 2.0, 1.0)                 # only p_c_approx overflows
+@example(1e154, 1.0, 2.0, 1.0)                  # 15360 pi lambda_c^2 overflows
 def test_a_channel_report_is_finite_or_refused(lambda_c, power, gamma_bar, n_species):
     params = emission(gamma_bar, n_species)
     if params is None:
@@ -88,7 +93,7 @@ def test_a_channel_report_is_finite_or_refused(lambda_c, power, gamma_bar, n_spe
         report = capacity_bound(Channel(lambda_c, power, emission=params))
     except DomainError:
         return
-    assert math.isfinite(report.p_c) and math.isfinite(report.p_c_approx), report
+    assert 0.0 < report.p_c < math.inf and 0.0 < report.p_c_approx < math.inf, report
     assert report.xi_used is None or math.isfinite(report.xi_used), report
     # The bound itself may still overflow for a large lambda_c P or
     # gamma_bar N P; the CLI's output guard refuses it as results.bound.
@@ -135,6 +140,8 @@ def test_an_overflowing_round_number_p_c_names_the_cutoff(lambda_c):
 @given(st.sampled_from([1e-4, 1e-3, 1e15, 1e40]), magnitudes, magnitudes)
 @example(1e-4, 1e260, 1.0)
 @example(1e-4, 1e130, 1e130)
+@example(1e-4, 5e-324, 1.0)                     # c^2 gamma_bar N hbar underflows
+@example(1e40, 1e-300, 1.0)                     # the power underflows
 def test_a_hawking_power_is_finite_or_names_the_mass(m, gamma_bar, n_species):
     params = emission(gamma_bar, n_species)
     if params is None:
@@ -147,7 +154,52 @@ def test_a_hawking_power_is_finite_or_names_the_mass(m, gamma_bar, n_species):
             f"gamma_bar {gamma_bar:g} and n_species {n_species:g} put "
             "c^2 gamma_bar N hbar beyond the float range")
         return
-    assert math.isfinite(power), power     # 0 where gamma_bar N is subnormal
+    assert math.isfinite(power) and power > 0.0, power
+
+
+def exact_power(length, params=EmissionParameters()):
+    """c^2 gamma_bar N hbar / (15360 pi L^2) in exact arithmetic on the
+    floats the formula starts from, rounded once."""
+    return float(Fraction(numerator(params))
+                 / (Fraction(15360.0 * math.pi) * Fraction(length) ** 2))
+
+
+@pytest.mark.parametrize("lambda_c", [6.2e151, 1e152, 1e154, 1.34e154])
+def test_a_p_c_whose_denominator_overflows_is_kept(lambda_c):
+    # 15360 pi lambda_c^2 overflows above ~6.1e151 cm, lambda_c^2 only
+    # above ~1.34e154 cm: P_c is subnormal between, not 0
+    p_c = characteristic_power(Channel(lambda_c, 1.0))
+    assert p_c > 0.0
+    assert p_c == pytest.approx(exact_power(lambda_c), rel=1e-9, abs=2e-323)
+
+
+@pytest.mark.parametrize("m", [8.3e179, 1e182, 1.8e182])
+def test_a_hawking_power_whose_denominator_overflows_is_kept(m):
+    bh = make_black_hole(m)
+    power = hawking_power(bh)
+    assert power > 0.0
+    assert power == pytest.approx(exact_power(bh.M), rel=1e-9, abs=2e-323)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hawking_power(make_black_hole(1e-4), EmissionParameters(gamma_bar=5e-324)),
+     "gamma_bar 4.94066e-324 and n_species 1 put c^2 gamma_bar N hbar beyond "
+     "the float range"),
+    (lambda: characteristic_power(Channel(1.0, 1.0, emission=EmissionParameters(
+        gamma_bar=1e-320, n_species=2.0))),
+     "gamma_bar 9.99989e-321 and n_species 2 put c^2 gamma_bar N hbar beyond "
+     "the float range"),
+    (lambda: hawking_power(make_black_hole(1e40), EmissionParameters(gamma_bar=1e-300)),
+     "mass 1e+40 g puts the Hawking power beyond the float range"),
+    (lambda: characteristic_power(Channel(1e152, 1.0, emission=EmissionParameters(
+        gamma_bar=1e-10))),
+     "cutoff wavelength 1e+152 cm puts the characteristic power beyond the "
+     "float range"),
+])
+def test_a_power_that_underflows_to_0_names_its_input(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
 
 
 @given(signed, magnitudes, magnitudes)
@@ -180,3 +232,33 @@ def test_an_overflowing_loss_constant_names_n_species(n_species):
 def test_the_last_finite_loss_constant_gives_positive_times():
     t, m = mass_history(1e12, EmissionParameters(n_species=1.5e283), points=3)
     assert t[0] == 0.0 and 0.0 < t[1] < t[2] < math.inf
+
+
+@pytest.mark.parametrize("radius", [1e-300, 1.5e-162])
+def test_a_sphere_area_that_underflows_names_the_radius(radius):
+    # 4 pi R^2 is 0 below R ~1.57e-162 cm
+    message = f"radius {radius:g} cm puts its sphere's area beyond the float range"
+    for call in (lambda: bound_report(MaterialSystem(1.0, radius)),
+                 lambda: susskind_collapse(MaterialSystem(1.0, radius, 0.0))):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--energy", "1", "--radius", "1e-300"],
+    ["gedanken", "--scenario", "susskind", "--energy", "1", "--radius", "1e-300",
+     "--entropy", "0"],
+])
+def test_a_request_whose_sphere_area_underflows_names_the_radius(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"bhthermo {argv[0]}: radius 1e-300 cm puts "
+                                       "its sphere's area beyond the float range\n")
+
+
+def test_a_given_area_is_used_whatever_the_sphere_area(capsys):
+    # the sphere's area only bounds the given one from below
+    report = bound_report(MaterialSystem(1.0, 1e-300), enclosing_area=1.0)
+    assert report.enclosing_area == 1.0
+    assert main(["bounds", "--energy", "1", "--radius", "1e-300", "--area", "1"]) == 0
+    assert capsys.readouterr().err == ""

@@ -7,8 +7,11 @@ and every error must be the same error.
 """
 
 import math
+from bisect import bisect_left
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bhthermo.channel import (
     Channel,
@@ -28,7 +31,8 @@ from bhthermo.constants import (
     nats_to_bits,
     temperatures_in_kelvin,
 )
-from bhthermo.errors import DomainError, first_refused
+from bhthermo import cli, errors
+from bhthermo.errors import BLOCK_POINTS, DomainError, first_refused
 from bhthermo.evaporation import EmissionParameters
 from bhthermo.grids import geomspace, linspace
 from bhthermo.kerr_newman import (
@@ -363,7 +367,8 @@ def test_errors_match_the_object_loop(capsys, argv, reference, fmt):
 #
 # The sweep's conversions run as column forms, which the scalar functions
 # now call; each cell must be what the per-point formula gave, and a column
-# must raise the scalar's error for its first bad value.
+# searched by first_refused must raise the scalar's error for its first bad
+# value.
 
 def old_nats_to_bits(S):
     if S < 0:
@@ -390,13 +395,16 @@ def old_mean_density(m):
 
 def old_cutoff_power(lambda_c, params=EmissionParameters()):
     # the per-point formula, which refuses lambda_c^2 or the quotient
-    # beyond the float range (an inf P_c is refused, not returned)
+    # beyond the float range (an inf or 0 P_c is refused, not returned);
+    # where 15360 pi lambda_c^2 overflows, it divides by each in turn
+    numerator = CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
     try:
-        p_c = (CONSTANTS.c**2 * params.gamma_bar * params.n_species
-               * CONSTANTS.hbar / (15360.0 * math.pi * lambda_c**2))
+        denominator = 15360.0 * math.pi * lambda_c**2
+        p_c = numerator / denominator if denominator != math.inf else \
+            numerator / (15360.0 * math.pi) / lambda_c**2
     except (OverflowError, ZeroDivisionError):
         p_c = math.inf
-    if p_c == math.inf:
+    if p_c in (0.0, math.inf):
         raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
                           "characteristic power beyond the float range")
     return p_c
@@ -466,7 +474,7 @@ def test_column_forms_raise_for_the_first_bad_value(form, column):
             old(x)
         except (DomainError, ArithmeticError) as exc:
             with pytest.raises(type(exc)) as info:
-                func(column)
+                first_refused(func, column)
             assert str(info.value) == str(exc)
             return
     assert bits([func(column)]) == bits([list(map(old, column))])
@@ -491,11 +499,19 @@ def test_first_refused_runs_once_when_the_columns_pass():
 
 
 def test_first_refused_names_the_first_refused_point():
-    calls = []
+    # past the first block: the whole column, the blocks up to the first
+    # refused one, then that block's points up to the refused one
+    calls, first = [], BLOCK_POINTS + 5
+    xs = [1.0] * (2 * BLOCK_POINTS + 10)
+    xs[first], xs[first + 2], xs[-1] = -2.0, -3.0, -4.0
+    ys = [float(i) for i in range(len(xs))]
     with pytest.raises(DomainError, match=r"^x must be non-negative, got -2\.0$"):
-        first_refused(refusing_negatives(calls), [1.0, -2.0, -3.0], [5.0, 6.0, 7.0])
-    assert calls == [([1.0, -2.0, -3.0], [5.0, 6.0, 7.0]), ([1.0], [5.0]),
-                     ([-2.0], [6.0])]
+        first_refused(refusing_negatives(calls), xs, ys)
+    blocks = [(xs[i:i + BLOCK_POINTS], ys[i:i + BLOCK_POINTS])
+              for i in (0, BLOCK_POINTS)]
+    points = [([x], [y]) for x, y in zip(xs[BLOCK_POINTS:first + 1],
+                                         ys[BLOCK_POINTS:first + 1])]
+    assert calls == [(xs, ys), *blocks, *points]
 
 
 def test_first_refused_lets_any_other_error_through_at_once():
@@ -507,3 +523,121 @@ def test_first_refused_lets_any_other_error_through_at_once():
     with pytest.raises(ZeroDivisionError):
         first_refused(compute, [1.0, -2.0])
     assert calls == [[1.0, -2.0]]
+
+
+# -- the property the search rests on: a compute refuses columns exactly when
+# it refuses one of their points ----------------------------------------------
+
+def sweep_bh_compute(quantity, q, j):
+    """cmd_sweep's compute of a bh quantity, over the mass column; reading
+    cli.horizon_columns loads the kernels the quantities call."""
+    func = BH_SWEEP_QUANTITIES[quantity][0]
+    return lambda m: func(m, *cli.horizon_columns(m, q, j))
+
+
+def sweep_channel_compute(lambdas, powers, params=EmissionParameters(1.6, 7.0, 3.0)):
+    """cmd_sweep's compute of a cutoff sweep: the checks, then P_c."""
+    check_channels(lambdas, powers)
+    return cutoff_powers(lambdas, params)
+
+
+def refusal(compute, *columns):
+    """The message of the DomainError ``compute(*columns)`` raises, or None."""
+    try:
+        compute(*columns)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def per_point_refusal(compute, *columns):
+    """The refusal of the first point ``compute`` refuses, one at a time."""
+    return next(filter(None, (refusal(compute, *([x] for x in point))
+                              for point in zip(*columns))), None)
+
+
+#: Values where a compute below starts to refuse: the Planck mass, the
+#: masses whose mass length a charge or spin length below reaches (q = 1e10
+#: or 2.6e14 esu, j = 1e40 erg s), and the float edges of a cutoff's P_c
+#: and of a mass's density and horizon.
+EDGES = [CONSTANTS.planck_mass, 3.9e13, 1.0e18, 6.7e28, 4.7e-160, 1.3e154]
+SORTED_VALUES = sorted(COLUMN_VALUES)
+odd_values = st.sampled_from([0.0, -0.0, -1.0, -1e-300, -1e300, math.nan,
+                              math.inf, -math.inf])
+
+
+@st.composite
+def split_columns(draw, size):
+    """A column of ``size`` cells: COLUMN_VALUES within 35 places of a
+    drawn one or of an edge, five decades where they are evenly spaced,
+    with up to three cells replaced by a negative, signed zero, NaN or
+    infinite value."""
+    last = len(SORTED_VALUES) - 1
+    center = draw(st.one_of(st.integers(0, last), st.sampled_from(
+        [bisect_left(SORTED_VALUES, x) for x in EDGES])))
+    column = [SORTED_VALUES[min(max(center + draw(st.integers(-35, 35)), 0), last)]
+              for _ in range(size)]
+    for _ in range(draw(st.integers(0, 3))):
+        column[draw(st.integers(0, size - 1))] = draw(odd_values)
+    return column
+
+
+computes = st.one_of(
+    st.sampled_from(sorted(COLUMN_FORMS)).map(lambda form: COLUMN_FORMS[form][0]),
+    st.builds(sweep_bh_compute, st.sampled_from(sorted(BH_SWEEP_QUANTITIES)),
+              st.sampled_from([0.0, 1e10, 2.6e14, math.nan]),
+              st.sampled_from([0.0, -1e10, 1e40])))
+
+
+def parts(columns, cuts):
+    """The columns split at the indices ``cuts``."""
+    bounds = [0, *sorted(set(cuts)), len(columns[0])]
+    return [[column[start:stop] for column in columns]
+            for start, stop in zip(bounds, bounds[1:]) if start < stop]
+
+
+def raises_arithmetic_error(compute, *columns):
+    try:
+        refusal(compute, *columns)
+    except ArithmeticError:
+        return True
+    return False
+
+
+def check_split_property(compute, columns, cuts, block):
+    # mean_densities divides by an m^2 that underflows to 0 below ~1.6e-162
+    # g: a ZeroDivisionError, no refusal, which first_refused lets through
+    assume(not any(raises_arithmetic_error(compute, *([x] for x in point))
+                   for point in zip(*columns)))
+    whole = refusal(compute, *columns)
+    assert (whole is not None) == any(
+        refusal(compute, *part) is not None for part in parts(columns, cuts))
+    first = per_point_refusal(compute, *columns)
+    assert (whole is not None) == (first is not None)
+    # blocks of a few points, so that these short columns take the block path
+    with mock.patch.object(errors, "BLOCK_POINTS", block):
+        if first is None:
+            first_refused(compute, *columns)
+        else:
+            with pytest.raises(DomainError) as info:
+                first_refused(compute, *columns)
+            assert str(info.value) == first
+
+
+sizes = st.shared(st.integers(1, 40), key="size")
+cuts = sizes.flatmap(lambda n: st.lists(st.integers(1, n)))
+
+
+@settings(max_examples=400)
+@given(computes, sizes.flatmap(split_columns), cuts, st.integers(1, 8))
+def test_a_column_form_refuses_a_split_exactly_when_a_part_does(
+        compute, column, cuts, block):
+    check_split_property(compute, [column], cuts, block)
+
+
+@settings(max_examples=400)
+@given(sizes.flatmap(split_columns), sizes.flatmap(split_columns), cuts,
+       st.integers(1, 8))
+def test_the_channel_sweep_refuses_a_split_exactly_when_a_part_does(
+        lambdas, powers, cuts, block):
+    check_split_property(sweep_channel_compute, [lambdas, powers], cuts, block)
