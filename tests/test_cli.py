@@ -530,6 +530,140 @@ def test_series_output_is_byte_identical(capsys, monkeypatch, command, fmt,
     assert pieces == [2 + math.ceil(20000 / block_rows)]
 
 
+#: The sha256 of stdout of one scalar record per branch of each subcommand,
+#: in every format: the value rows, their units and, in JSON, the order of
+#: the units object (a gedanken record lists its ledger before
+#: results.delta_total).
+GOLDEN_RECORDS = {
+    "constants": {
+        "table": "325b8cc80c73cdd8d42034f59911f8facb272b06d23e3793136c99c7305cfe62",
+        "json": "b6f912969dbac4e47e1544ed5cd1f049f869fcfa460e622ff9f3f13bb247127a",
+        "csv": "25c737d32e52b2f156e7ff88c528d80c1b912dbf841d397f255a8c45ee5143d9",
+    },
+    "bh --mass 1e15": {
+        "table": "9effa79804461a9aaca72236b1336e3652bbddbc0803f0de7415b89238bb5a4b",
+        "json": "bf8153069843b2f9a3b3d775c4efcd66be51ae11da9398fc5995b9c7ec6c3c11",
+        "csv": "8dc427a4d0e9863cd1fb472ec069e298832f11c3badd31b84d54727bedfefb18",
+    },
+    "bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4": {
+        "table": "0eba0977c7111105b053648d394a090603db7bd5b6728d8547335884470ceb21",
+        "json": "7050981827f3fcdc026f8f333bc55ba78e6fc172fd800280368e5d5ec2e3d4e1",
+        "csv": "e771336e7dbfa91e23c78f2a889f267edd9c8f36f253aad2bc5dc56c04476cba",
+    },
+    "bh --mass 1 --charge-over-m 1": {
+        "table": "93b2a7f9dae9eb341e6d7a20725b6159b691561d5fab0c83de4be320f148c05a",
+        "json": "44dd506588b330a7b4676c29bd5d12df1e7fd5f9e640054893c9984af04358d2",
+        "csv": "88f4678bbbd5b81591741db1579fd6d629eaea4f5f9e2e41275fbdd7818258d9",
+    },
+    "evaporate --mass 1e15 --points 3 --n-species 3": {
+        "table": "219eb44b0bf00f12bb985169bca700e4adaa6da8b660d14bc6edf5700056c151",
+        "json": "6a3d1560ed022f625cdfa696444ecac45aa9907647a380218fd587d1fcfdbed4",
+        "csv": "46d940de0795b25d512f3b787adec03012ca6d40c167d4053e1adf0d15c0732f",
+    },
+    "bounds --energy 1e20 --radius 10": {
+        "table": "d4981ae848fa97bba9d8d41ea0ffd191e919035e4f7944e413cf549204d23a90",
+        "json": "0d4938f3afd2ae1f575af208c81e75363328f15acd25a17f48bb5a1940c705c1",
+        "csv": "35c485ec2cdf64f8f69731d2c70a218c34e57c1aff76929a9ba0b7a63a92e271",
+    },
+    "bounds --energy 1e20 --radius 10 --entropy 1e3": {
+        "table": "fa4daf168fc375941a67326119f119d96d50bb4f645fe9b094fd6743a25cbd77",
+        "json": "7804c561b77ba28785e0d692302378498b1b90616f01ac78b35956cf5c501f40",
+        "csv": "af6f91e3b39b0453e7f5a82af4b40e668fa1d52a3fed6a6641dbb6ac96f2a0fd",
+    },
+    ("bounds --mass 16 --radius 6 --entropy 1e3 --nu 1.5 --zeta 20 "
+     "--composite-threshold 5 --weak-gravity-threshold 0.1"): {
+        "table": "a49e363f3749210cc308527af34334dd7201fb4341e225dd5c899d2265bc9431",
+        "json": "328be15fd310056288580923754be31869270419c33fa6166fac071d3716df46",
+        "csv": "73d67c852e95de633e16ea8610c4b20434ec3886bfc05a2bdd062c956b314723",
+    },
+    "bounds --energy 1e20 --radius 10 --area 2000": {
+        "table": "7a99039915d61da85b59292fb3ec3037027f857878f7584d7eff07b0b972aee6",
+        "json": "4c329543e52244a02602ea38058341ce708ef94d2f1a8e05cb6ca9ebe86eb76d",
+        "csv": "80a2066280621a5d8b20076aa3489ceb33447bf93d1b24a32b1cdbe09b04ae10",
+    },
+    "channel --lambda-c 5e-5 --power 0": {
+        "table": "c886e754b737aa803b39fd23a1af59a219fe1cc29cf9f0897c9a6d94da971d98",
+        "json": "c5d19f575f7652e5092091bacf4769514742c2836a3ce101d6e319ed66d15f48",
+        "csv": "098ddf62a749cead8ebdc2949bee75cdbb2cffe0913a6c641ccc2c0e622f722a",
+    },
+    "channel --lambda-c 5e-5 --power 1e-6": {
+        "table": "075a468b0f26c550056180b5ad0fc064912fdec3984bac1599c7bdc5d9d672ef",
+        "json": "b2166cebac79c95ca3adbb92e3a29164bc475c720924ca82e884a87cc7f1f375",
+        "csv": "b5eef3b4f449387166a868d359b83b12333d9b8f2817229a2c1d8fd440715bcf",
+    },
+    "channel --lambda-c 5e-5 --power 1e-3": {
+        "table": "ed39276ddf11313b3b76e0797cbecb834f6fea6998b0869cd05e314b935f51a9",
+        "json": "76ae1e76a321404c36d5bb59ab6dbb10b616d137990c3ac697c8f8be236a164a",
+        "csv": "901c8bdf65799534d619f51439b4f39b0fe6fd7418fc5cecbefcb2e2d37983ce",
+    },
+    "channel --lambda-c 5e-5 --power 1": {
+        "table": "b2c7b7ba188072e45ce60a46a2de97d5a53b1392b3d3432aceff505e028e93d5",
+        "json": "3259859511fcca723d1017542c033d2e2614e684414500347fff63e13425032e",
+        "csv": "244ec1e9defa4d45dda8085f89bbc53ddb64b91cc977f48e77d8e74ff6df67b2",
+    },
+    ("channel --frequency 6e14 --power 1e-3 --n-carriers 2 --nu 1.5 "
+     "--gamma-bar 2 --n-species 3"): {
+        "table": "742ec1b55560e7ad1e936cd663f69313d9404561904f5e38df0e65badbef7c35",
+        "json": "d977d406ffc692af0b4ef46b811c2c2c9a15f10c19b18c554eaed9e231882962",
+        "csv": "b225542a16f5d81c03bb8f8395e0395514b23376f53da584ae76052614d5b2d3",
+    },
+    "gedanken --scenario susskind --energy 1e30 --radius 1 --entropy 1 --area 20": {
+        "table": "c283fa2c91324e137d2ae894a9ca468672a68ec1d7ad8aaba15bdcd9234f6c80",
+        "json": "d45a158ef62608be0489b76f60b6d39a31e48a0e7a5c4e99c50d01f9df306c20",
+        "csv": "475af47ecf52c7ff6119a13117ec67a3fdab08a6d3b59ab628e5b2bb87f28d95",
+    },
+    ("gedanken --scenario capsule --bh-mass 1e30 --bh-charge 1e25 --bh-spin "
+     "1e42 --mu 1 --b 1 --s-cap 1e30"): {
+        "table": "e43ce90692efaed1b5024c66d849f59313f7773e634055fe8051c6d9c7e56602",
+        "json": "514234fe3cc2a35bd92951d5fd6a98f14e6b060402effd4977b03f2916fcdb2a",
+        "csv": "2ca524a80eccc972411abd9e985f4a700961d3a2a1705b6b1d7985a5d900ef85",
+    },
+    ("gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1 --zeta "
+     "10 --nu 1.2 --gamma-bar 3 --n-species 2"): {
+        "table": "90d8d7ed664f96db91d872f454abf7b9f0818065cee1efdbcef1a9b3c25df3b7",
+        "json": "ce627f9acc34f4696e58dcdb8fe3cd6a2cd675bedaa0121532fe672123db5fa7",
+        "csv": "06becd75f3a6faff39ae4030d464171a6aa7df99443016b1b1078f39ce3e2eff",
+    },
+    "gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1 --bh-mass 1e30": {
+        "table": "f98caf60c1bebf8ada3840b0169a5d5c1dff294d0006f57e0d6a3690c90e143c",
+        "json": "d2d32a7526b4eeec425b10168f000ea0919d3435e6b1a968647e5749474afe1f",
+        "csv": "464209ca31d63bba1c3ed58e6dbf7ea58d6af76f03c1e7b40265fe42263723df",
+    },
+    "gedanken --scenario merger --m1 1e15 --m2 2e15": {
+        "table": "b158b2beafd06e617a2492b8eb2061d26ee27357ab604a44671f8d03a7a45b07",
+        "json": "83b0f129e22fefd78fcd88b3e9da65a5a7768b110f58b65b321ac673f63619f2",
+        "csv": "cd21a95f4e00d7322b3e2a35b021f9008ccaa24ffa949e20e59b62b290590b46",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_RECORDS))
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_record_output_is_byte_identical(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_RECORDS[command][fmt]
+
+
+#: Refusals that reach the output guard, naming an output rather than an
+#: input, with their one stderr line.
+GUARDED_REFUSALS = {
+    "bh --mass 1e150": "bhthermo bh: results.entropy is inf, beyond the float range",
+    "bounds --energy 1e300 --radius 1":
+        "bhthermo bounds: results.compositeness is inf, beyond the float range",
+    "gedanken --scenario merger --m1 1e150 --m2 1e15":
+        "bhthermo gedanken: results.delta_total is undefined (nan)",
+}
+
+
+@pytest.mark.parametrize("command", list(GUARDED_REFUSALS))
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_guarded_refusals_keep_their_line(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == GUARDED_REFUSALS[command] + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_a_non_finite_cell_in_the_last_block_writes_nothing(capsys, monkeypatch,
                                                             fmt):
