@@ -115,6 +115,21 @@ SWEEP_CHANNEL = (
     *EMISSION,
 )
 INPUT_HELP = "key=value input file"
+#: The one unit, in every record, of each record key and series column name,
+#: by its last dotted part; a name not listed has none.  The constants record
+#: takes its units from ``constants_table``.
+UNITS = {
+    "mass_g": "g", "charge_esu": "esu", "spin_erg_s": "erg s", "M": "cm", "Q": "cm",
+    "a": "cm", "r_plus": "cm", "area": "cm^2", "entropy": "nat", "entropy_bits": "bit",
+    "temperature": "erg", "temperature_kelvin": "K", "theta": "erg cm^-2",
+    "phi": "statvolt", "omega": "s^-1", "mean_density": "g cm^-3",
+    "t": "s", "mass": "g", "lifetime_s": "s",
+    "energy": "erg", "radius": "cm", "enclosing_area": "cm^2", "limit": "nat",
+    "limit_bits": "bit", "before": "nat", "after": "nat", "delta_total": "nat",
+    "lambda_c": "cm", "power": "erg s^-1", "p_c": "erg s^-1", "p_c_approx": "erg s^-1",
+    "pendry_crossover_power": "erg s^-1", "bound": "bit s^-1",
+    "pendry_capacity": "bit s^-1",
+}
 #: The parameters each gedanken scenario reads, by dest (besides scenario).
 GEDANKEN_SCENARIOS = {
     "susskind": ("energy", "mass", "radius", "entropy", "area"),
@@ -305,10 +320,9 @@ def build_emission(args: argparse.Namespace) -> EmissionParameters:
 
 def cmd_constants(args: argparse.Namespace) -> Document:
     table = constants_table()
-    doc = Document(SUBCOMMANDS["constants"].kind)
-    for name, value in table["values"].items():
-        doc.add("values", name, value, table["units"][name])
-    doc.add("meta", "source", table["source"])
+    doc = Document(SUBCOMMANDS["constants"].kind, table["units"])
+    doc.add("values", table["values"])
+    doc.add("meta", {"source": table["source"]})
     return doc
 
 
@@ -337,23 +351,13 @@ def cmd_bh(args: argparse.Namespace) -> Document:
     h1, h2 = h_factors(bh)
     S = entropy(bh)
     T = temperature(bh)
-    doc = Document(SUBCOMMANDS["bh"].kind)
-    doc.add("inputs", "mass_g", bh.m, "g")
-    doc.add("inputs", "charge_esu", bh.q, "esu")
-    doc.add("inputs", "spin_erg_s", bh.j, "erg s")
-    for name, value, unit in (
-            ("M", bh.M, "cm"), ("Q", bh.Q, "cm"), ("a", bh.a, "cm"),
-            ("r_plus", bh.r_plus, "cm"),
-            ("area", horizon_area(bh), "cm^2"),
-            ("entropy", S, "nat"), ("entropy_bits", nats_to_bits(S), "bit"),
-            ("temperature", T, "erg"),
-            ("temperature_kelvin", energy_temperature_to_kelvin(T), "K"),
-            ("theta", pots.theta, "erg cm^-2"),
-            ("phi", pots.phi, "statvolt"),
-            ("omega", pots.omega, "s^-1"),
-            ("h1", h1, ""), ("h2", h2, ""),
-            ("mean_density", mean_density(bh.m), "g cm^-3")):
-        doc.add("results", name, value, unit)
+    doc = Document(SUBCOMMANDS["bh"].kind, UNITS)
+    doc.add("inputs", {"mass_g": bh.m, "charge_esu": bh.q, "spin_erg_s": bh.j})
+    doc.add("results", {
+        "M": bh.M, "Q": bh.Q, "a": bh.a, "r_plus": bh.r_plus,
+        "area": horizon_area(bh), "entropy": S, "entropy_bits": nats_to_bits(S),
+        "temperature": T, "temperature_kelvin": energy_temperature_to_kelvin(T),
+        **pots._asdict(), "h1": h1, "h2": h2, "mean_density": mean_density(bh.m)})
     return doc
 
 
@@ -365,10 +369,10 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
         raise ConfigError("evaporate needs at least two points")
     _check_points(args)
     t, m = mass_history(args.mass, build_emission(args), points=args.points)
-    doc = Document(SUBCOMMANDS["evaporate"].kind)
-    doc.add("inputs", "mass_g", args.mass, "g")
-    doc.add("results", "lifetime_s", t[-1], "s")
-    doc.set_columns(["t", "mass"], ["s", "g"], [t, m])
+    doc = Document(SUBCOMMANDS["evaporate"].kind, UNITS)
+    doc.add("inputs", {"mass_g": args.mass})
+    doc.add("results", {"lifetime_s": t[-1]})
+    doc.set_columns(["t", "mass"], [t, m])
     return doc
 
 
@@ -380,22 +384,18 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     options = _options(args, "nu", "zeta", "composite_threshold",
                        "weak_gravity_threshold")
     report = bound_report(sys_, enclosing_area=args.area, **options)
-    doc = Document(SUBCOMMANDS["bounds"].kind)
-    doc.add("inputs", "energy", sys_.energy, "erg")
-    doc.add("inputs", "radius", args.radius, "cm")
-    doc.add("inputs", "enclosing_area", report.enclosing_area, "cm^2")
-    if args.entropy is not None:
-        doc.add("inputs", "entropy", args.entropy, "nat")
-    for name, value in options.items():
-        doc.add("inputs", name, value)
-    for name in ("compositeness", "weak_gravity_ratio", "tightest_applicable"):
-        doc.add("results", name, getattr(report, name))
-    doc.add("results", "violations", ";".join(report.violations) or "none")
-    for e in report.entries:
-        doc.add("bounds", f"{e.name}.limit", e.limit_nats, "nat")
-        doc.add("bounds", f"{e.name}.limit_bits", e.limit_bits, "bit")
-        doc.add("bounds", f"{e.name}.applicable", e.applicable)
-        doc.add("bounds", f"{e.name}.reason", e.applicability_reason)
+    doc = Document(SUBCOMMANDS["bounds"].kind, UNITS)
+    doc.add("inputs", {"energy": sys_.energy, "radius": args.radius,
+                       "enclosing_area": report.enclosing_area,
+                       **_options(args, "entropy"), **options})
+    doc.add("results", {"compositeness": report.compositeness,
+                        "weak_gravity_ratio": report.weak_gravity_ratio,
+                        "tightest_applicable": report.tightest_applicable,
+                        "violations": ";".join(report.violations) or "none"})
+    # each entry's fields after its name, under shorter keys
+    doc.add("bounds", {f"{e.name}.{key}": value for e in report.entries
+                       for key, value in zip(("limit", "limit_bits", "applicable",
+                                              "reason"), e[1:])})
     return doc
 
 
@@ -432,27 +432,21 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
     else:
         _require(args, "m1", "m2")
         report = merger(make_black_hole(args.m1), make_black_hole(args.m2))
-    return _gedanken_document(report)
-
-
-def _gedanken_document(report: GedankenReport) -> Document:
-    doc = Document(SUBCOMMANDS["gedanken"].kind)
-    doc.add("results", "scenario", report.scenario)
-    for e in report.ledger.entries:
-        key = e.label.replace(" ", "_")
-        doc.add("ledger", f"{key}.before", e.before, "nat")
-        doc.add("ledger", f"{key}.after", e.after, "nat")
-    doc.add("results", "delta_total", report.ledger.delta_total, "nat")
-    doc.add("results", "gsl_satisfied", report.ledger.gsl_satisfied)
-    doc.add("results", "applicable", report.applicable)
-    verdict = report.gsl_verdict
-    doc.add("results", "verdict", "inapplicable" if verdict is None
-            else ("satisfied" if verdict else "violated"))
-    for c in report.assumption_checks:
-        for field in ("value", "threshold", "passed"):
-            doc.add("checks", f"{c.name}.{field}", getattr(c, field))
+    doc = Document(SUBCOMMANDS["gedanken"].kind, UNITS)
+    doc.add("results", {"scenario": report.scenario})
+    doc.add("ledger", {f"{e.label.replace(' ', '_')}.{when}": value
+                       for e in report.ledger.entries
+                       for when, value in (("before", e.before), ("after", e.after))})
+    doc.add("results", {
+        "delta_total": report.ledger.delta_total,
+        "gsl_satisfied": report.ledger.gsl_satisfied,
+        "applicable": report.applicable,
+        "verdict": {None: "inapplicable", True: "satisfied",
+                    False: "violated"}[report.gsl_verdict]})
+    doc.add("checks", {f"{c.name}.{field}": value for c in report.assumption_checks
+                       for field, value in c._asdict().items() if field != "name"})
     if report.notes:
-        doc.add("results", "notes", report.notes)
+        doc.add("results", {"notes": report.notes})
     return doc
 
 
@@ -471,36 +465,29 @@ def cmd_channel(args: argparse.Namespace) -> Document:
     ch = Channel(lambda_c, args.power, **_options(args, "n_carriers"),
                  emission=EmissionParameters(**emission))
     report = capacity_bound(ch)
-    doc = Document(SUBCOMMANDS["channel"].kind)
-    doc.add("inputs", "lambda_c", lambda_c, "cm")
-    doc.add("inputs", "power", ch.power, "erg s^-1")
-    doc.add("inputs", "n_carriers", ch.n_carriers)
-    for name, value in emission.items():
-        doc.add("inputs", name, value)
-    doc.add("results", "p_c", report.p_c, "erg s^-1")
-    doc.add("results", "p_c_approx", report.p_c_approx, "erg s^-1")
-    doc.add("results", "regime", report.regime)
-    doc.add("results", "xi_used", report.xi_used)
-    doc.add("results", "bound", report.bound_bits_per_s, "bit s^-1")
-    doc.add("results", "pendry_capacity", report.pendry_bits_per_s, "bit s^-1")
-    for name, value in report.consistency._asdict().items():
-        doc.add("consistency", name, value,
-                "erg s^-1" if name == "pendry_crossover_power" else "")
+    doc = Document(SUBCOMMANDS["channel"].kind, UNITS)
+    doc.add("inputs", {"lambda_c": lambda_c, "power": ch.power,
+                       "n_carriers": ch.n_carriers, **emission})
+    doc.add("results", {
+        "p_c": report.p_c, "p_c_approx": report.p_c_approx,
+        "regime": report.regime, "xi_used": report.xi_used,
+        "bound": report.bound_bits_per_s, "pendry_capacity": report.pendry_bits_per_s})
+    doc.add("consistency", report.consistency._asdict())
     return doc
 
 
-#: Each bh sweep quantity, with its unit, as a column computed from the
-#: mass column m and the holes' ``horizon_columns`` (M, Q, a, r = r_plus).
+#: Each bh sweep quantity as a column computed from the mass column m and
+#: the holes' ``horizon_columns`` (M, Q, a, r = r_plus).
 BH_SWEEP_QUANTITIES = {
-    "r_plus": (lambda m, M, Q, a, r: r, "cm"),
-    "area": (lambda m, M, Q, a, r: horizon_areas(r, a), "cm^2"),
-    "entropy": (lambda m, M, Q, a, r: entropies(horizon_areas(r, a)), "nat"),
-    "entropy_bits": (lambda m, M, Q, a, r: entropies_in_bits(
-        entropies(horizon_areas(r, a))), "bit"),
-    "temperature": (lambda m, M, Q, a, r: temperatures(M, r, horizon_areas(r, a)), "erg"),
-    "temperature_kelvin": (lambda m, M, Q, a, r: temperatures_in_kelvin(
-        temperatures(M, r, horizon_areas(r, a))), "K"),
-    "mean_density": (lambda m, M, Q, a, r: mean_densities(m), "g cm^-3"),
+    "r_plus": lambda m, M, Q, a, r: r,
+    "area": lambda m, M, Q, a, r: horizon_areas(r, a),
+    "entropy": lambda m, M, Q, a, r: entropies(horizon_areas(r, a)),
+    "entropy_bits": lambda m, M, Q, a, r: entropies_in_bits(
+        entropies(horizon_areas(r, a))),
+    "temperature": lambda m, M, Q, a, r: temperatures(M, r, horizon_areas(r, a)),
+    "temperature_kelvin": lambda m, M, Q, a, r: temperatures_in_kelvin(
+        temperatures(M, r, horizon_areas(r, a))),
+    "mean_density": lambda m, M, Q, a, r: mean_densities(m),
 }
 
 
@@ -531,10 +518,10 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         if args.quantity not in BH_SWEEP_QUANTITIES:
             raise ConfigError(f"unknown quantity {args.quantity!r}; choose from "
                               + ", ".join(sorted(BH_SWEEP_QUANTITIES)))
-        func, unit = BH_SWEEP_QUANTITIES[args.quantity]
+        func = BH_SWEEP_QUANTITIES[args.quantity]
         q, j = args.charge, args.spin
         values = first_refused(lambda m: func(m, *horizon_columns(m, q, j)), grid)
-        names, units, columns = ["mass", args.quantity], ["g", unit], [grid, values]
+        names, columns = ["mass", args.quantity], [grid, values]
     else:
         if args.param not in ("power", "lambda_c"):
             raise ConfigError("channel sweeps support param=power or param=lambda_c")
@@ -557,12 +544,10 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                 else cutoff_powers(lambdas, emission)
         p_cs = first_refused(checked_p_cs, lambdas, powers)
         regimes, bounds = regime_columns(lambdas, powers, p_cs, emission)
-        names, units, columns = ([args.param, "bound", "regime"],
-                                 ["erg s^-1" if power_sweep else "cm", "bit s^-1", ""],
-                                 [grid, bounds, regimes])
+        names, columns = [args.param, "bound", "regime"], [grid, bounds, regimes]
     # one point is the first row of a two-point sweep, so its stop is checked
-    doc = Document(SUBCOMMANDS["sweep"].kind)
-    doc.set_columns(names, units, columns if args.points > 1
+    doc = Document(SUBCOMMANDS["sweep"].kind, UNITS)
+    doc.set_columns(names, columns if args.points > 1
                     else [column[:1] for column in columns])
     return doc
 

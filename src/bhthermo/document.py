@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from functools import partialmethod
 from itertools import chain, filterfalse, repeat
 
@@ -34,27 +34,32 @@ class Document:
     """Uniform output container: named scalar sections plus an optional
     series, stored as columns of floats only or of strs only."""
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, units: Mapping[str, str]):
         self.kind = kind
+        self.unit_table = units
         self.sections: dict[str, dict[str, object]] = {}
-        self.units: dict[str, str] = {}
+        self.units: dict[str, str] = {}     # by record key, in the order added
         self.columns: list[str] | None = None
-        self.column_units: list[str] | None = None
         self.series: list[Sequence[object]] | None = None
         self._str_columns: list[bool] = []
 
-    def add(self, section: str, name: str, value: object, unit: str = "") -> None:
-        self.sections.setdefault(section, {})[name] = value
-        self.units[f"{section}.{name}"] = unit
+    def _unit(self, name: str) -> str:
+        return self.unit_table.get(name.rpartition(".")[2], "")
 
-    def set_columns(self, names: list[str], units: list[str],
+    def add(self, section: str, items: Mapping[str, object]) -> None:
+        """Write ``items`` into ``section``.  A record key has one unit in
+        every record, its last dotted part's in ``units`` (cli.UNITS)."""
+        for name, value in items.items():
+            self.sections.setdefault(section, {})[name] = value
+            self.units[f"{section}.{name}"] = self._unit(name)
+
+    def set_columns(self, names: list[str],
                     columns: list[Sequence[object]]) -> None:
-        """The series: one name, one unit and one sequence of cells per
-        column, all columns of one length (with no column, no rows), each
-        holding only floats or only strs."""
-        if len({len(names), len(units), len(columns)}) != 1:
-            raise ValueError(f"{len(columns)} columns, {len(names)} names "
-                             f"and {len(units)} units")
+        """The series: one name and one sequence of cells per column, all
+        columns of one length (with no column, no rows), each holding only
+        floats or only strs.  A column name takes its unit as a key does."""
+        if len(names) != len(columns):
+            raise ValueError(f"{len(columns)} columns and {len(names)} names")
         if len(set(map(len, columns))) > 1:
             raise ValueError("series columns differ in length: "
                              + ", ".join(str(len(c)) for c in columns))
@@ -67,7 +72,7 @@ class Document:
                                  f"nor only strs: {sorted(k.__name__ for k in kinds)}")
             str_columns.append(is_str)
         self._str_columns = str_columns
-        self.columns, self.column_units, self.series = names, units, columns
+        self.columns, self.series = names, columns
 
     # -- rendering ---------------------------------------------------------
 
@@ -128,7 +133,7 @@ class Document:
         units = {k: u for k, u in self.units.items() if u}
         if self.columns is not None:
             obj["columns"], obj["rows"] = self.columns, []
-            units.update({c: u for c, u in zip(self.columns, self.column_units) if u})
+            units.update({c: u for c in self.columns if (u := self._unit(c))})
         obj["units"] = units
         text = json.dumps(obj, indent=2, allow_nan=False)
         if not self._series_length():
@@ -153,9 +158,9 @@ class Document:
         specs, header = [], []
         if self.columns is not None:
             self._check_series()
-            for c, u, column, is_str in zip(self.columns, self.column_units,
-                                            self.series, self._str_columns):
-                h = f"{c} [{u}]" if u else c
+            for c, column, is_str in zip(self.columns, self.series,
+                                         self._str_columns):
+                h = f"{c} [{u}]" if (u := self._unit(c)) else c
                 w = max(len(h), _table_width(column, is_str))
                 specs.append(f"%{w}s" if is_str else f"%{w}.8e")
                 header.append(h.ljust(w))
@@ -178,8 +183,7 @@ class Document:
             exact = section in FULL_PRECISION_SECTIONS
             for name, value in items.items():
                 key = f"{section}.{name}"
-                rows.append((key, _text_cell(value, key, exact),
-                             self.units.get(key, "")))
+                rows.append((key, _text_cell(value, key, exact), self.units[key]))
         return rows
 
     def _series_length(self) -> int:

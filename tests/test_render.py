@@ -47,13 +47,31 @@ def _ref_rows(doc):
     return [list(row) for row in zip(*doc.series)]
 
 
+def _ref_unit(doc, name):
+    """A record key's or a column's unit: its last dotted part's in the
+    document's table, or none."""
+    return doc.unit_table.get(name.split(".")[-1], "")
+
+
+def _ref_units(doc):
+    """Each record key with its unit, in the order of the logged adds."""
+    return {f"{section}.{name}": _ref_unit(doc, name)
+            for section, items in vars(doc).get("adds", []) for name in items}
+
+
+def add(doc, section, items):
+    """``doc.add``, logged so that the reference knows the order of the keys."""
+    vars(doc).setdefault("adds", []).append((section, items))
+    doc.add(section, items)
+
+
 def _ref_scalar_rows(doc):
     rows = []
     for section, items in doc.sections.items():
         exact = section in FULL_PRECISION_SECTIONS
         for name, value in items.items():
             key = f"{section}.{name}"
-            rows.append((key, _ref_cell(value, exact), doc.units.get(key, "")))
+            rows.append((key, _ref_cell(value, exact), _ref_unit(doc, key)))
     return rows
 
 
@@ -65,10 +83,10 @@ def reference_json(doc):
     if doc.columns is not None:
         obj["columns"] = doc.columns
         obj["rows"] = [[_ref_display(v) for v in row] for row in _ref_rows(doc)]
-    obj["units"] = {k: u for k, u in doc.units.items() if u}
-    if doc.column_units is not None:
-        obj["units"].update(
-            {c: u for c, u in zip(doc.columns, doc.column_units) if u})
+    obj["units"] = {k: u for k, u in _ref_units(doc).items() if u}
+    if doc.columns is not None:
+        obj["units"].update({c: _ref_unit(doc, c) for c in doc.columns
+                             if _ref_unit(doc, c)})
     return json.dumps(obj, indent=2)
 
 
@@ -80,8 +98,8 @@ def reference_table(doc):
         w1 = max(len(r[1]) for r in rows)
         lines += [f"{k:<{w0}}  {v:>{w1}}  {u}".rstrip() for k, v, u in rows]
     if doc.columns is not None:
-        header = [f"{c} [{u}]" if u else c
-                  for c, u in zip(doc.columns, doc.column_units)]
+        header = [f"{c} [{_ref_unit(doc, c)}]" if _ref_unit(doc, c) else c
+                  for c in doc.columns]
         cells = [[_ref_cell(v) for v in row] for row in _ref_rows(doc)]
         widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
                   for i, h in enumerate(header)]
@@ -123,6 +141,17 @@ cells = st.one_of(st.none(), st.booleans(), st.integers(-10**300, 10**300),
 section_names = st.one_of(
     st.sampled_from(["inputs", "results", "rows", "columns", "units", "kind"]),
     texts)
+#: A table of units by name.
+unit_tables = st.dictionaries(texts, texts, max_size=4)
+
+
+def record_names(table):
+    """A record key or a column name: any text, a name of the table, or
+    one after a dotted prefix, which takes that name's unit."""
+    if not table:
+        return texts
+    known = st.sampled_from(sorted(table))
+    return st.one_of(texts, known, st.tuples(texts, known).map(".".join))
 
 
 class FloatSubclass(float):
@@ -140,30 +169,31 @@ def column(draw, nrows):
 
 
 @st.composite
-def series(draw, nonempty=False, ragged=False):
-    """(names, units, columns) of a series; ``nonempty`` draws at least one
-    column and one row, ``ragged`` columns of at least two lengths."""
+def series(draw, nonempty=False, ragged=False, table=None):
+    """(names, columns) of a series, its names drawn for ``table``;
+    ``nonempty`` draws at least one column and one row, ``ragged`` columns
+    of at least two lengths."""
     ncols = draw(st.integers(2 if ragged else 1 if nonempty else 0, 4))
     lengths = st.sampled_from([0, 1, draw(st.integers(2, 60))])
     nrows = draw(st.integers(1, 60) if nonempty else lengths)
-    names = draw(st.lists(texts, min_size=ncols, max_size=ncols))
-    units = draw(st.lists(texts, min_size=ncols, max_size=ncols))
+    names = draw(st.lists(record_names(table), min_size=ncols, max_size=ncols))
     if ragged:
         sizes = draw(st.lists(lengths, min_size=ncols, max_size=ncols)
                      .filter(lambda sizes: len(set(sizes)) > 1))
     else:
         sizes = [nrows] * ncols
-    return names, units, [draw(column(n)) for n in sizes]
+    return names, [draw(column(n)) for n in sizes]
 
 
 @st.composite
 def documents(draw, with_series=None):
-    doc = Document(draw(texts))
+    table = draw(unit_tables)
+    doc = Document(draw(texts), table)
     for section in draw(st.lists(section_names, max_size=3)):
-        for name in draw(st.lists(texts, max_size=4)):
-            doc.add(section, name, draw(cells), draw(texts))
+        names = draw(st.lists(record_names(table), max_size=4))
+        add(doc, section, {name: draw(cells) for name in names})
     if with_series or (with_series is None and draw(st.booleans())):
-        doc.set_columns(*draw(series(nonempty=bool(with_series))))
+        doc.set_columns(*draw(series(nonempty=bool(with_series), table=table)))
     return doc
 
 
@@ -191,7 +221,7 @@ non_finite = st.sampled_from([math.inf, -math.inf, math.nan]).flatmap(
 @given(documents(with_series=False), series(nonempty=True), st.data())
 def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, args,
                                                                     data):
-    names, units, columns = args
+    names, columns = args
     float_columns = [j for j, c in enumerate(columns)
                      if isinstance(c[0], float)]
     assume(float_columns)
@@ -199,7 +229,7 @@ def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, args,
                       st.sampled_from(float_columns))
     for i, j in data.draw(st.lists(cells, min_size=1, max_size=3)):
         columns[j][i] = data.draw(non_finite)
-    doc.set_columns(names, units, columns)
+    doc.set_columns(names, columns)
     expected = reference_refusal(doc)
     for fmt in FORMATS:
         with pytest.raises(DomainError) as info:
@@ -208,9 +238,9 @@ def test_non_finite_cells_are_refused_naming_the_first_in_row_order(doc, args,
 
 
 def test_many_rows_match_the_reference():
-    doc = Document("sweep")
-    doc.add("inputs", "start", 1e-3, "g")
-    doc.set_columns(["x", "y", "label"], ["g", "", ""],
+    doc = Document("sweep", {"start": "g", "x": "g"})
+    add(doc, "inputs", {"start": 1e-3})
+    doc.set_columns(["x", "y", "label"],
                     [[i * 1.000000007 for i in range(3000)],
                      [-1.0 / (i + 1) for i in range(3000)],
                      [f"r{i % 3}" for i in range(3000)]])
@@ -221,7 +251,7 @@ def test_many_rows_match_the_reference():
 @given(series(ragged=True))
 def test_columns_of_unequal_length_are_refused(args):
     with pytest.raises(ValueError, match="differ in length"):
-        Document("x").set_columns(*args)
+        Document("x", {}).set_columns(*args)
 
 
 @pytest.mark.parametrize("column", [
@@ -229,14 +259,13 @@ def test_columns_of_unequal_length_are_refused(args):
     ["a", None]])
 def test_a_column_of_neither_only_floats_nor_only_strs_is_refused(column):
     with pytest.raises(ValueError, match="series column 'odd' holds neither"):
-        Document("x").set_columns(["x", "odd"], ["", ""],
-                                  [[1.0] * len(column), column])
+        Document("x", {}).set_columns(["x", "odd"], [[1.0] * len(column), column])
 
 
-@pytest.mark.parametrize("names, units", [(["x"], ["", ""]), (["x", "y"], [""])])
-def test_a_name_and_a_unit_per_column(names, units):
+@pytest.mark.parametrize("names", [["x"], ["x", "y", "z"]])
+def test_a_name_per_column(names):
     with pytest.raises(ValueError, match="2 columns"):
-        Document("x").set_columns(names, units, [[1.0], [2.0]])
+        Document("x", {}).set_columns(names, [[1.0], [2.0]])
 
 
 def test_a_rows_form_caller_fails_loudly():
@@ -244,12 +273,40 @@ def test_a_rows_form_caller_fails_loudly():
     passing rows to the old one raises instead of printing a transposed
     table."""
     with pytest.raises(AttributeError):
-        Document("x").set_series(["x", "y"], ["", ""], [[1.0, 2.0], [3.0, 4.0]])
+        Document("x", {}).set_series(["x", "y"], ["", ""], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_a_caller_passing_units_fails_loudly():
+    """A unit comes from the document's table only: the writers take none."""
+    doc = Document("x", {"entropy": "nat"})
+    with pytest.raises(TypeError):
+        doc.add("results", "entropy", 1.0, "nat")
+    with pytest.raises(TypeError):
+        doc.set_columns(["entropy"], ["nat"], [[1.0]])
+    assert (doc.sections, doc.columns) == ({}, None)
+
+
+def test_a_key_takes_its_last_dotted_parts_unit_in_the_order_added():
+    doc = Document("x", {"before": "nat", "delta": "nat", "limit": "bit", "t": "s"})
+    doc.add("results", {"scenario": "s"})
+    doc.add("ledger", {"hole.before": 1.0, "limit.x": 2.0})
+    doc.add("results", {"delta": 3.0})
+    doc.set_columns(["t", "y.limit", "before.y"], [[1.0], [2.0], [3.0]])
+    assert list(json.loads(doc.render("json"))["units"].items()) == [
+        ("ledger.hole.before", "nat"), ("results.delta", "nat"), ("t", "s"),
+        ("y.limit", "bit")]
+    assert doc.render("table").splitlines()[1:] == [
+        "results.scenario                 s",
+        "results.delta       3.00000000e+00  nat",
+        "ledger.hole.before  1.00000000e+00  nat",
+        "ledger.limit.x      2.00000000e+00",
+        "t [s]           y.limit [bit]   before.y      ",
+        "1.00000000e+00  2.00000000e+00  3.00000000e+00"]
 
 
 def test_a_series_without_columns_has_no_rows():
-    doc = Document("x")
-    doc.set_columns([], [], [])
+    doc = Document("x", {})
+    doc.set_columns([], [])
     assert doc.render("csv") == ""
     assert doc.render("table") == "# x\n"
     assert json.loads(doc.render("json"))["rows"] == []
@@ -262,21 +319,21 @@ def test_render_builds_only_the_requested_format(monkeypatch, fmt):
         monkeypatch.setattr(Document, f"_{name}_layout",
                             lambda self, name=name: called.append(name)
                             or (name, None, [], "", ""))
-    assert Document("x").render(fmt) == fmt
-    assert getattr(Document("x"), f"to_{fmt}")() == fmt
+    assert Document("x", {}).render(fmt) == fmt
+    assert getattr(Document("x", {}), f"to_{fmt}")() == fmt
     assert called == [fmt, fmt]
 
 
 def test_render_rejects_an_unknown_format():
     with pytest.raises(ValueError):
-        Document("x").render("yaml")
+        Document("x", {}).render("yaml")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_scalar_is_refused(fmt, bad):
-    doc = Document("x")
-    doc.add("results", "entropy", bad, "nat")
+    doc = Document("x", {"entropy": "nat"})
+    doc.add("results", {"entropy": bad})
     with pytest.raises(DomainError, match="results.entropy"):
         doc.render(fmt)
 
@@ -284,8 +341,8 @@ def test_non_finite_scalar_is_refused(fmt, bad):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_series_cell_is_refused(fmt, bad):
-    doc = Document("sweep")
-    doc.set_columns(["mass", "entropy"], ["g", "nat"],
+    doc = Document("sweep", {"mass": "g", "entropy": "nat"})
+    doc.set_columns(["mass", "entropy"],
                     [[1e15, 1e16, 1e17], [2.0, bad, 3.0]])
     with pytest.raises(DomainError, match="entropy at mass = 1e\\+16"):
         doc.render(fmt)
@@ -448,8 +505,8 @@ def test_json_cells_go_through_the_column_rule(monkeypatch):
     x = [0.5, 1e-3, 2e-300, 2e9, 3.5e12, 9e15, 1e8, 0.0, 5e-324, 1e17, 2e300, 3e16,
          99999999.95, 1.5e8, 999999999.4, 0.0, 99999999.9, 2.5, 0.25]
     y = [FloatSubclass(-v) for v in x]
-    doc = Document("sweep")
-    doc.set_columns(["x", "y", "label"], ["", "", ""],
+    doc = Document("sweep", {})
+    doc.set_columns(["x", "y", "label"],
                     [x, y, [f"r{i}" for i in range(len(x))]])
     assert doc.render("json") == reference_json(doc)
     blocks = [column[i:i + 3] for i in range(0, len(x), 3) for column in (x, y)]
@@ -501,6 +558,6 @@ def test_table_width_rule_on_random_bit_patterns():
 ])
 def test_table_width_rule_on_edge_columns(column):
     assert document._table_width(column, False) == _widest(column)
-    doc = Document("x")
-    doc.set_columns(["x"], [""], [column])
+    doc = Document("x", {})
+    doc.set_columns(["x"], [column])
     assert doc.render("table") == reference_table(doc)

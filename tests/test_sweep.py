@@ -6,6 +6,7 @@ cell of the columns ``cmd_sweep`` now fills must match them bit for bit,
 and every error must be the same error.
 """
 
+import json
 import math
 from bisect import bisect_left
 from unittest import mock
@@ -113,6 +114,16 @@ def charge_spin(m, q_over_m, a_over_m):
 
 def test_every_quantity_has_a_reference():
     assert set(BH_SWEEP_QUANTITIES) == set(REFERENCE_QUANTITIES)
+
+
+@pytest.mark.parametrize("quantity", sorted(BH_SWEEP_QUANTITIES))
+def test_a_quantity_column_has_the_unit_of_its_bh_record_key(capsys, quantity):
+    assert main(["bh", "--mass", "1e15", "--format", "json"]) == 0
+    unit = json.loads(capsys.readouterr().out)["units"][f"results.{quantity}"]
+    assert main(["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e16",
+                 "--points", "2", "--quantity", quantity, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["units"] == {"mass": "g",
+                                                            quantity: unit}
 
 
 # (Q/M, a/M) at the start mass; the sweep runs up in mass from there, so
@@ -531,7 +542,7 @@ def test_first_refused_lets_any_other_error_through_at_once():
 def sweep_bh_compute(quantity, q, j):
     """cmd_sweep's compute of a bh quantity, over the mass column; reading
     cli.horizon_columns loads the kernels the quantities call."""
-    func = BH_SWEEP_QUANTITIES[quantity][0]
+    func = BH_SWEEP_QUANTITIES[quantity]
     return lambda m: func(m, *cli.horizon_columns(m, q, j))
 
 
