@@ -188,6 +188,10 @@ for fmt in table json csv; do
     refuse "horizon radius" bh --mass 1e183 --format "$fmt"
     # a naked hole whose Q^2 and M^2 both overflow
     refuse "horizon radius" bh --mass 1.35e228 --charge 3.5e274 --format "$fmt"
+    # R^2 fits, the sphere's area 4 pi R^2 does not
+    refuse "radius 5e+153 cm" bounds --energy 1 --radius 5e153 --format "$fmt"
+    refuse "radius 5e+153 cm" gedanken --scenario susskind --energy 1 \
+        --radius 5e153 --entropy 0 --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)

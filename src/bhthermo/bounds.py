@@ -102,12 +102,15 @@ def weak_gravity_ratio(sys: MaterialSystem) -> float:
 
 def sphere_area(radius: float) -> float:
     """Area 4 pi R^2 [cm^2] of the sphere of radius R [cm].  Raises
-    DomainError naming R where R^2 overflows (R above ~1.34e154 cm)."""
+    DomainError naming R where 4 pi R^2 overflows (R above ~3.78e153 cm)."""
     try:
-        return 4.0 * math.pi * radius**2
-    except OverflowError:
+        area = 4.0 * math.pi * radius**2
+    except OverflowError:       # R^2 overflows too (R above ~1.34e154 cm)
+        area = math.inf
+    if area == math.inf:
         raise DomainError(f"radius {radius:g} cm puts its sphere's area "
-                          "beyond the float range") from None
+                          "beyond the float range")
+    return area
 
 
 def enclosing_sphere_area(radius: float) -> float:

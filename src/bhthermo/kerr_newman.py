@@ -288,7 +288,8 @@ def mean_density(m: float) -> float:
     Raises
     ------
     DomainError
-        If m is not positive, or m^2 overflows (m above ~1.3e154 g).
+        If m is not positive, or m^2 overflows (m above ~1.3e154 g), or
+        the density does (m below ~2e-113 g).
     """
     return mean_densities((m,))[0]
 
@@ -301,7 +302,13 @@ def mean_densities(masses: Sequence[float]) -> list[float]:
     numerator = 3.0 * CONSTANTS.c**6
     scale = 32.0 * math.pi * CONSTANTS.G**3
     try:
-        return [numerator / (scale * m**2) for m in masses]
+        densities = [numerator / (scale * m**2) for m in masses]
     except OverflowError:
         raise DomainError(f"mass {masses[0]:g} g is beyond the float range "
                           "of the mean density (m^2 overflows)") from None
+    except ZeroDivisionError:       # 32 pi G^3 m^2 underflows to 0
+        densities = [math.inf]
+    if math.inf in densities:
+        raise DomainError(f"mass {masses[0]:g} g puts the mean density beyond "
+                          "the float range")
+    return densities

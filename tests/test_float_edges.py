@@ -25,7 +25,7 @@ from bhthermo.evaporation import (
     mass_history,
 )
 from bhthermo.gedanken import susskind_collapse
-from bhthermo.kerr_newman import make_black_hole
+from bhthermo.kerr_newman import make_black_hole, mean_density
 from test_cli_contract import TYPICAL
 
 magnitudes = st.sampled_from(TYPICAL)
@@ -157,6 +157,24 @@ def test_a_hawking_power_is_finite_or_names_the_mass(m, gamma_bar, n_species):
     assert math.isfinite(power) and power > 0.0, power
 
 
+@given(signed)
+@example(1e-163)                    # 32 pi G^3 m^2 underflows to 0
+@example(1e-120)                    # 32 pi G^3 m^2 does not, the quotient overflows
+@example(2.0132905043186787e-113)   # the largest such mass
+@example(1e160)                     # m^2 overflows
+def test_a_mean_density_is_finite_or_names_the_mass(m):
+    try:
+        density = mean_density(m)
+    except DomainError as exc:
+        assert str(exc) in (
+            f"mass must be positive, got {m}",
+            f"mass {m:g} g puts the mean density beyond the float range",
+            f"mass {m:g} g is beyond the float range of the mean density "
+            "(m^2 overflows)")
+        return
+    assert math.isfinite(density) and density > 0.0, density
+
+
 def exact_power(length, params=EmissionParameters()):
     """c^2 gamma_bar N hbar / (15360 pi L^2) in exact arithmetic on the
     floats the formula starts from, rounded once."""
@@ -234,9 +252,10 @@ def test_the_last_finite_loss_constant_gives_positive_times():
     assert t[0] == 0.0 and 0.0 < t[1] < t[2] < math.inf
 
 
-@pytest.mark.parametrize("radius", [1e-300, 1.5e-162])
-def test_a_sphere_area_that_underflows_names_the_radius(radius):
-    # 4 pi R^2 is 0 below R ~1.57e-162 cm
+@pytest.mark.parametrize("radius", [1e-300, 1.5e-162, 5e153])
+def test_a_sphere_area_beyond_the_float_range_names_the_radius(radius):
+    # 4 pi R^2 is 0 below R ~1.57e-162 cm and inf above ~3.78e153 cm, where
+    # R^2 still fits
     message = f"radius {radius:g} cm puts its sphere's area beyond the float range"
     for call in (lambda: bound_report(MaterialSystem(1.0, radius)),
                  lambda: susskind_collapse(MaterialSystem(1.0, radius, 0.0))):
@@ -245,15 +264,18 @@ def test_a_sphere_area_that_underflows_names_the_radius(radius):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("radius", ["1e-300", "5e153"])
 @pytest.mark.parametrize("argv", [
-    ["bounds", "--energy", "1", "--radius", "1e-300"],
-    ["gedanken", "--scenario", "susskind", "--energy", "1", "--radius", "1e-300",
-     "--entropy", "0"],
+    ["bounds", "--energy", "1", "--radius"],
+    ["gedanken", "--scenario", "susskind", "--energy", "1", "--entropy", "0",
+     "--radius"],
 ])
-def test_a_request_whose_sphere_area_underflows_names_the_radius(capsys, argv):
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"bhthermo {argv[0]}: radius 1e-300 cm puts "
-                                       "its sphere's area beyond the float range\n")
+def test_a_request_whose_sphere_area_leaves_the_float_range_names_the_radius(
+        capsys, argv, radius):
+    assert main([*argv, radius]) == 1
+    assert capsys.readouterr() == ("", f"bhthermo {argv[0]}: radius {float(radius):g} "
+                                       "cm puts its sphere's area beyond the float "
+                                       "range\n")
 
 
 def test_a_given_area_is_used_whatever_the_sphere_area(capsys):
