@@ -70,8 +70,8 @@ class Param(NamedTuple):
     takes ``default``, a literal only the command line uses.  One without a
     default stays None; if it is a library option, the library call leaves
     it out, so the library's own default applies.  ``type`` and ``choices``
-    hold for flag and file values alike.  ``key`` names the value in an
-    emitted JSON record's ``inputs`` where that name is not the dest.
+    hold for flag and file values alike.  ``key`` names the value in a
+    record's ``inputs`` where that name is not the dest.
     """
 
     flag: str                   # a bare name for a positional argument
@@ -128,7 +128,9 @@ UNITS = {
     "limit_bits": "bit", "before": "nat", "after": "nat", "delta_total": "nat",
     "lambda_c": "cm", "power": "erg s^-1", "p_c": "erg s^-1", "p_c_approx": "erg s^-1",
     "pendry_crossover_power": "erg s^-1", "bound": "bit s^-1",
-    "pendry_capacity": "bit s^-1",
+    "pendry_capacity": "bit s^-1", "frequency": "Hz", "charge": "esu", "spin": "erg s",
+    "bh_mass": "g", "bh_charge": "esu", "bh_spin": "erg s", "mu": "g", "b": "cm",
+    "s_cap": "nat", "m1": "g", "m2": "g",
 }
 #: The parameters each gedanken scenario reads, by dest (besides scenario).
 GEDANKEN_SCENARIOS = {
@@ -306,14 +308,27 @@ def _refuse_unread(args: argparse.Namespace, given: set[str],
 
 def _options(args: argparse.Namespace, *dests: str) -> dict[str, object]:
     """The library options among ``dests`` that the request set, by dest:
-    what a library call receives, and its record echoes.  One left unset
-    is left out, so the library's own default applies."""
+    what a library call receives.  One left unset is left out, so the
+    library's own default applies."""
     return {dest: value for dest in dests
             if (value := getattr(args, dest, None)) is not None}
 
 
 def build_emission(args: argparse.Namespace) -> EmissionParameters:
     return EmissionParameters(**_options(args, "nu", "gamma_bar", "n_species"))
+
+
+def _document(args: argparse.Namespace) -> tuple[set[str], Document]:
+    """The dests the request set (``merge_input``) and its record, whose
+    ``inputs`` echo exactly the options the request set, each under its
+    key, with the value it runs with.  Re-fed through --input, a record
+    sets the same options, so the same defaults run again."""
+    given = merge_input(args)
+    row = SUBCOMMANDS[args.command]
+    doc = Document(row.kind, UNITS)
+    doc.add("inputs", {p.key or p.dest: getattr(args, p.dest) for p in row.parameters
+                       if p.dest in given and p.flag.startswith("-")})
+    return given, doc
 
 
 # -- subcommands -----------------------------------------------------------
@@ -343,7 +358,7 @@ def _resolve_charge_spin(args: argparse.Namespace,
 
 def cmd_bh(args: argparse.Namespace) -> Document:
     _load("kerr_newman")
-    given = merge_input(args)
+    given, doc = _document(args)
     _require(args, "mass")
     q, j = _resolve_charge_spin(args, given)
     bh = make_black_hole(args.mass, q, j)
@@ -351,8 +366,6 @@ def cmd_bh(args: argparse.Namespace) -> Document:
     h1, h2 = h_factors(bh)
     S = entropy(bh)
     T = temperature(bh)
-    doc = Document(SUBCOMMANDS["bh"].kind, UNITS)
-    doc.add("inputs", {"mass_g": bh.m, "charge_esu": bh.q, "spin_erg_s": bh.j})
     doc.add("results", {
         "M": bh.M, "Q": bh.Q, "a": bh.a, "r_plus": bh.r_plus,
         "area": horizon_area(bh), "entropy": S, "entropy_bits": nats_to_bits(S),
@@ -363,14 +376,12 @@ def cmd_bh(args: argparse.Namespace) -> Document:
 
 def cmd_evaporate(args: argparse.Namespace) -> Document:
     _load("evaporation")
-    merge_input(args)
+    _, doc = _document(args)
     _require(args, "mass")
     if args.points < 2:
         raise ConfigError("evaporate needs at least two points")
     _check_points(args)
     t, m = mass_history(args.mass, build_emission(args), points=args.points)
-    doc = Document(SUBCOMMANDS["evaporate"].kind, UNITS)
-    doc.add("inputs", {"mass_g": args.mass})
     doc.add("results", {"lifetime_s": t[-1]})
     doc.set_columns(["t", "mass"], [t, m])
     return doc
@@ -378,16 +389,11 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
 
 def cmd_bounds(args: argparse.Namespace) -> Document:
     _load("bounds")
-    merge_input(args)
+    _, doc = _document(args)
     _require(args, "radius")
-    sys_ = _system_from_args(args)
-    options = _options(args, "nu", "zeta", "composite_threshold",
-                       "weak_gravity_threshold")
-    report = bound_report(sys_, enclosing_area=args.area, **options)
-    doc = Document(SUBCOMMANDS["bounds"].kind, UNITS)
-    doc.add("inputs", {"energy": sys_.energy, "radius": args.radius,
-                       "enclosing_area": report.enclosing_area,
-                       **_options(args, "entropy"), **options})
+    report = bound_report(_system_from_args(args), enclosing_area=args.area,
+                          **_options(args, "nu", "zeta", "composite_threshold",
+                                     "weak_gravity_threshold"))
     doc.add("results", {"compositeness": report.compositeness,
                         "weak_gravity_ratio": report.weak_gravity_ratio,
                         "tightest_applicable": report.tightest_applicable,
@@ -409,7 +415,7 @@ def _system_from_args(args: argparse.Namespace, *required: str) -> MaterialSyste
 
 def cmd_gedanken(args: argparse.Namespace) -> Document:
     _load("bounds", "evaporation", "gedanken", "kerr_newman")
-    given = merge_input(args)
+    given, doc = _document(args)
     _require(args, "scenario")
     scenario = args.scenario
     _refuse_unread(args, given, ("scenario", *GEDANKEN_SCENARIOS[scenario]),
@@ -432,7 +438,6 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
     else:
         _require(args, "m1", "m2")
         report = merger(make_black_hole(args.m1), make_black_hole(args.m2))
-    doc = Document(SUBCOMMANDS["gedanken"].kind, UNITS)
     doc.add("results", {"scenario": report.scenario})
     doc.add("ledger", {f"{e.label.replace(' ', '_')}.{when}": value
                        for e in report.ledger.entries
@@ -452,7 +457,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
 
 def cmd_channel(args: argparse.Namespace) -> Document:
     _load("channel", "evaporation")
-    merge_input(args)
+    _, doc = _document(args)
     _require(args, "power")
     if (args.lambda_c is None) == (args.frequency is None):
         raise ConfigError("give exactly one of lambda-c or frequency")
@@ -461,13 +466,8 @@ def cmd_channel(args: argparse.Namespace) -> Document:
             f"frequency must be positive and finite, got {args.frequency}")
     lambda_c = args.lambda_c if args.lambda_c is not None \
         else CONSTANTS.c / args.frequency
-    emission = _options(args, "nu", "gamma_bar", "n_species")
-    ch = Channel(lambda_c, args.power, **_options(args, "n_carriers"),
-                 emission=EmissionParameters(**emission))
-    report = capacity_bound(ch)
-    doc = Document(SUBCOMMANDS["channel"].kind, UNITS)
-    doc.add("inputs", {"lambda_c": lambda_c, "power": ch.power,
-                       "n_carriers": ch.n_carriers, **emission})
+    report = capacity_bound(Channel(lambda_c, args.power, **_options(args, "n_carriers"),
+                                    emission=build_emission(args)))
     doc.add("results", {
         "p_c": report.p_c, "p_c_approx": report.p_c_approx,
         "regime": report.regime, "xi_used": report.xi_used,
@@ -506,7 +506,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
 def cmd_sweep(args: argparse.Namespace) -> Document:
     bh = args.target == "bh"
     _load(*(["kerr_newman"] if bh else ["channel", "evaporation"]))
-    given = merge_input(args)
+    given, doc = _document(args)
     read = SWEEP_GRID + (SWEEP_BH if bh else SWEEP_CHANNEL)
     _refuse_unread(args, given, ["target", *(p.dest for p in read)],
                    f"target {args.target}")
@@ -546,7 +546,6 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
         regimes, bounds = regime_columns(lambdas, powers, p_cs, emission)
         names, columns = [args.param, "bound", "regime"], [grid, bounds, regimes]
     # one point is the first row of a two-point sweep, so its stop is checked
-    doc = Document(SUBCOMMANDS["sweep"].kind, UNITS)
     doc.set_columns(names, columns if args.points > 1
                     else [column[:1] for column in columns])
     return doc

@@ -77,7 +77,7 @@ class Document:
     # -- rendering ---------------------------------------------------------
 
     def _display(self, value: object, where: str, exact: bool) -> object:
-        if isinstance(value, bool) or value is None or isinstance(value, str):
+        if value is None or isinstance(value, (int, str)):     # bools are ints
             return value
         x = _finite(float(value), where)
         return x if exact else round9(x)
@@ -258,13 +258,13 @@ def _json_floats(block: Sequence[float]) -> tuple[str, Sequence[object]]:
 
 
 def _text_cell(value: object, where: str, exact: bool) -> str:
-    """A table or CSV cell: numbers in scientific notation with nine
-    significant digits, or 17 when ``exact``."""
-    if isinstance(value, str):
-        return value
+    """A table or CSV cell: an int as it is, other numbers in scientific
+    notation with nine significant digits, or 17 when ``exact``."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return str(value)
     value = _finite(float(value), where)
     return f"{value:.16e}" if exact else f"{value:.8e}"

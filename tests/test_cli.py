@@ -58,8 +58,8 @@ class TestBh:
             0.5 * doc["results"]["M"], rel=1e-6)
 
     def test_json_round_trip_is_bit_identical(self, capsys, tmp_path):
-        # the derived charge has a full 17-digit mantissa; inputs are
-        # echoed at full precision so the record must reproduce exactly
+        # inputs are echoed at full precision, so the record reproduces
+        # the charge derived from the ratio exactly
         doc = run_json(capsys, "bh", "--mass", "1e15",
                        "--charge-over-m", "0.333333333333")
         path = tmp_path / "hole.json"
@@ -230,7 +230,9 @@ class TestGedanken:
                 "--radius", "1", "--entropy", "1", "--format", "json"]
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-        assert run(capsys, *argv, "--zeta", repr(DEFAULT_ZETA)) == (0, out, "")
+        code, given, err = run(capsys, *argv, "--zeta", repr(DEFAULT_ZETA))
+        assert (code, without_inputs(given, "json"), err) == (
+            0, without_inputs(out, "json"), "")
         report = infall_experiment(
             MaterialSystem(energy=1e10, radius=1.0, entropy=1.0), DEFAULT_ZETA)
         assert json.loads(out)["results"]["delta_total"] == document.round9(
@@ -251,9 +253,16 @@ class TestChannel:
         assert doc["results"]["regime"] == "intermediate"
 
     def test_frequency_alternative(self, capsys):
-        doc = run_json(capsys, "channel", "--frequency", "5.99584916e14",
-                       "--power", "1e-3")
-        assert doc["inputs"]["lambda_c"] == pytest.approx(5e-5, rel=1e-6)
+        # the cutoff c / frequency runs as if it were given as lambda-c
+        code, out, err = run(capsys, "channel", "--frequency", "5.99584916e14",
+                             "--power", "1e-3", "--format", "json")
+        assert (code, err) == (0, "")
+        lambda_c = repr(CONSTANTS.c / 5.99584916e14)
+        code, expected, err = run(capsys, "channel", "--lambda-c", lambda_c,
+                                  "--power", "1e-3", "--format", "json")
+        assert without_inputs(out, "json") == without_inputs(expected, "json")
+        assert json.loads(out)["inputs"] == {"frequency": 5.99584916e14,
+                                             "power": 1e-3}
 
     def test_cutoff_required(self, capsys):
         code, _, err = run(capsys, "channel", "--power", "1e-3")

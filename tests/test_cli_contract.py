@@ -144,6 +144,36 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+@example(["evaporate", "--mass", "1e12", "--points", "3", "--n-species", "3",
+          "--format", "table"])
+@example(["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18",
+          "--points", "5", "--format", "csv"])
+@example(["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop",
+          "1e-1", "--points", "5", "--lambda-c", "5e-5", "--format", "json"])
+@example(["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "2e15",
+          "--format", "table"])
+def test_every_record_re_feeds_to_the_same_output(argv):
+    # the JSON record of an exit-0 request, fed back through --input (a
+    # sweep's target stays on the command line), prints what the request
+    # prints in every format; constants reads no --input
+    request = argv[:-2]
+    words = request[:2] if request[0] == "sweep" else request[:1]
+    code, record, _ = _run([*request, "--format", "json"])
+    event(f"{request[0]} exits {code}")
+    if code != 0 or request[0] == "constants":
+        return
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "record.json")
+        with open(path, "w") as fh:
+            fh.write(record)
+        for fmt in FORMATS:
+            assert _run([*words, "--input", path, "--format", fmt]) == _run(
+                [*request, "--format", fmt]), fmt
+
+
 def _emitted_kind(argv):
     code, out, _ = _run([*argv, "--format", "json"])
     assert code == 0

@@ -1,7 +1,7 @@
 """The parameter tables of the command line: file values obey the same
 types and choices as flags, the defaults the help text names are the ones
 that run, a library call receives only the options the request set, and
-every emitted record of bh, evaporate, bounds and channel re-feeds through
+a record's inputs echo exactly those options, so it re-feeds through
 --input to the same output."""
 
 import argparse
@@ -158,77 +158,97 @@ def test_a_library_call_receives_only_the_options_the_request_set(
     assert calls == expected
 
 
-#: Requests whose JSON record holds every parameter they ran with.
-REFEED = [
-    ["bh", "--mass", "1e15"],
-    ["bh", "--mass", "1e15", "--charge-over-m", "0.333333333333",
-     "--spin-over-m", "0.4"],
-    ["evaporate", "--mass", "1e12"],
-    ["bounds", "--mass", "16", "--radius", "6"],
-    ["bounds", "--energy", "1e22", "--radius", "6", "--entropy", "1e3",
-     "--area", "1000"],
-    ["channel", "--frequency", "5.99584916e14", "--power", "1e-3"],
-    ["channel", "--lambda-c", "5e-5", "--power", "1e-3", "--n-carriers", "3"],
-    # set optional parameters are echoed, so these re-feed too
-    ["channel", "--lambda-c", "1", "--power", "1e3", "--nu", "1.2"],
-    ["channel", "--lambda-c", "5e-5", "--power", "1e-3", "--gamma-bar", "3",
-     "--n-species", "2.5"],
-    ["bounds", "--mass", "16", "--radius", "6", "--nu", "1.2", "--zeta", "20",
-     "--composite-threshold", "1e40", "--weak-gravity-threshold", "0.2"],
+#: Requests and the inputs their JSON record echoes: exactly the options
+#: each set, under its key, with the value it ran with, in the order of
+#: the subcommand's parameters.  No default, library or literal, and no
+#: value derived from another (an energy from --mass, a cutoff from
+#: --frequency, a charge from its ratio, the sphere's area) is echoed.
+ECHOES = [
+    (["bh", "--mass", "1e15"], {"mass_g": 1e15}),
+    (["bh", "--mass", "1e15", "--charge-over-m", "0.333333333333",
+      "--spin-over-m", "0.4"],
+     {"mass_g": 1e15, "charge_over_m": 0.333333333333, "spin_over_m": 0.4}),
+    (["bh", "--mass", "1e15", "--charge", "1e3", "--spin", "1e-4"],
+     {"mass_g": 1e15, "charge_esu": 1e3, "spin_erg_s": 1e-4}),
+    (["evaporate", "--mass", "1e12"], {"mass_g": 1e12}),
+    (["evaporate", "--mass", "1e12", "--points", "3", "--n-species", "3"],
+     {"mass_g": 1e12, "points": 3, "n_species": 3.0}),
+    (["bounds", "--mass", "16", "--radius", "6"], {"mass": 16.0, "radius": 6.0}),
+    (["bounds", "--energy", "1e22", "--radius", "6", "--entropy", "1e3",
+      "--area", "1000"],
+     {"energy": 1e22, "radius": 6.0, "entropy": 1e3, "enclosing_area": 1000.0}),
+    (["bounds", "--mass", "16", "--radius", "6", "--nu", "1.2", "--zeta", "20",
+      "--composite-threshold", "1e40", "--weak-gravity-threshold", "0.2"],
+     {"mass": 16.0, "radius": 6.0, "nu": 1.2, "zeta": 20.0,
+      "composite_threshold": 1e40, "weak_gravity_threshold": 0.2}),
+    (["channel", "--frequency", "5.99584916e14", "--power", "1e-3"],
+     {"frequency": 5.99584916e14, "power": 1e-3}),
+    (["channel", "--lambda-c", "5e-5", "--power", "1e-3", "--n-carriers", "3"],
+     {"lambda_c": 5e-5, "power": 1e-3, "n_carriers": 3.0}),
+    (["channel", "--lambda-c", "1", "--power", "1e3", "--nu", "1.2"],
+     {"lambda_c": 1.0, "power": 1e3, "nu": 1.2}),
+    (["channel", "--lambda-c", "5e-5", "--power", "1e-3", "--gamma-bar", "3",
+      "--n-species", "2.5"],
+     {"lambda_c": 5e-5, "power": 1e-3, "gamma_bar": 3.0, "n_species": 2.5}),
+    (["sweep", "bh", "--param", "mass", "--start", "1e7", "--stop", "1e9",
+      "--points", "7", "--spacing", "linear", "--charge", "1e3",
+      "--quantity", "temperature_kelvin"],
+     {"param": "mass", "start": 1e7, "stop": 1e9, "points": 7,
+      "spacing": "linear", "quantity": "temperature_kelvin", "charge": 1e3}),
+    (["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop", "1e-1",
+      "--lambda-c", "5e-5", "--n-species", "2"],
+     {"param": "power", "start": 1e-6, "stop": 1e-1, "lambda_c": 5e-5,
+      "n_species": 2.0}),
+    (["gedanken", "--scenario", "susskind", "--energy", "1e30", "--radius", "1",
+      "--entropy", "1", "--area", "20"],
+     {"scenario": "susskind", "energy": 1e30, "radius": 1.0, "entropy": 1.0,
+      "area": 20.0}),
+    (["gedanken", "--scenario", "capsule", "--bh-mass", "1e30", "--bh-spin",
+      "1e42", "--mu", "1", "--b", "1", "--s-cap", "1e30"],
+     {"scenario": "capsule", "bh_mass": 1e30, "bh_spin": 1e42, "mu": 1.0,
+      "b": 1.0, "s_cap": 1e30}),
+    (["gedanken", "--scenario", "infall", "--mass", "1e-10", "--radius", "1",
+      "--entropy", "1", "--zeta", "10", "--gamma-bar", "3"],
+     {"scenario": "infall", "mass": 1e-10, "radius": 1.0, "entropy": 1.0,
+      "zeta": 10.0, "gamma_bar": 3.0}),
+    (["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius", "1",
+      "--entropy", "1", "--bh-mass", "1e30"],
+     {"scenario": "infall", "energy": 1e10, "radius": 1.0, "entropy": 1.0,
+      "bh_mass": 1e30}),
+    (["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "2e15"],
+     {"scenario": "merger", "m1": 1e15, "m2": 2e15}),
 ]
 
 
-@pytest.mark.parametrize("argv", REFEED, ids=" ".join)
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_an_emitted_record_re_feeds(capsys, tmp_path, argv, fmt):
+@pytest.mark.parametrize("argv, echoed", ECHOES, ids=lambda x: " ".join(x)
+                         if isinstance(x, list) else "")
+@pytest.mark.parametrize("how", ["flags", "file"])
+def test_a_record_echoes_the_options_set_and_re_feeds(capsys, tmp_path, argv,
+                                                      echoed, how):
+    words = argv[:2] if argv[0] == "sweep" else argv[:1]
+    if how == "file":       # the same options, set through a key=value file
+        flags = argv[len(words):]
+        path = tmp_path / "request.cfg"
+        path.write_text("".join(f"{flag[2:]}={value}\n"
+                                for flag, value in zip(flags[::2], flags[1::2])))
+        argv = [*words, "--input", str(path)]
     code, record, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
+    inputs = json.loads(record)["inputs"]
+    assert list(inputs.items()) == list(echoed.items())
+    assert list(map(type, inputs.values())) == list(map(type, echoed.values()))
+    # re-fed, the record sets the same options: the same output in every format
     path = tmp_path / "record.json"
     path.write_text(record)
-    expected = run(capsys, *argv, "--format", fmt)
-    assert expected[0] == 0
-    assert run(capsys, argv[0], "--input", str(path), "--format", fmt) == expected
-
-
-@pytest.mark.parametrize("argv, echoed", [
-    (["channel", "--lambda-c", "1", "--power", "1e3", "--nu", "1.2"],
-     {"nu": 1.2}),
-    (["channel", "--lambda-c", "1", "--power", "1e3", "--gamma-bar", "3",
-      "--n-species", "2"], {"gamma_bar": 3.0, "n_species": 2.0}),
-    (["bounds", "--mass", "16", "--radius", "6", "--nu", "1.2", "--zeta", "20",
-      "--composite-threshold", "5", "--weak-gravity-threshold", "0.2"],
-     {"nu": 1.2, "zeta": 20.0, "composite_threshold": 5.0,
-      "weak_gravity_threshold": 0.2}),
-])
-def test_set_optional_parameters_are_echoed(capsys, tmp_path, argv, echoed):
-    code, out, err = run(capsys, *argv, "--format", "json")
-    inputs = json.loads(out)["inputs"]
-    assert {k: inputs[k] for k in echoed} == echoed
-    # the same values given through a key=value file are echoed too
-    path = tmp_path / "optional.cfg"
-    path.write_text("".join(f"{k}={v}\n" for k, v in echoed.items()))
-    code, out, err = run(capsys, *argv[:5], "--input", str(path),
-                         "--format", "json")
-    assert {k: json.loads(out)["inputs"][k] for k in echoed} == echoed
-
-
-@pytest.mark.parametrize("argv, keys", [
-    (["channel", "--lambda-c", "1", "--power", "1e3"],
-     ["lambda_c", "power", "n_carriers"]),
-    (["bounds", "--mass", "16", "--radius", "6"],
-     ["energy", "radius", "enclosing_area"]),
-])
-def test_unset_optional_parameters_are_not_echoed(capsys, argv, keys):
-    code, out, err = run(capsys, *argv, "--format", "json")
-    assert list(json.loads(out)["inputs"]) == keys
+    for fmt in FORMATS:
+        expected = run(capsys, *argv, "--format", fmt)
+        assert expected[0] == 0
+        assert run(capsys, *words, "--input", str(path), "--format", fmt) == expected
 
 
 def test_unset_charge_and_spin_are_zero(capsys, monkeypatch):
     """The literal defaults of a hole's charge and spin, in bh, sweep bh
     and the capsule scenario, are the library's own: q = j = 0."""
-    inputs = json.loads(run(capsys, "bh", "--mass", "1e15", "--format",
-                            "json")[1])["inputs"]
-    assert (inputs["charge_esu"], inputs["spin_erg_s"]) == (0.0, 0.0)
     calls = []
 
     def record(name):
@@ -240,11 +260,13 @@ def test_unset_charge_and_spin_are_zero(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, wrapper)
     record("horizon_columns")
     record("make_black_hole")
+    assert run(capsys, "bh", "--mass", "1e15")[0] == 0
     assert run(capsys, "sweep", "bh", "--param", "mass", "--start", "1e15",
                "--stop", "1e18", "--points", "3")[0] == 0
     assert run(capsys, "gedanken", "--scenario", "capsule", "--bh-mass", "1e30",
                "--mu", "1", "--b", "1", "--s-cap", "1e30")[0] == 0
-    assert calls == [("horizon_columns", 0.0, 0.0), ("make_black_hole", 0.0, 0.0)]
+    assert calls == [("make_black_hole", 0.0, 0.0), ("horizon_columns", 0.0, 0.0),
+                     ("make_black_hole", 0.0, 0.0)]
 
 
 #: A valid request of each gedanken scenario, and a value for each

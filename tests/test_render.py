@@ -27,7 +27,7 @@ def _ref_round9(x):
 
 
 def _ref_display(value, exact=False):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    if isinstance(value, (bool, int)) or value is None or isinstance(value, str):
         return value
     return float(value) if exact else _ref_round9(float(value))
 
@@ -37,8 +37,8 @@ def _ref_cell(value, exact=False):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, str):
-        return value
+    if isinstance(value, (str, int)):
+        return str(value)
     return f"{float(value):.16e}" if exact else f"{float(value):.8e}"
 
 
@@ -302,6 +302,23 @@ def test_a_key_takes_its_last_dotted_parts_unit_in_the_order_added():
         "ledger.limit.x      2.00000000e+00",
         "t [s]           y.limit [bit]   before.y      ",
         "1.00000000e+00  2.00000000e+00  3.00000000e+00"]
+
+
+def test_an_int_is_written_as_an_int_in_every_format():
+    # an echoed --points re-feeds through int(), which refuses "3.0"
+    doc = Document("x", {})
+    doc.add("inputs", {"points": 3, "start": 3.0})
+    doc.add("results", {"n": 12345678901})
+    assert json.loads(doc.render("json"))["inputs"] == {"points": 3, "start": 3.0}
+    assert '"points": 3,' in doc.render("json")
+    assert '"n": 12345678901' in doc.render("json")
+    assert doc.render("csv").splitlines()[1:] == [
+        "inputs.points,3,", "inputs.start,3.0000000000000000e+00,",
+        "results.n,12345678901,"]
+    assert doc.render("table").splitlines()[1:] == [
+        "inputs.points                       3",
+        "inputs.start   3.0000000000000000e+00",
+        "results.n                 12345678901"]
 
 
 def test_a_series_without_columns_has_no_rows():
