@@ -124,10 +124,16 @@ def enclosing_sphere_area(radius: float) -> float:
 
 
 def holographic_bound(area: float) -> float:
-    """Entropy ceiling area / (4 l_P^2) [nats] inside a closed surface."""
+    """Entropy ceiling area / (4 l_P^2) [nats] inside a closed surface.
+    Raises DomainError naming the area where the ceiling in bits
+    overflows (area above ~1.30e243 cm^2; in nats, above ~1.88e243)."""
     if area <= 0:
         raise DomainError(f"area must be positive, got {area}")
-    return area / (4.0 * CONSTANTS.planck_length**2)
+    limit = area / (4.0 * CONSTANTS.planck_length**2)
+    if nats_to_bits(limit) == math.inf:
+        raise DomainError(f"area {area:g} cm^2 puts the holographic limit beyond "
+                          "the float range")
+    return limit
 
 
 def universal_bound(sys: MaterialSystem) -> float:
@@ -172,7 +178,9 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     ------
     DomainError
         If the area, nu, zeta or a threshold is NaN or infinite, if the
-        area is smaller than the system's sphere, if
+        area is smaller than the system's sphere or puts the holographic
+        limit beyond the float range (naming the radius where the area is
+        the sphere's), if
         weak_gravity_threshold is not below 1/2, or if the universal bound
         of a system counted as weakly gravitating still exceeds the
         holographic one.
@@ -187,7 +195,8 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
         raise DomainError(
             f"weak-gravity threshold must be below {BLACK_HOLE_GRAVITY_RATIO}, "
             f"the G E/(c^4 R) of a black hole, got {weak_gravity_threshold}")
-    if enclosing_area is None:
+    sphere = enclosing_area is None
+    if sphere:
         enclosing_area = enclosing_sphere_area(sys.radius)
     elif enclosing_area < (min_area := sphere_area(sys.radius)) * (1.0 - 1e-12):
         raise DomainError(
@@ -208,10 +217,16 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     gour_reason = ("extensivity assumed; " + matter_reason if composite
                    else not_composite)
 
-    holo = holographic_bound(enclosing_area)
     uni = universal_bound(sys)
     weak_uni = weak_universal_bound(sys, nu=nu, zeta=zeta)
     gour = gour_bound(sys)
+    try:
+        holo = holographic_bound(enclosing_area)
+    except DomainError:         # it overflowed: the area is positive
+        if not sphere:
+            raise
+        raise DomainError(f"radius {sys.radius:g} cm puts its sphere's holographic "
+                          "limit beyond the float range") from None
 
     entries = (
         BoundEntry("holographic", holo, nats_to_bits(holo), True,

@@ -288,8 +288,8 @@ def mean_density(m: float) -> float:
     Raises
     ------
     DomainError
-        If m is not positive, or m^2 overflows (m above ~1.3e154 g), or
-        the density does (m below ~2e-113 g).
+        If m is not positive and finite, or m^2 overflows (m above
+        ~1.3e154 g), or the density does (m below ~2e-113 g).
     """
     return mean_densities((m,))[0]
 
@@ -297,8 +297,8 @@ def mean_density(m: float) -> float:
 def mean_densities(masses: Sequence[float]) -> list[float]:
     """:func:`mean_density` of each mass [g], raising what it raises for
     a mass it refuses, naming the column's first mass."""
-    if any(map((0.0).__ge__, masses)):
-        raise DomainError(f"mass must be positive, got {masses[0]}")
+    if not all(map((0.0).__lt__, masses)) or math.inf in masses:     # nan fails <
+        raise DomainError(f"mass must be positive and finite, got {masses[0]}")
     numerator = 3.0 * CONSTANTS.c**6
     scale = 32.0 * math.pi * CONSTANTS.G**3
     try:

@@ -221,7 +221,7 @@ ECHOES = [
 
 
 @pytest.mark.parametrize("argv, echoed", ECHOES, ids=lambda x: " ".join(x)
-                         if isinstance(x, list) else "")
+                         if isinstance(x, list) else None)
 @pytest.mark.parametrize("how", ["flags", "file"])
 def test_a_record_echoes_the_options_set_and_re_feeds(capsys, tmp_path, argv,
                                                       echoed, how):

@@ -162,12 +162,14 @@ def test_a_hawking_power_is_finite_or_names_the_mass(m, gamma_bar, n_species):
 @example(1e-120)                    # 32 pi G^3 m^2 does not, the quotient overflows
 @example(2.0132905043186787e-113)   # the largest such mass
 @example(1e160)                     # m^2 overflows
+@example(math.nan)
+@example(math.inf)
 def test_a_mean_density_is_finite_or_names_the_mass(m):
     try:
         density = mean_density(m)
     except DomainError as exc:
         assert str(exc) in (
-            f"mass must be positive, got {m}",
+            f"mass must be positive and finite, got {m}",
             f"mass {m:g} g puts the mean density beyond the float range",
             f"mass {m:g} g is beyond the float range of the mean density "
             "(m^2 overflows)")
@@ -264,18 +266,40 @@ def test_a_sphere_area_beyond_the_float_range_names_the_radius(radius):
         assert str(info.value) == message
 
 
-@pytest.mark.parametrize("radius", ["1e-300", "5e153"])
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--energy", "1", "--radius"],
-    ["gedanken", "--scenario", "susskind", "--energy", "1", "--entropy", "0",
-     "--radius"],
+@pytest.mark.parametrize("area, message", [
+    # the ceiling in bits, A / (4 l_P^2 ln 2), overflows above ~1.30e243 cm^2
+    (None, "radius 1e+125 cm puts its sphere's holographic limit beyond the "
+           "float range"),
+    (1e250, "area 1e+250 cm^2 puts the holographic limit beyond the float range"),
+    (1.31e243, "area 1.31e+243 cm^2 puts the holographic limit beyond the float "
+               "range"),
 ])
-def test_a_request_whose_sphere_area_leaves_the_float_range_names_the_radius(
-        capsys, argv, radius):
-    assert main([*argv, radius]) == 1
-    assert capsys.readouterr() == ("", f"bhthermo {argv[0]}: radius {float(radius):g} "
-                                       "cm puts its sphere's area beyond the float "
-                                       "range\n")
+def test_a_holographic_limit_beyond_the_float_range_names_its_input(area, message):
+    radius = 1e125 if area is None else 1.0
+    with pytest.raises(DomainError) as info:
+        bound_report(MaterialSystem(1.0, radius), enclosing_area=area)
+    assert str(info.value) == message
+    assert bound_report(MaterialSystem(1.0, 1.0), enclosing_area=1.3e243)
+
+
+SUSSKIND = ["gedanken", "--scenario", "susskind", "--energy", "1", "--entropy", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *[([*request, "--radius", radius], f"radius {float(radius):g} cm puts its "
+                                       "sphere's area beyond the float range")
+      for radius in ("1e-300", "5e153")
+      for request in (["bounds", "--energy", "1"], SUSSKIND)],
+    (["bounds", "--energy", "1", "--radius", "1e125"],
+     "radius 1e+125 cm puts its sphere's holographic limit beyond the float range"),
+    (["bounds", "--energy", "1", "--radius", "1", "--area", "1e250"],
+     "area 1e+250 cm^2 puts the holographic limit beyond the float range"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_request_whose_area_leaves_the_float_range_names_its_input(
+        capsys, argv, message, fmt):
+    assert main([*argv, "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", f"bhthermo {argv[0]}: {message}\n")
 
 
 def test_a_given_area_is_used_whatever_the_sphere_area(capsys):

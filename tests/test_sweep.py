@@ -394,8 +394,8 @@ def old_energy_temperature_to_kelvin(T):
 
 
 def old_mean_density(m):
-    if m <= 0:
-        raise DomainError(f"mass must be positive, got {m}")
+    if not 0 < m < math.inf:
+        raise DomainError(f"mass must be positive and finite, got {m}")
     try:
         density = 3.0 * CONSTANTS.c**6 / (32.0 * math.pi * CONSTANTS.G**3 * m**2)
     except OverflowError:
