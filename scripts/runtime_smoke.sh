@@ -6,8 +6,9 @@
 # to stderr, and every JSON series must load as strict JSON (no NaN or
 # Infinity).  A request refused at a float edge must exit 1 with one stderr
 # line that names the input which crossed it.  An emitted JSON record of
-# bh, bounds, evaporate and channel, fed back through `--input`, must print
-# what the direct run prints in every format, and a bad choice in an
+# every subcommand that takes `--input`, fed back through it (a sweep's
+# target stays on the command line), must print what the direct run
+# prints in every format, and a bad choice in an
 # `--input` file exits 2 as the flag does, as does a parameter the request
 # would not read.
 # Under `-X importtime` (`PYTHONPROFILEIMPORTTIME=1` for the console
@@ -99,14 +100,15 @@ series() {  # the arguments of one series run: exit 0, and strict JSON
 }
 
 refeed() {  # the arguments of one run whose JSON record must re-feed
-    local fmt
+    local fmt words=("$1")
+    [ "$1" = sweep ] && words+=("$2")     # the target, before --input
     python -m bhthermo.cli "$@" --format json > "$record" 2> "$err"
     report 0 $? python -m bhthermo.cli "$@" --format json
     for fmt in table json csv; do
         python -m bhthermo.cli "$@" --format "$fmt" > "$direct" 2> "$err"
         report 0 $? python -m bhthermo.cli "$@" --format "$fmt"
-        "${console[@]}" "$1" --input "$record" --format "$fmt" > "$out" 2> "$err"
-        report 0 $? bhthermo "$1" --input "$record" --format "$fmt"
+        "${console[@]}" "${words[@]}" --input "$record" --format "$fmt" > "$out" 2> "$err"
+        report 0 $? bhthermo "${words[@]}" --input "$record" --format "$fmt"
         if ! cmp -s "$direct" "$out"; then
             echo "FAIL (re-fed record prints otherwise): $* --format $fmt"
             failures=$((failures + 1))
@@ -192,6 +194,10 @@ for fmt in table json csv; do
     refuse "radius 5e+153 cm" bounds --energy 1 --radius 5e153 --format "$fmt"
     refuse "radius 5e+153 cm" gedanken --scenario susskind --energy 1 \
         --radius 5e153 --entropy 0 --format "$fmt"
+    # the area fits, its holographic limit A / (4 l_P^2) in bits does not
+    refuse "radius 1e+125 cm" bounds --energy 1 --radius 1e125 --format "$fmt"
+    refuse "area 1e+250 cm^2" bounds --energy 1 --radius 1 --area 1e250 \
+        --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)
@@ -212,8 +218,20 @@ refeed bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4
 refeed bounds --mass 16 --radius 6 --entropy 1e3
 refeed bounds --mass 16 --radius 6 --nu 1.2 --zeta 20
 refeed evaporate --mass 1e12
+refeed evaporate --mass 1e12 --points 3 --n-species 3
 refeed channel --frequency 5.99584916e14 --power 1e-3
 refeed channel --lambda-c 1 --power 1e3 --nu 1.2
+refeed sweep bh --param mass --start 1e7 --stop 1e9 --points 7 \
+    --spacing linear --charge 1e3 --quantity temperature_kelvin
+refeed sweep channel --param power --start 1e-6 --stop 1e-1 --points 7 \
+    --lambda-c 5e-5 --n-species 2
+refeed gedanken --scenario susskind --energy 1e30 --radius 1 --entropy 1 \
+    --area 20
+refeed gedanken --scenario capsule --bh-mass 1e30 --bh-spin 1e42 --mu 1 \
+    --b 1 --s-cap 1e30
+refeed gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1 \
+    --zeta 10 --gamma-bar 3
+refeed gedanken --scenario merger --m1 1e15 --m2 2e15
 
 # a choice in an --input file obeys the flag's choices
 echo "spacing=bogus" > "$input"
