@@ -198,6 +198,9 @@ for fmt in table json csv; do
     refuse "radius 1e+125 cm" bounds --energy 1 --radius 1e125 --format "$fmt"
     refuse "area 1e+250 cm^2" bounds --energy 1 --radius 1 --area 1e250 \
         --format "$fmt"
+    # a host hole smaller than the system, whose M/R squared underflows to 0
+    refuse "host hole of mass 1e+30 g" gedanken --scenario infall --energy 1e10 \
+        --radius 1e250 --entropy 1 --bh-mass 1e30 --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)

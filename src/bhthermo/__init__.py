@@ -17,28 +17,27 @@ _EXPORTS = {
         "weak_gravity_ratio", "weak_universal_bound",
     ),
     "channel": (
-        "CapacityReport", "Channel", "ConsistencyReport", "bremermann_rate",
-        "capacity_bound", "characteristic_power", "consistency_check",
-        "gsl_bound", "optimal_xi", "pendry_capacity",
+        "CapacityReport", "Channel", "ConsistencyReport", "capacity_bound",
+        "characteristic_power", "consistency_check", "optimal_xi",
+        "pendry_capacity",
     ),
     "constants": (
         "CODATA2018", "CONSTANTS", "PhysicalConstants",
         "energy_temperature_to_kelvin", "geometrized_charge", "geometrized_mass",
-        "nats_to_bits", "spin_length",
+        "nats_to_bits",
     ),
     "errors": ("DomainError", "NakedSingularityError", "SubPlanckMassError"),
     "evaporation": (
-        "EmissionParameters", "entropy_emission_rate", "hawking_flux",
-        "hawking_power", "lifetime", "mass_loss_rate",
+        "EmissionParameters", "hawking_power", "lifetime",
     ),
     "gedanken": (
         "EntropyLedger", "GedankenReport", "capsule_lowering", "drop_distance",
         "infall_experiment", "merger", "susskind_collapse",
     ),
     "kerr_newman": (
-        "BlackHole", "FirstLawPotentials", "entropy", "first_law_residual",
-        "h_factors", "horizon_area", "make_black_hole", "mean_density",
-        "potentials", "temperature",
+        "BlackHole", "FirstLawPotentials", "entropy", "h_factors",
+        "horizon_area", "make_black_hole", "mean_density", "potentials",
+        "temperature",
     ),
 }
 #: The formula submodules, which are attributes of the package too.

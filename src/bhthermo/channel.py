@@ -19,10 +19,9 @@ minimized at xi* = sqrt((nu - 1) P_c / P).  Three power regimes follow:
     P >= P_c/10    linear     Idot < (8 pi xi lambda_c P / hbar c) log2(e), xi = 10
     in between     two-term bound at xi = max(xi*, 10)
 
-The linear form also yields Bremermann's per-energy rate limit
-8 pi xi E / hbar * log2(e).  The cutoff-free single-channel capacity
-(n pi P / 3 hbar)^(1/2) log2(e) (Pendry) pins the high-power endpoint of
-the dimensional-analysis capacity (P/hbar)^(1/2) f(lambda_c^2 P / c^2 hbar).
+The cutoff-free single-channel capacity (n pi P / 3 hbar)^(1/2) log2(e)
+(Pendry) pins the high-power endpoint of the dimensional-analysis capacity
+(P/hbar)^(1/2) f(lambda_c^2 P / c^2 hbar).
 """
 
 from __future__ import annotations
@@ -155,20 +154,11 @@ def approx_characteristic_power(lambda_c: float) -> float:
     return p_c
 
 
-def gsl_bound(ch: Channel, xi: float) -> float:
-    """Two-term information-rate bound [bits s^-1] at size ratio xi >= 1."""
-    p_c = characteristic_power(ch)
-    if xi < XI_MIN:
-        raise DomainError(
-            f"xi must be >= {XI_MIN} for near-total absorption, got {xi}")
-    return gsl_rates((ch.lambda_c,), (ch.power,), (p_c,), ch.emission, (xi,))[0]
-
-
 def gsl_rates(lambdas: Iterable[float], powers: Iterable[float],
               p_cs: Iterable[float], params: EmissionParameters,
               xis: Iterable[float]) -> list[float]:
-    """:func:`gsl_bound` of each channel (lambda_c, P, p_c) at its size
-    ratio xi, which must be at least XI_MIN."""
+    """Two-term information-rate bound [bits s^-1] of each channel
+    (lambda_c, P, p_c) at its size ratio xi, which must be at least XI_MIN."""
     eight_pi, hc = 8.0 * math.pi, CONSTANTS.hbar * CONSTANTS.c
     nu_1 = params.nu - 1.0
     return [eight_pi * lam / hc * (xi * P + nu_1 / xi * p_c) * LOG2E
@@ -210,18 +200,6 @@ def high_power_rates(lambdas: Iterable[float],
     size ratio XI_FLOOR."""
     k, hc = 8.0 * math.pi * XI_FLOOR, CONSTANTS.hbar * CONSTANTS.c
     return [k * lam * P / hc * LOG2E for lam, P in zip(lambdas, powers)]
-
-
-def bremermann_rate(E: float, xi: float = XI_FLOOR) -> float:
-    """Information-rate ceiling 8 pi xi E / hbar * log2(e) [bits s^-1] of a
-    packet of energy E [erg].
-
-    Usually stated with a smaller coefficient; this is the form the
-    linear channel bound implies through the packet duration lambda_c/c.
-    """
-    if E <= 0:
-        raise DomainError(f"energy must be positive, got {E}")
-    return 8.0 * math.pi * xi * E / CONSTANTS.hbar * LOG2E
 
 
 def pendry_capacity(P: float, n: float = 1.0) -> float:

@@ -139,16 +139,9 @@ def geometrized_charge(q: float) -> float:
     return math.sqrt(CONSTANTS.G) * q / CONSTANTS.c**2
 
 
-def spin_length(j: float, m: float) -> float:
-    """Spin length a = j / (m c) [cm] of angular momentum j [erg s] at mass m [g]."""
-    if m <= 0:
-        raise DomainError(f"mass must be positive, got {m}")
-    return spin_lengths(j, (m,))[0]
-
-
 def spin_lengths(j: float, masses: Iterable[float]) -> list[float]:
-    """:func:`spin_length` of j at each mass [g], for callers that have
-    checked the masses are positive."""
+    """Spin length a = j / (m c) [cm] of angular momentum j [erg s] at each
+    mass m [g], for callers that have checked the masses are positive."""
     c = CONSTANTS.c
     return [j / (m * c) for m in masses]
 

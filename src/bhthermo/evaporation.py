@@ -1,24 +1,14 @@
-"""Hawking emission of a Schwarzschild hole: flux, power, mass loss, entropy
-outflow and evaporation lifetime.
+"""Hawking emission of a Schwarzschild hole: radiated power and
+evaporation lifetime.
 
-Two distinct emission estimates coexist here on purpose:
+The power carries the species and relativistic correction factors
+(gamma_bar, n_species) explicitly:
 
-* ``mass_loss_rate`` is the naive per-species Stefan-Boltzmann estimate,
-  P = 4 pi r_g^2 sigma T^4 applied at the horizon sphere.
-* ``hawking_flux`` / ``hawking_power`` carry the species and relativistic
-  correction factors (gamma_bar, n_species) explicitly:
+      P = c^2 gamma_bar N hbar / (15360 pi M^2)
 
-      F(r)  = c^2 gamma_bar N hbar / (61440 (pi M r)^2)
-      P     = c^2 gamma_bar N hbar / (15360 pi M^2)
-
-The two routes coincide exactly at gamma_bar * N = 1.
-
-Entropy leaves the hole like 1-D thermal radiation, at a rate growing as
-the square root of the power:
-
-      Sdot = (pi nu^2 gamma_bar N P / 240 hbar)^(1/2)  =  nu P / T
-
-where nu > 1 measures the irreversibility of the emission.
+At gamma_bar * N = 1 it is the naive Stefan-Boltzmann emission
+4 pi r_g^2 sigma T^4 of a sphere of the horizon radius at the hole's
+temperature.
 
 With dm/dt = -K/m^2 the hole shrinks from m0 to m in the closed-form time
 
@@ -31,10 +21,10 @@ import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make, geometrized_mass
+from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make
 from .errors import DomainError, SubPlanckMassError
 from .grids import linspace
-from .kerr_newman import BlackHole, horizon_areas, temperatures
+from .kerr_newman import BlackHole
 
 
 class _EmissionFields(NamedTuple):
@@ -79,20 +69,6 @@ def _require_schwarzschild(bh: BlackHole) -> None:
         raise DomainError("emission formulas require a Schwarzschild hole (q = j = 0)")
 
 
-def hawking_flux(bh: BlackHole, r: float,
-                 params: EmissionParameters = DEFAULT_EMISSION) -> float:
-    """Radiation energy flux [erg cm^-2 s^-1] at radius r from the hole.
-
-    Decays as r^-2 outside the horizon; r below the horizon radius is
-    rejected.
-    """
-    _require_schwarzschild(bh)
-    if r < bh.r_plus:
-        raise DomainError(f"r = {r} cm lies inside the horizon r_g = {bh.r_plus} cm")
-    return (CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
-            / (61440.0 * (math.pi * bh.M * r)**2))
-
-
 def powers_at_lengths(lengths: Sequence[float],
                       params: EmissionParameters) -> list[float]:
     """c^2 gamma_bar N hbar / (15360 pi L^2) [erg s^-1] at each length L [cm].
@@ -120,7 +96,8 @@ def powers_at_lengths(lengths: Sequence[float],
 
 def hawking_power(bh: BlackHole,
                   params: EmissionParameters = DEFAULT_EMISSION) -> float:
-    """Total radiated power [erg s^-1]; equals 4 pi r_g^2 * flux(r_g).
+    """Total radiated power [erg s^-1]: gamma_bar N times the
+    Stefan-Boltzmann power 4 pi r_g^2 sigma T^4 of the horizon sphere.
 
     M^2 fits a float for every hole :func:`make_black_hole` builds; raises
     DomainError as :func:`powers_at_lengths` does for its numerator, and
@@ -135,27 +112,10 @@ def hawking_power(bh: BlackHole,
     return power
 
 
-def mass_loss_rate(m: float) -> float:
-    """Naive per-species evaporation rate dm/dt [g s^-1] (negative).
-
-    Stefan-Boltzmann emission from a sphere of the horizon radius at the
-    hole's temperature, divided by c^2.  About -4e-6 g/s for a 1e15 g
-    hole, scaling as m^-2.
-    """
-    if m <= CONSTANTS.planck_mass:
-        raise SubPlanckMassError(
-            f"mass {m} g is not above the Planck mass {CONSTANTS.planck_mass:.6e} g")
-    M = geometrized_mass(m)
-    r_g = 2.0 * M
-    [area] = horizon_areas((r_g,), (0.0,))
-    [T_erg] = temperatures((M,), (r_g,), (area,))
-    power = area * CONSTANTS.sigma_SB * (T_erg / CONSTANTS.k_B)**4
-    return -power / CONSTANTS.c**2
-
-
 def _loss_constant(params: EmissionParameters) -> float:
-    """K in dm/dt = -K/m^2: N hbar c^4 / (15360 pi G^2) for N = n_species
-    per-species channels of ``mass_loss_rate``.
+    """K in dm/dt = -K/m^2: N hbar c^4 / (15360 pi G^2), which is m^2 times
+    the Stefan-Boltzmann power of the horizon sphere over c^2, once for
+    each of N = n_species species.
 
     Raises DomainError, naming n_species, when K or the 3 K every time
     divides by overflows (N above ~1.5e283): each time would be 0.
@@ -218,16 +178,3 @@ def mass_history(m0: float, params: EmissionParameters = DEFAULT_EMISSION,
     lifetime(m0, params)  # validates m0; t[-1] is the largest time
     m = linspace(m0, CONSTANTS.planck_mass, points)
     return _evaporation_times(m0, m, _loss_constant(params)), m
-
-
-def entropy_emission_rate(P: float,
-                          params: EmissionParameters = DEFAULT_EMISSION) -> float:
-    """Entropy outflow rate [nats s^-1] carried by radiated power P [erg s^-1].
-
-    (pi nu^2 gamma_bar N P / 240 hbar)^(1/2); for P equal to the hole's
-    own Hawking power this is identically nu * P / T.
-    """
-    if P < 0:
-        raise DomainError(f"power must be non-negative, got {P}")
-    return math.sqrt(math.pi * params.nu**2 * params.gamma_bar
-                     * params.n_species * P / (240.0 * CONSTANTS.hbar))

@@ -219,12 +219,14 @@ def infall_experiment(sys: MaterialSystem,
     ledger trades the system's entropy against the radiated nu E / T.
     Failed assumptions make the report inapplicable, not a violation.
     An energy whose rest mass E/c^2 underflows to 0 (below about 2.2e-303
-    erg) is refused with a DomainError, and so is a zeta whose square
-    overflows, before the hole is built.
+    erg) is refused with a DomainError, and so are a zeta below 1 (a host
+    hole smaller than the system) and a zeta whose square overflows, before
+    the hole is built.
     """
     if sys.entropy is None:
         raise DomainError("the infalling system needs a stored entropy")
-    if isinstance(bh_or_zeta, BlackHole):
+    host = isinstance(bh_or_zeta, BlackHole)
+    if host:
         hole = bh_or_zeta
         if not hole.is_schwarzschild:
             raise DomainError("the infall setup uses a Schwarzschild hole")
@@ -233,14 +235,17 @@ def infall_experiment(sys: MaterialSystem,
         zeta = float(bh_or_zeta)
         if not math.isfinite(zeta):
             raise DomainError(f"zeta must be finite, got {zeta}")
-        if zeta < 1.0:
-            raise DomainError(f"zeta must be >= 1, got {zeta}")
+    if zeta < 1.0:
+        raise DomainError(
+            f"host hole of mass {hole.m:g} g is smaller than the system of radius "
+            f"{sys.radius:g} cm: zeta = M/R must be >= 1" if host
+            else f"zeta must be >= 1, got {zeta}")
     try:
         pressure_bound = params.gamma_bar / (7680.0 * zeta**2)
     except OverflowError:
         raise DomainError(f"hole-to-system size ratio zeta = {zeta:g} puts "
                           "zeta^2 beyond the float range") from None
-    if not isinstance(bh_or_zeta, BlackHole):
+    if not host:
         hole = make_black_hole(mass_from_geometrized(zeta * sys.radius))
 
     radiated = params.nu * sys.energy / temperature(hole)

@@ -7,7 +7,6 @@ logarithms, raised back to powers of ten, with exact endpoints.
 
 from __future__ import annotations
 
-import math
 from decimal import Context, Decimal
 from itertools import repeat
 

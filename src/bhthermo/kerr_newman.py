@@ -227,44 +227,6 @@ def potentials(bh: BlackHole) -> FirstLawPotentials:
     return FirstLawPotentials(theta=theta, phi=phi, omega=omega)
 
 
-def first_law_residual(bh: BlackHole, dm: float, dq: float, dj: float) -> float:
-    """Relative closure error of d(mc^2) = Theta dA + Phi dq + Omega dj.
-
-    dA is evaluated by a central finite difference of the horizon area
-    under the joint perturbation (dm, dq, dj), so the residual is
-    O(perturbation^2) for an exact first law.
-
-    Parameters
-    ----------
-    dm, dq, dj : float
-        Small perturbations; each must stay within 1e-6 of the hole's
-        natural scale for that parameter (m, extremal charge, extremal
-        spin respectively).
-
-    Raises
-    ------
-    DomainError
-        If all perturbations vanish (the residual ratio is undefined),
-        if a perturbation is too large, or if the perturbed hole would
-        cross extremality.
-    """
-    if dm == 0.0 and dq == 0.0 and dj == 0.0:
-        raise DomainError("all perturbations are zero; residual is undefined")
-    q_scale = bh.M * CONSTANTS.c**2 / math.sqrt(CONSTANTS.G)
-    j_scale = bh.m * CONSTANTS.c * bh.M
-    if abs(dm) > 1e-6 * bh.m or abs(dq) > 1e-6 * q_scale or abs(dj) > 1e-6 * j_scale:
-        raise DomainError("perturbations must be <= 1e-6 of the hole's scales")
-    plus = make_black_hole(bh.m + dm, bh.q + dq, bh.j + dj)
-    minus = make_black_hole(bh.m - dm, bh.q - dq, bh.j - dj)
-    dA = (horizon_area(plus) - horizon_area(minus)) / 2.0
-    pots = potentials(bh)
-    dE = CONSTANTS.c**2 * dm
-    numer = abs(dE - pots.theta * dA - pots.phi * dq - pots.omega * dj)
-    denom = abs(dE) if dm != 0.0 else max(
-        abs(pots.theta * dA), abs(pots.phi * dq), abs(pots.omega * dj))
-    return numer / denom
-
-
 def h_factors(bh: BlackHole) -> tuple[float, float]:
     """Entropy and temperature ratios to the equal-mass Schwarzschild hole.
 

@@ -53,6 +53,8 @@ VALID = [
      "--points", "50", "--quantity", "entropy"],
     ["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop", "1e-1",
      "--points", "50", "--lambda-c", "5e-5"],
+    ["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius", "1",
+     "--entropy", "1", "--bh-mass", "1e30"],
 ]
 
 #: Values near the physical scales of the subcommands next to every float
@@ -116,6 +118,9 @@ def _reject_constant(name):
 # E/c^2 underflows to 0 for this energy, so hole mass / rest mass divides by 0
 @example(["gedanken", "--scenario", "infall", "--energy", "1e-303", "--radius", "1",
           "--entropy", "1", "--format", "table"])
+# a host hole of 1e30 g has M/R underflow to 0 at this radius
+@example(["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius", "1e250",
+          "--entropy", "1", "--bh-mass", "1e30", "--format", "table"])
 def test_every_run_keeps_the_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

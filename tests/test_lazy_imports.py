@@ -7,6 +7,7 @@ these tests run their probes in subprocesses.
 """
 
 import ast
+import glob
 import os
 import subprocess
 import sys
@@ -17,7 +18,8 @@ import bhthermo
 from bhthermo import cli
 
 SRC = os.path.dirname(os.path.dirname(bhthermo.__file__))
-PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
+REPO = os.path.dirname(SRC)
+PERFBENCH = os.path.join(REPO, "perfbench")
 
 
 def _probe(code: str, *argv: str) -> object:
@@ -188,22 +190,20 @@ def test_every_public_name_is_its_submodules_object():
 
 def test_star_import_and_dir_give_the_eager_packages_names():
     # The names an eager `from .x import ...` of every formula module bound:
-    # the 54 public names and the eight formula submodules.
+    # the 47 public names and the eight formula submodules.
     expected = {
         "BlackHole", "BoundEntry", "BoundReport", "CODATA2018", "CONSTANTS",
         "CapacityReport", "Channel", "ConsistencyReport", "DomainError",
         "EmissionParameters", "EntropyLedger", "FirstLawPotentials",
         "GedankenReport", "MaterialSystem", "NakedSingularityError",
         "PhysicalConstants", "SubPlanckMassError", "bound_report",
-        "bremermann_rate", "capacity_bound", "capsule_lowering",
-        "characteristic_power", "compositeness", "consistency_check",
-        "drop_distance", "energy_temperature_to_kelvin", "entropy",
-        "entropy_emission_rate", "first_law_residual", "geometrized_charge",
-        "geometrized_mass", "gour_bound", "gsl_bound", "h_factors",
-        "hawking_flux", "hawking_power", "holographic_bound", "horizon_area",
-        "infall_experiment", "lifetime", "make_black_hole", "mass_loss_rate",
-        "mean_density", "merger", "nats_to_bits", "optimal_xi",
-        "pendry_capacity", "potentials", "spin_length", "susskind_collapse",
+        "capacity_bound", "capsule_lowering", "characteristic_power",
+        "compositeness", "consistency_check", "drop_distance",
+        "energy_temperature_to_kelvin", "entropy", "geometrized_charge",
+        "geometrized_mass", "gour_bound", "h_factors", "hawking_power",
+        "holographic_bound", "horizon_area", "infall_experiment", "lifetime",
+        "make_black_hole", "mean_density", "merger", "nats_to_bits",
+        "optimal_xi", "pendry_capacity", "potentials", "susskind_collapse",
         "temperature", "universal_bound", "weak_gravity_ratio",
         "weak_universal_bound",
         "bounds", "channel", "constants", "errors", "evaporation", "gedanken",
@@ -217,6 +217,39 @@ def test_star_import_and_dir_give_the_eager_packages_names():
     public = {n for n in dir(bhthermo) if not n.startswith("_")} - {"cli", "document"}
     assert public == expected
     assert bhthermo.__version__ == "0.1.0"
+
+
+def _names_read(path: str) -> set[str]:
+    """The names the code of the module at ``path`` reads, as a ``Name`` or
+    as an ``Attribute``, outside the function or class of the same name.
+    An import, an assignment, a docstring or another string reads none."""
+    read = set()
+
+    def visit(node: ast.AST, defining: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining |= {node.name}
+        name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name is not None and name not in defining:
+            read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    with open(path) as fh:
+        visit(ast.parse(fh.read(), path), frozenset())
+    return read
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # no code without a caller: the package's own modules, the benchmark or
+    # the scripts read each public name, so no name is kept for its tests
+    paths = [path for path in glob.glob(os.path.join(SRC, "bhthermo", "*.py"))
+             if os.path.basename(path) != "__init__.py"]
+    paths += glob.glob(os.path.join(PERFBENCH, "*.py"))
+    paths += glob.glob(os.path.join(REPO, "scripts", "*.py"))
+    read = set().union(*map(_names_read, paths))
+    uncalled = sorted(set(bhthermo.__all__) - {*bhthermo._SUBMODULES} - read)
+    assert not uncalled, f"only the tests call {', '.join(uncalled)}"
 
 
 @pytest.mark.parametrize("module", [bhthermo, cli])
