@@ -637,6 +637,26 @@ class TestCapacityBound:
         assert slope_high == pytest.approx(1.0, abs=1e-6)
 
 
+class TestBremermann:
+    """The linear bound is Bremermann's 8 pi xi E / hbar bits per second at
+    xi = 10, with E = lambda_c P / c the energy a cutoff wavelength holds."""
+
+    @staticmethod
+    def rate(E):
+        return high_power_rates([OPTICAL], [E * CONSTANTS.c / OPTICAL])[0]
+
+    def test_unit_energy(self):
+        E = CONSTANTS.hbar / (8 * math.pi * 10.0)
+        assert self.rate(E) == pytest.approx(LOG2E, rel=1e-12)
+
+    def test_one_erg(self):
+        assert self.rate(1.0) == pytest.approx(3.4382562240e29, rel=1e-9)
+
+    @given(st.floats(min_value=1e-12, max_value=1e12))
+    def test_linear(self, E):
+        assert self.rate(2 * E) == pytest.approx(2 * self.rate(E), rel=1e-12)
+
+
 class TestPendry:
     def test_zero(self):
         assert pendry_capacity(0.0) == 0.0

@@ -20,7 +20,8 @@ from bhthermo.constants import (
     nats_to_bits,
     spin_lengths,
 )
-from bhthermo.errors import DomainError
+from bhthermo.errors import DomainError, SubPlanckMassError
+from bhthermo.kerr_newman import make_black_hole
 
 
 def test_sigma_sb_internal_consistency():
@@ -102,6 +103,12 @@ class TestSpinLength:
         [a] = spin_lengths(2.2263068406e12, (1e15,))
         # a ratio: approx's 1e-12 absolute floor would dwarf a ~7e-14 cm length
         assert a / geometrized_mass(1e15) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_rejects_non_positive_mass(self, m):
+        # spin_lengths divides by m; its caller refuses m first
+        with pytest.raises(SubPlanckMassError):
+            make_black_hole(m, j=1.0)
 
 
 class TestTemperatureConversion:

@@ -145,6 +145,16 @@ class TestMassLossRate:
         assert self.rate(2e15) == pytest.approx(self.rate(1e15) / 4.0,
                                                 rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("m", [1e10, 1e15, 1e20])
+    def test_matches_the_lifetime_loss_constant(self, m):
+        # dm/dt = -K/m^2 integrates to lifetime = (m^3 - m_P^3) / (3 K)
+        K = (m**3 - CONSTANTS.planck_mass**3) / (3.0 * lifetime(m, UNIT))
+        assert self.rate(m) * m**2 == pytest.approx(K, rel=1e-12)
+
+    def test_sub_planck_rejected(self):
+        with pytest.raises(SubPlanckMassError):
+            self.rate(0.5 * CONSTANTS.planck_mass)
+
 
 class TestLifetime:
     def test_mountain_anchor(self, rk_evaporation_time):
