@@ -188,6 +188,8 @@ for fmt in table json csv; do
         --format "$fmt"
     refuse "n_species" evaporate --mass 1e12 --n-species 1e300 --format "$fmt"
     refuse "horizon radius" bh --mass 1e183 --format "$fmt"
+    # r_plus^2 fits, the horizon area 4 pi r_plus^2 does not
+    refuse "horizon radius" bh --mass 5e181 --format "$fmt"
     # a naked hole whose Q^2 and M^2 both overflow
     refuse "horizon radius" bh --mass 1.35e228 --charge 3.5e274 --format "$fmt"
     # R^2 fits, the sphere's area 4 pi R^2 does not

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make, nats_to_bits
-from .errors import DomainError
+from .errors import DomainError, within_float_range
 
 #: A system counts as composite when E R / (c hbar) reaches this value.
 COMPOSITE_THRESHOLD = 10.0
@@ -100,39 +100,29 @@ def weak_gravity_ratio(sys: MaterialSystem) -> float:
     return CONSTANTS.G * sys.energy / (CONSTANTS.c**4 * sys.radius)
 
 
-def sphere_area(radius: float) -> float:
+def sphere_area(radius: float, enclosing: bool = False) -> float:
     """Area 4 pi R^2 [cm^2] of the sphere of radius R [cm].  Raises
-    DomainError naming R where 4 pi R^2 overflows (R above ~3.78e153 cm)."""
-    try:
-        area = 4.0 * math.pi * radius**2
-    except OverflowError:       # R^2 overflows too (R above ~1.34e154 cm)
-        area = math.inf
-    if area == math.inf:
-        raise DomainError(f"radius {radius:g} cm puts its sphere's area "
-                          "beyond the float range")
-    return area
-
-
-def enclosing_sphere_area(radius: float) -> float:
-    """:func:`sphere_area` of a radius R > 0 [cm] taken as the area a
-    surface encloses, which must be positive: also raises DomainError
-    naming R where 4 pi R^2 underflows to 0 (R below ~1.57e-162 cm)."""
-    if area := sphere_area(radius):
-        return area
-    raise DomainError(f"radius {radius:g} cm puts its sphere's area "
-                      "beyond the float range")
+    DomainError naming R where 4 pi R^2 overflows (R above ~3.78e153 cm),
+    or, for the area a surface ``enclosing`` the system encloses, which
+    must be positive, where it underflows to 0 (R below ~1.57e-162 cm)."""
+    return within_float_range(lambda: 4.0 * math.pi * radius**2, "its sphere's area",
+                              ("radius", radius, "cm"), zero=enclosing)
 
 
 def holographic_bound(area: float) -> float:
     """Entropy ceiling area / (4 l_P^2) [nats] inside a closed surface.
     Raises DomainError naming the area where the ceiling in bits
     overflows (area above ~1.30e243 cm^2; in nats, above ~1.88e243)."""
+    return _holographic_limit(area, "the holographic limit", ("area", area, "cm^2"))
+
+
+def _holographic_limit(area: float, output: str, named: tuple) -> float:
+    """:func:`holographic_bound`, refused beyond the float range as
+    ``output`` by the (input, value, unit) ``named``."""
     if area <= 0:
         raise DomainError(f"area must be positive, got {area}")
     limit = area / (4.0 * CONSTANTS.planck_length**2)
-    if nats_to_bits(limit) == math.inf:
-        raise DomainError(f"area {area:g} cm^2 puts the holographic limit beyond "
-                          "the float range")
+    within_float_range(lambda: nats_to_bits(limit), output, named)
     return limit
 
 
@@ -197,7 +187,7 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
             f"the G E/(c^4 R) of a black hole, got {weak_gravity_threshold}")
     sphere = enclosing_area is None
     if sphere:
-        enclosing_area = enclosing_sphere_area(sys.radius)
+        enclosing_area = sphere_area(sys.radius, enclosing=True)
     elif enclosing_area < (min_area := sphere_area(sys.radius)) * (1.0 - 1e-12):
         raise DomainError(
             f"enclosing area {enclosing_area} cm^2 is smaller than the "
@@ -220,13 +210,9 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     uni = universal_bound(sys)
     weak_uni = weak_universal_bound(sys, nu=nu, zeta=zeta)
     gour = gour_bound(sys)
-    try:
-        holo = holographic_bound(enclosing_area)
-    except DomainError:         # it overflowed: the area is positive
-        if not sphere:
-            raise
-        raise DomainError(f"radius {sys.radius:g} cm puts its sphere's holographic "
-                          "limit beyond the float range") from None
+    holo = _holographic_limit(enclosing_area, "its sphere's holographic limit",
+                              ("radius", sys.radius, "cm")) if sphere \
+        else holographic_bound(enclosing_area)
 
     entries = (
         BoundEntry("holographic", holo, nats_to_bits(holo), True,

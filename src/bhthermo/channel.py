@@ -34,7 +34,7 @@ from operator import ge, le
 from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E, _checked_make
-from .errors import DomainError
+from .errors import DomainError, within_float_range
 from .evaporation import (
     DEFAULT_EMISSION,
     EmissionParameters,
@@ -133,25 +133,19 @@ def cutoff_powers(lambdas: Sequence[float], params: EmissionParameters) -> list[
     when c^2 gamma_bar N hbar leaves the float range, else, naming the
     column's first cutoff, when some lambda_c^2 or P_c does: lambda_c above
     ~1.34e154 cm, or below ~4.7e-160 cm with the default factors."""
-    try:
-        p_cs = powers_at_lengths(lambdas, params)
-        if math.inf not in p_cs and 0.0 not in p_cs:
-            return p_cs
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise DomainError(f"cutoff wavelength {lambdas[0]:g} cm puts the "
-                      "characteristic power beyond the float range")
+    return within_float_range(lambda: powers_at_lengths(lambdas, params),
+                              "the characteristic power",
+                              ("cutoff wavelength", lambdas, "cm"), zero=True)
 
 
 def approx_characteristic_power(lambda_c: float) -> float:
     """The round-number form 1e-4 c^2 hbar / lambda_c^2 [erg s^-1] of a
     cutoff lambda_c [cm] whose lambda_c^2 fits a float.  Raises DomainError,
     naming the cutoff, where it overflows (lambda_c below ~7.3e-160 cm)."""
-    p_c = 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar / lambda_c**2
-    if p_c == math.inf:
-        raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the round-number "
-                          "characteristic power beyond the float range")
-    return p_c
+    k = 1e-4 * CONSTANTS.c**2 * CONSTANTS.hbar
+    return within_float_range(lambda: k / lambda_c**2,
+                              "the round-number characteristic power",
+                              ("cutoff wavelength", lambda_c, "cm"))
 
 
 def gsl_rates(lambdas: Iterable[float], powers: Iterable[float],
@@ -312,9 +306,9 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     p_c = characteristic_power(ch)
     run = _run(ch.power, p_c, ch.emission.nu)
     xis, bounds = _rates(run, (ch.lambda_c,), (ch.power,), (p_c,), ch.emission)
-    if (xi := next(iter(xis))) == math.inf:     # sqrt((nu - 1) p_c / P), P tiny
-        raise DomainError(f"power {ch.power} erg s^-1 puts the sqrt law's "
-                          "optimal xi beyond the float range")
+    # sqrt((nu - 1) p_c / P) for a tiny P
+    xi = within_float_range(lambda: next(iter(xis)), "the sqrt law's optimal xi",
+                            ("power", ch.power, "erg s^-1"))
     return CapacityReport(
         p_c=p_c, p_c_approx=approx_characteristic_power(ch.lambda_c),
         regime=_REGIMES[run], xi_used=xi, bound_bits_per_s=bounds[0],

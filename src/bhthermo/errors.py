@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit, and which point a refused
-column names."""
+"""Exception types shared across the toolkit, the one rule of a result
+beyond the float range, and which point a refused column names."""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from math import inf
+from sys import float_info
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -22,6 +24,33 @@ class SubPlanckMassError(DomainError):
 
 class NakedSingularityError(DomainError):
     """Charge and spin exceed what the mass can hold (Q^2 + a^2 > M^2)."""
+
+
+def within_float_range(compute: Callable[[], T], output: str,
+                       *inputs: tuple[str, float | Sequence[float], str],
+                       zero: bool = False) -> T:
+    """``compute()``, a number or a list of them, unless it raises
+    OverflowError or ZeroDivisionError or holds +-inf, or a 0.0 where
+    ``zero`` says a 0 is an underflow.  Then raises DomainError "<input>
+    <value> <unit> puts <output> beyond the float range", each (input,
+    value, unit) of ``inputs`` joined by "and" (then "put"), a column
+    value named by its first point; the message is built only then."""
+    try:
+        result = compute()
+    except (OverflowError, ZeroDivisionError):
+        pass
+    else:
+        column = result if isinstance(result, list) else (result,)
+        if not (inf in column or -inf in column or zero and 0.0 in column):
+            return result
+    named = []
+    for name, value, unit in inputs:
+        value = value[0] if isinstance(value, Sequence) else value
+        # a subnormal's :g misstates it (9.99989e-321 for 1e-320); its repr does not
+        text = repr(value) if 0.0 < abs(value) < float_info.min else f"{value:g}"
+        named.append(" ".join(filter(None, (name, text, unit))))
+    verb = "puts" if len(named) == 1 else "put"
+    raise DomainError(f"{' and '.join(named)} {verb} {output} beyond the float range")
 
 
 def first_refused(compute: Callable[..., T], *columns: Sequence) -> T:

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make
-from .errors import DomainError, SubPlanckMassError
+from .errors import DomainError, SubPlanckMassError, within_float_range
 from .grids import linspace
 from .kerr_newman import BlackHole
 
@@ -82,11 +82,10 @@ def powers_at_lengths(lengths: Sequence[float],
     quotient itself leaves the float range; each caller refuses it, naming
     its own length.
     """
-    numerator = CONSTANTS.c**2 * params.gamma_bar * params.n_species * CONSTANTS.hbar
-    if not 0.0 < numerator < math.inf:
-        raise DomainError(f"gamma_bar {params.gamma_bar:g} and n_species "
-                          f"{params.n_species:g} put c^2 gamma_bar N hbar beyond "
-                          "the float range")
+    g, n = params.gamma_bar, params.n_species
+    numerator = within_float_range(lambda: CONSTANTS.c**2 * g * n * CONSTANTS.hbar,
+                                   "c^2 gamma_bar N hbar", ("gamma_bar", g, ""),
+                                   ("n_species", n, ""), zero=True)
     scale, inf = 15360.0 * math.pi, math.inf
     # where 15360 pi L^2 overflows (L above ~6.1e151 cm) but L^2 does not,
     # dividing by each in turn keeps the power
@@ -105,11 +104,8 @@ def hawking_power(bh: BlackHole,
     gamma_bar N) or underflows to 0 (a heavy hole of small gamma_bar N).
     """
     _require_schwarzschild(bh)
-    [power] = powers_at_lengths((bh.M,), params)
-    if not 0.0 < power < math.inf:
-        raise DomainError(f"mass {bh.m:g} g puts the Hawking power beyond the "
-                          "float range")
-    return power
+    return within_float_range(lambda: powers_at_lengths((bh.M,), params)[0],
+                              "the Hawking power", ("mass", bh.m, "g"), zero=True)
 
 
 def _loss_constant(params: EmissionParameters) -> float:
@@ -122,9 +118,8 @@ def _loss_constant(params: EmissionParameters) -> float:
     """
     k = (params.n_species * CONSTANTS.hbar * CONSTANTS.c**4
          / (15360.0 * math.pi * CONSTANTS.G**2))
-    if 3.0 * k == math.inf:
-        raise DomainError(f"n_species {params.n_species:g} puts the evaporation "
-                          "rate constant beyond the float range")
+    within_float_range(lambda: 3.0 * k, "the evaporation rate constant",
+                       ("n_species", params.n_species, ""))
     return k
 
 
@@ -159,11 +154,10 @@ def lifetime(m0: float, params: EmissionParameters = DEFAULT_EMISSION) -> float:
     if m0 <= CONSTANTS.planck_mass:
         raise SubPlanckMassError(
             f"initial mass {m0} g is not above the Planck mass")
-    [t] = _evaporation_times(m0, [CONSTANTS.planck_mass], _loss_constant(params))
-    if math.isinf(t):
-        raise DomainError(
-            f"the lifetime of a {m0:g} g hole exceeds the float range")
-    return t
+    K = _loss_constant(params)
+    return within_float_range(
+        lambda: _evaporation_times(m0, [CONSTANTS.planck_mass], K)[0],
+        "the lifetime", ("initial mass", m0, "g"))
 
 
 def mass_history(m0: float, params: EmissionParameters = DEFAULT_EMISSION,

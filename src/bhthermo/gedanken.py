@@ -31,11 +31,11 @@ from .bounds import (
     WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     compositeness,
-    enclosing_sphere_area,
+    sphere_area,
     weak_gravity_ratio,
 )
 from .constants import CONSTANTS, mass_from_geometrized
-from .errors import DomainError
+from .errors import DomainError, within_float_range
 from .evaporation import DEFAULT_EMISSION, EmissionParameters
 from .kerr_newman import BlackHole, entropy, horizon_area, make_black_hole, temperature
 
@@ -118,7 +118,7 @@ def susskind_collapse(sys: MaterialSystem,
     if sys.entropy is None:
         raise DomainError("the collapsing system needs a stored entropy")
     if enclosing_area is None:
-        enclosing_area = enclosing_sphere_area(sys.radius)
+        enclosing_area = sphere_area(sys.radius, enclosing=True)
     if not 0 < enclosing_area < math.inf:
         raise DomainError("enclosing area must be positive and finite, "
                           f"got {enclosing_area}")
@@ -218,10 +218,9 @@ def infall_experiment(sys: MaterialSystem,
     energy it is about to swallow, so its entropy is unchanged; the world
     ledger trades the system's entropy against the radiated nu E / T.
     Failed assumptions make the report inapplicable, not a violation.
-    An energy whose rest mass E/c^2 underflows to 0 (below about 2.2e-303
-    erg) is refused with a DomainError, and so are a zeta below 1 (a host
-    hole smaller than the system) and a zeta whose square overflows, before
-    the hole is built.
+    A zeta below 1 (a host hole smaller than the system) is refused with a
+    DomainError, and so are a zeta or zeta^2 beyond the float range, before
+    the hole is built, and an energy so small that m c^2/E is.
     """
     if sys.entropy is None:
         raise DomainError("the infalling system needs a stored entropy")
@@ -230,7 +229,9 @@ def infall_experiment(sys: MaterialSystem,
         hole = bh_or_zeta
         if not hole.is_schwarzschild:
             raise DomainError("the infall setup uses a Schwarzschild hole")
-        zeta = hole.M / sys.radius
+        zeta = within_float_range(lambda: hole.M / sys.radius, "zeta = M/R",
+                                  ("host hole of mass", hole.m, "g"),
+                                  ("radius", sys.radius, "cm"))
     else:
         zeta = float(bh_or_zeta)
         if not math.isfinite(zeta):
@@ -240,11 +241,9 @@ def infall_experiment(sys: MaterialSystem,
             f"host hole of mass {hole.m:g} g is smaller than the system of radius "
             f"{sys.radius:g} cm: zeta = M/R must be >= 1" if host
             else f"zeta must be >= 1, got {zeta}")
-    try:
-        pressure_bound = params.gamma_bar / (7680.0 * zeta**2)
-    except OverflowError:
-        raise DomainError(f"hole-to-system size ratio zeta = {zeta:g} puts "
-                          "zeta^2 beyond the float range") from None
+    pressure_bound = within_float_range(
+        lambda: params.gamma_bar / (7680.0 * zeta**2), "zeta^2",
+        ("hole-to-system size ratio zeta =", zeta, ""))
     if not host:
         hole = make_black_hole(mass_from_geometrized(zeta * sys.radius))
 
@@ -257,11 +256,9 @@ def infall_experiment(sys: MaterialSystem,
     ))
 
     drop = drop_distance(sys, zeta, params)
-    rest_mass = sys.energy / CONSTANTS.c**2
-    if rest_mass == 0.0:
-        raise DomainError(f"energy {sys.energy:g} erg puts the rest mass E/c^2 "
-                          "below the float range")
-    mass_ratio = hole.m / rest_mass
+    mass_ratio = within_float_range(lambda: hole.m / (sys.energy / CONSTANTS.c**2),
+                                    "the mass ratio m c^2/E",
+                                    ("energy", sys.energy, "erg"))
     comp, grav = compositeness(sys), weak_gravity_ratio(sys)
     checks = (
         AssumptionCheck("composite", comp, COMPOSITE_THRESHOLD,

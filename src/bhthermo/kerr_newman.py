@@ -40,7 +40,12 @@ from .constants import (
     geometrized_masses,
     spin_lengths,
 )
-from .errors import DomainError, NakedSingularityError, SubPlanckMassError
+from .errors import (
+    DomainError,
+    NakedSingularityError,
+    SubPlanckMassError,
+    within_float_range,
+)
 
 #: Relative slack accepted on the existence test Q^2 + a^2 <= M^2.
 EPS_EXTREMAL = 1e-12
@@ -112,9 +117,8 @@ def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
         raise SubPlanckMassError(f"mass {masses[0]} g is below the Planck "
                                  f"mass {CONSTANTS.planck_mass:.6e} g")
     Q, M = geometrized_charge(q), geometrized_masses(masses)
-    if (top := max(M, default=0.0)) * top == math.inf:
-        raise DomainError(f"mass {masses[0]:g} g puts the horizon radius "
-                          "beyond the float range")
+    top = max(M, default=0.0)
+    within_float_range(lambda: top * top, "the horizon radius", ("mass", masses, "g"))
     if q == 0.0 and j == 0.0:
         # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is
         # M where M * M is finite, so the general form below gives M + M.
@@ -167,23 +171,23 @@ def horizon_areas(r_plus: Sequence[float], a: Sequence[float]) -> list[float]:
     """Horizon areas 4 pi (r_plus^2 + a^2) [cm^2] from the columns of
     horizon radii and spin lengths [cm].
 
-    Raises DomainError, naming the column's first radius, when some
-    r_plus^2 or a^2 overflows (r_plus above ~1.3e154 cm, m above ~9e181 g).
+    Raises DomainError, naming the column's first radius, when some area
+    overflows (r_plus above ~4.7e153 cm, m above ~2.55e181 g).
     """
     four_pi = 4.0 * math.pi
-    try:
-        if any(a):
-            return [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)]
-        return [four_pi * r**2 for r in r_plus]     # r^2 + (+-0)^2 is r^2
-    except OverflowError:
-        raise DomainError(f"horizon radius {r_plus[0]:g} cm puts the horizon "
-                          "area beyond the float range") from None
+    return within_float_range(
+        lambda: [four_pi * (r**2 + x**2) for r, x in zip(r_plus, a)] if any(a)
+        else [four_pi * r**2 for r in r_plus],      # r^2 + (+-0)^2 is r^2
+        "the horizon area", ("horizon radius", r_plus, "cm"))
 
 
 def entropies(areas: Sequence[float]) -> list[float]:
-    """Entropies A / (4 l_P^2) [nats] of the horizons of areas A [cm^2]."""
+    """Entropies A / (4 l_P^2) [nats] of the horizons of areas A [cm^2].
+    Raises DomainError, naming the column's first area, when some entropy
+    overflows (A above ~1.88e243 cm^2, m above ~8.23e148 g)."""
     four_lp2 = 4.0 * CONSTANTS.planck_length**2
-    return [A / four_lp2 for A in areas]
+    return within_float_range(lambda: [A / four_lp2 for A in areas], "the entropy",
+                              ("horizon area", areas, "cm^2"))
 
 
 def temperatures(M: Sequence[float], r_plus: Sequence[float],
@@ -217,12 +221,14 @@ def potentials(bh: BlackHole) -> FirstLawPotentials:
     """First-law potentials (Theta, Phi, Omega) of the hole.
 
     Phi is the electric potential at the horizon; Omega is the angular
-    frequency with which the horizon entrains infalling matter.
+    frequency with which the horizon entrains infalling matter.  Raises
+    DomainError naming the charge where q r_plus overflows (m above ~2e169 g).
     """
     A = horizon_area(bh)
     w2 = bh.r_plus**2 + bh.a**2
     theta = CONSTANTS.c**4 * (bh.r_plus - bh.M) / (2.0 * CONSTANTS.G * A)
-    phi = bh.q * bh.r_plus / w2
+    phi = within_float_range(lambda: bh.q * bh.r_plus / w2, "the horizon potential",
+                             ("charge", bh.q, "esu"))
     omega = bh.j / (bh.m * w2)
     return FirstLawPotentials(theta=theta, phi=phi, omega=omega)
 
@@ -250,8 +256,8 @@ def mean_density(m: float) -> float:
     Raises
     ------
     DomainError
-        If m is not positive and finite, or m^2 overflows (m above
-        ~1.3e154 g), or the density does (m below ~2e-113 g).
+        If m is not positive and finite, or the density leaves the float
+        range (m above ~1.3e154 g, where m^2 overflows, or below ~2e-113 g).
     """
     return mean_densities((m,))[0]
 
@@ -263,14 +269,5 @@ def mean_densities(masses: Sequence[float]) -> list[float]:
         raise DomainError(f"mass must be positive and finite, got {masses[0]}")
     numerator = 3.0 * CONSTANTS.c**6
     scale = 32.0 * math.pi * CONSTANTS.G**3
-    try:
-        densities = [numerator / (scale * m**2) for m in masses]
-    except OverflowError:
-        raise DomainError(f"mass {masses[0]:g} g is beyond the float range "
-                          "of the mean density (m^2 overflows)") from None
-    except ZeroDivisionError:       # 32 pi G^3 m^2 underflows to 0
-        densities = [math.inf]
-    if math.inf in densities:
-        raise DomainError(f"mass {masses[0]:g} g puts the mean density beyond "
-                          "the float range")
-    return densities
+    return within_float_range(lambda: [numerator / (scale * m**2) for m in masses],
+                              "the mean density", ("mass", masses, "g"))

@@ -223,7 +223,7 @@ class TestBoundReport:
         assert universal_bound(sys_) <= holographic_bound(area)
         # the margin is exactly twice the weak-gravity ratio
         assert universal_bound(sys_) / holographic_bound(area) == pytest.approx(
-            2 * weak_gravity_ratio(sys_), rel=1e-12)
+            2 * weak_gravity_ratio(sys_), rel=1e-12, abs=0)
 
     @given(st.floats(min_value=0.1, max_value=10),
            st.floats(min_value=0.1, max_value=10))

@@ -676,11 +676,13 @@ def test_record_output_is_byte_identical(capsys, command, fmt):
 #: Refusals that reach the output guard, naming an output rather than an
 #: input, with their one stderr line.
 GUARDED_REFUSALS = {
-    "bh --mass 1e150": "bhthermo bh: results.entropy is inf, beyond the float range",
+    # the entropy fits, its value in bits does not
+    "bh --mass 7.5e148":
+        "bhthermo bh: results.entropy_bits is inf, beyond the float range",
     "bounds --energy 1e300 --radius 1":
         "bhthermo bounds: results.compositeness is inf, beyond the float range",
-    "gedanken --scenario merger --m1 1e150 --m2 1e15":
-        "bhthermo gedanken: results.delta_total is undefined (nan)",
+    "gedanken --scenario capsule --bh-mass 1e160 --mu 1e157 --b 1e131 --s-cap 1":
+        "bhthermo gedanken: results.delta_total is inf, beyond the float range",
 }
 
 
@@ -695,16 +697,16 @@ def test_guarded_refusals_keep_their_line(capsys, command, fmt):
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_a_non_finite_cell_in_the_last_block_writes_nothing(capsys, monkeypatch,
                                                             fmt):
-    # the entropy of the last of ten holes, alone in the last block of
-    # four rows, is beyond the float range; the others are finite
+    # the entropy in bits of the last of ten holes, alone in the last block
+    # of four rows, is beyond the float range; the others are finite
     monkeypatch.setattr(document, "BLOCK_ROWS", 4)
     pieces = count_pieces(monkeypatch)
     argv = ["sweep", "bh", "--param", "mass", "--start", "1e147", "--stop",
-            "1e149", "--points", "10", "--quantity", "entropy"]
+            "7.5e148", "--points", "10", "--quantity", "entropy_bits"]
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (1, "")
-    assert err.splitlines() == ["bhthermo sweep: entropy at mass = 1e+149 is "
-                                "inf, beyond the float range"]
+    assert err.splitlines() == ["bhthermo sweep: entropy_bits at mass = 7.5e+148 "
+                                "is inf, beyond the float range"]
     # stopping short of it, every row is written, in three blocks
     code, out, err = run(capsys, *argv[:7], "5e148", *argv[8:], "--format", fmt)
     assert code == 0, err
@@ -727,11 +729,12 @@ class TestOverflow:
          "mass 1e+183 g puts the horizon radius"),
         (["gedanken", "--scenario", "merger", "--m1", "1.7e308", "--m2", "1e15"],
          "mass 1.7e+308 g puts the horizon radius"),
-        (["bh", "--mass", "1e150"], "results.entropy"),
+        (["bh", "--mass", "1e150"], "horizon area 2.77203e+245 cm^2 puts the entropy"),
         (["bh", "--mass", "1.5e182"], "horizon radius 2.22785e+154 cm"),
         (["sweep", "bh", "--param", "mass", "--start", "1e181",
           "--stop", "1e183", "--points", "5", "--quantity", "area"],
-         "horizon radius 1.48523e+154 cm"),
+         "horizon radius 4.69672e+153 cm"),
+        (["bh", "--mass", "5e181"], "horizon radius 7.42616e+153 cm"),
         (["channel", "--power", "1e300", "--lambda-c", "1e300"], "cutoff"),
         (["channel", "--power", "1", "--lambda-c", "1e-300"], "cutoff"),
         (["channel", "--power", "1", "--lambda-c", "1e-160"],
@@ -756,7 +759,12 @@ class TestOverflow:
         (["bounds", "--energy", "1", "--radius", "1e200"], "radius"),
         (["sweep", "bh", "--param", "mass", "--start", "1e150",
           "--stop", "1e160", "--points", "3", "--quantity", "entropy"],
-         "entropy at mass = 1e+150"),
+         "horizon area 2.77203e+245 cm^2 puts the entropy"),
+        # a temperature of 0 while the area is inf
+        (["sweep", "bh", "--param", "mass", "--start", "3e181",
+          "--stop", "5e181", "--points", "3", "--quantity", "temperature"],
+         "horizon radius 4.4557e+153 cm puts the horizon area"),
+        (["evaporate", "--mass", "1e112"], "initial mass 1e+112 g puts the lifetime"),
         (["gedanken", "--scenario", "infall", "--zeta", "1e200",
           "--energy", "1e10", "--radius", "1", "--entropy", "1"],
          "zeta = 1e+200"),

@@ -71,7 +71,7 @@ class TestGeometrizedMass:
     def test_round_trip(self, exponent):
         m = 10.0 ** exponent
         assert mass_from_geometrized(geometrized_mass(m)) == pytest.approx(
-            m, rel=1e-12)
+            m, rel=1e-12, abs=0)
 
 
 class TestGeometrizedCharge:

@@ -7,12 +7,16 @@ must not come out as an inf, a nan or a zero.  The channel bound itself
 is the one exception left; see its test.
 """
 
+import ast
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import bhthermo
 from bhthermo.bounds import MaterialSystem, bound_report
 from bhthermo.channel import Channel, capacity_bound, characteristic_power
 from bhthermo.cli import main
@@ -25,11 +29,25 @@ from bhthermo.evaporation import (
     mass_history,
 )
 from bhthermo.gedanken import susskind_collapse
-from bhthermo.kerr_newman import make_black_hole, mean_density
+from bhthermo.kerr_newman import (
+    entropy,
+    h_factors,
+    horizon_area,
+    make_black_hole,
+    mean_density,
+    potentials,
+    temperature,
+)
 from test_cli_contract import TYPICAL
 
 magnitudes = st.sampled_from(TYPICAL)
 signed = st.one_of(magnitudes, magnitudes.map(lambda x: -x))
+
+
+def named(x):
+    """A value as a refusal beyond the float range names it: by :g, or by
+    its repr where it is subnormal (1e-320, not :g's 9.99989e-321)."""
+    return repr(x) if 0.0 < abs(x) < sys.float_info.min else f"{x:g}"
 
 
 def emission(gamma_bar, n_species):
@@ -59,6 +77,10 @@ def p_c_overflows(lambda_c, params):
 @example(1e183, 0.0, 1e10)
 @example(1.7e308, 0.0, 0.0)
 @example(1.3465909215001086e228, 3.47887275469829e274, 0.0)    # Q^2, M^2 overflow
+@example(3e181, 0.0, 0.0)       # r_plus^2 fits, 4 pi r_plus^2 overflows
+@example(5e181, 0.0, 0.0)
+@example(1e154, 0.0, 0.0)       # the entropy overflows
+@example(1e170, 2e166, 0.0)     # q r_plus overflows
 def test_a_hole_is_finite_or_refused(m, q, j):
     try:
         bh = make_black_hole(m, q, j)
@@ -67,6 +89,15 @@ def test_a_hole_is_finite_or_refused(m, q, j):
     assert all(map(math.isfinite, bh)), bh
     # the existence condition Q^2 + a^2 <= M^2 <= r_plus^2, within its slack
     assert math.hypot(bh.Q, bh.a) <= bh.r_plus * (1.0 + 1e-9), bh
+    # every number `bhthermo bh` prints from the hole
+    for scalar in (horizon_area, entropy, temperature, potentials, h_factors,
+                   lambda bh: mean_density(bh.m)):
+        try:
+            value = scalar(bh)
+        except DomainError:
+            continue
+        assert all(map(math.isfinite, value if isinstance(value, tuple) else [value])), (
+            scalar, bh, value)
 
 
 def test_a_naked_hole_whose_m_squared_overflows_names_the_mass():
@@ -114,13 +145,13 @@ def test_an_overflowing_p_c_names_the_cutoff_or_the_factors(
         return
     with pytest.raises(DomainError) as info:
         capacity_bound(Channel(lambda_c, power, emission=params))
-    if math.isinf(numerator(params)):
+    if not 0.0 < numerator(params) < math.inf:
         assert str(info.value) == (
-            f"gamma_bar {gamma_bar:g} and n_species {n_species:g} put "
+            f"gamma_bar {named(gamma_bar)} and n_species {named(n_species)} put "
             "c^2 gamma_bar N hbar beyond the float range")
     else:
         assert str(info.value) == (
-            f"cutoff wavelength {lambda_c:g} cm puts the characteristic power "
+            f"cutoff wavelength {named(lambda_c)} cm puts the characteristic power "
             "beyond the float range")
 
 
@@ -150,8 +181,8 @@ def test_a_hawking_power_is_finite_or_names_the_mass(m, gamma_bar, n_species):
         power = hawking_power(make_black_hole(m), params)
     except DomainError as exc:
         assert str(exc) in (
-            f"mass {m:g} g puts the Hawking power beyond the float range",
-            f"gamma_bar {gamma_bar:g} and n_species {n_species:g} put "
+            f"mass {named(m)} g puts the Hawking power beyond the float range",
+            f"gamma_bar {named(gamma_bar)} and n_species {named(n_species)} put "
             "c^2 gamma_bar N hbar beyond the float range")
         return
     assert math.isfinite(power) and power > 0.0, power
@@ -170,9 +201,7 @@ def test_a_mean_density_is_finite_or_names_the_mass(m):
     except DomainError as exc:
         assert str(exc) in (
             f"mass must be positive and finite, got {m}",
-            f"mass {m:g} g puts the mean density beyond the float range",
-            f"mass {m:g} g is beyond the float range of the mean density "
-            "(m^2 overflows)")
+            f"mass {named(m)} g puts the mean density beyond the float range")
         return
     assert math.isfinite(density) and density > 0.0, density
 
@@ -203,11 +232,11 @@ def test_a_hawking_power_whose_denominator_overflows_is_kept(m):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: hawking_power(make_black_hole(1e-4), EmissionParameters(gamma_bar=5e-324)),
-     "gamma_bar 4.94066e-324 and n_species 1 put c^2 gamma_bar N hbar beyond "
+     "gamma_bar 5e-324 and n_species 1 put c^2 gamma_bar N hbar beyond "
      "the float range"),
     (lambda: characteristic_power(Channel(1.0, 1.0, emission=EmissionParameters(
         gamma_bar=1e-320, n_species=2.0))),
-     "gamma_bar 9.99989e-321 and n_species 2 put c^2 gamma_bar N hbar beyond "
+     "gamma_bar 1e-320 and n_species 2 put c^2 gamma_bar N hbar beyond "
      "the float range"),
     (lambda: hawking_power(make_black_hole(1e40), EmissionParameters(gamma_bar=1e-300)),
      "mass 1e+40 g puts the Hawking power beyond the float range"),
@@ -314,9 +343,82 @@ def test_a_host_hole_smaller_than_the_system_names_the_host_mass(capsys, radius,
             f"system of radius {float(radius):g} cm: zeta = M/R must be >= 1\n")
 
 
+INFALL = ["gedanken", "--scenario", "infall", "--entropy", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # zeta = M/R is inf, which passed zeta >= 1 and made the drop distance nan
+    (["--energy", "1e10", "--radius", "1e-320", "--bh-mass", "1e30"],
+     "host hole of mass 1e+30 g and radius 1e-320 cm put zeta = M/R beyond "
+     "the float range"),
+    # E/c^2 is subnormal, and the hole's mass over it inf
+    (["--energy", "3e-303", "--radius", "1"],
+     "energy 3e-303 erg puts the mass ratio m c^2/E beyond the float range"),
+    # E/c^2 underflows to 0
+    (["--energy", "1e-303", "--radius", "1"],
+     "energy 1e-303 erg puts the mass ratio m c^2/E beyond the float range"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_an_infall_beyond_the_float_range_names_its_input(capsys, argv, message, fmt):
+    assert main([*INFALL, *argv, "--format", fmt]) == 1
+    assert capsys.readouterr() == ("", f"bhthermo gedanken: {message}\n")
+
+
 def test_a_given_area_is_used_whatever_the_sphere_area(capsys):
     # the sphere's area only bounds the given one from below
     report = bound_report(MaterialSystem(1.0, 1e-300), enclosing_area=1.0)
     assert report.enclosing_area == 1.0
     assert main(["bounds", "--energy", "1", "--radius", "1e-300", "--area", "1"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# -- the one rule --------------------------------------------------------------
+
+SOURCES = sorted(Path(bhthermo.__file__).parent.glob("*.py"))
+#: The exceptions an overflow or an underflow to 0 raises.
+FLOAT_EDGE_ERRORS = {"ArithmeticError", "OverflowError", "ZeroDivisionError"}
+
+
+def float_range_breaches(source):
+    """The lines of ``source`` that catch an overflow or a division by 0, or
+    write "float range" in a string that is not a docstring; the output
+    guard ``document._finite``, which names an output, is not counted."""
+    tree = ast.parse(source.read_text())
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            if node.body and isinstance(node.body[0], ast.Expr):
+                skipped.add(node.body[0].value)     # a docstring
+            if source.stem == "document" and getattr(node, "name", "") == "_finite":
+                skipped.update(ast.walk(node))
+    breaches = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if FLOAT_EDGE_ERRORS & {getattr(name, "id", None) for name in caught}:
+                breaches.append(node.lineno)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "float range" in node.value and node not in skipped):
+            breaches.append(node.lineno)
+    return breaches
+
+
+@pytest.mark.parametrize("source", [s for s in SOURCES if s.stem != "errors"],
+                         ids=lambda s: s.name)
+def test_errors_alone_decides_and_words_a_float_range_refusal(source):
+    # every refusal beyond the float range is a call of
+    # errors.within_float_range, which catches and words it
+    assert float_range_breaches(source) == []
+
+
+def test_the_rule_test_sees_a_hand_written_refusal(tmp_path):
+    source = tmp_path / "formula.py"
+    source.write_text('''"""A module that mentions the float range in its docstring."""
+def area(r):
+    """Its area, or a refusal beyond the float range."""
+    try:
+        return r**2
+    except (ValueError, OverflowError):
+        raise ValueError(f"radius {r} puts the area beyond the float range")
+''')
+    assert float_range_breaches(source) == [6, 7]

@@ -235,8 +235,11 @@ def test_column_forms_are_the_scalar_formulas_bit_for_bit():
     M = [x * rng.uniform(0.5, 1.0) for x in r]
     areas = horizon_areas(r, a)
     assert _hex(areas) == _hex(4.0 * math.pi * (x**2 + y**2) for x, y in zip(r, a))
-    assert _hex(entropies(areas)) == _hex(
-        A / (4.0 * CONSTANTS.planck_length**2) for A in areas)
+    # an area above ~1.88e243 cm^2 has its entropy refused as beyond the float range
+    four_lp2 = 4.0 * CONSTANTS.planck_length**2
+    fits = [A for A in areas if A / four_lp2 < math.inf]
+    assert len(fits) > n // 2
+    assert _hex(entropies(fits)) == _hex(A / four_lp2 for A in fits)
     assert _hex(temperatures(M, r, areas)) == _hex(
         2.0 * CONSTANTS.c * CONSTANTS.hbar * (x - m) / A
         for m, x, A in zip(M, r, areas))
@@ -303,7 +306,7 @@ class TestTemperature:
     def test_schwarzschild_closed_form(self, log_m):
         bh = make_black_hole(10.0 ** log_m)
         expected = CONSTANTS.hbar * CONSTANTS.c / (8 * math.pi * bh.M)
-        assert temperature(bh) == pytest.approx(expected, rel=1e-12)
+        assert temperature(bh) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestPotentials:
@@ -403,10 +406,10 @@ class TestScalingProperties:
         log_m, x, y = params
         bh = build(log_m, x, y)
         doubled = make_black_hole(2 * bh.m, 2 * bh.q, 4 * bh.j)
-        assert doubled.a == pytest.approx(2 * bh.a, rel=1e-15)
+        assert doubled.a == pytest.approx(2 * bh.a, rel=1e-15, abs=0)
         assert horizon_area(doubled) == pytest.approx(
-            4 * horizon_area(bh), rel=1e-12)
-        assert entropy(doubled) == pytest.approx(4 * entropy(bh), rel=1e-12)
+            4 * horizon_area(bh), rel=1e-12, abs=0)
+        assert entropy(doubled) == pytest.approx(4 * entropy(bh), rel=1e-12, abs=0)
 
     @given(st.floats(min_value=0, max_value=35), st.floats(min_value=0, max_value=0.95))
     def test_literal_doubling_exact_for_spinless_holes(self, log_m, x):
@@ -414,7 +417,7 @@ class TestScalingProperties:
         bh = make_black_hole(m, x * extremal_charge(m))
         doubled = make_black_hole(2 * bh.m, 2 * bh.q)
         assert horizon_area(doubled) == pytest.approx(
-            4 * horizon_area(bh), rel=1e-12)
+            4 * horizon_area(bh), rel=1e-12, abs=0)
 
     def test_area_monotone_in_mass_at_fixed_charge_and_spin(self):
         m0 = 1e20

@@ -46,6 +46,7 @@ from bhthermo.kerr_newman import (
     mean_density,
     temperature,
 )
+from test_float_edges import named
 
 # -- the references: one object per point ------------------------------------
 
@@ -398,14 +399,10 @@ def old_mean_density(m):
         raise DomainError(f"mass must be positive and finite, got {m}")
     try:
         density = 3.0 * CONSTANTS.c**6 / (32.0 * math.pi * CONSTANTS.G**3 * m**2)
-    except OverflowError:
-        raise DomainError(
-            f"mass {m:g} g is beyond the float range of the mean density "
-            "(m^2 overflows)") from None
-    except ZeroDivisionError:       # 32 pi G^3 m^2 is 0 below ~1.6e-162 g
-        density = math.inf
+    except (OverflowError, ZeroDivisionError):  # m^2 is inf above ~1.34e154 g,
+        density = math.inf                      # 32 pi G^3 m^2 0 below ~1.6e-162 g
     if density == math.inf:         # below ~2e-113 g
-        raise DomainError(f"mass {m:g} g puts the mean density beyond the "
+        raise DomainError(f"mass {named(m)} g puts the mean density beyond the "
                           "float range")
     return density
 
@@ -422,18 +419,21 @@ def old_cutoff_power(lambda_c, params=EmissionParameters()):
     except (OverflowError, ZeroDivisionError):
         p_c = math.inf
     if p_c in (0.0, math.inf):
-        raise DomainError(f"cutoff wavelength {lambda_c:g} cm puts the "
+        raise DomainError(f"cutoff wavelength {named(lambda_c)} cm puts the "
                           "characteristic power beyond the float range")
     return p_c
 
 
 def old_horizon_area(r_plus):
-    # a hole of spin length 0
+    # a hole of spin length 0, whose r_plus^2 or area may overflow
     try:
-        return 4.0 * math.pi * (r_plus**2 + 0.0**2)
+        area = 4.0 * math.pi * (r_plus**2 + 0.0**2)
     except OverflowError:
-        raise DomainError(f"horizon radius {r_plus:g} cm puts the horizon area "
-                          "beyond the float range") from None
+        area = math.inf
+    if area == math.inf:
+        raise DomainError(f"horizon radius {named(r_plus)} cm puts the horizon area "
+                          "beyond the float range")
+    return area
 
 
 def old_check_channel(lambda_c, power, n_carriers=1.0):
