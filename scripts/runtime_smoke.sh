@@ -203,6 +203,10 @@ for fmt in table json csv; do
     # a host hole smaller than the system, whose M/R squared underflows to 0
     refuse "host hole of mass 1e+30 g" gedanken --scenario infall --energy 1e10 \
         --radius 1e250 --entropy 1 --bh-mass 1e30 --format "$fmt"
+    # the capsule's minimal entropy gain 2 pi mu b c / hbar overflows
+    refuse "capsule mass mu 1e+157 g and radius b 1e+131 cm" gedanken \
+        --scenario capsule --bh-mass 1e160 --mu 1e157 --b 1e131 --s-cap 1 \
+        --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)

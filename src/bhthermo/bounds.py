@@ -39,7 +39,6 @@ class _SystemFields(NamedTuple):
     energy: float
     radius: float
     entropy: float | None = None
-    label: str = ""
 
 
 class MaterialSystem(_SystemFields):
@@ -77,7 +76,6 @@ class BoundReport(NamedTuple):
     """All bounds evaluated for one system, ordered and applicability-flagged,
     with the enclosing area [cm^2] the holographic bound used."""
 
-    label: str
     compositeness: float
     weak_gravity_ratio: float
     entries: tuple[BoundEntry, ...]
@@ -238,8 +236,6 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     violations = tuple(
         e.name for e in applicable
         if sys.entropy is not None and sys.entropy > e.limit_nats * (1.0 + 1e-12))
-    return BoundReport(label=sys.label, compositeness=comp,
-                       weak_gravity_ratio=grav, entries=entries,
-                       tightest_applicable=tightest,
-                       stored_entropy=sys.entropy, violations=violations,
-                       enclosing_area=enclosing_area)
+    return BoundReport(compositeness=comp, weak_gravity_ratio=grav, entries=entries,
+                       tightest_applicable=tightest, stored_entropy=sys.entropy,
+                       violations=violations, enclosing_area=enclosing_area)

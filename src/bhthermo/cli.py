@@ -18,7 +18,7 @@ from typing import NamedTuple, NoReturn
 from . import _lazy
 from .constants import (
     CONSTANTS,
-    constants_table,
+    CONSTANTS_SOURCE,
     energy_temperature_to_kelvin,
     entropies_in_bits,
     geometrized_mass,
@@ -116,9 +116,10 @@ SWEEP_CHANNEL = (
 )
 INPUT_HELP = "key=value input file"
 #: The one unit, in every record, of each record key and series column name,
-#: by its last dotted part; a name not listed has none.  The constants record
-#: takes its units from ``constants_table``.
+#: by its last dotted part; a name not listed has none.
 UNITS = {
+    "G": "cm^3 g^-1 s^-2", "c": "cm s^-1", "hbar": "erg s", "k_B": "erg K^-1",
+    "sigma_SB": "erg cm^-2 s^-1 K^-4", "planck_length": "cm", "planck_mass": "g",
     "mass_g": "g", "charge_esu": "esu", "spin_erg_s": "erg s", "M": "cm", "Q": "cm",
     "a": "cm", "r_plus": "cm", "area": "cm^2", "entropy": "nat", "entropy_bits": "bit",
     "temperature": "erg", "temperature_kelvin": "K", "theta": "erg cm^-2",
@@ -334,10 +335,9 @@ def _document(args: argparse.Namespace) -> tuple[set[str], Document]:
 # -- subcommands -----------------------------------------------------------
 
 def cmd_constants(args: argparse.Namespace) -> Document:
-    table = constants_table()
-    doc = Document(SUBCOMMANDS["constants"].kind, table["units"])
-    doc.add("values", table["values"])
-    doc.add("meta", {"source": table["source"]})
+    _, doc = _document(args)
+    doc.add("values", CONSTANTS._asdict())
+    doc.add("meta", {"source": CONSTANTS_SOURCE})
     return doc
 
 

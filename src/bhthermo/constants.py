@@ -108,6 +108,8 @@ CODATA2018 = PhysicalConstants(
 
 #: Default constants used throughout the package.
 CONSTANTS = CODATA2018
+#: Where CONSTANTS come from, as the constants record states it.
+CONSTANTS_SOURCE = "CODATA 2018 (frozen)"
 
 
 def geometrized_mass(m: float) -> float:
@@ -173,18 +175,3 @@ def entropies_in_bits(entropies: Sequence[float]) -> list[float]:
     if negative is not None:
         raise DomainError(f"entropy must be non-negative, got {negative}")
     return [S * LOG2E for S in entropies]
-
-
-def constants_table() -> dict:
-    """Full constants table with unit annotations, for machine output."""
-    values = CONSTANTS._asdict()
-    units = {
-        "G": "cm^3 g^-1 s^-2",
-        "c": "cm s^-1",
-        "hbar": "erg s",
-        "k_B": "erg K^-1",
-        "sigma_SB": "erg cm^-2 s^-1 K^-4",
-        "planck_length": "cm",
-        "planck_mass": "g",
-    }
-    return {"values": values, "units": units, "source": "CODATA 2018 (frozen)"}

@@ -150,8 +150,7 @@ class Document:
 
     def _table_layout(self) -> tuple[str, Callable, list, str, str]:
         lines = [f"# {self.kind}"]
-        rows = self._scalar_rows()
-        if rows:
+        for rows in self._section_rows():      # each section aligned on its own
             w0 = max(len(r[0]) for r in rows)
             w1 = max(len(r[1]) for r in rows)
             lines += [f"{k:<{w0}}  {v:>{w1}}  {u}".rstrip() for k, v, u in rows]
@@ -170,21 +169,21 @@ class Document:
 
     def _csv_layout(self) -> tuple[str, Callable, list, str, str]:
         if self.columns is None:
+            rows = chain.from_iterable(self._section_rows())
             return "\n".join(["quantity,value,unit", *(
-                f"{k},{v},{u}" for k, v, u in self._scalar_rows())]), None, [], "", ""
+                f"{k},{v},{u}" for k, v, u in rows)]), None, [], "", ""
         self._check_series()
         return (",".join(self.columns) + ("\n" if self._series_length() else ""),
                 ",".join, ["%s" if is_str else "%.8e" for is_str in self._str_columns],
                 "\n", "")
 
-    def _scalar_rows(self) -> list[tuple[str, str, str]]:
-        rows = []
+    def _section_rows(self) -> Iterator[list[tuple[str, str, str]]]:
+        """Each section's rows, a key, its table or CSV cell and its unit."""
         for section, items in self.sections.items():
             exact = section in FULL_PRECISION_SECTIONS
-            for name, value in items.items():
-                key = f"{section}.{name}"
-                rows.append((key, _text_cell(value, key, exact), self.units[key]))
-        return rows
+            keys = [f"{section}.{name}" for name in items]
+            yield [(key, _text_cell(value, key, exact), self.units[key])
+                   for key, value in zip(keys, items.values())]
 
     def _series_length(self) -> int:
         return len(self.series[0]) if self.series else 0

@@ -153,7 +153,8 @@ def capsule_lowering(bh: BlackHole, mu: float, b: float,
 
     The minimal horizon area growth is 8 pi G mu b / c^2 however the host
     hole is charged or spinning, so the capsule entropy is GSL-capped at
-    2 pi mu b c / hbar.
+    2 pi mu b c / hbar.  Raises DomainError naming mu and b where that cap
+    leaves the float range.
     """
     for name, value in (("mass mu", mu), ("radius b", b),
                         ("entropy S_cap", S_cap)):
@@ -171,7 +172,10 @@ def capsule_lowering(bh: BlackHole, mu: float, b: float,
         raise DomainError(
             f"hole too light: m = {bh.m:.6e} g < "
             f"{MASS_DOMINANCE} * mu = {MASS_DOMINANCE * mu:.6e} g")
-    dS_hole = 2.0 * math.pi * mu * b * CONSTANTS.c / CONSTANTS.hbar
+    dS_hole = within_float_range(
+        lambda: 2.0 * math.pi * mu * b * CONSTANTS.c / CONSTANTS.hbar,
+        "the minimal hole entropy gain",
+        ("capsule mass mu", mu, "g"), ("radius b", b, "cm"))
     # Booked as a gain account: the host's total entropy is up to ~30
     # orders above the increment, which float addition would swallow.
     ledger = EntropyLedger((

@@ -229,7 +229,9 @@ def potentials(bh: BlackHole) -> FirstLawPotentials:
     theta = CONSTANTS.c**4 * (bh.r_plus - bh.M) / (2.0 * CONSTANTS.G * A)
     phi = within_float_range(lambda: bh.q * bh.r_plus / w2, "the horizon potential",
                              ("charge", bh.q, "esu"))
-    omega = bh.j / (bh.m * w2)
+    # where m (r_plus^2 + a^2) overflows (a spinning hole above ~2e121 g)
+    # but neither factor does, dividing by each in turn keeps omega
+    omega = bh.j / d if (d := bh.m * w2) < math.inf else bh.j / bh.m / w2
     return FirstLawPotentials(theta=theta, phi=phi, omega=omega)
 
 

@@ -53,7 +53,7 @@ class TestCharacteristicPower:
 
     def test_inverse_square_in_cutoff(self):
         assert characteristic_power(channel(0.0, lambda_c=2 * OPTICAL)) == \
-            pytest.approx(characteristic_power(channel(0.0)) / 4.0, rel=1e-12)
+            pytest.approx(characteristic_power(channel(0.0)) / 4.0, rel=1e-12, abs=0)
 
     def test_round_number_coefficient(self):
         # gamma_bar N = 4.8 reproduces the 1e-4 coefficient to within 2%
@@ -93,7 +93,7 @@ class TestGslBound:
         p_c = characteristic_power(ch)
         xi = optimal_xi(ch.power, p_c, ch.emission.nu)
         assert xi * ch.power == pytest.approx(
-            (ch.emission.nu - 1) * p_c / xi, rel=1e-12)
+            (ch.emission.nu - 1) * p_c / xi, rel=1e-12, abs=0)
 
 
 class TestOptimalXi:
@@ -705,7 +705,7 @@ class TestConsistency:
         ch = channel(1e-3)
         p_c = characteristic_power(ch)
         report = consistency_check(ch)
-        assert report.pendry_crossover_power == pytest.approx(0.4 * p_c, rel=1e-12)
+        assert report.pendry_crossover_power == pytest.approx(0.4 * p_c, rel=1e-12, abs=0)
         assert report.pendry_crossover_power < p_c
         for P in np.geomspace(report.pendry_crossover_power * 1.001, p_c, 20):
             assert high_power_rates([OPTICAL], [P])[0] >= pendry_capacity(P, 1.0)

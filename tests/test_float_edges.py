@@ -364,6 +364,35 @@ def test_an_infall_beyond_the_float_range_names_its_input(capsys, argv, message,
     assert capsys.readouterr() == ("", f"bhthermo gedanken: {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_capsule_gain_beyond_the_float_range_names_mu_and_b(capsys, fmt):
+    # 2 pi mu b c / hbar overflows; the output guard named results.delta_total
+    assert main(["gedanken", "--scenario", "capsule", "--bh-mass", "1e160", "--mu",
+                 "1e157", "--b", "1e131", "--s-cap", "1", "--format", fmt]) == 1
+    assert capsys.readouterr() == (
+        "", "bhthermo gedanken: capsule mass mu 1e+157 g and radius b 1e+131 cm put "
+            "the minimal hole entropy gain beyond the float range\n")
+
+
+@pytest.mark.parametrize("m, j", [(1e15, 1e12), (1e121, 1e160), (3e121, 1e160),
+                                  (1e140, 1e200)])
+def test_omega_is_kept_where_m_times_r_plus_squared_plus_a_squared_overflows(m, j):
+    # above ~2e121 g m (r_plus^2 + a^2) overflows, and j / inf gave omega = 0
+    bh = make_black_hole(m, 0.0, j)
+    w2 = bh.r_plus**2 + bh.a**2
+    exact = Fraction(bh.j) / Fraction(bh.m) / (Fraction(bh.r_plus)**2
+                                               + Fraction(bh.a)**2)
+    omega = potentials(bh).omega
+    assert omega == pytest.approx(float(exact), rel=1e-15, abs=0)
+    if math.isfinite(bh.m * w2):        # one division, bit for bit, where it fits
+        assert omega == bh.j / (bh.m * w2)
+
+
+def test_the_cli_prints_the_omega_of_a_heavy_spinning_hole(capsys):
+    assert main(["bh", "--mass", "1e140", "--spin", "1e200", "--format", "csv"]) == 0
+    assert "results.omega,4.53326777e-165,s^-1" in capsys.readouterr().out.splitlines()
+
+
 def test_a_given_area_is_used_whatever_the_sphere_area(capsys):
     # the sphere's area only bounds the given one from below
     report = bound_report(MaterialSystem(1.0, 1e-300), enclosing_area=1.0)

@@ -65,14 +65,17 @@ def add(doc, section, items):
     doc.add(section, items)
 
 
-def _ref_scalar_rows(doc):
-    rows = []
+def _ref_section_rows(doc):
+    """The rows of each section, a list per section."""
+    sections = []
     for section, items in doc.sections.items():
         exact = section in FULL_PRECISION_SECTIONS
+        rows = []
         for name, value in items.items():
             key = f"{section}.{name}"
             rows.append((key, _ref_cell(value, exact), _ref_unit(doc, key)))
-    return rows
+        sections.append(rows)
+    return sections
 
 
 def reference_json(doc):
@@ -92,8 +95,7 @@ def reference_json(doc):
 
 def reference_table(doc):
     lines = [f"# {doc.kind}"]
-    rows = _ref_scalar_rows(doc)
-    if rows:
+    for rows in _ref_section_rows(doc):     # each section aligned on its own
         w0 = max(len(r[0]) for r in rows)
         w1 = max(len(r[1]) for r in rows)
         lines += [f"{k:<{w0}}  {v:>{w1}}  {u}".rstrip() for k, v, u in rows]
@@ -115,7 +117,8 @@ def reference_csv(doc):
         lines += [",".join(_ref_cell(v) for v in row) for row in _ref_rows(doc)]
         return "\n".join(lines)
     lines = ["quantity,value,unit"]
-    lines += [f"{k},{v},{u}" for k, v, u in _ref_scalar_rows(doc)]
+    lines += [f"{k},{v},{u}" for rows in _ref_section_rows(doc)
+              for k, v, u in rows]
     return "\n".join(lines)
 
 
@@ -201,6 +204,18 @@ def documents(draw, with_series=None):
 def test_writers_match_the_reference_byte_for_byte(doc):
     for fmt in FORMATS:
         assert doc.render(fmt) == REFERENCE[fmt](doc), fmt
+
+
+@given(documents(with_series=False), section_names, st.data())
+def test_a_section_added_leaves_the_other_sections_table_rows_alone(doc, section,
+                                                                   data):
+    # a section is laid out on its own: a new one, however wide its keys
+    # and cells, does not re-pad the rows written before it
+    assume(section not in doc.sections)
+    before = doc.render("table")
+    names = data.draw(st.lists(record_names(doc.unit_table), min_size=1, max_size=4))
+    add(doc, section, {name: data.draw(cells) for name in names})
+    assert doc.render("table").startswith(before + "\n")
 
 
 def reference_refusal(doc):
@@ -296,8 +311,8 @@ def test_a_key_takes_its_last_dotted_parts_unit_in_the_order_added():
         ("ledger.hole.before", "nat"), ("results.delta", "nat"), ("t", "s"),
         ("y.limit", "bit")]
     assert doc.render("table").splitlines()[1:] == [
-        "results.scenario                 s",
-        "results.delta       3.00000000e+00  nat",
+        "results.scenario               s",
+        "results.delta     3.00000000e+00  nat",
         "ledger.hole.before  1.00000000e+00  nat",
         "ledger.limit.x      2.00000000e+00",
         "t [s]           y.limit [bit]   before.y      ",
@@ -318,7 +333,7 @@ def test_an_int_is_written_as_an_int_in_every_format():
     assert doc.render("table").splitlines()[1:] == [
         "inputs.points                       3",
         "inputs.start   3.0000000000000000e+00",
-        "results.n                 12345678901"]
+        "results.n  12345678901"]
 
 
 def test_a_series_without_columns_has_no_rows():

@@ -46,18 +46,18 @@ CASES = [
       "r_plus": 1.48e-13}, {}, {"is_schwarzschild": True}, ("j", 1e20)),
     (FirstLawPotentials, ("theta", "phi", "omega"),
      {"theta": 1.0, "phi": 2.0, "omega": 3.0}, {}, {}, ("omega", 4.0)),
-    (MaterialSystem, ("energy", "radius", "entropy", "label"),
-     {"energy": 1e20, "radius": 1.0}, {"entropy": None, "label": ""}, {},
+    (MaterialSystem, ("energy", "radius", "entropy"),
+     {"energy": 1e20, "radius": 1.0}, {"entropy": None}, {},
      ("radius", 2.0)),
     (BoundEntry, ("name", "limit_nats", "limit_bits", "applicable",
                   "applicability_reason"),
      {"name": "universal", "limit_nats": 1.0, "limit_bits": LOG2E,
       "applicable": True, "applicability_reason": "composite"}, {}, {},
      ("applicable", False)),
-    (BoundReport, ("label", "compositeness", "weak_gravity_ratio", "entries",
+    (BoundReport, ("compositeness", "weak_gravity_ratio", "entries",
                    "tightest_applicable", "stored_entropy", "violations",
                    "enclosing_area"),
-     {"label": "", "compositeness": 1e3, "weak_gravity_ratio": 1e-3,
+     {"compositeness": 1e3, "weak_gravity_ratio": 1e-3,
       "entries": (), "tightest_applicable": "universal",
       "stored_entropy": None, "violations": (), "enclosing_area": 4.0}, {}, {},
      ("violations", ("universal",))),
@@ -181,7 +181,7 @@ def _built(build):
     (EmissionParameters, {}, {"nu": 1.2}),
     (EmissionParameters, {}, {"nu": 5.0}),
     (EmissionParameters, {}, {"gamma_bar": 0.0, "n_species": 3.0}),
-    (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"label": "disk"}),
+    (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"entropy": 3.0}),
     (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"radius": -1.0}),
     (MaterialSystem, {"energy": 1e20, "radius": 1.0}, {"entropy": math.nan}),
     (Channel, {"lambda_c": 1.0, "power": 1.0}, {"power": 3.0}),
