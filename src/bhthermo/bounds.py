@@ -27,9 +27,6 @@ from .errors import DomainError, within_float_range
 COMPOSITE_THRESHOLD = 10.0
 #: Weak self-gravity requires G E / (c^4 R) at or below this value.
 WEAK_GRAVITY_THRESHOLD = 1e-2
-#: G E / (c^4 R) of a Schwarzschild hole; a weak-gravity threshold must
-#: stay below it, which keeps the universal bound below the holographic one.
-BLACK_HOLE_GRAVITY_RATIO = 0.5
 #: Default hole-to-system size ratio for the weak bound (its nu defaults to
 #: constants.DEFAULT_NU).
 DEFAULT_ZETA = 10.0
@@ -154,35 +151,27 @@ def gour_bound(sys: MaterialSystem) -> float:
 
 
 def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
-                 nu: float = DEFAULT_NU, zeta: float = DEFAULT_ZETA,
-                 composite_threshold: float = COMPOSITE_THRESHOLD,
-                 weak_gravity_threshold: float = WEAK_GRAVITY_THRESHOLD) -> BoundReport:
+                 nu: float = DEFAULT_NU, zeta: float = DEFAULT_ZETA) -> BoundReport:
     """Evaluate every bound for one system and rank the applicable ones.
 
-    enclosing_area defaults to the minimal sphere 4 pi R^2 and must not
-    be smaller than the system.
+    The universal and weak bounds apply to a system that is composite
+    (E R/(c hbar) >= COMPOSITE_THRESHOLD) and weakly gravitating
+    (G E/(c^4 R) <= WEAK_GRAVITY_THRESHOLD), the Gour bound to a composite
+    one.  enclosing_area defaults to the minimal sphere 4 pi R^2 and must
+    not be smaller than the system.
 
     Raises
     ------
     DomainError
-        If the area, nu, zeta or a threshold is NaN or infinite, if the
-        area is smaller than the system's sphere or puts the holographic
-        limit beyond the float range (naming the radius where the area is
-        the sphere's), if
-        weak_gravity_threshold is not below 1/2, or if the universal bound
-        of a system counted as weakly gravitating still exceeds the
-        holographic one.
+        If the area, nu or zeta is NaN or infinite, or if the area is
+        smaller than the system's sphere or puts the holographic limit
+        beyond the float range (naming the radius where the area is the
+        sphere's).
     """
     for name, value in (("enclosing area", enclosing_area), ("nu", nu),
-                        ("zeta", zeta),
-                        ("composite threshold", composite_threshold),
-                        ("weak-gravity threshold", weak_gravity_threshold)):
+                        ("zeta", zeta)):
         if value is not None and not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
-    if not weak_gravity_threshold < BLACK_HOLE_GRAVITY_RATIO:
-        raise DomainError(
-            f"weak-gravity threshold must be below {BLACK_HOLE_GRAVITY_RATIO}, "
-            f"the G E/(c^4 R) of a black hole, got {weak_gravity_threshold}")
     sphere = enclosing_area is None
     if sphere:
         enclosing_area = sphere_area(sys.radius, enclosing=True)
@@ -193,14 +182,14 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
 
     comp = compositeness(sys)
     grav = weak_gravity_ratio(sys)
-    composite = comp >= composite_threshold
-    weak = grav <= weak_gravity_threshold
+    composite = comp >= COMPOSITE_THRESHOLD
+    weak = grav <= WEAK_GRAVITY_THRESHOLD
 
-    not_composite = f"not composite (ER/c hbar = {comp:.3e} < {composite_threshold})"
+    not_composite = f"not composite (ER/c hbar = {comp:.3e} < {COMPOSITE_THRESHOLD})"
     reasons = [] if composite else [not_composite]
     if not weak:
         reasons.append(f"not weakly gravitating (GE/c^4R = {grav:.3e} > "
-                       f"{weak_gravity_threshold})")
+                       f"{WEAK_GRAVITY_THRESHOLD})")
     matter_reason = "; ".join(reasons) if reasons else "composite and weakly gravitating"
     gour_reason = ("extensivity assumed; " + matter_reason if composite
                    else not_composite)
@@ -224,15 +213,6 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
 
     applicable = [e for e in entries if e.applicable]
     tightest = min(applicable, key=lambda e: e.limit_nats).name
-    # Geometry makes uni/holo = 2 G E/(c^4 R) * (4 pi R^2 / area), below
-    # 2 * weak_gravity_threshold < 1 for a weak system; only the area
-    # slack above can break it, for a threshold within ~1e-12 of 1/2.
-    if weak and uni > holo:
-        raise DomainError(
-            f"universal bound {uni:.6e} nat exceeds the holographic bound "
-            f"{holo:.6e} nat of a system counted as weakly gravitating "
-            f"(G E/(c^4 R) = {grav:.6e}); lower the weak-gravity threshold")
-
     violations = tuple(
         e.name for e in applicable
         if sys.entropy is not None and sys.entropy > e.limit_nats * (1.0 + 1e-12))

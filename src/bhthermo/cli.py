@@ -177,10 +177,6 @@ SUBCOMMANDS = {
               key="enclosing_area"),
         Param("--nu", "irreversibility factor"),
         Param("--zeta", "hole-to-system size ratio"),
-        Param("--composite-threshold",
-              "ER/(c hbar) needed to count as composite (default 10)"),
-        Param("--weak-gravity-threshold",
-              "largest GE/(c^4 R) counting as weak gravity (default 1e-2)"),
     ), "bound_report"),
     "gedanken": Subcommand("entropy-ledger thought experiments",
                            "key=value scenario file", (
@@ -392,8 +388,7 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     _, doc = _document(args)
     _require(args, "radius")
     report = bound_report(_system_from_args(args), enclosing_area=args.area,
-                          **_options(args, "nu", "zeta", "composite_threshold",
-                                     "weak_gravity_threshold"))
+                          **_options(args, "nu", "zeta"))
     doc.add("results", {"compositeness": report.compositeness,
                         "weak_gravity_ratio": report.weak_gravity_ratio,
                         "tightest_applicable": report.tightest_applicable,

@@ -166,11 +166,6 @@ class TestGourBound:
 
 
 class TestBoundReport:
-    @pytest.mark.parametrize("threshold", [0.5, 0.75, 100.0, math.nan])
-    def test_weak_gravity_threshold_must_stay_below_one_half(self, threshold):
-        with pytest.raises(DomainError, match="weak-gravity threshold"):
-            bound_report(DISK, weak_gravity_threshold=threshold)
-
     def test_disk_ordering(self):
         report = bound_report(DISK)
         limits = {e.name: e.limit_nats for e in report.entries}
@@ -224,6 +219,12 @@ class TestBoundReport:
         # the margin is exactly twice the weak-gravity ratio
         assert universal_bound(sys_) / holographic_bound(area) == pytest.approx(
             2 * weak_gravity_ratio(sys_), rel=1e-12, abs=0)
+        # so it holds for every area bound_report accepts, down to the
+        # sphere less its 1e-12 slack: uni/holo <= 2 * 1e-2 / (1 - 1e-12)
+        smallest = sphere_area(sys_.radius) * (1.0 - 1e-12)
+        limits = {e.name: e.limit_nats for e in bound_report(
+            sys_, enclosing_area=smallest).entries}
+        assert limits["universal"] < limits["holographic"]
 
     @given(st.floats(min_value=0.1, max_value=10),
            st.floats(min_value=0.1, max_value=10))

@@ -187,7 +187,7 @@ class TestBounds:
         (5e26 * CONSTANTS.c**2, 1.0),       # not weakly gravitating
     ])
     def test_defaults_are_the_librarys(self, capsys, energy, radius):
-        # no flag for nu, zeta or the thresholds: bound_report's defaults
+        # no flag for nu or zeta: bound_report's defaults
         doc = run_json(capsys, "bounds", "--energy", repr(energy),
                        "--radius", repr(radius))
         report = bound_report(MaterialSystem(energy=energy, radius=radius))
@@ -421,10 +421,6 @@ CAPSULE = ["gedanken", "--scenario", "capsule", "--bh-mass", "1e30",
 @pytest.mark.parametrize("argv, flag, name", [
     (["bounds", "--mass", "16", "--radius", "6"], "--nu", "nu"),
     (["bounds", "--mass", "16", "--radius", "6"], "--zeta", "zeta"),
-    (["bounds", "--mass", "16", "--radius", "6"], "--composite-threshold",
-     "composite threshold"),
-    (["bounds", "--mass", "16", "--radius", "6"], "--weak-gravity-threshold",
-     "weak-gravity threshold"),
     (["bounds", "--mass", "16", "--radius", "6"], "--area", "enclosing area"),
     (CAPSULE, "--mu", "capsule mass mu"),
     (CAPSULE, "--b", "capsule radius b"),
@@ -598,8 +594,7 @@ GOLDEN_RECORDS = {
         "json": "002cea5bc3b8c2b4aed81851eea5d2a3df649c1015c018fc309f9fdb5fa05c71",
         "csv": "108039969ccaf5acd639489b9dc4dfc92e41072b50308af31f8ba42017ab4928",
     },
-    ("bounds --mass 16 --radius 6 --entropy 1e3 --nu 1.5 --zeta 20 "
-     "--composite-threshold 5 --weak-gravity-threshold 0.1"): {
+    "bounds --mass 16 --radius 6 --entropy 1e3 --nu 1.5 --zeta 20": {
         "table": "358e86271df38407e3473e8f23b835096c7da73045c038b921feb3eacd9e3b76",
         "json": "a5ad17f8d0a932c81af7534118bc51722e74b7ec43756199d24002b02d13eef6",
         "csv": "4d9153a4bea73dcd3a851e62c73d68c3734b98d9496988a03ea5d7d04edd2375",
@@ -853,41 +848,3 @@ class TestPointsCap:
                            "--start", "1e15", "--stop", "1e18",
                            "--points", str(cli.MAX_POINTS))
         assert code == 0, err
-
-
-class TestWeakGravityThreshold:
-    """The universal-below-holographic guarantee is a check that still
-    runs under python -O, not an assert."""
-
-    def run_optimized(self, *argv):
-        return subprocess.run([sys.executable, "-O", *argv],
-                              env=_subprocess_env(), capture_output=True,
-                              text=True, timeout=60)
-
-    def test_threshold_of_one_half_or_more_exits_1(self):
-        result = self.run_optimized(
-            "-m", "bhthermo.cli", "bounds", "--mass", "1e28", "--radius", "1",
-            "--weak-gravity-threshold", "100")
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == [
-            "bhthermo bounds: weak-gravity threshold must be below 0.5, the "
-            "G E/(c^4 R) of a black hole, got 100.0"]
-
-    def test_universal_above_holographic_fails_the_check(self):
-        # G E/(c^4 R) just under 1/2 and an area inside the 1e-12 slack:
-        # uni/holo = 2 * 0.4999999999999 / (1 - 5e-13) > 1
-        probe = (
-            "import math\n"
-            "from bhthermo import CONSTANTS, MaterialSystem, bound_report\n"
-            "from bhthermo.errors import DomainError\n"
-            "sys_ = MaterialSystem(radius=1.0, energy=0.4999999999999\n"
-            "                      * CONSTANTS.c**4 / CONSTANTS.G)\n"
-            "try:\n"
-            "    bound_report(sys_, enclosing_area=4 * math.pi * (1 - 5e-13),\n"
-            "                 weak_gravity_threshold=0.49999999999995)\n"
-            "except DomainError as exc:\n"
-            "    print(exc)\n")
-        result = self.run_optimized("-c", probe)
-        assert result.returncode == 0, result.stderr
-        assert "exceeds the holographic bound" in result.stdout

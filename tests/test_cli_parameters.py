@@ -5,13 +5,12 @@ a record's inputs echo exactly those options, so it re-feeds through
 --input to the same output."""
 
 import argparse
-import inspect
 import json
 import re
 
 import pytest
 
-from bhthermo import bounds, cli
+from bhthermo import cli
 from bhthermo.cli import main
 from bhthermo.evaporation import EmissionParameters
 
@@ -65,36 +64,21 @@ class TestChoicesInFiles:
 #: Each "(default X)" a subcommand's help names, by subcommand and flag.
 HELP_DEFAULTS = {
     ("evaporate", "--points"): "200",
-    ("bounds", "--composite-threshold"): "10",
-    ("bounds", "--weak-gravity-threshold"): "1e-2",
     ("sweep", "--points"): "50",
     ("sweep", "--spacing"): "log",
     ("sweep", "--quantity"): "entropy",
 }
 
 
-#: The library defaults a help text names, for rows that have no default:
-#: an unset one is left out of the call, so the library's own applies.
-LIBRARY_DEFAULTS = {
-    ("bounds", "composite_threshold"): bounds.COMPOSITE_THRESHOLD,
-    ("bounds", "weak_gravity_threshold"): bounds.WEAK_GRAVITY_THRESHOLD,
-}
-
-
 def test_help_defaults_are_the_tables():
-    report_defaults = inspect.signature(bounds.bound_report).parameters
-    for (_, dest), value in LIBRARY_DEFAULTS.items():
-        assert report_defaults[dest].default == value
     found = {}
     for name, parser in _subparsers().items():
         rows = {p.dest: p for p in cli.SUBCOMMANDS[name][2]}
         for action in parser._actions:
             for text in re.findall(r"\(default ([^\s,)]+)[,)]", action.help or ""):
                 found[name, action.option_strings[-1]] = text
-                default = rows[action.dest].default
-                if default is None:
-                    default = LIBRARY_DEFAULTS[name, action.dest]
-                assert rows[action.dest].type(text) == default, (name, action.dest)
+                row = rows[action.dest]
+                assert row.type(text) == row.default, (name, action.dest)
     assert found == HELP_DEFAULTS
 
 
@@ -109,11 +93,8 @@ CHANNEL_SWEEP = ["sweep", "channel", "--start", "1e-6", "--stop", "1e-1",
      [("bound_report", {"enclosing_area": None})]),
     (["bounds", "--mass", "16", "--radius", "6", "--zeta", "20"],
      [("bound_report", {"enclosing_area": None, "zeta": 20.0})]),
-    (["bounds", "--mass", "16", "--radius", "6", "--area", "1000", "--nu", "1.2",
-      "--composite-threshold", "5", "--weak-gravity-threshold", "0.2"],
-     [("bound_report", {"enclosing_area": 1000.0, "nu": 1.2,
-                        "composite_threshold": 5.0,
-                        "weak_gravity_threshold": 0.2})]),
+    (["bounds", "--mass", "16", "--radius", "6", "--area", "1000", "--nu", "1.2"],
+     [("bound_report", {"enclosing_area": 1000.0, "nu": 1.2})]),
     (["evaporate", "--mass", "1e12", "--points", "3"],
      [("EmissionParameters", {})]),
     (["evaporate", "--mass", "1e12", "--points", "3", "--n-species", "2"],
@@ -177,10 +158,8 @@ ECHOES = [
     (["bounds", "--energy", "1e22", "--radius", "6", "--entropy", "1e3",
       "--area", "1000"],
      {"energy": 1e22, "radius": 6.0, "entropy": 1e3, "enclosing_area": 1000.0}),
-    (["bounds", "--mass", "16", "--radius", "6", "--nu", "1.2", "--zeta", "20",
-      "--composite-threshold", "1e40", "--weak-gravity-threshold", "0.2"],
-     {"mass": 16.0, "radius": 6.0, "nu": 1.2, "zeta": 20.0,
-      "composite_threshold": 1e40, "weak_gravity_threshold": 0.2}),
+    (["bounds", "--mass", "16", "--radius", "6", "--nu", "1.2", "--zeta", "20"],
+     {"mass": 16.0, "radius": 6.0, "nu": 1.2, "zeta": 20.0}),
     (["channel", "--frequency", "5.99584916e14", "--power", "1e-3"],
      {"frequency": 5.99584916e14, "power": 1e-3}),
     (["channel", "--lambda-c", "5e-5", "--power", "1e-3", "--n-carriers", "3"],
