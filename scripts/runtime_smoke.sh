@@ -10,7 +10,8 @@
 # target stays on the command line), must print what the direct run
 # prints in every format, and a bad choice in an
 # `--input` file exits 2 as the flag does, as does a parameter the request
-# would not read.
+# would not read.  Each flag of each subcommand is set by at least one
+# request here (a test of the parameter tables keeps that).
 # Under `-X importtime` (`PYTHONPROFILEIMPORTTIME=1` for the console
 # script), `--help` and one request per subcommand must not import
 # `dataclasses`, and `--help` imports no formula module and no `json`.
@@ -207,6 +208,33 @@ for fmt in table json csv; do
     refuse "capsule mass mu 1e+157 g and radius b 1e+131 cm" gedanken \
         --scenario capsule --bh-mass 1e160 --mu 1e157 --b 1e131 --s-cap 1 \
         --format "$fmt"
+    # the capsule's size and mass ratios r_plus/b and m/mu overflow
+    refuse "capsule radius b 1e-307 cm" gedanken --scenario capsule \
+        --bh-mass 1e30 --mu 1 --b 1e-307 --s-cap 1 --format "$fmt"
+    refuse "capsule mass mu 1e-279 g" gedanken --scenario capsule \
+        --bh-mass 1e30 --mu 1e-279 --b 1 --s-cap 1 --format "$fmt"
+    # the radiated entropy nu E/T of the infall overflows
+    refuse "energy 1e+290 erg" gedanken --scenario infall --energy 1e290 \
+        --radius 1 --entropy 1 --format "$fmt"
+    # the Pendry capacity, and the linear and sqrt-law bounds, overflow
+    refuse "power 1e+283 erg s^-1" channel --lambda-c 1e-5 --power 1e283 \
+        --format "$fmt"
+    refuse "cutoff wavelength 1e+20 cm and power 1e+275" channel \
+        --lambda-c 1e20 --power 1e275 --format "$fmt"
+    refuse "cutoff wavelength 1e-158 cm and power 1e+300" channel \
+        --lambda-c 1e-158 --power 1e300 --format "$fmt"
+    refuse "cutoff wavelength 6.25055e+09 cm and power 1e+280" sweep channel \
+        --param lambda_c --start 1 --stop 1e30 --power 1e280 --format "$fmt"
+    # the weak universal bound in bits, the largest bound, overflows
+    refuse "energy 8.98755e+291 erg and radius 6 cm" bounds --mass 1e271 \
+        --radius 6 --format "$fmt"
+    refuse "energy 1e+291 erg and radius 1 cm" bounds --energy 1e291 \
+        --radius 1 --format "$fmt"
+    # the entropy fits, its value in bits does not
+    refuse "horizon area 1.55927e+243 cm^2" bh --mass 7.5e148 --format "$fmt"
+    refuse "horizon area 1.55927e+243 cm^2" sweep bh --param mass \
+        --start 1e147 --stop 7.5e148 --points 10 --quantity entropy_bits \
+        --format "$fmt"
     run 2 bh --format "$fmt"
     # a bare negative number in scientific notation is a value (a domain
     # error here, exit 1), not a flag the parser rejects (exit 2)
@@ -224,22 +252,31 @@ for fmt in table json csv; do
 done
 
 refeed bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4
+refeed bh --mass 1e15 --charge 1e3 --spin 1e-4
 refeed bounds --mass 16 --radius 6 --entropy 1e3
 refeed bounds --mass 16 --radius 6 --nu 1.2 --zeta 20
 refeed evaporate --mass 1e12
 refeed evaporate --mass 1e12 --points 3 --n-species 3
 refeed channel --frequency 5.99584916e14 --power 1e-3
 refeed channel --lambda-c 1 --power 1e3 --nu 1.2
+refeed channel --lambda-c 5e-5 --power 1e-3 --n-carriers 2 --gamma-bar 3 \
+    --n-species 2.5
 refeed sweep bh --param mass --start 1e7 --stop 1e9 --points 7 \
     --spacing linear --charge 1e3 --quantity temperature_kelvin
 refeed sweep channel --param power --start 1e-6 --stop 1e-1 --points 7 \
     --lambda-c 5e-5 --n-species 2
+refeed sweep channel --param power --start 1e-6 --stop 1e-1 --points 7 \
+    --lambda-c 5e-5 --n-carriers 2 --nu 1.2 --gamma-bar 3
 refeed gedanken --scenario susskind --energy 1e30 --radius 1 --entropy 1 \
     --area 20
 refeed gedanken --scenario capsule --bh-mass 1e30 --bh-spin 1e42 --mu 1 \
     --b 1 --s-cap 1e30
+refeed gedanken --scenario capsule --bh-mass 1e30 --bh-charge 1e20 --mu 1 \
+    --b 1 --s-cap 1e30
 refeed gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1 \
     --zeta 10 --gamma-bar 3
+refeed gedanken --scenario infall --mass 1e-10 --radius 1 --entropy 1 \
+    --nu 1.2 --n-species 3
 refeed gedanken --scenario merger --m1 1e15 --m2 2e15
 
 # a choice in an --input file obeys the flag's choices

@@ -83,8 +83,11 @@ class BoundReport(NamedTuple):
 
 
 def compositeness(sys: MaterialSystem) -> float:
-    """Size in units of the system's own Compton length: E R / (c hbar)."""
-    return sys.energy * sys.radius / (CONSTANTS.c * CONSTANTS.hbar)
+    """Size in Compton lengths E R / (c hbar); like any other output, it is
+    refused naming E and R beyond the float range (E R above ~5.7e291 erg cm)."""
+    return within_float_range(
+        lambda: sys.energy * sys.radius / (CONSTANTS.c * CONSTANTS.hbar),
+        "E R/(c hbar)", ("energy", sys.energy, "erg"), ("radius", sys.radius, "cm"))
 
 
 def weak_gravity_ratio(sys: MaterialSystem) -> float:
@@ -163,10 +166,11 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     Raises
     ------
     DomainError
-        If the area, nu or zeta is NaN or infinite, or if the area is
+        If the area, nu or zeta is NaN or infinite, if the area is
         smaller than the system's sphere or puts the holographic limit
         beyond the float range (naming the radius where the area is the
-        sphere's).
+        sphere's), or, naming E, R and zeta, if the largest bound, the weak
+        universal one, does in bits (zeta E R above ~1.0e290 erg cm at nu 1.5).
     """
     for name, value in (("enclosing area", enclosing_area), ("nu", nu),
                         ("zeta", zeta)):
@@ -180,6 +184,15 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
             f"enclosing area {enclosing_area} cm^2 is smaller than the "
             f"system's own sphere {min_area:.6e} cm^2")
 
+    uni = universal_bound(sys)
+    weak_uni = weak_universal_bound(sys, nu=nu, zeta=zeta)
+    holo = _holographic_limit(enclosing_area, "its sphere's holographic limit",
+                              ("radius", sys.radius, "cm")) if sphere \
+        else holographic_bound(enclosing_area)
+    within_float_range(lambda: nats_to_bits(weak_uni), "the weak universal bound",
+                       ("energy", sys.energy, "erg"), ("radius", sys.radius, "cm"),
+                       ("zeta", zeta, ""))
+    gour = gour_bound(sys)
     comp = compositeness(sys)
     grav = weak_gravity_ratio(sys)
     composite = comp >= COMPOSITE_THRESHOLD
@@ -193,13 +206,6 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
     matter_reason = "; ".join(reasons) if reasons else "composite and weakly gravitating"
     gour_reason = ("extensivity assumed; " + matter_reason if composite
                    else not_composite)
-
-    uni = universal_bound(sys)
-    weak_uni = weak_universal_bound(sys, nu=nu, zeta=zeta)
-    gour = gour_bound(sys)
-    holo = _holographic_limit(enclosing_area, "its sphere's holographic limit",
-                              ("radius", sys.radius, "cm")) if sphere \
-        else holographic_bound(enclosing_area)
 
     entries = (
         BoundEntry("holographic", holo, nats_to_bits(holo), True,

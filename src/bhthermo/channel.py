@@ -196,14 +196,17 @@ def high_power_rates(lambdas: Iterable[float],
     return [k * lam * P / hc * LOG2E for lam, P in zip(lambdas, powers)]
 
 
-def pendry_capacity(P: float, n: float = 1.0) -> float:
-    """Cutoff-free single-channel capacity (n pi P / 3 hbar)^(1/2) log2(e)
-    [bits s^-1], valid for any dispersion relation."""
+def pendry_capacity(P: float, n: float) -> float:
+    """Cutoff-free capacity (n pi P / 3 hbar)^(1/2) log2(e) [bits s^-1] of n
+    carrier species, valid for any dispersion relation; refused naming P
+    and n where n pi P / 3 hbar overflows (n P above ~1.8e281 erg s^-1)."""
     if P < 0:
         raise DomainError(f"power must be non-negative, got {P}")
     if n < 1.0:
         raise DomainError(f"carrier species count must be >= 1, got {n}")
-    return math.sqrt(n * math.pi * P / (3.0 * CONSTANTS.hbar)) * LOG2E
+    return within_float_range(
+        lambda: math.sqrt(n * math.pi * P / (3.0 * CONSTANTS.hbar)) * LOG2E,
+        "the Pendry capacity", ("power", P, "erg s^-1"), ("n_carriers", n, ""))
 
 
 def consistency_check(ch: Channel) -> ConsistencyReport:
@@ -273,7 +276,9 @@ def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
 
     Each stretch of points in one run of :func:`_run` maps its kernel
     (:func:`_rates`).  Where P never falls and p_c never rises, so neither
-    do the runs, bisection finds them; else each point's run is read.
+    do the runs, bisection finds them; else each point's run is read.  A
+    bound beyond the float range (the linear one: lambda_c P above ~1.6e289
+    erg cm s^-1) is refused naming its run's first cutoff and power.
     """
     n, nu = len(powers), params.nu
     if all(map(le, powers, islice(powers, 1, None))) and all(
@@ -290,8 +295,11 @@ def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
     for run, size in runs:
         stop = start + size
         regimes += repeat(_REGIMES[run], size)
-        bounds += _rates(run, lambdas[start:stop], powers[start:stop],
-                         p_cs[start:stop], params)[1]
+        lams, pows = lambdas[start:stop], powers[start:stop]
+        bounds += within_float_range(
+            lambda: _rates(run, lams, pows, p_cs[start:stop], params)[1],
+            "the information-rate bound", ("cutoff wavelength", lams, "cm"),
+            ("power", pows, "erg s^-1"))
         start = stop
     return regimes, bounds
 
@@ -301,7 +309,8 @@ def capacity_bound(ch: Channel) -> CapacityReport:
 
     Regime edges (P_c/200 and P_c/10) are disclosed in the report along
     with the xi actually used; the adjacent formulas differ by a bounded
-    factor at the edges.
+    factor at the edges.  Raises DomainError as :func:`regime_columns`
+    does where the bound leaves the float range.
     """
     p_c = characteristic_power(ch)
     run = _run(ch.power, p_c, ch.emission.nu)
@@ -309,8 +318,12 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     # sqrt((nu - 1) p_c / P) for a tiny P
     xi = within_float_range(lambda: next(iter(xis)), "the sqrt law's optimal xi",
                             ("power", ch.power, "erg s^-1"))
+    p_c_approx = approx_characteristic_power(ch.lambda_c)
+    bound = within_float_range(lambda: bounds[0], "the information-rate bound",
+                               ("cutoff wavelength", ch.lambda_c, "cm"),
+                               ("power", ch.power, "erg s^-1"))
     return CapacityReport(
-        p_c=p_c, p_c_approx=approx_characteristic_power(ch.lambda_c),
-        regime=_REGIMES[run], xi_used=xi, bound_bits_per_s=bounds[0],
+        p_c=p_c, p_c_approx=p_c_approx,
+        regime=_REGIMES[run], xi_used=xi, bound_bits_per_s=bound,
         pendry_bits_per_s=pendry_capacity(ch.power, ch.n_carriers),
         consistency=consistency_check(ch))

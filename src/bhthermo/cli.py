@@ -20,9 +20,7 @@ from .constants import (
     CONSTANTS,
     CONSTANTS_SOURCE,
     energy_temperature_to_kelvin,
-    entropies_in_bits,
     geometrized_mass,
-    nats_to_bits,
     temperatures_in_kelvin,
 )
 from .document import FORMATS, Document
@@ -39,10 +37,10 @@ _LAZY_IMPORTS = {
     "gedanken": ("capsule_lowering", "infall_experiment", "merger",
                  "susskind_collapse"),
     "grids": ("geomspace", "linspace"),
-    "kerr_newman": ("entropies", "entropy", "h_factors", "horizon_area",
-                    "horizon_areas", "horizon_columns", "make_black_hole",
-                    "mean_densities", "mean_density", "potentials", "temperature",
-                    "temperatures"),
+    "kerr_newman": ("bit_entropies", "entropies", "entropy", "h_factors",
+                    "horizon_area", "horizon_areas", "horizon_columns",
+                    "make_black_hole", "mean_densities", "mean_density",
+                    "potentials", "temperature", "temperatures"),
 }
 _load, _LAZY_HOME, __getattr__ = _lazy(globals(), _LAZY_IMPORTS)
 
@@ -337,8 +335,10 @@ def cmd_constants(args: argparse.Namespace) -> Document:
     return doc
 
 
-def _resolve_charge_spin(args: argparse.Namespace,
-                         given: set[str]) -> tuple[float, float]:
+def cmd_bh(args: argparse.Namespace) -> Document:
+    _load("kerr_newman")
+    given, doc = _document(args)
+    _require(args, "mass")
     if {"charge", "charge_over_m"} <= given:
         raise ConfigError("give either charge or charge-over-m, not both")
     if {"spin", "spin_over_m"} <= given:
@@ -349,22 +349,14 @@ def _resolve_charge_spin(args: argparse.Namespace,
         q = args.charge_over_m * M * CONSTANTS.c**2 / math.sqrt(CONSTANTS.G)
     if args.spin_over_m is not None:
         j = args.spin_over_m * M * args.mass * CONSTANTS.c
-    return q, j
-
-
-def cmd_bh(args: argparse.Namespace) -> Document:
-    _load("kerr_newman")
-    given, doc = _document(args)
-    _require(args, "mass")
-    q, j = _resolve_charge_spin(args, given)
     bh = make_black_hole(args.mass, q, j)
     pots = potentials(bh)
     h1, h2 = h_factors(bh)
-    S = entropy(bh)
+    A = horizon_area(bh)
     T = temperature(bh)
     doc.add("results", {
         "M": bh.M, "Q": bh.Q, "a": bh.a, "r_plus": bh.r_plus,
-        "area": horizon_area(bh), "entropy": S, "entropy_bits": nats_to_bits(S),
+        "area": A, "entropy": entropy(bh), "entropy_bits": bit_entropies((A,))[0],
         "temperature": T, "temperature_kelvin": energy_temperature_to_kelvin(T),
         **pots._asdict(), "h1": h1, "h2": h2, "mean_density": mean_density(bh.m)})
     return doc
@@ -477,8 +469,7 @@ BH_SWEEP_QUANTITIES = {
     "r_plus": lambda m, M, Q, a, r: r,
     "area": lambda m, M, Q, a, r: horizon_areas(r, a),
     "entropy": lambda m, M, Q, a, r: entropies(horizon_areas(r, a)),
-    "entropy_bits": lambda m, M, Q, a, r: entropies_in_bits(
-        entropies(horizon_areas(r, a))),
+    "entropy_bits": lambda m, M, Q, a, r: bit_entropies(horizon_areas(r, a)),
     "temperature": lambda m, M, Q, a, r: temperatures(M, r, horizon_areas(r, a)),
     "temperature_kelvin": lambda m, M, Q, a, r: temperatures_in_kelvin(
         temperatures(M, r, horizon_areas(r, a))),
@@ -538,7 +529,8 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
             return cutoff_powers([fixed], emission) * len(powers) if power_sweep \
                 else cutoff_powers(lambdas, emission)
         p_cs = first_refused(checked_p_cs, lambdas, powers)
-        regimes, bounds = regime_columns(lambdas, powers, p_cs, emission)
+        regimes, bounds = first_refused(
+            lambda *columns: regime_columns(*columns, emission), lambdas, powers, p_cs)
         names, columns = [args.param, "bound", "regime"], [grid, bounds, regimes]
     # one point is the first row of a two-point sweep, so its stop is checked
     doc.set_columns(names, columns if args.points > 1

@@ -64,11 +64,6 @@ class EmissionParameters(_EmissionFields):
 DEFAULT_EMISSION = EmissionParameters()
 
 
-def _require_schwarzschild(bh: BlackHole) -> None:
-    if not bh.is_schwarzschild:
-        raise DomainError("emission formulas require a Schwarzschild hole (q = j = 0)")
-
-
 def powers_at_lengths(lengths: Sequence[float],
                       params: EmissionParameters) -> list[float]:
     """c^2 gamma_bar N hbar / (15360 pi L^2) [erg s^-1] at each length L [cm].
@@ -103,7 +98,8 @@ def hawking_power(bh: BlackHole,
     naming the mass where the power overflows (a light hole of large
     gamma_bar N) or underflows to 0 (a heavy hole of small gamma_bar N).
     """
-    _require_schwarzschild(bh)
+    if not bh.is_schwarzschild:
+        raise DomainError("emission formulas require a Schwarzschild hole (q = j = 0)")
     return within_float_range(lambda: powers_at_lengths((bh.M,), params)[0],
                               "the Hawking power", ("mass", bh.m, "g"), zero=True)
 

@@ -154,7 +154,8 @@ def capsule_lowering(bh: BlackHole, mu: float, b: float,
     The minimal horizon area growth is 8 pi G mu b / c^2 however the host
     hole is charged or spinning, so the capsule entropy is GSL-capped at
     2 pi mu b c / hbar.  Raises DomainError naming mu and b where that cap
-    leaves the float range.
+    leaves the float range, and naming b or mu where r_plus/b or m/mu does
+    (b below ~8e-307 cm or mu below ~6e-279 g for a 1e30 g hole).
     """
     for name, value in (("mass mu", mu), ("radius b", b),
                         ("entropy S_cap", S_cap)):
@@ -182,10 +183,13 @@ def capsule_lowering(bh: BlackHole, mu: float, b: float,
         LedgerEntry("black hole gain", 0.0, dS_hole),
         LedgerEntry("capsule", S_cap, 0.0),
     ))
+    size_ratio = within_float_range(lambda: bh.r_plus / b, "the size ratio r_plus/b",
+                                    ("capsule radius b", b, "cm"))
+    mass_ratio = within_float_range(lambda: bh.m / mu, "the mass ratio m/mu",
+                                    ("capsule mass mu", mu, "g"))
     checks = (
-        AssumptionCheck("horizon_accepts_capsule", bh.r_plus / b,
-                        SIZE_DOMINANCE, True),
-        AssumptionCheck("hole_mass_dominates", bh.m / mu, MASS_DOMINANCE, True),
+        AssumptionCheck("horizon_accepts_capsule", size_ratio, SIZE_DOMINANCE, True),
+        AssumptionCheck("hole_mass_dominates", mass_ratio, MASS_DOMINANCE, True),
     )
     return GedankenReport(
         "capsule_lowering", ledger, checks,
@@ -224,7 +228,8 @@ def infall_experiment(sys: MaterialSystem,
     Failed assumptions make the report inapplicable, not a violation.
     A zeta below 1 (a host hole smaller than the system) is refused with a
     DomainError, and so are a zeta or zeta^2 beyond the float range, before
-    the hole is built, and an energy so small that m c^2/E is.
+    the hole is built, and an energy so large that nu E/T is or so small
+    that m c^2/E is.
     """
     if sys.entropy is None:
         raise DomainError("the infalling system needs a stored entropy")
@@ -251,8 +256,10 @@ def infall_experiment(sys: MaterialSystem,
     if not host:
         hole = make_black_hole(mass_from_geometrized(zeta * sys.radius))
 
-    radiated = params.nu * sys.energy / temperature(hole)
     S_hole = entropy(hole)
+    radiated = within_float_range(lambda: params.nu * sys.energy / temperature(hole),
+                                  "the radiated entropy nu E/T",
+                                  ("energy", sys.energy, "erg"))
     ledger = EntropyLedger((
         LedgerEntry("hawking radiation", 0.0, radiated),
         LedgerEntry("system", sys.entropy, 0.0),

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 from .constants import (
     CONSTANTS,
+    entropies_in_bits,
     geometrized_charge,
     geometrized_masses,
     spin_lengths,
@@ -97,7 +98,7 @@ class FirstLawPotentials(NamedTuple):
     omega: float
 
 
-def horizon_columns(masses: Sequence[float], q: float = 0.0, j: float = 0.0
+def horizon_columns(masses: Sequence[float], q: float, j: float
                     ) -> tuple[list[float], list[float], list[float], list[float]]:
     """The length scales of the holes (m, q, j), m in ``masses``, as the
     four columns M, Q, a and r_plus [cm], with
@@ -188,6 +189,13 @@ def entropies(areas: Sequence[float]) -> list[float]:
     four_lp2 = 4.0 * CONSTANTS.planck_length**2
     return within_float_range(lambda: [A / four_lp2 for A in areas], "the entropy",
                               ("horizon area", areas, "cm^2"))
+
+
+def bit_entropies(areas: Sequence[float]) -> list[float]:
+    """:func:`entropies` in bits, refused as they are, or where some overflows
+    in bits (A above ~1.30e243 cm^2, m above ~6.9e148 g)."""
+    return within_float_range(lambda: entropies_in_bits(entropies(areas)),
+                              "the entropy in bits", ("horizon area", areas, "cm^2"))
 
 
 def temperatures(M: Sequence[float], r_plus: Sequence[float],

@@ -36,6 +36,29 @@ def hole_system(m):
     return bh, MaterialSystem(energy=m * CONSTANTS.c**2, radius=bh.r_plus)
 
 
+def system_at(ratio, threshold, energy, radius=1.0, entropy=None):
+    """The system of ``radius`` whose ``ratio`` (compositeness or
+    weak_gravity_ratio) is exactly ``threshold``, stepping the energy from
+    ``energy`` one float at a time."""
+    for _ in range(64):
+        sys_ = MaterialSystem(energy, radius, entropy)
+        if ratio(sys_) == threshold:
+            return sys_
+        energy = math.nextafter(energy, math.inf if ratio(sys_) < threshold
+                                else -math.inf)
+    raise AssertionError(f"no energy puts {ratio.__name__} at {threshold}")
+
+
+def at_composite_threshold(radius=1.0, entropy=None):
+    return system_at(compositeness, COMPOSITE_THRESHOLD, COMPOSITE_THRESHOLD
+                     * CONSTANTS.c * CONSTANTS.hbar / radius, radius, entropy)
+
+
+def at_weak_gravity_threshold(radius=1.0, entropy=None):
+    return system_at(weak_gravity_ratio, WEAK_GRAVITY_THRESHOLD, WEAK_GRAVITY_THRESHOLD
+                     * CONSTANTS.c**4 * radius / CONSTANTS.G, radius, entropy)
+
+
 class TestMaterialSystem:
     @pytest.mark.parametrize("kwargs", [
         {"energy": 0.0, "radius": 1.0},
@@ -204,6 +227,31 @@ class TestBoundReport:
         assert holo == holographic_bound(report.enclosing_area)
         area = 2.0 * sphere_area(sys_.radius)
         assert bound_report(sys_, enclosing_area=area).enclosing_area == area
+
+    def test_a_ratio_at_its_threshold_counts_as_met(self):
+        # composite from E R/(c hbar) = 10, weak gravity up to G E/(c^4 R) = 1e-2
+        flags = {e.name: e.applicable
+                 for e in bound_report(at_composite_threshold()).entries}
+        assert flags == dict.fromkeys(flags, True)
+        weak = at_weak_gravity_threshold()
+        report = bound_report(weak)
+        assert report.weak_gravity_ratio == WEAK_GRAVITY_THRESHOLD
+        assert all(e.applicable for e in report.entries)
+        # one float more energy, and the system is no longer weak
+        heavier = MaterialSystem(math.nextafter(weak.energy, math.inf), weak.radius)
+        flags = {e.name: e.applicable for e in bound_report(heavier).entries}
+        assert flags == {"holographic": True, "universal": False,
+                         "weak_universal": False, "gour": True}
+
+    def test_universal_below_holographic_at_the_threshold_and_smallest_area(self):
+        # uni/holo = 2 G E/(c^4 R) (4 pi R^2 / A) <= 2e-2 / (1 - 1e-12)
+        for radius in (1e-5, 1.0, 1e20):
+            sys_ = at_weak_gravity_threshold(radius)
+            smallest = sphere_area(radius) * (1.0 - 1e-12)
+            limits = {e.name: e.limit_nats for e in bound_report(
+                sys_, enclosing_area=smallest).entries}
+            assert limits["universal"] / limits["holographic"] == pytest.approx(
+                2 * WEAK_GRAVITY_THRESHOLD, rel=1e-9)
 
     def test_geometry_smaller_than_system_rejected(self):
         with pytest.raises(DomainError):

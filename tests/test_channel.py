@@ -659,7 +659,7 @@ class TestBremermann:
 
 class TestPendry:
     def test_zero(self):
-        assert pendry_capacity(0.0) == 0.0
+        assert pendry_capacity(0.0, 1.0) == 0.0
 
     def test_unit_argument(self):
         P = 3 * CONSTANTS.hbar / math.pi
@@ -671,7 +671,7 @@ class TestPendry:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            pendry_capacity(-1.0)
+            pendry_capacity(-1.0, 1.0)
         with pytest.raises(DomainError):
             pendry_capacity(1.0, 0.5)
 

@@ -7,6 +7,8 @@ a record's inputs echo exactly those options, so it re-feeds through
 import argparse
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +82,48 @@ def test_help_defaults_are_the_tables():
                 row = rows[action.dest]
                 assert row.type(text) == row.default, (name, action.dest)
     assert found == HELP_DEFAULTS
+
+
+SMOKE = Path(__file__).parents[1] / "scripts" / "runtime_smoke.sh"
+
+
+def smoke_flags(script):
+    """The flags of each subcommand that a request of the shell ``script``
+    sets: the words from "--" after the first word naming a subcommand, on
+    each line joined with its continuations.  A line inside a quoted string
+    that spans lines is skipped."""
+    flags = {}
+    for line in re.sub(r"\\\n", " ", script.read_text()).splitlines():
+        try:
+            words = shlex.split(line, comments=True)
+        except ValueError:          # an unclosed quote
+            continue
+        command = next((w for w in words if w in cli.SUBCOMMANDS), None)
+        if command is not None:
+            flags.setdefault(command, set()).update(
+                w.partition("=")[0] for w in words[words.index(command):]
+                if w.startswith("--"))
+    return flags
+
+
+def test_every_flag_is_set_by_a_smoke_request():
+    # no flag without a run: each one left is set by some request of the
+    # smoke script, for its own subcommand
+    run = smoke_flags(SMOKE)
+    unset = [f"{name} {p.flag}" for name, row in cli.SUBCOMMANDS.items()
+             for p in row.parameters
+             if p.flag.startswith("--") and p.flag not in run.get(name, ())]
+    assert not unset, f"no smoke request sets {', '.join(unset)}"
+
+
+def test_the_flag_reader_sees_continued_and_quoted_lines(tmp_path):
+    script = tmp_path / "smoke.sh"
+    script.write_text("""python -c 'import sys
+sys.exit(0)'
+refuse "bh --mass" channel --lambda-c 1 \\
+    --power=2 --format "$fmt"  # --nu
+""")
+    assert smoke_flags(script) == {"channel": {"--lambda-c", "--power", "--format"}}
 
 
 GEDANKEN_INFALL = ["gedanken", "--scenario", "infall", "--energy", "1e10",

@@ -3,8 +3,7 @@
 Every input is drawn from the contract test's TYPICAL magnitudes, both
 signs, so the float range's ends meet the physical scales.  A formula
 either returns finite values or raises DomainError: an overflow inside it
-must not come out as an inf, a nan or a zero.  The channel bound itself
-is the one exception left; see its test.
+must not come out as an inf, a nan or a zero.
 """
 
 import ast
@@ -17,8 +16,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import bhthermo
-from bhthermo.bounds import MaterialSystem, bound_report
-from bhthermo.channel import Channel, capacity_bound, characteristic_power
+from bhthermo.bounds import MaterialSystem, bound_report, compositeness
+from bhthermo.channel import (
+    Channel,
+    capacity_bound,
+    characteristic_power,
+    cutoff_powers,
+    regime_columns,
+)
 from bhthermo.cli import main
 from bhthermo.constants import CONSTANTS
 from bhthermo.errors import DomainError
@@ -126,9 +131,88 @@ def test_a_channel_report_is_finite_or_refused(lambda_c, power, gamma_bar, n_spe
         return
     assert 0.0 < report.p_c < math.inf and 0.0 < report.p_c_approx < math.inf, report
     assert report.xi_used is None or math.isfinite(report.xi_used), report
-    # The bound itself may still overflow for a large lambda_c P or
-    # gamma_bar N P; the CLI's output guard refuses it as results.bound.
-    assert not math.isnan(report.bound_bits_per_s), report
+    assert math.isfinite(report.bound_bits_per_s), report
+    assert math.isfinite(report.pendry_bits_per_s), report
+
+
+#: Requests whose outputs once left the float range unnamed, reaching the
+#: output guard ("results.bound is inf"), and the input each now names.
+NAMED_INPUTS = [
+    # (n pi P / 3 hbar)^(1/2): n P above ~1.8e281 erg s^-1
+    (["channel", "--lambda-c", "1e-5", "--power", "1e283"],
+     "power 1e+283 erg s^-1 and n_carriers 1 put the Pendry capacity"),
+    # the linear bound: lambda_c P above ~1.6e289 erg cm s^-1
+    (["channel", "--lambda-c", "1e20", "--power", "1e275"],
+     "cutoff wavelength 1e+20 cm and power 1e+275 erg s^-1 put the "
+     "information-rate bound"),
+    # the sqrt law, below a P_c near the top of the float range
+    (["channel", "--lambda-c", "1e-158", "--power", "1e300"],
+     "cutoff wavelength 1e-158 cm and power 1e+300 erg s^-1 put the "
+     "information-rate bound"),
+    # the first refused point of a sweep, not its first point
+    (["sweep", "channel", "--param", "lambda_c", "--start", "1", "--stop", "1e30",
+      "--power", "1e280"],
+     "cutoff wavelength 6.25055e+09 cm and power 1e+280 erg s^-1 put the "
+     "information-rate bound"),
+    (["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop", "1e300",
+      "--lambda-c", "1e-5", "--points", "7"],
+     "cutoff wavelength 1e-05 cm and power 1e+300 erg s^-1 put the "
+     "information-rate bound"),
+    # nu E/T = 8 pi nu zeta E R/(c hbar) of the zeta-sized host, or of a given one
+    (["gedanken", "--scenario", "infall", "--energy", "1e290", "--radius", "1",
+      "--entropy", "1"], "energy 1e+290 erg puts the radiated entropy nu E/T"),
+    (["gedanken", "--scenario", "infall", "--energy", "1e289", "--radius", "1",
+      "--entropy", "1", "--bh-mass", "1e30"],
+     "energy 1e+289 erg puts the radiated entropy nu E/T"),
+    (["gedanken", "--scenario", "capsule", "--bh-mass", "1e30", "--mu", "1e-279",
+      "--b", "1", "--s-cap", "1"], "capsule mass mu 1e-279 g puts the mass ratio m/mu"),
+    (["gedanken", "--scenario", "capsule", "--bh-mass", "1e30", "--mu", "1",
+      "--b", "1e-307", "--s-cap", "1"],
+     "capsule radius b 1e-307 cm puts the size ratio r_plus/b"),
+    # the weak universal bound, 4 nu zeta times the universal one, in bits
+    (["bounds", "--mass", "1e271", "--radius", "6"],
+     "energy 8.98755e+291 erg and radius 6 cm and zeta 10 put the weak universal "
+     "bound"),
+    (["bounds", "--energy", "1e291", "--radius", "1"],
+     "energy 1e+291 erg and radius 1 cm and zeta 10 put the weak universal bound"),
+    (["bounds", "--energy", "1", "--radius", "1", "--zeta", "1e300"],
+     "energy 1 erg and radius 1 cm and zeta 1e+300 put the weak universal bound"),
+    # the entropy fits, its value in bits does not (m ~6.9e148-8.23e148 g)
+    (["bh", "--mass", "7.5e148"],
+     "horizon area 1.55927e+243 cm^2 puts the entropy in bits"),
+    (["sweep", "bh", "--param", "mass", "--start", "1e147", "--stop", "7.5e148",
+      "--points", "10", "--quantity", "entropy_bits"],
+     "horizon area 1.55927e+243 cm^2 puts the entropy in bits"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NAMED_INPUTS,
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_an_output_beyond_the_float_range_names_its_input(capsys, argv, message, fmt):
+    assert main([*argv, "--format", fmt]) == 1
+    assert capsys.readouterr() == (
+        "", f"bhthermo {argv[0]}: {message} beyond the float range\n")
+
+
+def test_an_infinite_compositeness_names_the_energy_and_radius():
+    # E R/(c hbar) is refused like any other output beyond the float range
+    with pytest.raises(DomainError) as info:
+        compositeness(MaterialSystem(1e300, 1e-8))
+    assert str(info.value) == ("energy 1e+300 erg and radius 1e-08 cm put "
+                               "E R/(c hbar) beyond the float range")
+    assert math.isfinite(compositeness(MaterialSystem(1e300, 1e-9)))
+
+
+def test_a_channel_kernel_names_its_runs_first_channel():
+    # the high run starts at the second point, whose lambda_c P overflows
+    params = EmissionParameters()
+    lambdas, powers = [1.0, 1e20], [1e-30, 1e275]
+    with pytest.raises(DomainError) as info:
+        regime_columns(lambdas, powers, cutoff_powers(lambdas, params), params)
+    assert str(info.value) == ("cutoff wavelength 1e+20 cm and power 1e+275 "
+                               "erg s^-1 put the information-rate bound beyond "
+                               "the float range")
 
 
 @given(magnitudes, magnitudes, magnitudes, magnitudes)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bhthermo.bounds import (
+    COMPOSITE_THRESHOLD,
+    WEAK_GRAVITY_THRESHOLD,
     MaterialSystem,
     holographic_bound,
     sphere_area,
     universal_bound,
 )
-from bhthermo.constants import CONSTANTS
+from bhthermo.constants import CONSTANTS, mass_from_geometrized
 from bhthermo.errors import DomainError
 from bhthermo.evaporation import EmissionParameters
 from bhthermo.gedanken import (
@@ -30,6 +32,7 @@ from bhthermo.kerr_newman import (
     make_black_hole,
     temperature,
 )
+from test_bounds import at_composite_threshold, at_weak_gravity_threshold
 
 PHOTON = EmissionParameters(nu=1.5, gamma_bar=2.0, n_species=1.0)
 
@@ -159,8 +162,10 @@ class TestCapsuleLowering:
         bh = make_black_hole(1e10)
         with pytest.raises(DomainError):   # hole too small for the capsule
             capsule_lowering(bh, mu=1.0, b=1.0, S_cap=0.0)
-        with pytest.raises(DomainError):   # hole not heavy enough
+        with pytest.raises(DomainError) as info:   # hole not heavy enough
             capsule_lowering(make_black_hole(1e30), mu=1e28, b=1.0, S_cap=0.0)
+        assert str(info.value) == ("hole too light: m = 1.000000e+30 g < "
+                                   "1000.0 * mu = 1.000000e+31 g")
 
 
 class TestInfall:
@@ -203,6 +208,37 @@ class TestInfall:
         assert check.value == pytest.approx(2.6041666667e-6, rel=1e-9, abs=0)
         assert check.passed
 
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e5])
+    def test_the_zeta_sized_host_has_m_equal_to_zeta_r(self, radius):
+        # the hole's entropy and the radiated nu E / T both follow M = zeta R
+        sys_ = MaterialSystem(energy=1e10, radius=radius, entropy=1.0)
+        hole = make_black_hole(mass_from_geometrized(20.0 * radius))
+        report = infall_experiment(sys_, 20.0, PHOTON)
+        ledger = {e.label: e for e in report.ledger.entries}
+        assert ledger["black hole"].before == entropy(hole)
+        assert ledger["hawking radiation"].after == pytest.approx(
+            PHOTON.nu * sys_.energy / temperature(hole), rel=1e-12)
+        assert report.ledger == infall_experiment(sys_, hole, PHOTON).ledger
+
+    def test_ratios_at_their_thresholds_pass_the_checks(self):
+        # composite from E R/(c hbar) = 10, weak gravity up to G E/(c^4 R) = 1e-2
+        for sys_, name, threshold in (
+                (at_composite_threshold(entropy=1.0), "composite", COMPOSITE_THRESHOLD),
+                (at_weak_gravity_threshold(entropy=1.0), "weak_gravity",
+                 WEAK_GRAVITY_THRESHOLD)):
+            checks = {c.name: c for c in infall_experiment(sys_, 10.0, PHOTON)
+                      .assumption_checks}
+            assert checks[name].value == threshold
+            assert checks[name].passed
+
+    def test_a_zeta_of_one_is_accepted(self):
+        sys_ = composite_weak_system(1.0)
+        report = infall_experiment(sys_, 1.0, PHOTON)
+        assert report.notes.startswith("hole of M = 1 R")
+        assert drop_distance(sys_, 1.0, PHOTON).threshold == 36.0
+        with pytest.raises(DomainError, match="zeta must be >= 1"):
+            infall_experiment(sys_, math.nextafter(1.0, 0.0), PHOTON)
+
     def test_non_composite_system_is_inapplicable_not_violated(self):
         # electron-like: far below the compositeness threshold
         sys_ = MaterialSystem(energy=8.2e-7, radius=1e-17, entropy=1.0)
@@ -235,6 +271,18 @@ class TestDropDistance:
         assert check.ratio_to_m == pytest.approx(7.8e4, rel=1e-12)
         assert check.threshold == pytest.approx(167.097198, rel=1e-6)
         assert check.passed
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e5])
+    def test_five_thirds_power_in_the_radius(self, radius):
+        # d = 780 (zeta E R / N c hbar)^(2/3) zeta R scales as R^(5/3)
+        d1 = drop_distance(MaterialSystem(energy=1e10, radius=radius), 10.0, PHOTON)
+        d8 = drop_distance(MaterialSystem(energy=1e10, radius=8 * radius), 10.0,
+                           PHOTON)
+        assert d8.distance == pytest.approx(32 * d1.distance, rel=1e-12)
+        assert d8.ratio_to_m == pytest.approx(4 * d1.ratio_to_m, rel=1e-12)
+        x = 10.0 * 1e10 * radius / (CONSTANTS.c * CONSTANTS.hbar)
+        assert d1.distance == pytest.approx(780 * x ** (2 / 3) * 10.0 * radius,
+                                            rel=1e-12)
 
     def test_two_thirds_power_scaling(self):
         sys1 = MaterialSystem(energy=1e10, radius=1.0)
