@@ -70,16 +70,13 @@ class BoundEntry(NamedTuple):
 
 
 class BoundReport(NamedTuple):
-    """All bounds evaluated for one system, ordered and applicability-flagged,
-    with the enclosing area [cm^2] the holographic bound used."""
+    """All bounds evaluated for one system, ordered and applicability-flagged."""
 
     compositeness: float
     weak_gravity_ratio: float
     entries: tuple[BoundEntry, ...]
     tightest_applicable: str
-    stored_entropy: float | None
     violations: tuple[str, ...]
-    enclosing_area: float
 
 
 def compositeness(sys: MaterialSystem) -> float:
@@ -93,9 +90,12 @@ def compositeness(sys: MaterialSystem) -> float:
 def weak_gravity_ratio(sys: MaterialSystem) -> float:
     """Gravitational radius over system radius: G E / (c^4 R).
 
-    1/2 for a Schwarzschild hole; tiny for laboratory systems.
+    1/2 for a Schwarzschild hole; tiny for laboratory systems.  Refused
+    naming E and R beyond the float range (E/R above ~2.2e357 erg cm^-1).
     """
-    return CONSTANTS.G * sys.energy / (CONSTANTS.c**4 * sys.radius)
+    return within_float_range(
+        lambda: CONSTANTS.G * sys.energy / (CONSTANTS.c**4 * sys.radius),
+        "G E/(c^4 R)", ("energy", sys.energy, "erg"), ("radius", sys.radius, "cm"))
 
 
 def sphere_area(radius: float, enclosing: bool = False) -> float:
@@ -129,8 +129,7 @@ def universal_bound(sys: MaterialSystem) -> float:
     return 2.0 * math.pi * sys.radius * sys.energy / (CONSTANTS.hbar * CONSTANTS.c)
 
 
-def weak_universal_bound(sys: MaterialSystem, nu: float = DEFAULT_NU,
-                         zeta: float = DEFAULT_ZETA) -> float:
+def weak_universal_bound(sys: MaterialSystem, nu: float, zeta: float) -> float:
     """Weak form 8 pi nu zeta R E / (c hbar) [nats] from the infall argument.
 
     nu must lie in [1, 2] (see constants.DEFAULT_NU); zeta is the
@@ -223,5 +222,4 @@ def bound_report(sys: MaterialSystem, enclosing_area: float | None = None,
         e.name for e in applicable
         if sys.entropy is not None and sys.entropy > e.limit_nats * (1.0 + 1e-12))
     return BoundReport(compositeness=comp, weak_gravity_ratio=grav, entries=entries,
-                       tightest_applicable=tightest, stored_entropy=sys.entropy,
-                       violations=violations, enclosing_area=enclosing_area)
+                       tightest_applicable=tightest, violations=violations)

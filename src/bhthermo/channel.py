@@ -218,7 +218,10 @@ def consistency_check(ch: Channel) -> ConsistencyReport:
     monotone_ok = f0_limit <= f_inf
     caveat = (not monotone_ok) and p.n_species > CAVEAT_SPECIES_THRESHOLD
     p_c = characteristic_power(ch)
-    crossover = 0.8 * ch.n_carriers * p_c / (p.gamma_bar * p.n_species)
+    crossover = within_float_range(     # gamma_bar N cancels out of p_c / (gamma_bar N)
+        lambda: 0.8 * ch.n_carriers * p_c / (p.gamma_bar * p.n_species),
+        "the Pendry crossover power", ("n_carriers", ch.n_carriers, ""),
+        ("cutoff wavelength", ch.lambda_c, "cm"))
     return ConsistencyReport(f0_limit=f0_limit, f_inf=f_inf,
                              monotone_ok=monotone_ok, caveat_flagged=caveat,
                              pendry_crossover_power=crossover)
@@ -253,18 +256,24 @@ def _rates(run: int, lambdas: Sequence[float], powers: Sequence[float],
            ) -> tuple[Iterable[float | None], list[float]]:
     """The xi used and the bound [bits s^-1] of the channels (lambda_c, P,
     p_c), columns of one length all in run ``run``, by its kernel; the sqrt
-    law's xi is computed only as read."""
+    law's xi is computed only as read.  A bound beyond the float range (the
+    linear one: lambda_c P above ~1.6e289 erg cm s^-1) is refused naming the
+    run's first channel by the inputs its kernel reads."""
     if run == ZERO_POWER:
         return repeat(None), [0.0] * len(powers)
+    read = [("cutoff wavelength", lambdas, "cm"), ("power", powers, "erg s^-1"),
+            ("gamma_bar", params.gamma_bar, ""), ("n_species", params.n_species, "")]
     if run == SQRT_LAW:
-        return (map(optimal_xi, powers, p_cs, repeat(params.nu)),
-                low_power_rates(powers, params))
-    if run == HIGH:
-        return repeat(XI_FLOOR), high_power_rates(lambdas, powers)
-    xis = [XI_MIN] * len(powers) if run == AT_XI_MIN else [
-        XI_FLOOR if XI_FLOOR > xi else xi       # max(xi, XI_FLOOR)
-        for xi in optimal_xis(powers, p_cs, params.nu)]
-    return xis, gsl_rates(lambdas, powers, p_cs, params, xis)
+        xis, rates, read = (map(optimal_xi, powers, p_cs, repeat(params.nu)),
+                            low_power_rates(powers, params), read[1:])
+    elif run == HIGH:
+        xis, rates, read = repeat(XI_FLOOR), high_power_rates(lambdas, powers), read[:2]
+    else:
+        xis = [XI_MIN] * len(powers) if run == AT_XI_MIN else [
+            XI_FLOOR if XI_FLOOR > xi else xi       # max(xi, XI_FLOOR)
+            for xi in optimal_xis(powers, p_cs, params.nu)]
+        rates = gsl_rates(lambdas, powers, p_cs, params, xis)
+    return xis, within_float_range(lambda: rates, "the information-rate bound", *read)
 
 
 def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
@@ -277,8 +286,7 @@ def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
     Each stretch of points in one run of :func:`_run` maps its kernel
     (:func:`_rates`).  Where P never falls and p_c never rises, so neither
     do the runs, bisection finds them; else each point's run is read.  A
-    bound beyond the float range (the linear one: lambda_c P above ~1.6e289
-    erg cm s^-1) is refused naming its run's first cutoff and power.
+    bound beyond the float range is refused as :func:`_rates` refuses it.
     """
     n, nu = len(powers), params.nu
     if all(map(le, powers, islice(powers, 1, None))) and all(
@@ -295,11 +303,8 @@ def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
     for run, size in runs:
         stop = start + size
         regimes += repeat(_REGIMES[run], size)
-        lams, pows = lambdas[start:stop], powers[start:stop]
-        bounds += within_float_range(
-            lambda: _rates(run, lams, pows, p_cs[start:stop], params)[1],
-            "the information-rate bound", ("cutoff wavelength", lams, "cm"),
-            ("power", pows, "erg s^-1"))
+        bounds += _rates(run, lambdas[start:stop], powers[start:stop],
+                         p_cs[start:stop], params)[1]
         start = stop
     return regimes, bounds
 
@@ -309,8 +314,8 @@ def capacity_bound(ch: Channel) -> CapacityReport:
 
     Regime edges (P_c/200 and P_c/10) are disclosed in the report along
     with the xi actually used; the adjacent formulas differ by a bounded
-    factor at the edges.  Raises DomainError as :func:`regime_columns`
-    does where the bound leaves the float range.
+    factor at the edges.  Raises DomainError as :func:`_rates` does where
+    the bound leaves the float range.
     """
     p_c = characteristic_power(ch)
     run = _run(ch.power, p_c, ch.emission.nu)
@@ -319,11 +324,8 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     xi = within_float_range(lambda: next(iter(xis)), "the sqrt law's optimal xi",
                             ("power", ch.power, "erg s^-1"))
     p_c_approx = approx_characteristic_power(ch.lambda_c)
-    bound = within_float_range(lambda: bounds[0], "the information-rate bound",
-                               ("cutoff wavelength", ch.lambda_c, "cm"),
-                               ("power", ch.power, "erg s^-1"))
     return CapacityReport(
         p_c=p_c, p_c_approx=p_c_approx,
-        regime=_REGIMES[run], xi_used=xi, bound_bits_per_s=bound,
+        regime=_REGIMES[run], xi_used=xi, bound_bits_per_s=bounds[0],
         pendry_bits_per_s=pendry_capacity(ch.power, ch.n_carriers),
         consistency=consistency_check(ch))

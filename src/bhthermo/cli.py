@@ -112,7 +112,6 @@ SWEEP_CHANNEL = (
     N_CARRIERS,
     *EMISSION,
 )
-INPUT_HELP = "key=value input file"
 #: The one unit, in every record, of each record key and series column name,
 #: by its last dotted part; a name not listed has none.
 UNITS = {
@@ -142,31 +141,28 @@ GEDANKEN_SCENARIOS = {
 
 
 class Subcommand(NamedTuple):
-    """Help, --input help (None: no --input), parameters, emitted record kind."""
+    """Help, parameters (with any, --input too), emitted record kind."""
     help: str
-    input_help: str | None
     parameters: tuple[Param, ...]
     kind: str
 
 
 SUBCOMMANDS = {
-    "constants": Subcommand("dump the physical constants table", None, (),
-                            "constants"),
-    "bh": Subcommand("Kerr-Newman black hole state",
-                     "key=value or emitted-JSON input file", (
+    "constants": Subcommand("dump the physical constants table", (), "constants"),
+    "bh": Subcommand("Kerr-Newman black hole state", (
         Param("--mass", "mass [g]", key="mass_g"),
         Param("--charge", "charge [esu]", 0.0, key="charge_esu"),
         Param("--spin", "angular momentum [erg s]", 0.0, key="spin_erg_s"),
         Param("--charge-over-m", "charge as the dimensionless ratio Q/M"),
         Param("--spin-over-m", "spin as the dimensionless ratio a/M"),
     ), "black_hole"),
-    "evaporate": Subcommand("Hawking evaporation trajectory", INPUT_HELP, (
+    "evaporate": Subcommand("Hawking evaporation trajectory", (
         Param("--mass", "initial mass [g]", key="mass_g"),
         Param("--points", f"number of samples (default 200, at most {MAX_POINTS})",
               200, int),
         N_SPECIES,
     ), "evaporation"),
-    "bounds": Subcommand("entropy bound report for a system", INPUT_HELP, (
+    "bounds": Subcommand("entropy bound report for a system", (
         Param("--energy", "rest energy [erg]"),
         Param("--mass", "rest mass [g] (alternative to energy)"),
         Param("--radius", "largest radius [cm]"),
@@ -176,8 +172,7 @@ SUBCOMMANDS = {
         Param("--nu", "irreversibility factor"),
         Param("--zeta", "hole-to-system size ratio"),
     ), "bound_report"),
-    "gedanken": Subcommand("entropy-ledger thought experiments",
-                           "key=value scenario file", (
+    "gedanken": Subcommand("entropy-ledger thought experiments", (
         Param("--scenario", type=str, choices=tuple(GEDANKEN_SCENARIOS)),
         Param("--energy", "system rest energy [erg]"),
         Param("--mass", "system rest mass [g]"),
@@ -195,14 +190,14 @@ SUBCOMMANDS = {
         Param("--m2", "second hole mass [g] (merger)"),
         *EMISSION,
     ), "gedanken"),
-    "channel": Subcommand("channel capacity bounds", INPUT_HELP, (
+    "channel": Subcommand("channel capacity bounds", (
         Param("--lambda-c", "long-wavelength cutoff [cm]"),
         Param("--frequency", "cutoff as a frequency [Hz] (alternative to lambda-c)"),
         Param("--power", "channel power [erg s^-1]"),
         N_CARRIERS,
         *EMISSION,
     ), "channel_capacity"),
-    "sweep": Subcommand("parameter sweeps as data series", INPUT_HELP, (
+    "sweep": Subcommand("parameter sweeps as data series", (
         Param("target", type=str, choices=("bh", "channel")),
         *SWEEP_GRID, *SWEEP_BH, *SWEEP_CHANNEL,
     ), "sweep"),
@@ -437,8 +432,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
                     False: "violated"}[report.gsl_verdict]})
     doc.add("checks", {f"{c.name}.{field}": value for c in report.assumption_checks
                        for field, value in c._asdict().items() if field != "name"})
-    if report.notes:
-        doc.add("results", {"notes": report.notes})
+    doc.add("results", {"notes": report.notes})
     return doc
 
 
@@ -521,16 +515,15 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
                               "(lambda-c or power) fixed")
         n_carriers = _options(args, "n_carriers")
         fixeds = [fixed] * len(grid)
-        lambdas, powers = (fixeds, grid) if power_sweep else (grid, fixeds)
 
-        def checked_p_cs(lambdas: list[float], powers: list[float]) -> list[float]:
-            # a channel is checked before its cutoff's power
+        def channel_columns(lambdas: list[float], powers: list[float]) -> tuple:
+            # a channel is checked before its cutoff's power, and that before its bound
             check_channels(lambdas, powers, **n_carriers)
-            return cutoff_powers([fixed], emission) * len(powers) if power_sweep \
+            p_cs = cutoff_powers([fixed], emission) * len(powers) if power_sweep \
                 else cutoff_powers(lambdas, emission)
-        p_cs = first_refused(checked_p_cs, lambdas, powers)
+            return regime_columns(lambdas, powers, p_cs, emission)
         regimes, bounds = first_refused(
-            lambda *columns: regime_columns(*columns, emission), lambdas, powers, p_cs)
+            channel_columns, *((fixeds, grid) if power_sweep else (grid, fixeds)))
         names, columns = [args.param, "bound", "regime"], [grid, bounds, regimes]
     # one point is the first row of a two-point sweep, so its stop is checked
     doc.set_columns(names, columns if args.points > 1
@@ -578,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         for param in row.parameters:
             p.add_argument(param.flag, type=param.type, choices=param.choices,
                            help=param.help)
-        if row.input_help is not None:
-            p.add_argument("--input", help=row.input_help)
+        if row.parameters:
+            p.add_argument("--input", help="key=value or emitted-JSON input file")
     return parser
 
 

@@ -23,8 +23,6 @@ from typing import NamedTuple
 
 from .constants import CONSTANTS, DEFAULT_NU, _check_nu, _checked_make
 from .errors import DomainError, SubPlanckMassError, within_float_range
-from .grids import linspace
-from .kerr_newman import BlackHole
 
 
 class _EmissionFields(NamedTuple):
@@ -166,5 +164,6 @@ def mass_history(m0: float, params: EmissionParameters = DEFAULT_EMISSION,
     if points < 2:
         raise DomainError(f"need at least 2 sample points, got {points}")
     lifetime(m0, params)  # validates m0; t[-1] is the largest time
+    from .grids import linspace     # and decimal, which nothing else here needs
     m = linspace(m0, CONSTANTS.planck_mass, points)
     return _evaporation_times(m0, m, _loss_constant(params)), m

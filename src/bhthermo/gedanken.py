@@ -198,7 +198,7 @@ def capsule_lowering(bh: BlackHole, mu: float, b: float,
 
 
 def drop_distance(sys: MaterialSystem, zeta: float,
-                  params: EmissionParameters = DEFAULT_EMISSION) -> DropDistanceCheck:
+                  params: EmissionParameters) -> DropDistanceCheck:
     """Release distance d = 780 (zeta E R / N c hbar)^(2/3) M of the infall setup.
 
     The free fall from d must last as long as the hole needs to radiate

@@ -99,10 +99,10 @@ class FirstLawPotentials(NamedTuple):
 
 
 def horizon_columns(masses: Sequence[float], q: float, j: float
-                    ) -> tuple[list[float], list[float], list[float], list[float]]:
-    """The length scales of the holes (m, q, j), m in ``masses``, as the
-    four columns M, Q, a and r_plus [cm], with
-    r_plus = M + sqrt(M^2 - Q^2 - a^2).
+                    ) -> tuple[list[float], float, list[float], list[float]]:
+    """The length scales of the holes (m, q, j), m in ``masses``: the
+    columns M, a and r_plus [cm], with r_plus = M + sqrt(M^2 - Q^2 - a^2),
+    and between M and a their one charge length Q [cm].
 
     If any hole is invalid, raises what :func:`make_black_hole` raises,
     naming the column's first mass: for a NaN or infinite input, a mass
@@ -123,7 +123,7 @@ def horizon_columns(masses: Sequence[float], q: float, j: float
     if q == 0.0 and j == 0.0:
         # Schwarzschild: j / (m c) is j, signed zero, and sqrt(M * M) is
         # M where M * M is finite, so the general form below gives M + M.
-        return M, [Q] * len(M), [float(j)] * len(M), [x + x for x in M]
+        return M, Q, [float(j)] * len(M), [x + x for x in M]
     a = spin_lengths(j, masses)
     Q2, slack = Q * Q, 1.0 + EPS_EXTREMAL
     s2 = [Q2 + x * x for x in a]
@@ -137,7 +137,7 @@ def horizon_columns(masses: Sequence[float], q: float, j: float
     # clamping keeps the square root from amplifying last-digit noise
     # into a fake temperature.
     sqrt = math.sqrt
-    return M, [Q] * len(M), a, [
+    return M, Q, a, [
         x + sqrt(0.0 if (d := (x - s) * (x + s)) < EPS_EXTREMAL * x * x else d)
         for x, s in zip(M, map(sqrt, s2))]
 
@@ -164,7 +164,7 @@ def make_black_hole(m: float, q: float = 0.0, j: float = 0.0) -> BlackHole:
     NakedSingularityError
         If Q^2 + a^2 exceeds M^2 (beyond a 1e-12 relative slack).
     """
-    (M,), (Q,), (a,), (r_plus,) = horizon_columns((m,), q, j)
+    (M,), Q, (a,), (r_plus,) = horizon_columns((m,), q, j)
     return BlackHole(m, q, j, M, Q, a, r_plus)
 
 
@@ -246,14 +246,13 @@ def potentials(bh: BlackHole) -> FirstLawPotentials:
 def h_factors(bh: BlackHole) -> tuple[float, float]:
     """Entropy and temperature ratios to the equal-mass Schwarzschild hole.
 
-    Returns (h1, h2) with h1 = S(bh)/S(Schwarzschild) and
-    h2 = T(bh)/T(Schwarzschild); both equal 1 exactly for q = j = 0 and
-    lie in [0, 1] over the whole existence domain.
-    """
-    ref = make_black_hole(bh.m)
-    h1 = entropy(bh) / entropy(ref)
-    h2 = temperature(bh) / temperature(ref)
-    return h1, h2
+    Returns h1 = S(bh)/S(Schwarzschild) = (r_plus^2 + a^2)/4M^2 and h2 =
+    T(bh)/T(Schwarzschild) = 4M (r_plus - M)/(r_plus^2 + a^2), in units of 2M,
+    so that no step overflows; both equal 1 exactly for q = j = 0 and lie in
+    [0, 1] over the whole existence domain."""
+    x, y = bh.r_plus / (2.0 * bh.M), bh.a / (2.0 * bh.M)
+    h1 = x * x + y * y
+    return h1, (bh.r_plus - bh.M) / (bh.M * h1)
 
 
 def mean_density(m: float) -> float:

@@ -75,7 +75,7 @@ HELP_DEFAULTS = {
 def test_help_defaults_are_the_tables():
     found = {}
     for name, parser in _subparsers().items():
-        rows = {p.dest: p for p in cli.SUBCOMMANDS[name][2]}
+        rows = {p.dest: p for p in cli.SUBCOMMANDS[name].parameters}
         for action in parser._actions:
             for text in re.findall(r"\(default ([^\s,)]+)[,)]", action.help or ""):
                 found[name, action.option_strings[-1]] = text
@@ -306,7 +306,7 @@ OTHER_VALUES = {
     "mu": "2", "b": "2", "s_cap": "2e30", "zeta": "20", "m1": "2e15",
     "m2": "3e15", "nu": "1.2", "gamma_bar": "3", "n_species": "2",
 }
-GEDANKEN_ROWS = {p.dest: p for p in cli.SUBCOMMANDS["gedanken"][2]}
+GEDANKEN_ROWS = {p.dest: p for p in cli.SUBCOMMANDS["gedanken"].parameters}
 
 
 def _with(argv, flag, value):

@@ -16,7 +16,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import bhthermo
-from bhthermo.bounds import MaterialSystem, bound_report, compositeness
+from bhthermo.bounds import (
+    MaterialSystem,
+    bound_report,
+    compositeness,
+    holographic_bound,
+)
 from bhthermo.channel import (
     Channel,
     capacity_bound,
@@ -145,10 +150,22 @@ NAMED_INPUTS = [
     (["channel", "--lambda-c", "1e20", "--power", "1e275"],
      "cutoff wavelength 1e+20 cm and power 1e+275 erg s^-1 put the "
      "information-rate bound"),
-    # the sqrt law, below a P_c near the top of the float range
+    # the sqrt law, below a P_c near the top of the float range, or with a
+    # large gamma_bar N: it never reads the cutoff
     (["channel", "--lambda-c", "1e-158", "--power", "1e300"],
-     "cutoff wavelength 1e-158 cm and power 1e+300 erg s^-1 put the "
+     "power 1e+300 erg s^-1 and gamma_bar 2 and n_species 1 put the "
      "information-rate bound"),
+    (["channel", "--lambda-c", "1e-100", "--power", "1e200", "--gamma-bar", "1e100"],
+     "power 1e+200 erg s^-1 and gamma_bar 1e+100 and n_species 1 put the "
+     "information-rate bound"),
+    # the two-term bound, at xi = 10 between P_c/200 and P_c/10
+    (["channel", "--lambda-c", "1e-15", "--power", "1e305", "--gamma-bar", "1e287"],
+     "cutoff wavelength 1e-15 cm and power 1e+305 erg s^-1 and gamma_bar 1e+287 "
+     "and n_species 1 put the information-rate bound"),
+    # 0.8 n p_c / (gamma_bar N), in which gamma_bar N cancels
+    (["channel", "--lambda-c", "1e-10", "--power", "0", "--n-carriers", "1e300"],
+     "n_carriers 1e+300 and cutoff wavelength 1e-10 cm put the Pendry crossover "
+     "power"),
     # the first refused point of a sweep, not its first point
     (["sweep", "channel", "--param", "lambda_c", "--start", "1", "--stop", "1e30",
       "--power", "1e280"],
@@ -157,6 +174,11 @@ NAMED_INPUTS = [
     (["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop", "1e300",
       "--lambda-c", "1e-5", "--points", "7"],
      "cutoff wavelength 1e-05 cm and power 1e+300 erg s^-1 put the "
+     "information-rate bound"),
+    # a refused bound in the first row, before a refused P_c in a later one
+    (["sweep", "channel", "--param", "lambda_c", "--start", "1e100", "--stop",
+      "1e160", "--power", "1e200", "--points", "50"],
+     "cutoff wavelength 1e+100 cm and power 1e+200 erg s^-1 put the "
      "information-rate bound"),
     # nu E/T = 8 pi nu zeta E R/(c hbar) of the zeta-sized host, or of a given one
     (["gedanken", "--scenario", "infall", "--energy", "1e290", "--radius", "1",
@@ -177,6 +199,12 @@ NAMED_INPUTS = [
      "energy 1e+291 erg and radius 1 cm and zeta 10 put the weak universal bound"),
     (["bounds", "--energy", "1", "--radius", "1", "--zeta", "1e300"],
      "energy 1 erg and radius 1 cm and zeta 1e+300 put the weak universal bound"),
+    # G E/(c^4 R): E/R above ~2.2e357 erg cm^-1, in a report or a check
+    (["bounds", "--energy", "1e300", "--radius", "1e-150"],
+     "energy 1e+300 erg and radius 1e-150 cm put G E/(c^4 R)"),
+    (["gedanken", "--scenario", "infall", "--energy", "1e250", "--radius", "1e-150",
+      "--entropy", "1", "--zeta", "1e150"],
+     "energy 1e+250 erg and radius 1e-150 cm put G E/(c^4 R)"),
     # the entropy fits, its value in bits does not (m ~6.9e148-8.23e148 g)
     (["bh", "--mass", "7.5e148"],
      "horizon area 1.55927e+243 cm^2 puts the entropy in bits"),
@@ -480,7 +508,8 @@ def test_the_cli_prints_the_omega_of_a_heavy_spinning_hole(capsys):
 def test_a_given_area_is_used_whatever_the_sphere_area(capsys):
     # the sphere's area only bounds the given one from below
     report = bound_report(MaterialSystem(1.0, 1e-300), enclosing_area=1.0)
-    assert report.enclosing_area == 1.0
+    assert report.entries[0].name == "holographic"
+    assert report.entries[0].limit_nats == holographic_bound(1.0)
     assert main(["bounds", "--energy", "1", "--radius", "1e-300", "--area", "1"]) == 0
     assert capsys.readouterr().err == ""
 

@@ -90,6 +90,12 @@ class TestConstruction:
         assert not make_black_hole(1e15, 1e5).is_schwarzschild
 
 
+def lengths(masses, q, j):
+    """:func:`horizon_columns` with its one charge length Q as a column."""
+    M, Q, a, r_plus = horizon_columns(masses, q, j)
+    return M, [Q] * len(M), a, r_plus
+
+
 class TestFloatKernels:
     """make_black_hole, horizon_area, entropy and temperature run on float
     kernels now; each must give, bit for bit, what its own code gave."""
@@ -130,7 +136,7 @@ class TestFloatKernels:
         j = sign * e * math.sin(angle) * extremal_spin(m0)
         expected = zip(*[self.old_make(m, q, j) for m in masses])
         assert [list(map(float.hex, column))
-                for column in horizon_columns(masses, q, j)] == [
+                for column in lengths(masses, q, j)] == [
             list(map(float.hex, column)) for column in expected]
 
     @pytest.mark.parametrize("q, j", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0),
@@ -144,7 +150,7 @@ class TestFloatKernels:
         for masses in (below, below + [edge, 1.3 * edge]):
             expected = zip(*[self.old_make(m, q, j) for m in masses])
             assert [list(map(float.hex, column))
-                    for column in horizon_columns(masses, q, j)] == [
+                    for column in lengths(masses, q, j)] == [
                 list(map(float.hex, column)) for column in expected]
         # where M * M overflows (M = 1.36e154) the old code's r_plus is inf
         assert self.old_make(1.36 * edge, q, j)[3] == math.inf
@@ -366,6 +372,16 @@ class TestHFactors:
         h1, h2 = h_factors(make_black_hole(m, extremal_charge(m)))
         assert h1 == pytest.approx(0.25, rel=1e-9)
         assert h2 == 0.0
+
+    def test_finite_where_the_entropy_is_refused(self):
+        # the closed forms read no entropy: at a/M = 1/2, r_plus = M (1 + sqrt(3)/2)
+        m = 1e149
+        bh = make_black_hole(m, 0.0, 0.5 * extremal_spin(m))
+        with pytest.raises(DomainError, match="the entropy beyond the float range"):
+            entropy(bh)
+        h1 = ((1.0 + math.sqrt(0.75)) / 2.0) ** 2 + 0.25**2
+        assert h_factors(bh) == pytest.approx((h1, math.sqrt(0.75) / h1), rel=1e-12,
+                                              abs=0)
 
     def test_bounded_on_grid(self):
         m = 1e20

@@ -51,8 +51,7 @@ BASE = ["bhthermo", "bhthermo.cli", "bhthermo.constants", "bhthermo.document",
         "bhthermo.errors"]
 #: bhthermo.X for each formula module a request loads beyond BASE.
 HOLE = ["kerr_newman"]
-EVAPORATION = ["evaporation", "grids", "kerr_newman"]
-CHANNEL = ["channel", *EVAPORATION]
+CHANNEL = ["channel", "evaporation"]
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -61,15 +60,15 @@ CHANNEL = ["channel", *EVAPORATION]
     (["bh", "--help"], []),
     (["bh", "--mass", "1e15"], HOLE),
     (["bh", "--mass", "1e-10"], HOLE),
-    (["evaporate", "--mass", "1e12", "--points", "10"], EVAPORATION),
+    (["evaporate", "--mass", "1e12", "--points", "10"], ["evaporation", "grids"]),
     (["bounds", "--mass", "16", "--radius", "6"], ["bounds"]),
     (["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "1e15"],
-     ["bounds", "gedanken", *EVAPORATION]),
+     ["bounds", "evaporation", "gedanken", *HOLE]),
     (["channel", "--lambda-c", "5e-5", "--power", "1e-3"], CHANNEL),
     (["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18"],
      ["grids", *HOLE]),
     (["sweep", "channel", "--param", "power", "--start", "1e-6", "--stop",
-      "1e-1", "--lambda-c", "5e-5"], CHANNEL),
+      "1e-1", "--lambda-c", "5e-5"], ["grids", *CHANNEL]),
 ])
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_request_loads_only_its_modules(argv, modules, fmt):
@@ -250,6 +249,90 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     read = set().union(*map(_names_read, paths))
     uncalled = sorted(set(bhthermo.__all__) - {*bhthermo._SUBMODULES} - read)
     assert not uncalled, f"only the tests call {', '.join(uncalled)}"
+
+
+def _trees(*patterns: str) -> list[ast.AST]:
+    return [ast.parse(open(path).read(), path) for pattern in patterns
+            for path in glob.glob(pattern)]
+
+
+PACKAGE_FILES = os.path.join(SRC, "bhthermo", "*.py")
+#: The code outside the tests: the package, the benchmark and the scripts.
+CALLER_FILES = (PACKAGE_FILES, os.path.join(PERFBENCH, "*.py"),
+                os.path.join(REPO, "scripts", "*.py"))
+
+
+def _name(node: ast.AST) -> str | None:
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def test_every_parameter_default_is_left_out_by_a_caller():
+    # a default that every caller overrides is a second statement of the
+    # value the callers pass, which only the tests can tell apart
+    defaults = {}       # (function, parameter) -> its position, None if keyword-only
+    for tree in _trees(PACKAGE_FILES):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                for i in range(len(positional) - len(a.defaults), len(positional)):
+                    defaults[node.name, positional[i].arg] = i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        defaults[node.name, arg.arg] = None
+    left_out = set()
+    for tree in _trees(*CALLER_FILES):
+        called = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called.add(id(node.func))
+            unpacks = (any(isinstance(arg, ast.Starred) for arg in node.args)
+                       or any(kw.arg is None for kw in node.keywords))
+            given = {kw.arg for kw in node.keywords}
+            left_out |= {(function, param) for (function, param), i in defaults.items()
+                         if function == _name(node.func) and (unpacks or (
+                             param not in given
+                             and (i is None or i >= len(node.args))))}
+        # a function passed on as a value is called with whatever its
+        # receiver gives, as perfbench's plans pass mass_history
+        passed = {_name(node) for node in ast.walk(tree) if id(node) not in called
+                  and isinstance(getattr(node, "ctx", None), ast.Load)}
+        left_out |= {key for key in defaults if key[0] in passed}
+    overridden = sorted(f"{function}({param}=)" for function, param
+                        in defaults.keys() - left_out)
+    assert not overridden, f"every caller sets {', '.join(overridden)}"
+
+
+#: Value-type fields that no code outside the tests reads by name, each
+#: with the reason it is kept.
+FIELDS_READ_OTHERWISE = {
+    # written into the bounds section by position, each entry's e[1:]
+    "BoundEntry.name", "BoundEntry.limit_nats", "BoundEntry.limit_bits",
+    "BoundEntry.applicable", "BoundEntry.applicability_reason",
+    # written whole into the consistency section by _asdict()
+    "ConsistencyReport.f0_limit", "ConsistencyReport.f_inf",
+    "ConsistencyReport.monotone_ok", "ConsistencyReport.caveat_flagged",
+    "ConsistencyReport.pendry_crossover_power",
+    # the release distance itself, the value drop_distance exists to return
+    "DropDistanceCheck.distance",
+}
+
+
+def test_every_value_type_field_is_read_outside_the_tests():
+    fields = set()      # "Class.field" of each NamedTuple's own fields
+    for tree in _trees(PACKAGE_FILES):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and "NamedTuple" in map(_name, node.bases):
+                fields |= {f"{node.name}.{item.target.id}" for item in node.body
+                           if isinstance(item, ast.AnnAssign)}
+    read = {node.attr for tree in _trees(*CALLER_FILES) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(field for field in fields - FIELDS_READ_OTHERWISE
+                    if field.partition(".")[2] not in read)
+    assert not unread, f"only the tests read {', '.join(unread)}"
+    assert FIELDS_READ_OTHERWISE <= fields
 
 
 @pytest.mark.parametrize("module", [bhthermo, cli])

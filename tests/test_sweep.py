@@ -21,6 +21,7 @@ from bhthermo.channel import (
     check_channels,
     cutoff_powers,
     low_power_rates,
+    regime_columns,
 )
 from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
 from bhthermo.constants import (
@@ -33,7 +34,7 @@ from bhthermo.constants import (
     temperatures_in_kelvin,
 )
 from bhthermo import cli, errors
-from bhthermo.errors import BLOCK_POINTS, DomainError, first_refused
+from bhthermo.errors import DomainError, first_refused
 from bhthermo.evaporation import EmissionParameters
 from bhthermo.grids import geomspace, linspace
 from bhthermo.kerr_newman import (
@@ -161,9 +162,10 @@ def test_column_kernel_matches_make_black_hole(hole, spacing, start, stop):
     q, j = charge_spin(start, *HOLES[hole])
     masses = grid(start, stop, 300, spacing)
     holes = [make_black_hole(m, q, j) for m in masses]
-    expected = [[bh.M for bh in holes], [bh.Q for bh in holes],
-                [bh.a for bh in holes], [bh.r_plus for bh in holes]]
-    assert bits(horizon_columns(masses, q, j)) == bits(expected)
+    M, Q, a, r_plus = horizon_columns(masses, q, j)
+    assert bits([M, a, r_plus]) == bits([[bh.M for bh in holes], [bh.a for bh in holes],
+                                         [bh.r_plus for bh in holes]])
+    assert {bh.Q.hex() for bh in holes} == {Q.hex()}
 
 
 # -- channel sweeps ----------------------------------------------------------
@@ -516,20 +518,20 @@ def test_first_refused_runs_once_when_the_columns_pass():
     assert calls == [([1.0, 2.0], [3.0, 4.0])]
 
 
+@mock.patch.object(errors, "BLOCK_POINTS", 16)
 def test_first_refused_names_the_first_refused_point():
     # past the first block: the whole column, the blocks up to the first
-    # refused one, then that block's points up to the refused one
-    calls, first = [], BLOCK_POINTS + 5
-    xs = [1.0] * (2 * BLOCK_POINTS + 10)
+    # refused one, then that block's prefixes, bisected: of 9 points (refused),
+    # 5 (passed), 7 and 6 (refused), so the sixth point alone
+    calls, first = [], 16 + 5
+    xs = [1.0] * (2 * 16 + 10)
     xs[first], xs[first + 2], xs[-1] = -2.0, -3.0, -4.0
     ys = [float(i) for i in range(len(xs))]
     with pytest.raises(DomainError, match=r"^x must be non-negative, got -2\.0$"):
         first_refused(refusing_negatives(calls), xs, ys)
-    blocks = [(xs[i:i + BLOCK_POINTS], ys[i:i + BLOCK_POINTS])
-              for i in (0, BLOCK_POINTS)]
-    points = [([x], [y]) for x, y in zip(xs[BLOCK_POINTS:first + 1],
-                                         ys[BLOCK_POINTS:first + 1])]
-    assert calls == [(xs, ys), *blocks, *points]
+    blocks = [(xs[i:i + 16], ys[i:i + 16]) for i in (0, 16)]
+    prefixes = [(xs[16:16 + stop], ys[16:16 + stop]) for stop in (9, 5, 7, 6)]
+    assert calls == [(xs, ys), *blocks, *prefixes, ([xs[first]], [ys[first]])]
 
 
 def test_first_refused_lets_any_other_error_through_at_once():
@@ -554,9 +556,10 @@ def sweep_bh_compute(quantity, q, j):
 
 
 def sweep_channel_compute(lambdas, powers, params=EmissionParameters(1.6, 7.0, 3.0)):
-    """cmd_sweep's compute of a cutoff sweep: the checks, then P_c."""
+    """cmd_sweep's compute of a cutoff sweep: the checks, P_c, then the
+    regimes and bounds."""
     check_channels(lambdas, powers)
-    return cutoff_powers(lambdas, params)
+    return regime_columns(lambdas, powers, cutoff_powers(lambdas, params), params)
 
 
 def refusal(compute, *columns):

@@ -55,11 +55,9 @@ CASES = [
       "applicable": True, "applicability_reason": "composite"}, {}, {},
      ("applicable", False)),
     (BoundReport, ("compositeness", "weak_gravity_ratio", "entries",
-                   "tightest_applicable", "stored_entropy", "violations",
-                   "enclosing_area"),
+                   "tightest_applicable", "violations"),
      {"compositeness": 1e3, "weak_gravity_ratio": 1e-3,
-      "entries": (), "tightest_applicable": "universal",
-      "stored_entropy": None, "violations": (), "enclosing_area": 4.0}, {}, {},
+      "entries": (), "tightest_applicable": "universal", "violations": ()}, {}, {},
      ("violations", ("universal",))),
     (Channel, ("lambda_c", "power", "n_carriers", "emission"),
      {"lambda_c": 5e-5, "power": 1e-3},
