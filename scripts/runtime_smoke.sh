@@ -216,15 +216,32 @@ for fmt in table json csv; do
     # the radiated entropy nu E/T of the infall overflows
     refuse "energy 1e+290 erg" gedanken --scenario infall --energy 1e290 \
         --radius 1 --entropy 1 --format "$fmt"
-    # the Pendry capacity, and the linear and sqrt-law bounds, overflow
+    # the Pendry capacity and crossover power, and the linear, sqrt-law and
+    # two-term bounds, overflow; each bound names the inputs it reads
     refuse "power 1e+283 erg s^-1" channel --lambda-c 1e-5 --power 1e283 \
         --format "$fmt"
+    refuse "n_carriers 1e+300 and cutoff wavelength 1e-10 cm" channel \
+        --lambda-c 1e-10 --power 0 --n-carriers 1e300 --format "$fmt"
     refuse "cutoff wavelength 1e+20 cm and power 1e+275" channel \
         --lambda-c 1e20 --power 1e275 --format "$fmt"
-    refuse "cutoff wavelength 1e-158 cm and power 1e+300" channel \
+    refuse "power 1e+300 erg s^-1 and gamma_bar 2 and n_species 1" channel \
         --lambda-c 1e-158 --power 1e300 --format "$fmt"
+    refuse "power 1e+200 erg s^-1 and gamma_bar 1e+100 and n_species 1" \
+        channel --lambda-c 1e-100 --power 1e200 --gamma-bar 1e100 --format "$fmt"
+    refuse "cutoff wavelength 1e-15 cm and power 1e+305 erg s^-1 and gamma_bar" \
+        channel --lambda-c 1e-15 --power 1e305 --gamma-bar 1e287 --format "$fmt"
     refuse "cutoff wavelength 6.25055e+09 cm and power 1e+280" sweep channel \
         --param lambda_c --start 1 --stop 1e30 --power 1e280 --format "$fmt"
+    # a sweep names its first refused row, here by its bound, not a later
+    # row by its characteristic power
+    refuse "cutoff wavelength 1e+100 cm and power 1e+200" sweep channel \
+        --param lambda_c --start 1e100 --stop 1e160 --power 1e200 --points 50 \
+        --format "$fmt"
+    # the weak-gravity ratio G E/(c^4 R) overflows, in a report or a check
+    refuse "energy 1e+300 erg and radius 1e-150 cm" bounds --energy 1e300 \
+        --radius 1e-150 --format "$fmt"
+    refuse "energy 1e+250 erg and radius 1e-150 cm" gedanken --scenario infall \
+        --energy 1e250 --radius 1e-150 --entropy 1 --zeta 1e150 --format "$fmt"
     # the weak universal bound in bits, the largest bound, overflows
     refuse "energy 8.98755e+291 erg and radius 6 cm" bounds --mass 1e271 \
         --radius 6 --format "$fmt"

@@ -3,7 +3,6 @@ beyond the float range, and which point a refused column names."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from math import inf
 from sys import float_info
@@ -54,29 +53,30 @@ def within_float_range(compute: Callable[[], T], output: str,
     raise DomainError(f"{' and '.join(named)} {verb} {output} beyond the float range")
 
 
-def _refuses(compute: Callable[..., object], columns: Sequence[Sequence]) -> bool:
-    try:
-        compute(*columns)
-    except DomainError:
-        return True
-    return False
-
-
 def first_refused(compute: Callable[..., T], *columns: Sequence) -> T:
     """``compute(*columns)``, or the DomainError of the first point it
     refuses, for a ``compute`` of columns of one length that refuses them,
     naming their first point, exactly when it refuses one of their points.
     After a refusal it runs on blocks of BLOCK_POINTS points, bisects the
-    prefixes of the first block it refuses for its first refused point, and
-    runs on that point alone, as one-point columns."""
+    first block it refuses for its first refused point, and runs on that
+    point alone, as one-point columns."""
     try:
         return compute(*columns)
     except DomainError as exc:
         refused = exc
     for start in range(0, len(columns[0]), BLOCK_POINTS):
         block = [column[start:start + BLOCK_POINTS] for column in columns]
-        if _refuses(compute, block):
-            first = bisect_left(range(len(block[0])), True, key=lambda i: _refuses(
-                compute, [column[:i + 1] for column in block]))
-            compute(*([column[first]] for column in block))
+        try:
+            compute(*block)
+        except DomainError:
+            low, high = 0, len(block[0])    # the first refused point is in [low, high)
+            while high - low > 1:
+                middle = (low + high) // 2
+                try:
+                    compute(*(column[low:middle] for column in block))
+                except DomainError:
+                    high = middle
+                else:
+                    low = middle
+            compute(*([column[low]] for column in block))
     raise refused

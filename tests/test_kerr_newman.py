@@ -89,6 +89,24 @@ class TestConstruction:
         assert make_black_hole(1e15).is_schwarzschild
         assert not make_black_hole(1e15, 1e5).is_schwarzschild
 
+    # Two holes found by search, each exactly on an edge of the 1e-12 slack
+    # EPS_EXTREMAL, in the floats the construction computes.
+
+    def test_a_hole_on_the_existence_slack_exists(self):
+        # Q^2 = M^2 (1 + 1e-12): accepted, and extremal
+        bh = make_black_hole(2.6576809153376327e29, 6.866030046270126e25)
+        assert bh.Q * bh.Q == bh.M * bh.M * (1.0 + 1e-12)
+        assert bh.r_plus == bh.M
+        assert temperature(bh) == 0.0
+
+    def test_a_hole_on_the_extremal_slack_is_not_extremal(self):
+        # M^2 - Q^2 = 1e-12 M^2: only a hole strictly inside is made extremal
+        bh = make_black_hole(5.260588414909643e25, 1.3590554798865089e22)
+        d = (bh.M - bh.Q) * (bh.M + bh.Q)
+        assert d == 1e-12 * bh.M * bh.M
+        assert bh.r_plus == bh.M + math.sqrt(d) > bh.M
+        assert temperature(bh) > 0.0
+
 
 def lengths(masses, q, j):
     """:func:`horizon_columns` with its one charge length Q as a column."""

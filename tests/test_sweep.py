@@ -521,8 +521,9 @@ def test_first_refused_runs_once_when_the_columns_pass():
 @mock.patch.object(errors, "BLOCK_POINTS", 16)
 def test_first_refused_names_the_first_refused_point():
     # past the first block: the whole column, the blocks up to the first
-    # refused one, then that block's prefixes, bisected: of 9 points (refused),
-    # 5 (passed), 7 and 6 (refused), so the sixth point alone
+    # refused one, then that block bisected, each run on the half in which
+    # its first refused point must lie: points 0-7 (refused), 0-3 (passed),
+    # 4-5 (refused) and 4 (passed), so point 5 alone
     calls, first = [], 16 + 5
     xs = [1.0] * (2 * 16 + 10)
     xs[first], xs[first + 2], xs[-1] = -2.0, -3.0, -4.0
@@ -530,8 +531,9 @@ def test_first_refused_names_the_first_refused_point():
     with pytest.raises(DomainError, match=r"^x must be non-negative, got -2\.0$"):
         first_refused(refusing_negatives(calls), xs, ys)
     blocks = [(xs[i:i + 16], ys[i:i + 16]) for i in (0, 16)]
-    prefixes = [(xs[16:16 + stop], ys[16:16 + stop]) for stop in (9, 5, 7, 6)]
-    assert calls == [(xs, ys), *blocks, *prefixes, ([xs[first]], [ys[first]])]
+    halves = [(xs[16 + start:16 + stop], ys[16 + start:16 + stop])
+              for start, stop in ((0, 8), (0, 4), (4, 6), (4, 5))]
+    assert calls == [(xs, ys), *blocks, *halves, ([xs[first]], [ys[first]])]
 
 
 def test_first_refused_lets_any_other_error_through_at_once():
