@@ -100,9 +100,9 @@ class FirstLawPotentials(NamedTuple):
 
 def horizon_columns(masses: Sequence[float], q: float, j: float
                     ) -> tuple[list[float], float, list[float], list[float]]:
-    """The length scales of the holes (m, q, j), m in ``masses``: the
-    columns M, a and r_plus [cm], with r_plus = M + sqrt(M^2 - Q^2 - a^2),
-    and between M and a their one charge length Q [cm].
+    """The length scales (M, Q, a, r_plus) [cm] of the holes (m, q, j), m in
+    ``masses``: the columns M, a and r_plus = M + sqrt(M^2 - Q^2 - a^2), and
+    the one charge length Q that the holes share.
 
     If any hole is invalid, raises what :func:`make_black_hole` raises,
     naming the column's first mass: for a NaN or infinite input, a mass
