@@ -252,8 +252,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 def _trees(*patterns: str) -> list[ast.AST]:
-    return [ast.parse(open(path).read(), path) for pattern in patterns
-            for path in glob.glob(pattern)]
+    trees = []
+    for path in (path for pattern in patterns for path in glob.glob(pattern)):
+        with open(path) as fh:
+            trees.append(ast.parse(fh.read(), path))
+    return trees
 
 
 PACKAGE_FILES = os.path.join(SRC, "bhthermo", "*.py")
