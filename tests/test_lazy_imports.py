@@ -253,9 +253,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 def _trees(*patterns: str) -> list[ast.AST]:
     trees = []
-    for path in (path for pattern in patterns for path in glob.glob(pattern)):
-        with open(path) as fh:
-            trees.append(ast.parse(fh.read(), path))
+    for pattern in patterns:
+        for path in glob.glob(pattern):
+            with open(path) as fh:
+                trees.append(ast.parse(fh.read(), path))
     return trees
 
 
