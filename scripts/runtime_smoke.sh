@@ -2,7 +2,8 @@
 # Smoke test of the command line with only the runtime installed (no test
 # extras): every subcommand in every format exits 0, every `--help` exits 0,
 # rejected requests exit 1 and 2, and a 100k-point series whose reader stops
-# after one line (`| head -1`) exits 2.  No run may write a Python traceback
+# after one line (`| head -1`) exits 2, as does a request whose stdout cannot
+# be written (`> /dev/full`).  No run may write a Python traceback
 # to stderr, and every JSON series must load as strict JSON (no NaN or
 # Infinity).  A request refused at a float edge must exit 1 with one stderr
 # line that names the input which crossed it.  An emitted JSON record of
@@ -14,7 +15,8 @@
 # request here (a test of the parameter tables keeps that).
 # Under `-X importtime` (`PYTHONPROFILEIMPORTTIME=1` for the console
 # script), `--help` and one request per subcommand must not import
-# `dataclasses`, and `--help` imports no formula module and no `json`.
+# `dataclasses`, a request no `argparse` (only help and usage errors use
+# it), and `--help` imports no formula module and no `json`.
 # Every case runs twice: through `python -m bhthermo.cli` and
 # through the `bhthermo` console script, whose import path differs (it
 # imports the package, then `bhthermo.cli`, then calls `entrypoint`).
@@ -77,15 +79,19 @@ run() {  # expected exit code, then the arguments of one run
 }
 
 refuse() {  # the text the one stderr line must hold, then the arguments
-    local text=$1 entry
-    shift
+    one_line 1 "$out" "$@"
+}
+
+one_line() {  # expected exit code, the file stdout goes to, then as refuse
+    local expected=$1 sink=$2 text=$3 entry
+    shift 3
     for entry in module console; do
         if [ "$entry" = module ]; then
-            python -m bhthermo.cli "$@" > "$out" 2> "$err"
+            python -m bhthermo.cli "$@" > "$sink" 2> "$err"
         else
-            "${console[@]}" "$@" > "$out" 2> "$err"
+            "${console[@]}" "$@" > "$sink" 2> "$err"
         fi
-        report 1 $? "$entry:" "$@"
+        report "$expected" $? "$entry:" "$@"
         if [ "$(wc -l < "$err")" -ne 1 ] || ! grep -qF -- "$text" "$err"; then
             echo "FAIL (stderr is not one line naming '$text'): $entry: $*"
             sed 's/^/    /' "$err"
@@ -122,6 +128,8 @@ check_imports() {  # the arguments of the run whose -X importtime log is in $err
     case " $* " in
         *" --help "*)
             refused+='|json|bhthermo[.](kerr_newman|bounds|channel|evaporation|gedanken|grids)';;
+        *)
+            refused+='|argparse';;
     esac
     if grep -Eq "[|] +($refused)\$" "$err"; then
         echo "FAIL (imports one of $refused): $*"
@@ -147,6 +155,7 @@ footprint gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1
 footprint channel --lambda-c 5e-5 --power 1e-3
 footprint sweep channel --param power --start 1e-6 --stop 1e-1 \
     --lambda-c 5e-5
+footprint sweep bh --param mass --start 1e15 --stop 1e18 --format csv
 
 run 0 --help
 for sub in constants bh evaporate bounds gedanken channel sweep; do
@@ -266,6 +275,13 @@ for fmt in table json csv; do
         --format "$fmt" 2> "$err" | head -1 > /dev/null
     report 2 "${PIPESTATUS[0]}" bhthermo evaporate --points 100000 \
         --format "$fmt" "| head -1"
+    # a failed write to stdout is one stderr line and exit 2
+    if [ -w /dev/full ]; then
+        one_line 2 /dev/full "cannot write standard output" bh --mass 1e15 \
+            --format "$fmt"
+        one_line 2 /dev/full "cannot write standard output" sweep bh \
+            --param mass --start 1e15 --stop 1e18 --points 100000 --format "$fmt"
+    fi
 done
 
 refeed bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4

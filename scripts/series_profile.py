@@ -68,10 +68,8 @@ def compute_step(argv: list[str]):
     """The compute step of ``argv``: parsing it and building its Document."""
     from bhthermo import cli
 
-    parser = cli.build_parser()
-
     def compute():
-        args = parser.parse_args(argv)
+        args = cli.parse_request(argv)
         return cli.COMMANDS[args.command](args)
 
     return compute

@@ -7,13 +7,15 @@ success, 1 physical-domain errors, 2 usage or config errors.
 
 from __future__ import annotations
 
-import argparse
+import atexit
+import errno
 import math
 import os
 import re
 import sys
 from collections.abc import Callable, Iterable
-from typing import NamedTuple, NoReturn
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 from . import _lazy
 from .constants import (
@@ -25,6 +27,9 @@ from .constants import (
 )
 from .document import FORMATS, Document
 from .errors import DomainError, first_refused
+
+if TYPE_CHECKING:   # only --help and a usage error load argparse
+    import argparse
 
 #: The names this module takes from the formula modules, by module: each
 #: subcommand loads (``_load``) only the modules it runs.  Every call goes
@@ -82,6 +87,15 @@ class Param(NamedTuple):
     @property
     def dest(self) -> str:
         return self.flag.lstrip("-").replace("-", "_")
+
+    def parse(self, text: str) -> object:
+        """The value ``text`` gives this parameter, from a flag or a file;
+        ValueError unless it has the type and lies in the choices."""
+        value = self.type(text)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"invalid choice {text!r}; choose from "
+                             + ", ".join(self.choices))
+        return value
 
 
 #: The one emission factor an evaporation reads.
@@ -257,15 +271,10 @@ def merge_input(args: argparse.Namespace) -> set[str]:
             if dest not in options:
                 raise ConfigError(f"unknown key {key!r} in {path}")
             if getattr(args, dest) is None:
-                param = options[dest]
                 try:
-                    value = param.type(raw)
-                    if param.choices is not None and value not in param.choices:
-                        raise ValueError(f"invalid choice {raw!r}; choose from "
-                                         + ", ".join(param.choices))
+                    setattr(args, dest, options[dest].parse(raw))
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r} in {path}: {exc}")
-                setattr(args, dest, value)
     given = {p.dest for p in parameters if getattr(args, p.dest) is not None}
     for p in parameters:
         if p.dest not in given and p.default is not None:
@@ -538,20 +547,52 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are one stderr line (exit 2),
-    and which reads a word such as ``-1e5`` as a negative number."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message: str) -> NoReturn:
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+def parse_request(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives, read from the tables
+    for a well-formed request: ``[--format F] subcommand [target] --flag
+    value ...``, values dashed only if negative; None for any other argv."""
+    head = 2 if argv[:1] == ["--format"] else 0
+    if len(argv) <= head or argv[head] not in SUBCOMMANDS:
+        return None
+    row = SUBCOMMANDS[argv[head]]
+    named = (*row.parameters, Param("--input", type=str)) if row.parameters else ()
+    fields = {"format": os.environ.get(FORMAT_ENV, "table"), "command": argv[head],
+              **dict.fromkeys(p.dest for p in named)}
+    options = {p.flag: p for p in named if p.flag.startswith("-")}
+    options["--format"] = Param("--format", type=str, choices=FORMATS)
+    positionals = [p for p in row.parameters if p.flag not in options]
+    end = head + 1 + len(positionals)
+    words = argv[:head] + argv[end:]        # flag, value, flag, value, ...
+    if len(argv) < end or len(words) % 2:
+        return None
+    # as in argparse, the last value of a repeated flag wins
+    for param, text in [*zip(positionals, argv[head + 1:end]),
+                        *zip(map(options.get, words[::2]), words[1::2])]:
+        if param is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+            return None
+        try:
+            fields[param.dest] = param.parse(text)
+        except ValueError:
+            return None
+    return SimpleNamespace(**fields)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The tables' argparse parser, for --help and usage errors."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors are one stderr line (exit
+        2), and which reads a word such as ``-1e5`` as a negative number."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def error(self, message: str) -> NoReturn:
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="bhthermo",
         description="Black hole thermodynamics, entropy bounds and "
                     "channel-capacity limits (CGS units).")
@@ -587,10 +628,19 @@ COMMANDS = {
 }
 
 
+def _unwritable(who: str, exc: OSError) -> int:
+    """Report in one stderr line that a write to stdout failed with ``exc``."""
+    print(f"{who}: standard output closed before the output was complete"
+          if isinstance(exc, BrokenPipeError)       # the reader closed it early
+          else f"{who}: cannot write standard output: {exc.strerror or exc}",
+          file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    args = parse_request(sys.argv[1:] if argv is None else list(argv))
+    try:        # argparse, for help and usage errors, where the tables decline
+        args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if args.format not in FORMATS:      # argparse leaves a default unchecked
@@ -599,6 +649,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         for block in COMMANDS[args.command](args).blocks(args.format):
+            if sys.stdout is None:      # started with stdout closed
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(block)
         print(flush=True)
     except ConfigError as exc:
@@ -607,20 +659,24 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except BrokenPipeError:
-        # The reader closed stdout early.  What is left in its buffer goes
-        # to devnull, so that the flush at exit raises nothing either.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"bhthermo {args.command}: standard output closed before the "
-              "output was complete", file=sys.stderr)
-        return EXIT_USAGE
+    except OSError as exc:
+        return _unwritable(f"bhthermo {args.command}", exc)
     return EXIT_OK
 
 
-def entrypoint() -> None:
-    sys.exit(main())
+def entrypoint() -> NoReturn:
+    """Run ``main``, the exit handlers and a flush of stdout and stderr, then
+    end the process without the interpreter's teardown (~10 ms)."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:      # reported by main, unless main succeeded
+        code = code or _unwritable("bhthermo", exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

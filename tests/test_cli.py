@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, config files, round trips."""
 
+import errno
 import hashlib
 import json
 import math
@@ -808,6 +809,94 @@ def test_reader_closing_early_exits_2(fmt):
     assert err.splitlines() == [
         "bhthermo evaporate: standard output closed before the output was "
         "complete"]
+
+
+def _buffered_env():
+    """The subprocess environment with stdout block-buffered, as it is when
+    a shell sends it to a pipe or a file."""
+    env = _subprocess_env()
+    for name in ("PYTHONUNBUFFERED", "BHTHERMO_FORMAT"):
+        env.pop(name, None)
+    return env
+
+
+def _request(argv, env=None, **kwargs):
+    """``python -m bhthermo.cli`` run on ``argv``."""
+    return subprocess.run([sys.executable, "-m", "bhthermo.cli", *argv],
+                          env=env or _buffered_env(), timeout=120, **kwargs)
+
+
+SWEEP_1E5 = ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18",
+             "--points", "100000"]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_a_large_series_reaches_a_pipe_and_a_file_whole(capsys, tmp_path, fmt):
+    # the process ends without the interpreter's teardown, after its flush
+    argv = [*SWEEP_1E5, "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    piped = _request(argv, capture_output=True)
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (
+        code, out, err)
+    path = tmp_path / "out"
+    with open(path, "wb") as fh:
+        filed = _request(argv, stdout=fh, stderr=subprocess.PIPE)
+    assert (filed.returncode, path.read_text(), filed.stderr.decode()) == (
+        code, out, err)
+
+
+def test_help_through_a_pipe_is_the_pinned_text():
+    result = _request(["--help"], capture_output=True,
+                      env=dict(_buffered_env(), COLUMNS="80"))
+    assert (result.returncode, result.stdout.decode(), result.stderr) == (
+        0, HELP_TEXTS["bhthermo --help"], b"")
+
+
+#: Registers an exit handler that prints a line, then runs the console
+#: script's entry point on sys.argv[1:].
+ENTRYPOINT = """
+import atexit, sys
+from bhthermo.cli import entrypoint
+atexit.register(print, "exit handler ran")
+entrypoint()
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["constants"], 0),
+    (["bh", "--mass", "1e-10"], 1),
+    (["bh", "--mass", "x"], 2),
+])
+def test_the_entry_point_keeps_exit_handlers_and_codes(capsys, argv, code):
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    result = subprocess.run([sys.executable, "-c", ENTRYPOINT, *argv],
+                            capture_output=True, text=True, env=_buffered_env(),
+                            timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        code, expected[1] + "exit handler ran\n", expected[2])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, who", [
+    (["bh", "--mass", "1e15"], "bhthermo bh"),
+    ([*SWEEP_1E5, "--format", "json"], "bhthermo sweep"),
+    (["--help"], "bhthermo"),       # argparse's help, in the buffer at exit
+])
+def test_a_full_device_is_one_line_and_exit_2(argv, who):
+    with open("/dev/full", "wb") as full:
+        result = _request(argv, stdout=full, stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr.decode()) == (
+        2, f"{who}: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_closed_stdout_is_one_line_and_exit_2():
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m bhthermo.cli bh --mass 1e15 >&-', sys.executable],
+        capture_output=True, text=True, env=_buffered_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (
+        2, f"bhthermo bh: cannot write standard output: {os.strerror(errno.EBADF)}\n")
 
 
 class TestPointsCap:

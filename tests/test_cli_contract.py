@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from bhthermo.cli import BH_SWEEP_QUANTITIES, FORMATS, build_parser, main
+from bhthermo.cli import (BH_SWEEP_QUANTITIES, FORMATS, build_parser, main,
+                          parse_request)
 
 NON_FINITE = re.compile(r"(?i)(?<![a-z_])(nan|inf|infinity)(?![a-z_])")
 
@@ -141,6 +142,66 @@ def test_every_run_keeps_the_exit_code_contract(argv):
         assert out == ""
         assert err.endswith("\n") and err.count("\n") == 1, err
         assert err.startswith("bhthermo")
+
+
+def _agrees_with_argparse(argv):
+    """Whether the table parse reads ``argv``; where it does, it must give
+    the namespace argparse gives, NaN equal to NaN."""
+    table = parse_request(argv)
+    if table is None:
+        return False
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except SystemExit:
+            raise AssertionError(f"argparse refuses {argv}") from None
+    assert vars(table).keys() == expected.keys()
+    for dest, value in vars(table).items():
+        nan = value != value and expected[dest] != expected[dest]
+        assert value == expected[dest] or nan, dest
+    return True
+
+
+SWEEP_BH = ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18"]
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["bh", "--mass=1e15"], False),
+    (["bh", "--mas", "1e15"], False),
+    (["sweep", "--param", "mass", "bh", "--start", "1e15", "--stop", "1e18"], False),
+    (["bh", "--mass", "-1e5"], True),
+    (["bh", "--mass", "-inf"], False),
+    (["bh", "--mass"], False),
+    (["--format", "json", "bh", "--mass", "1e15"], True),
+    (["bh", "--mass", "1e15", "--format", "csv", "--format", "json"], True),
+    (["bh", "--mass", "1", "--mass", "1e15", "--input", "in.cfg"], True),
+    (["-h"], False),
+    (["bh", "-h"], False),
+    (["--"], False),
+    (["bh", "--", "--mass", "1e15"], False),
+    ([], False),
+    (["--format", "json"], False),
+    (["constants", "--input", "in.cfg"], False),
+    (["sweep", "bh"], True),
+    (["sweep"], False),
+    (["sweep", "bh", "target", "channel"], False),
+    ([*SWEEP_BH, "--spacing", "cubic"], False),
+    ([*SWEEP_BH, "--points", "1e3"], False),
+    (["--format", "xml", "bh", "--mass", "1e15"], False),
+    (["gedanken", "--scenario", "merger", "--m1", "nan"], True),
+])
+def test_the_table_parse_reads_its_shape_only(argv, read):
+    # help, --flag=value, abbreviations, --, a missing, dashed or bad value
+    # and a misplaced target are left to argparse
+    assert _agrees_with_argparse(argv) == read
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_the_table_parse_agrees_with_argparse(argv):
+    event("read" if _agrees_with_argparse(argv) else "left to argparse")
 
 
 def _run(argv):

@@ -43,7 +43,7 @@ sys.stdout = io.StringIO()
 code = cli.main(sys.argv[1:])
 sys.stdout = sys.__stdout__
 print((code, sorted(m for m in sys.modules if m.split(".")[0] == "bhthermo"),
-       sorted({"dataclasses", "inspect", "json", "numpy", "scipy"}
+       sorted({"argparse", "dataclasses", "inspect", "json", "numpy", "scipy"}
               & sys.modules.keys())))
 """
 
@@ -60,6 +60,7 @@ CHANNEL = ["channel", "evaporation"]
     (["bh", "--help"], []),
     (["bh", "--mass", "1e15"], HOLE),
     (["bh", "--mass", "1e-10"], HOLE),
+    (["bh", "--mass"], []),
     (["evaporate", "--mass", "1e12", "--points", "10"], ["evaporation", "grids"]),
     (["bounds", "--mass", "16", "--radius", "6"], ["bounds"]),
     (["gedanken", "--scenario", "merger", "--m1", "1e15", "--m2", "1e15"],
@@ -73,12 +74,14 @@ CHANNEL = ["channel", "evaporation"]
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_request_loads_only_its_modules(argv, modules, fmt):
     code, loaded, others = _probe(FOOTPRINT, *argv, "--format", fmt)
-    assert code == (1 if "1e-10" in argv else 0)
+    refused = argv[-1] == "--mass"          # a flag without its value
+    assert code == (2 if refused else 1 if "1e-10" in argv else 0)
     assert loaded == sorted({*BASE, *(f"bhthermo.{m}" for m in modules)})
-    # json only for JSON output; never numpy or scipy, nor dataclasses and
-    # the inspect module it loads
-    writes_json = fmt == "json" and "--help" not in argv and code == 0
-    assert others == (["json"] if writes_json else [])
+    # argparse only for help and a usage error, json only for JSON output;
+    # never numpy or scipy, nor dataclasses and the inspect module it loads
+    argparse = "--help" in argv or refused
+    writes_json = fmt == "json" and code == 0 and not argparse
+    assert others == ["argparse"] * argparse + ["json"] * writes_json
 
 
 def test_package_import_loads_no_submodule():
