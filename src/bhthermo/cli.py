@@ -2,7 +2,7 @@
 
 Results go to stdout as a table (default), JSON or CSV, written by
 :mod:`bhthermo.document`; diagnostics go to stderr.  Exit codes: 0
-success, 1 physical-domain errors, 2 usage or config errors.
+success, 1 physical-domain errors, 2 usage, config or write errors.
 """
 
 from __future__ import annotations
