@@ -3,13 +3,13 @@
 # extras): every subcommand in every format exits 0, every `--help` exits 0,
 # rejected requests exit 1 and 2, and a 100k-point series whose reader stops
 # after one line (`| head -1`) exits 2, as does a request whose stdout cannot
-# be written (`> /dev/full`).  No run may write a Python traceback
-# to stderr, and every JSON series must load as strict JSON (no NaN or
-# Infinity).  A request refused at a float edge must exit 1 with one stderr
-# line that names the input which crossed it.  An emitted JSON record of
-# every subcommand that takes `--input`, fed back through it (a sweep's
-# target stays on the command line), must print what the direct run
-# prints in every format, and a bad choice in an
+# be written (`> /dev/full`), `--help` with PYTHONUNBUFFERED=1 among them.
+# No run may write a Python traceback to stderr, and every JSON series must
+# load as strict JSON (no NaN or Infinity).  A request refused at a float
+# edge must exit 1 with one stderr line that names the input which crossed
+# it.  An emitted JSON record of every subcommand that takes `--input`, fed
+# back through it (a sweep's target stays on the command line), must print
+# what the direct run prints in every format, and a bad choice in an
 # `--input` file exits 2 as the flag does, as does a parameter the request
 # would not read.  Each flag of each subcommand is set by at least one
 # request here (a test of the parameter tables keeps that).
@@ -283,6 +283,12 @@ for fmt in table json csv; do
             --param mass --start 1e15 --stop 1e18 --points 100000 --format "$fmt"
     fi
 done
+# a failed write of help, which argparse makes straight to an unbuffered
+# stdout, is one stderr line and exit 2 too
+if [ -w /dev/full ]; then
+    PYTHONUNBUFFERED=1 one_line 2 /dev/full "cannot write standard output" --help
+    PYTHONUNBUFFERED=1 one_line 2 /dev/full "cannot write standard output" bh --help
+fi
 
 refeed bh --mass 1e15 --charge-over-m 0.3 --spin-over-m 0.4
 refeed bh --mass 1e15 --charge 1e3 --spin 1e-4

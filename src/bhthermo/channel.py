@@ -27,10 +27,8 @@ The cutoff-free single-channel capacity (n pi P / 3 hbar)^(1/2) log2(e)
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from itertools import groupby, islice, repeat
-from operator import ge, le
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 from .constants import CONSTANTS, LOG2E, _checked_make
@@ -43,6 +41,8 @@ from .evaporation import (
 
 #: Smallest hole-to-cutoff size ratio with near-total absorption.
 XI_MIN = 1.0
+#: Effective carrier species of a channel that does not set its own.
+DEFAULT_CARRIERS = 1.0
 #: Size ratio used once the optimizer would leave the safe range.
 XI_FLOOR = 10.0
 #: Regime edges: low below P_c/LOW_POWER_DIVISOR, high above P_c/HIGH_POWER_DIVISOR.
@@ -55,7 +55,7 @@ CAVEAT_SPECIES_THRESHOLD = 20.0
 class _ChannelFields(NamedTuple):
     lambda_c: float
     power: float
-    n_carriers: float = 1.0
+    n_carriers: float = DEFAULT_CARRIERS
     emission: EmissionParameters = DEFAULT_EMISSION
 
 
@@ -77,7 +77,7 @@ class Channel(_ChannelFields):
 
 
 def check_channels(lambdas: Sequence[float], powers: Sequence[float],
-                   n_carriers: float = 1.0) -> None:
+                   n_carriers: float = DEFAULT_CARRIERS) -> None:
     """The checks of a :class:`Channel`'s fields, in that order, on the
     channels (lambda_c, P, n_carriers), lambda_c in ``lambdas`` and P in
     ``powers``, for callers that evaluate many channels without building
@@ -227,28 +227,25 @@ def consistency_check(ch: Channel) -> ConsistencyReport:
                              pendry_crossover_power=crossover)
 
 
-#: The runs of :func:`_run`, in the order met as P/p_c rises; their regimes.
+#: The runs of :func:`_runs`, in the order met as P/p_c rises; their regimes.
 ZERO_POWER, SQRT_LAW, AT_XI_MIN, INTERMEDIATE, HIGH = range(5)
 _REGIMES = ("low", "low", "low", "intermediate", "high")
 
 
-def _run(P: float, p_c: float, nu: float) -> int:
-    """The run of the channel of power P and characteristic power p_c: the
+def _runs(powers: Iterable[float], p_cs: Iterable[float], nu: float) -> list[int]:
+    """The run of each channel of power P and characteristic power p_c: the
     one home of the regime policy.
 
     P = 0 carries nothing.  The regime is low up to p_c/200, where the sqrt
     law holds if nu > 1 and optimal_xi >= XI_MIN, else the two-term bound
-    is taken at XI_MIN; high from p_c/10; intermediate between.  Where P
-    never falls and p_c never rises along columns, P/p_c never falls and
-    optimal_xi never rises, so neither does the run.
+    is taken at XI_MIN; high from p_c/10; intermediate between.
     """
-    if P == 0.0:
-        return ZERO_POWER
-    if P <= p_c / LOW_POWER_DIVISOR:
-        if nu > 1.0 and optimal_xi(P, p_c, nu) >= XI_MIN:
-            return SQRT_LAW
-        return AT_XI_MIN
-    return HIGH if P >= p_c / HIGH_POWER_DIVISOR else INTERMEDIATE
+    nu_1, sqrt = nu - 1.0, math.sqrt      # optimal_xi's own arithmetic
+    return [ZERO_POWER if P == 0.0
+            else (SQRT_LAW if nu > 1.0 and sqrt(nu_1 * p_c / P) >= XI_MIN
+                  else AT_XI_MIN) if P <= p_c / LOW_POWER_DIVISOR
+            else HIGH if P >= p_c / HIGH_POWER_DIVISOR else INTERMEDIATE
+            for P, p_c in zip(powers, p_cs)]
 
 
 def _rates(run: int, lambdas: Sequence[float], powers: Sequence[float],
@@ -283,24 +280,13 @@ def regime_columns(lambdas: Sequence[float], powers: Sequence[float],
     p_c), columns of one length, as two columns: the one kernel of every
     channel sweep.  The channels must pass :func:`check_channels`.
 
-    Each stretch of points in one run of :func:`_run` maps its kernel
-    (:func:`_rates`).  Where P never falls and p_c never rises, so neither
-    do the runs, bisection finds them; else each point's run is read.  A
-    bound beyond the float range is refused as :func:`_rates` refuses it.
+    Each stretch of points in one run of :func:`_runs` maps its kernel
+    (:func:`_rates`).  A bound beyond the float range is refused as
+    :func:`_rates` refuses it.
     """
-    n, nu = len(powers), params.nu
-    if all(map(le, powers, islice(powers, 1, None))) and all(
-            map(ge, p_cs, islice(p_cs, 1, None))):
-        stops = [bisect_right(range(n), run,
-                              key=lambda i: _run(powers[i], p_cs[i], nu))
-                 for run in range(len(_REGIMES))]
-        runs = [(run, stop - start) for run, start, stop
-                in zip(range(len(_REGIMES)), [0, *stops], stops) if start < stop]
-    else:
-        runs = [(run, len(list(points)))
-                for run, points in groupby(map(_run, powers, p_cs, repeat(nu)))]
     regimes, bounds, start = [], [], 0
-    for run, size in runs:
+    for run, points in groupby(_runs(powers, p_cs, params.nu)):
+        size = len(list(points))
         stop = start + size
         regimes += repeat(_REGIMES[run], size)
         bounds += _rates(run, lambdas[start:stop], powers[start:stop],
@@ -318,7 +304,7 @@ def capacity_bound(ch: Channel) -> CapacityReport:
     the bound leaves the float range.
     """
     p_c = characteristic_power(ch)
-    run = _run(ch.power, p_c, ch.emission.nu)
+    [run] = _runs((ch.power,), (p_c,), ch.emission.nu)
     xis, bounds = _rates(run, (ch.lambda_c,), (ch.power,), (p_c,), ch.emission)
     # sqrt((nu - 1) p_c / P) for a tiny P
     xi = within_float_range(lambda: next(iter(xis)), "the sqrt law's optimal xi",

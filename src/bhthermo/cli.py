@@ -583,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     class Parser(argparse.ArgumentParser):
         """An argument parser whose usage errors are one stderr line (exit
-        2), and which reads a word such as ``-1e5`` as a negative number."""
+        2), whose help raises a failed write to stdout (argparse's own drops
+        it), and which reads a word such as ``-1e5`` as a negative number."""
 
         def __init__(self, *args, **kwargs) -> None:
             super().__init__(*args, **kwargs)
@@ -591,6 +592,12 @@ def build_parser() -> argparse.ArgumentParser:
 
         def error(self, message: str) -> NoReturn:
             self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+        def _print_message(self, message: str, file=None) -> None:
+            if file is not None and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
 
     parser = Parser(
         prog="bhthermo",
@@ -643,6 +650,8 @@ def main(argv: list[str] | None = None) -> int:
         args = args or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except OSError as exc:      # help written straight to an unbuffered stdout
+        return _unwritable("bhthermo", exc)
     if args.format not in FORMATS:      # argparse leaves a default unchecked
         print(f"bhthermo: bad ${FORMAT_ENV} {args.format!r}; choose from "
               + ", ".join(FORMATS), file=sys.stderr)

@@ -98,10 +98,7 @@ class Document:
         conversion or a function of a block giving one and its cells per
         column, the row separator and the tail.  A piece of rows is one
         formatting call over its cells, so a cell is data, never a template.
-        A JSON float block's magnitudes pick its conversion (_json_floats):
-        of one sign, "%.9g" in [float_info.min, 0.999999999) or from 1e16 - 5e6
-        and integer text in [99999999.95, 1e16 - 5e6); format(x, ".9") for 0.0
-        and in [float_info.min, 99999999.95); else the definition."""
+        A JSON float block takes the conversion :func:`_json_floats` picks."""
         if fmt not in FORMATS:
             raise ValueError(f"unknown format {fmt!r}; choose from {FORMATS}")
         head, row, columns, sep, tail = getattr(self, f"_{fmt}_layout")()

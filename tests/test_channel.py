@@ -460,9 +460,9 @@ def _kernel(regime, nu):
 @pytest.mark.parametrize("swept", ["power", "lambda_c"])
 def test_each_stretch_of_one_run_calls_its_kernel_once(monkeypatch, swept, nu,
                                                        order):
-    # An ordered column's runs are found by bisection, any other column's
-    # by reading each point's run: either way each stretch of points in one
-    # run maps its kernel once, and a zero power calls none.  At nu = 1.5
+    # Every column's runs are read point by point, whatever its order, and
+    # each stretch of points in one run maps its kernel once; a zero power
+    # calls none.  At nu = 1.5
     # the sqrt law holds in the whole low run, at nu = 1 nowhere.
     params = EmissionParameters(nu=nu)
     p_c = cutoff_powers([OPTICAL], params)[0]

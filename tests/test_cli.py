@@ -891,6 +891,18 @@ def test_a_full_device_is_one_line_and_exit_2(argv, who):
         2, f"{who}: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["bh", "--help"]])
+def test_help_to_a_full_device_unbuffered_is_one_line_and_exit_2(argv):
+    # argparse writes help straight to an unbuffered stdout, and its own
+    # print drops the failed write
+    with open("/dev/full", "wb") as full:
+        result = _request(argv, env=dict(_buffered_env(), PYTHONUNBUFFERED="1"),
+                          stdout=full, stderr=subprocess.PIPE)
+    assert (result.returncode, result.stderr.decode()) == (
+        2, f"bhthermo: cannot write standard output: {os.strerror(errno.ENOSPC)}\n")
+
+
 def test_a_closed_stdout_is_one_line_and_exit_2():
     result = subprocess.run(
         ["sh", "-c", 'exec "$0" -m bhthermo.cli bh --mass 1e15 >&-', sys.executable],

@@ -75,10 +75,21 @@ STR_VALUES = {
 }
 
 
+#: A value outside each choice-typed flag's choices.
+BAD_CHOICES = {"format": "xml", "spacing": "cubic", "scenario": "foo"}
+
+
+def choices(dest, valid):
+    """Strategy for a choice-typed flag's value: BAD_CHOICES[dest] in one
+    draw of ten, else one of ``valid``."""
+    return st.integers(0, 9).flatmap(lambda k: st.just(BAD_CHOICES[dest]) if k == 0
+                                     else st.sampled_from(sorted(valid)))
+
+
 def values(action):
     """Strategy for the text of one option's value."""
     if action.choices is not None:
-        return st.sampled_from(sorted(action.choices))
+        return choices(action.dest, action.choices)
     if action.type is int:
         return st.integers(-2, 1000).map(str)
     if action.type is float:
@@ -106,7 +117,7 @@ def argvs(draw):
         # "--flag -1e5" is a usage error (the value looks like an option),
         # "--flag=-1e5" is a value
         argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
-    return argv + ["--format", draw(st.sampled_from(FORMATS))]
+    return argv + ["--format", draw(choices("format", FORMATS))]
 
 
 def _reject_constant(name):
