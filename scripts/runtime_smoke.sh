@@ -14,9 +14,9 @@
 # would not read.  Each flag of each subcommand is set by at least one
 # request here (a test of the parameter tables keeps that).
 # Under `-X importtime` (`PYTHONPROFILEIMPORTTIME=1` for the console
-# script), `--help` and one request per subcommand must not import
-# `dataclasses`, a request no `argparse` (only help and usage errors use
-# it), and `--help` imports no formula module and no `json`.
+# script), `--help`, a usage error and one request per subcommand must not
+# import `dataclasses` or `argparse`, and `--help` imports no formula module
+# and no `json`.
 # Every case runs twice: through `python -m bhthermo.cli` and
 # through the `bhthermo` console script, whose import path differs (it
 # imports the package, then `bhthermo.cli`, then calls `entrypoint`).
@@ -124,12 +124,10 @@ refeed() {  # the arguments of one run whose JSON record must re-feed
 }
 
 check_imports() {  # the arguments of the run whose -X importtime log is in $err
-    local refused='dataclasses'
+    local refused='dataclasses|argparse'
     case " $* " in
         *" --help "*)
             refused+='|json|bhthermo[.](kerr_newman|bounds|channel|evaporation|gedanken|grids)';;
-        *)
-            refused+='|argparse';;
     esac
     if grep -Eq "[|] +($refused)\$" "$err"; then
         echo "FAIL (imports one of $refused): $*"
@@ -137,25 +135,30 @@ check_imports() {  # the arguments of the run whose -X importtime log is in $err
     fi
 }
 
-footprint() {  # the arguments of one run, whose imports check_imports checks
+footprint() {  # expected exit code, then the arguments of one import-checked run
+    local expected=$1
+    shift
     python -X importtime -m bhthermo.cli "$@" > /dev/null 2> "$err"
-    report 0 $? python -X importtime -m bhthermo.cli "$@"
+    report "$expected" $? python -X importtime -m bhthermo.cli "$@"
     check_imports python -m bhthermo.cli "$@"
     PYTHONPROFILEIMPORTTIME=1 "${console[@]}" "$@" > /dev/null 2> "$err"
-    report 0 $? PYTHONPROFILEIMPORTTIME=1 bhthermo "$@"
+    report "$expected" $? PYTHONPROFILEIMPORTTIME=1 bhthermo "$@"
     check_imports bhthermo "$@"
 }
 
-footprint --help
-footprint constants
-footprint bh --mass 1e15 --charge-over-m 0.3
-footprint evaporate --mass 1e12 --points 10 --format json
-footprint bounds --mass 16 --radius 6
-footprint gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1
-footprint channel --lambda-c 5e-5 --power 1e-3
-footprint sweep channel --param power --start 1e-6 --stop 1e-1 \
+footprint 0 --help
+footprint 0 bh --help
+footprint 2 bh --mas 1e15
+footprint 2 sweep --param mass bh
+footprint 0 constants
+footprint 0 bh --mass 1e15 --charge-over-m 0.3
+footprint 0 evaporate --mass 1e12 --points 10 --format json
+footprint 0 bounds --mass 16 --radius 6
+footprint 0 gedanken --scenario infall --energy 1e10 --radius 1 --entropy 1
+footprint 0 channel --lambda-c 5e-5 --power 1e-3
+footprint 0 sweep channel --param power --start 1e-6 --stop 1e-1 \
     --lambda-c 5e-5
-footprint sweep bh --param mass --start 1e15 --stop 1e18 --format csv
+footprint 0 sweep bh --param mass --start 1e15 --stop 1e18 --format csv
 
 run 0 --help
 for sub in constants bh evaporate bounds gedanken channel sweep; do
@@ -283,8 +286,8 @@ for fmt in table json csv; do
             --param mass --start 1e15 --stop 1e18 --points 100000 --format "$fmt"
     fi
 done
-# a failed write of help, which argparse makes straight to an unbuffered
-# stdout, is one stderr line and exit 2 too
+# a failed write of help, also to an unbuffered stdout, is one stderr line
+# and exit 2 too
 if [ -w /dev/full ]; then
     PYTHONUNBUFFERED=1 one_line 2 /dev/full "cannot write standard output" --help
     PYTHONUNBUFFERED=1 one_line 2 /dev/full "cannot write standard output" bh --help

@@ -15,7 +15,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple, NoReturn
+from typing import NamedTuple, NoReturn
 
 from . import _lazy
 from .constants import (
@@ -27,9 +27,6 @@ from .constants import (
 )
 from .document import FORMATS, Document
 from .errors import DomainError, first_refused
-
-if TYPE_CHECKING:   # only --help and a usage error load argparse
-    import argparse
 
 #: The names this module takes from the formula modules, by module: each
 #: subcommand loads (``_load``) only the modules it runs.  Every call goes
@@ -64,6 +61,10 @@ class ConfigError(Exception):
     """Bad input/config file: unknown key, malformed line, missing value."""
 
 
+class UsageError(ConfigError):
+    """A request the parameter tables cannot read, as its one stderr line."""
+
+
 # -- parameters ------------------------------------------------------------
 
 class Param(NamedTuple):
@@ -88,6 +89,10 @@ class Param(NamedTuple):
     def dest(self) -> str:
         return self.flag.lstrip("-").replace("-", "_")
 
+    @property
+    def metavar(self) -> str:       # how help shows a value: choices, or dest
+        return "{" + ",".join(self.choices) + "}" if self.choices else self.dest.upper()
+
     def parse(self, text: str) -> object:
         """The value ``text`` gives this parameter, from a flag or a file;
         ValueError unless it has the type and lies in the choices."""
@@ -97,6 +102,11 @@ class Param(NamedTuple):
                              + ", ".join(self.choices))
         return value
 
+
+#: The flags every subcommand, and the program before one, takes.
+FORMAT = Param("--format", f"output format (default ${FORMAT_ENV} or table)",
+               type=str, choices=FORMATS)
+INPUT = Param("--input", "key=value or emitted-JSON input file", type=str)
 
 #: The one emission factor an evaporation reads.
 N_SPECIES = Param("--n-species", "effective massless species count")
@@ -160,7 +170,20 @@ class Subcommand(NamedTuple):
     parameters: tuple[Param, ...]
     kind: str
 
+    @property
+    def targets(self) -> list[Param]:   # positional: right after the subcommand
+        return [p for p in self.parameters if not p.flag.startswith("-")]
 
+    @property
+    def options(self) -> dict[str, Param]:
+        """Its flags, by flag: --format, its own and, if any, --input."""
+        own = [p for p in self.parameters if p.flag.startswith("-")]
+        return {p.flag: p for p in [FORMAT, *own, *([INPUT] if own else [])]}
+
+
+#: The program, as a row: its help, and the flags it takes before a subcommand.
+PROGRAM = Subcommand("Black hole thermodynamics, entropy bounds and channel "
+                     "capacity (CGS units).", (), "")
 SUBCOMMANDS = {
     "constants": Subcommand("dump the physical constants table", (), "constants"),
     "bh": Subcommand("Kerr-Newman black hole state", (
@@ -257,14 +280,13 @@ def load_input_file(path: str, command: str) -> dict[str, str]:
     return {keys.get(key, key): str(value) for key, value in inputs.items()}
 
 
-def merge_input(args: argparse.Namespace) -> set[str]:
+def merge_input(args: SimpleNamespace) -> set[str]:
     """Fill the subcommand's unset parameters from --input, then give each
     one still unset its literal default, if it has one.  CLI flags win over
     file values, and a file value must have its parameter's type and
     choices.  Returns the dests that the command line or the file set."""
     parameters = SUBCOMMANDS[args.command].parameters
-    path = getattr(args, "input", None)
-    if path is not None:
+    if (path := args.input) is not None:
         options = {p.dest: p for p in parameters if p.flag.startswith("-")}
         for key, raw in load_input_file(path, args.command).items():
             dest = key.replace("-", "_")
@@ -282,20 +304,20 @@ def merge_input(args: argparse.Namespace) -> set[str]:
     return given
 
 
-def _check_points(args: argparse.Namespace) -> None:
+def _check_points(args: SimpleNamespace) -> None:
     if args.points > MAX_POINTS:
         raise ConfigError(f"{args.points} points is above the limit of "
                           f"{MAX_POINTS}")
 
 
-def _require(args: argparse.Namespace, *dests: str) -> None:
+def _require(args: SimpleNamespace, *dests: str) -> None:
     missing = [d for d in dests if getattr(args, d) is None]
     if missing:
         raise ConfigError("missing required parameter(s): "
                           + ", ".join(d.replace("_", "-") for d in missing))
 
 
-def _refuse_unread(args: argparse.Namespace, given: set[str],
+def _refuse_unread(args: SimpleNamespace, given: set[str],
                    read: Iterable[str], what: str) -> None:
     """Refuse the parameters the request set (``given``) that ``what``, its
     target or scenario, never reads: ``read`` holds the dests it reads."""
@@ -305,7 +327,7 @@ def _refuse_unread(args: argparse.Namespace, given: set[str],
             p.flag for p in SUBCOMMANDS[args.command].parameters if p.dest in unread))
 
 
-def _options(args: argparse.Namespace, *dests: str) -> dict[str, object]:
+def _options(args: SimpleNamespace, *dests: str) -> dict[str, object]:
     """The library options among ``dests`` that the request set, by dest:
     what a library call receives.  One left unset is left out, so the
     library's own default applies."""
@@ -313,11 +335,11 @@ def _options(args: argparse.Namespace, *dests: str) -> dict[str, object]:
             if (value := getattr(args, dest, None)) is not None}
 
 
-def build_emission(args: argparse.Namespace) -> EmissionParameters:
+def build_emission(args: SimpleNamespace) -> EmissionParameters:
     return EmissionParameters(**_options(args, "nu", "gamma_bar", "n_species"))
 
 
-def _document(args: argparse.Namespace) -> tuple[set[str], Document]:
+def _document(args: SimpleNamespace) -> tuple[set[str], Document]:
     """The dests the request set (``merge_input``) and its record, whose
     ``inputs`` echo exactly the options the request set, each under its
     key, with the value it runs with.  Re-fed through --input, a record
@@ -332,14 +354,14 @@ def _document(args: argparse.Namespace) -> tuple[set[str], Document]:
 
 # -- subcommands -----------------------------------------------------------
 
-def cmd_constants(args: argparse.Namespace) -> Document:
+def cmd_constants(args: SimpleNamespace) -> Document:
     _, doc = _document(args)
     doc.add("values", CONSTANTS._asdict())
     doc.add("meta", {"source": CONSTANTS_SOURCE})
     return doc
 
 
-def cmd_bh(args: argparse.Namespace) -> Document:
+def cmd_bh(args: SimpleNamespace) -> Document:
     _load("kerr_newman")
     given, doc = _document(args)
     _require(args, "mass")
@@ -366,7 +388,7 @@ def cmd_bh(args: argparse.Namespace) -> Document:
     return doc
 
 
-def cmd_evaporate(args: argparse.Namespace) -> Document:
+def cmd_evaporate(args: SimpleNamespace) -> Document:
     _load("evaporation")
     _, doc = _document(args)
     _require(args, "mass")
@@ -379,7 +401,7 @@ def cmd_evaporate(args: argparse.Namespace) -> Document:
     return doc
 
 
-def cmd_bounds(args: argparse.Namespace) -> Document:
+def cmd_bounds(args: SimpleNamespace) -> Document:
     _load("bounds")
     _, doc = _document(args)
     _require(args, "radius")
@@ -396,7 +418,7 @@ def cmd_bounds(args: argparse.Namespace) -> Document:
     return doc
 
 
-def _system_from_args(args: argparse.Namespace, *required: str) -> MaterialSystem:
+def _system_from_args(args: SimpleNamespace, *required: str) -> MaterialSystem:
     if (args.energy is None) == (args.mass is None):
         raise ConfigError("give exactly one of energy or mass")
     energy = args.energy if args.energy is not None else args.mass * CONSTANTS.c**2
@@ -404,7 +426,7 @@ def _system_from_args(args: argparse.Namespace, *required: str) -> MaterialSyste
     return MaterialSystem(energy=energy, radius=args.radius, entropy=args.entropy)
 
 
-def cmd_gedanken(args: argparse.Namespace) -> Document:
+def cmd_gedanken(args: SimpleNamespace) -> Document:
     _load("bounds", "evaporation", "gedanken", "kerr_newman")
     given, doc = _document(args)
     _require(args, "scenario")
@@ -445,7 +467,7 @@ def cmd_gedanken(args: argparse.Namespace) -> Document:
     return doc
 
 
-def cmd_channel(args: argparse.Namespace) -> Document:
+def cmd_channel(args: SimpleNamespace) -> Document:
     _load("channel", "evaporation")
     _, doc = _document(args)
     _require(args, "power")
@@ -480,7 +502,7 @@ BH_SWEEP_QUANTITIES = {
 }
 
 
-def _sweep_grid(args: argparse.Namespace) -> list[float]:
+def _sweep_grid(args: SimpleNamespace) -> list[float]:
     _load("grids")
     if args.points < 1:
         raise ConfigError("sweep needs at least one point")
@@ -492,7 +514,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[float]:
     return linspace(args.start, args.stop, max(args.points, 2))
 
 
-def cmd_sweep(args: argparse.Namespace) -> Document:
+def cmd_sweep(args: SimpleNamespace) -> Document:
     bh = args.target == "bh"
     _load(*(["kerr_newman"] if bh else ["channel", "evaporation"]))
     given, doc = _document(args)
@@ -542,97 +564,81 @@ def cmd_sweep(args: argparse.Namespace) -> Document:
 
 # -- parser and dispatch ---------------------------------------------------
 
-#: A negative number, also in scientific notation (-1e5, -1.5E-3, -.5e+2):
-#: a value, not an option.  argparse's own pattern has no exponent.
+#: A negative number, as -1e5, -1.5E-3 or -.5e+2: a value, not a flag.
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
 
-def parse_request(argv: list[str]) -> SimpleNamespace | None:
-    """What ``build_parser().parse_args(argv)`` gives, read from the tables
-    for a well-formed request: ``[--format F] subcommand [target] --flag
-    value ...``, values dashed only if negative; None for any other argv."""
-    head = 2 if argv[:1] == ["--format"] else 0
-    if len(argv) <= head or argv[head] not in SUBCOMMANDS:
-        return None
-    row = SUBCOMMANDS[argv[head]]
-    named = (*row.parameters, Param("--input", type=str)) if row.parameters else ()
-    fields = {"format": os.environ.get(FORMAT_ENV, "table"), "command": argv[head],
-              **dict.fromkeys(p.dest for p in named)}
-    options = {p.flag: p for p in named if p.flag.startswith("-")}
-    options["--format"] = Param("--format", type=str, choices=FORMATS)
-    positionals = [p for p in row.parameters if p.flag not in options]
-    end = head + 1 + len(positionals)
-    words = argv[:head] + argv[end:]        # flag, value, flag, value, ...
-    if len(argv) < end or len(words) % 2:
-        return None
-    # as in argparse, the last value of a repeated flag wins
-    for param, text in [*zip(positionals, argv[head + 1:end]),
-                        *zip(map(options.get, words[::2]), words[1::2])]:
-        if param is None or text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
-            return None
+def parse_request(argv: list[str]) -> SimpleNamespace:
+    """The request ``argv`` makes, read from the tables: ``[--format F]
+    subcommand [target] --flag value ...``, ``--flag=value`` too, a dashed
+    value a negative number, the last of a repeated flag winning.  -h or
+    --help where a flag may stand asks for the help of the subcommand read
+    so far; anything else is a UsageError, one stderr line with its reason."""
+    def refuse(reason: str) -> UsageError:
+        return UsageError(f"{prog}: error: {reason}")
+    fields = {"format": os.environ.get(FORMAT_ENV, "table"), "command": None}
+    prog, options, targets = "bhthermo", PROGRAM.options, []
+    words = iter(argv)
+    for word in words:
+        if word in ("-h", "--help"):
+            return SimpleNamespace(**fields, help=True)
+        if fields["command"] is None and not word.startswith("-"):
+            if word not in SUBCOMMANDS:
+                raise refuse(f"unknown subcommand {word!r}; choose from "
+                             + ", ".join(SUBCOMMANDS))
+            row = SUBCOMMANDS[word]
+            prog, options, targets = f"bhthermo {word}", row.options, row.targets
+            fields.update(command=word, **dict.fromkeys(
+                p.dest for p in (*row.parameters, INPUT)))
+            continue
+        if targets and word.startswith("-"):
+            break                   # a flag before the target: refused below
+        flag, eq, text = word.partition("=") if word[:2] == "--" else (word, "", word)
+        if (param := targets.pop(0) if targets else options.get(flag)) is None:
+            raise refuse(f"unknown argument {word!r}")
+        if param.flag.startswith("-") and not eq:
+            text = next(words, "-")             # none left: as a dashed word
+            if text.startswith("-") and not _NEGATIVE_NUMBER.match(text):
+                raise refuse(f"{flag} needs a value")
         try:
             fields[param.dest] = param.parse(text)
-        except ValueError:
-            return None
-    return SimpleNamespace(**fields)
+        except ValueError as exc:
+            raise refuse(f"bad value for {param.flag}: {exc}") from None
+    if fields["command"] is None:
+        raise refuse("missing subcommand; choose from " + ", ".join(SUBCOMMANDS))
+    if targets:
+        raise refuse(f"expected {targets[0].metavar} right after {fields['command']}")
+    if fields["format"] not in FORMATS:         # a flag's value is checked above
+        raise UsageError(f"bhthermo: bad ${FORMAT_ENV} {fields['format']!r}; "
+                         "choose from " + ", ".join(FORMATS))
+    return SimpleNamespace(**fields, help=False)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The tables' argparse parser, for --help and usage errors."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        """An argument parser whose usage errors are one stderr line (exit
-        2), whose help raises a failed write to stdout (argparse's own drops
-        it), and which reads a word such as ``-1e5`` as a negative number."""
-
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = _NEGATIVE_NUMBER
-
-        def error(self, message: str) -> NoReturn:
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-        def _print_message(self, message: str, file=None) -> None:
-            if file is not None and file is sys.stdout:
-                file.write(message)
-            else:
-                super()._print_message(message, file)
-
-    parser = Parser(
-        prog="bhthermo",
-        description="Black hole thermodynamics, entropy bounds and "
-                    "channel-capacity limits (CGS units).")
-    parser.add_argument("--format", choices=FORMATS,
-                        default=os.environ.get(FORMAT_ENV, "table"),
-                        help=f"output format (default from ${FORMAT_ENV} or table)")
-    # The same flag is accepted after the subcommand; SUPPRESS keeps an
-    # absent subcommand-level flag from clobbering the top-level value.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default=argparse.SUPPRESS,
-                        help="output format")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, row in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=row.help, parents=[common])
-        # argparse's default stays None: a file value or the row's default
-        # fills an unset parameter later, in merge_input
-        for param in row.parameters:
-            p.add_argument(param.flag, type=param.type, choices=param.choices,
-                           help=param.help)
-        if row.parameters:
-            p.add_argument("--input", help="key=value or emitted-JSON input file")
-    return parser
+def build_parser() -> SimpleNamespace:
+    """An object whose ``parse_args`` is ``parse_request``, kept because the
+    benchmark's replay (``perfbench/workloads.py``) parses through it."""
+    return SimpleNamespace(parse_args=parse_request)
 
 
-COMMANDS = {
-    "constants": cmd_constants,
-    "bh": cmd_bh,
-    "evaporate": cmd_evaporate,
-    "bounds": cmd_bounds,
-    "gedanken": cmd_gedanken,
-    "channel": cmd_channel,
-    "sweep": cmd_sweep,
-}
+def help_text(command: str | None) -> str:
+    """The --help of subcommand ``command``, or of the program for None: a
+    usage line, what it does, then one unwrapped line per subcommand and
+    option, so the text is the same at every terminal width."""
+    def lines(pairs: Iterable[tuple[str, str | None]]) -> list[str]:
+        return [f"  {name:<20}  {text or ''}".rstrip() for name, text in pairs]
+    row = SUBCOMMANDS[command] if command else PROGRAM
+    usage = " ".join([command or "[--format FORMAT] SUBCOMMAND",
+                      *(p.metavar for p in row.targets), "[--flag VALUE ...]"])
+    options = [("-h, --help", "show this help message and exit"),
+               *((f"{p.flag} {p.metavar}", p.help) for p in row.options.values())]
+    listed = [] if command else ["subcommands:", *lines(
+        (name, sub.help) for name, sub in SUBCOMMANDS.items()), ""]
+    return "\n".join([f"usage: bhthermo {usage}", "", row.help, "", *listed,
+                      "options:", *lines(options)])
+
+
+#: Each subcommand's function, ``cmd_<subcommand>``.
+COMMANDS = {name: globals()[f"cmd_{name}"] for name in SUBCOMMANDS}
 
 
 def _unwritable(who: str, exc: OSError) -> int:
@@ -645,31 +651,24 @@ def _unwritable(who: str, exc: OSError) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = parse_request(sys.argv[1:] if argv is None else list(argv))
-    try:        # argparse, for help and usage errors, where the tables decline
-        args = args or build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except OSError as exc:      # help written straight to an unbuffered stdout
-        return _unwritable("bhthermo", exc)
-    if args.format not in FORMATS:      # argparse leaves a default unchecked
-        print(f"bhthermo: bad ${FORMAT_ENV} {args.format!r}; choose from "
-              + ", ".join(FORMATS), file=sys.stderr)
-        return EXIT_USAGE
     try:
-        for block in COMMANDS[args.command](args).blocks(args.format):
+        args = parse_request(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    who = "bhthermo" if args.help else f"bhthermo {args.command}"
+    try:
+        for block in [help_text(args.command)] if args.help \
+                else COMMANDS[args.command](args).blocks(args.format):
             if sys.stdout is None:      # started with stdout closed
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write(block)
         print(flush=True)
-    except ConfigError as exc:
-        print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"bhthermo {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (ConfigError, DomainError) as exc:
+        print(f"{who}: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN if isinstance(exc, DomainError) else EXIT_USAGE
     except OSError as exc:
-        return _unwritable(f"bhthermo {args.command}", exc)
+        return _unwritable(who, exc)
     return EXIT_OK
 
 

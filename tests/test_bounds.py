@@ -219,6 +219,17 @@ class TestBoundReport:
         assert "gour" in report.violations
         assert "universal" not in report.violations
 
+    def test_an_entropy_at_a_limit_with_its_slack_is_no_violation(self):
+        # a violation is an entropy strictly above limit * (1 + 1e-12): the
+        # product itself is none, and one float more is one
+        for e in bound_report(DISK).entries:
+            edge = e.limit_nats * (1.0 + 1e-12)
+            for entropy, violated in ((edge, False),
+                                      (math.nextafter(edge, math.inf), True)):
+                report = bound_report(MaterialSystem(DISK.energy, DISK.radius,
+                                                     entropy))
+                assert (e.name in report.violations) == violated, (e.name, entropy)
+
     @pytest.mark.parametrize("sys_", [DISK, NUCLEON, EARTH])
     def test_the_holographic_limit_is_that_of_the_area_used(self, sys_):
         def holo(report):

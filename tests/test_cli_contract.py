@@ -6,10 +6,10 @@ line and nothing on stdout.  An exception escaping ``main`` is a
 traceback and fails the test.
 """
 
-import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -18,21 +18,10 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from bhthermo.cli import (BH_SWEEP_QUANTITIES, FORMATS, build_parser, main,
-                          parse_request)
+from bhthermo.cli import (BH_SWEEP_QUANTITIES, FORMATS, SUBCOMMANDS, UsageError,
+                          main, parse_request)
 
 NON_FINITE = re.compile(r"(?i)(?<![a-z_])(nan|inf|infinity)(?![a-z_])")
-
-
-def _subcommands():
-    """Subcommand -> its parser, read from the parser itself."""
-    for action in build_parser()._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    raise AssertionError("no subcommands")
-
-
-SUBCOMMANDS = _subcommands()
 
 #: A valid request of each kind, which the strategy below perturbs: each
 #: flag is kept, dropped or given a random value, and other flags of the
@@ -86,15 +75,15 @@ def choices(dest, valid):
                                      else st.sampled_from(sorted(valid)))
 
 
-def values(action):
+def values(param):
     """Strategy for the text of one option's value."""
-    if action.choices is not None:
-        return choices(action.dest, action.choices)
-    if action.type is int:
+    if param.choices is not None:
+        return choices(param.dest, param.choices)
+    if param.type is int:
         return st.integers(-2, 1000).map(str)
-    if action.type is float:
+    if param.type is float:
         return floats.map(repr)
-    return STR_VALUES[action.dest]
+    return STR_VALUES[param.dest]
 
 
 @st.composite
@@ -103,9 +92,9 @@ def argvs(draw):
     words = 2 if valid[0] == "sweep" else 1     # the subcommand and its target
     argv = valid[:words]
     given_values = dict(zip(valid[words::2], valid[words + 1::2]))
-    for action in SUBCOMMANDS[valid[0]]._actions:
-        flag = action.option_strings[-1] if action.option_strings else None
-        if flag in (None, "--help", "--input", "--format"):
+    for param in SUBCOMMANDS[valid[0]].parameters:
+        flag = param.flag
+        if not flag.startswith("-"):        # the sweep's target, kept above
             continue
         if flag in given_values:
             how = draw(st.sampled_from(["keep"] * 4 + ["drop", "random"]))
@@ -113,7 +102,7 @@ def argvs(draw):
             how = draw(st.sampled_from(["drop"] * 4 + ["random"]))
         if how == "drop":
             continue
-        value = given_values[flag] if how == "keep" else draw(values(action))
+        value = given_values[flag] if how == "keep" else draw(values(param))
         # "--flag -1e5" is a usage error (the value looks like an option),
         # "--flag=-1e5" is a value
         argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
@@ -155,64 +144,87 @@ def test_every_run_keeps_the_exit_code_contract(argv):
         assert err.startswith("bhthermo")
 
 
-def _agrees_with_argparse(argv):
-    """Whether the table parse reads ``argv``; where it does, it must give
-    the namespace argparse gives, NaN equal to NaN."""
-    table = parse_request(argv)
-    if table is None:
-        return False
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            expected = vars(build_parser().parse_args(argv))
-        except SystemExit:
-            raise AssertionError(f"argparse refuses {argv}") from None
-    assert vars(table).keys() == expected.keys()
-    for dest, value in vars(table).items():
-        nan = value != value and expected[dest] != expected[dest]
-        assert value == expected[dest] or nan, dest
-    return True
+def _outcome(argv):
+    """What the one parser makes of ``argv``: the fields it set, "help of"
+    the subcommand asked about, or the usage error's stderr line."""
+    try:
+        args = parse_request(argv)
+    except UsageError as exc:
+        return str(exc)
+    if args.help:
+        return f"help of {args.command}"
+    return {dest: value for dest, value in vars(args).items()
+            if value is not None and dest != "help"}
 
 
 SWEEP_BH = ["sweep", "bh", "--param", "mass", "--start", "1e15", "--stop", "1e18"]
+BH = {"format": "table", "command": "bh"}
+ALL = "constants, bh, evaporate, bounds, gedanken, channel, sweep"
 
 
-@pytest.mark.parametrize("argv, read", [
-    (["bh", "--mass=1e15"], False),
-    (["bh", "--mas", "1e15"], False),
-    (["sweep", "--param", "mass", "bh", "--start", "1e15", "--stop", "1e18"], False),
-    (["bh", "--mass", "-1e5"], True),
-    (["bh", "--mass", "-inf"], False),
-    (["bh", "--mass"], False),
-    (["--format", "json", "bh", "--mass", "1e15"], True),
-    (["bh", "--mass", "1e15", "--format", "csv", "--format", "json"], True),
-    (["bh", "--mass", "1", "--mass", "1e15", "--input", "in.cfg"], True),
-    (["-h"], False),
-    (["bh", "-h"], False),
-    (["--"], False),
-    (["bh", "--", "--mass", "1e15"], False),
-    ([], False),
-    (["--format", "json"], False),
-    (["constants", "--input", "in.cfg"], False),
-    (["sweep", "bh"], True),
-    (["sweep"], False),
-    (["sweep", "bh", "target", "channel"], False),
-    ([*SWEEP_BH, "--spacing", "cubic"], False),
-    ([*SWEEP_BH, "--points", "1e3"], False),
-    (["--format", "xml", "bh", "--mass", "1e15"], False),
-    (["gedanken", "--scenario", "merger", "--m1", "nan"], True),
+@pytest.mark.parametrize("argv, outcome", [
+    (["bh", "--mass", "1e15"], {**BH, "mass": 1e15}),
+    (["bh", "--mass=1e15"], {**BH, "mass": 1e15}),
+    (["bh", "--mass=-inf"], {**BH, "mass": -math.inf}),
+    (["bh", "--mass", "-1e5"], {**BH, "mass": -1e5}),
+    (["bh", "--mass", "-inf"], "bhthermo bh: error: --mass needs a value"),
+    (["bh", "--mass"], "bhthermo bh: error: --mass needs a value"),
+    (["bh", "--mass", "--spin", "1"], "bhthermo bh: error: --mass needs a value"),
+    (["bh", "--mas", "1e15"], "bhthermo bh: error: unknown argument '--mas'"),
+    (["bh", "--mas=1e15"], "bhthermo bh: error: unknown argument '--mas=1e15'"),
+    (["bh", "1e15"], "bhthermo bh: error: unknown argument '1e15'"),
+    (["bh", "--mass", "x"], "bhthermo bh: error: bad value for --mass: "
+                            "could not convert string to float: 'x'"),
+    (["--format", "json", "bh", "--mass", "1e15"], {**BH, "format": "json",
+                                                    "mass": 1e15}),
+    (["--format=csv", "bh"], {**BH, "format": "csv"}),
+    (["bh", "--mass", "1e15", "--format", "csv", "--format", "json"],
+     {**BH, "format": "json", "mass": 1e15}),
+    (["bh", "--mass", "1", "--mass", "1e15", "--input", "in.cfg"],
+     {**BH, "mass": 1e15, "input": "in.cfg"}),
+    (["--format", "xml", "bh"], "bhthermo: error: bad value for --format: "
+                                "invalid choice 'xml'; choose from table, json, csv"),
+    (["-h"], "help of None"),
+    (["--help", "bh"], "help of None"),
+    (["--format", "json", "-h"], "help of None"),
+    (["bh", "-h"], "help of bh"),
+    (["bh", "--mass", "1e15", "--help"], "help of bh"),
+    (["sweep", "--help"], "help of sweep"),
+    (["bh", "--mass", "-h"], "bhthermo bh: error: --mass needs a value"),
+    (["bh", "--help=1"], "bhthermo bh: error: unknown argument '--help=1'"),
+    (["--"], "bhthermo: error: unknown argument '--'"),
+    (["bh", "--", "--mass", "1e15"], "bhthermo bh: error: unknown argument '--'"),
+    ([], f"bhthermo: error: missing subcommand; choose from {ALL}"),
+    (["--format", "json"], f"bhthermo: error: missing subcommand; choose from {ALL}"),
+    (["foo"], f"bhthermo: error: unknown subcommand 'foo'; choose from {ALL}"),
+    (["constants"], {"format": "table", "command": "constants"}),
+    (["constants", "--input", "in.cfg"],
+     "bhthermo constants: error: unknown argument '--input'"),
+    (["evaporate", "--nu", "1.9"],
+     "bhthermo evaporate: error: unknown argument '--nu'"),
+    (["sweep", "bh"], {"format": "table", "command": "sweep", "target": "bh"}),
+    (["sweep"], "bhthermo sweep: error: expected {bh,channel} right after sweep"),
+    (["sweep", "--param", "mass", "bh", "--start", "1e15", "--stop", "1e18"],
+     "bhthermo sweep: error: expected {bh,channel} right after sweep"),
+    (["sweep", "foo"], "bhthermo sweep: error: bad value for target: "
+                       "invalid choice 'foo'; choose from bh, channel"),
+    (["sweep", "bh", "channel"], "bhthermo sweep: error: unknown argument 'channel'"),
+    ([*SWEEP_BH, "--spacing", "cubic"], "bhthermo sweep: error: bad value for "
+     "--spacing: invalid choice 'cubic'; choose from log, linear"),
+    ([*SWEEP_BH, "--points", "1e3"], "bhthermo sweep: error: bad value for "
+     "--points: invalid literal for int() with base 10: '1e3'"),
 ])
-def test_the_table_parse_reads_its_shape_only(argv, read):
-    # help, --flag=value, abbreviations, --, a missing, dashed or bad value
-    # and a misplaced target are left to argparse
-    assert _agrees_with_argparse(argv) == read
+def test_the_one_parser_reads_each_shape(monkeypatch, argv, outcome):
+    # help and usage errors come from the tables too: abbreviations, --,
+    # a dashed value that is no negative number, and a target anywhere but
+    # right after sweep are refused with one reason
+    monkeypatch.delenv("BHTHERMO_FORMAT", raising=False)
+    assert _outcome(argv) == outcome
 
 
-@settings(max_examples=1000, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_the_table_parse_agrees_with_argparse(argv):
-    event("read" if _agrees_with_argparse(argv) else "left to argparse")
+def test_a_usage_error_is_its_stderr_line_and_exit_2():
+    for argv in (["bh", "--mas", "1e15"], ["sweep"], ["--format", "xml"], []):
+        assert _run(argv) == (2, "", _outcome(argv) + "\n")
 
 
 def _run(argv):

@@ -5,9 +5,9 @@ within 2 ulp of numpy.geomspace, whose power function may differ from the
 C library's by an ulp, and must keep its endpoints exact.
 """
 
-import argparse
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ def seeded_triples(seed, lo, hi, count=300):
 
 
 def sweep_grid(start, stop, n, spacing):
-    return _sweep_grid(argparse.Namespace(start=start, stop=stop, points=n,
-                                          spacing=spacing))
+    return _sweep_grid(SimpleNamespace(start=start, stop=stop, points=n,
+                                       spacing=spacing))
 
 
 def test_linear_grid_equals_numpy():

@@ -77,11 +77,10 @@ def test_request_loads_only_its_modules(argv, modules, fmt):
     refused = argv[-1] == "--mass"          # a flag without its value
     assert code == (2 if refused else 1 if "1e-10" in argv else 0)
     assert loaded == sorted({*BASE, *(f"bhthermo.{m}" for m in modules)})
-    # argparse only for help and a usage error, json only for JSON output;
-    # never numpy or scipy, nor dataclasses and the inspect module it loads
-    argparse = "--help" in argv or refused
-    writes_json = fmt == "json" and code == 0 and not argparse
-    assert others == ["argparse"] * argparse + ["json"] * writes_json
+    # json only for JSON output; never argparse, not even for help or a
+    # usage error, nor numpy, scipy, dataclasses or the inspect module
+    writes_json = fmt == "json" and code == 0 and "--help" not in argv
+    assert others == ["json"] * writes_json
 
 
 def test_package_import_loads_no_submodule():

@@ -23,7 +23,7 @@ from bhthermo.channel import (
     low_power_rates,
     regime_columns,
 )
-from bhthermo.cli import BH_SWEEP_QUANTITIES, build_parser, cmd_sweep, main
+from bhthermo.cli import BH_SWEEP_QUANTITIES, cmd_sweep, main, parse_request
 from bhthermo.constants import (
     CONSTANTS,
     LOG2E,
@@ -93,7 +93,7 @@ def grid(start, stop, points, spacing):
 
 
 def sweep_columns(argv):
-    return cmd_sweep(build_parser().parse_args(["sweep", *argv])).series
+    return cmd_sweep(parse_request(["sweep", *argv])).series
 
 
 def columns_of(rows):
